@@ -12,11 +12,30 @@
 //!   moment a witness homomorphism appears (sound, because every chase
 //!   prefix is equivalent to the input), and the next check against the
 //!   same query resumes from where the last one stopped;
-//! * **containment verdicts**, keyed by the alpha-normalized pair;
+//! * **containment verdicts**, keyed by the alpha-normalized pair with
+//!   its constants abstracted (see below);
 //! * **implication verdicts** `D ⊨ σ`, keyed by a canonicalized `σ`
-//!   (bound variables renamed, conditions normalized and sorted) —
-//!   lookup-safety and condition-pruning proofs repeat heavily across
-//!   the lattice.
+//!   (bound variables renamed, constants abstracted, conditions
+//!   normalized and sorted) — lookup-safety and condition-pruning proofs
+//!   repeat heavily across the lattice.
+//!
+//! **Constant abstraction.** The chase treats constants as uninterpreted
+//! symbols: a constant matches only itself, and no chase or hom rule
+//! looks at its value. So the two boolean-valued memos key on a form in
+//! which every constant the dependency set does not mention is replaced
+//! by a placeholder, numbered in order of first occurrence (one numbering
+//! for both queries of a containment pair, so equal constants stay equal
+//! and distinct ones stay distinct). The renaming is injective and fixes
+//! the dependency constants, so it maps one chase problem onto an
+//! isomorphic one: two questions with the same key have the same verdict.
+//! `CustName = "cust7"` is answered from the proofs made for
+//! `CustName = "cust5"`. An isomorphism the canonical form fails to spot
+//! (placeholder numbering follows the constant-sorted condition order)
+//! costs a memo miss, never a wrong answer. The keys are built by one
+//! helper (`MemoKeys`) that the sequential and the sharded context
+//! share. **Chase states stay constant-exact**: a [`ChaseOutcome`] is
+//! handed back to callers (the universal plan is one), so it always
+//! carries the caller's own constants.
 //!
 //! [`CacheStats`] counts hits and misses so benchmarks (E7/E8) can
 //! attribute speedups; [`ChaseContext::without_memo`] disables the
@@ -39,11 +58,11 @@
 //! use the context API whenever more than one question will be asked of
 //! the same dependency set.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
-use pcql::query::{Binding, Equality, Query};
-use pcql::Dependency;
+use pcql::query::{Binding, Equality, Output, Query};
+use pcql::{Constant, Dependency, Path};
 
 use crate::chase::{ChaseConfig, ChaseOutcome, ChaseState};
 use crate::containment::output_matching_hom;
@@ -194,6 +213,8 @@ pub struct ChaseContext {
     /// Fingerprint of `(deps, cfg)` — the identity of the theory this
     /// context's memos are sound under.
     fingerprint: u64,
+    /// Builds the constant-abstracted containment and implication keys.
+    keys: MemoKeys,
     /// Per-table entry cap (0 = unbounded); oldest entries evicted first.
     memo_cap: usize,
     chased: HashMap<Query, ChasedEntry>,
@@ -210,6 +231,7 @@ impl ChaseContext {
     pub fn new(deps: Vec<Dependency>, cfg: ChaseConfig) -> ChaseContext {
         let fingerprint = ChaseContext::fingerprint_of(&deps, &cfg);
         ChaseContext {
+            keys: MemoKeys::new(&deps),
             deps,
             cfg,
             caching: true,
@@ -307,6 +329,7 @@ impl ChaseContext {
             }
         }
         self.deps = deps.to_vec();
+        self.keys = MemoKeys::new(deps);
         self.cfg = cfg.clone();
         self.fingerprint = fp;
         self.chased.clear();
@@ -407,7 +430,7 @@ impl ChaseContext {
         if crate::faults::hit("context::contained_in").is_err() {
             crate::faults::note_recovered();
         }
-        let key = (q1.alpha_normalized(), q2.alpha_normalized());
+        let key = self.keys.containment(q1, q2);
         if self.caching {
             if let Some(&v) = self.containment.get(&key) {
                 self.stats.containment_hits += 1;
@@ -445,14 +468,15 @@ impl ChaseContext {
     }
 
     /// Does the dependency set imply `sigma` (as far as the bounded chase
-    /// can tell)? Memoized on a canonicalized `sigma`; the underlying
-    /// prover also early-exits the moment the conclusion is witnessed.
+    /// can tell)? Memoized on a canonicalized, constant-abstracted
+    /// `sigma`; the underlying prover also early-exits the moment the
+    /// conclusion is witnessed.
     pub fn implies(&mut self, sigma: &Dependency) -> bool {
         // Failpoint: same recovery contract as `contained_in`.
         if crate::faults::hit("context::implies").is_err() {
             crate::faults::note_recovered();
         }
-        let key = canonical_dependency(sigma);
+        let key = self.keys.implication(sigma);
         if self.caching {
             if let Some(&v) = self.implication.get(&key) {
                 self.stats.implication_hits += 1;
@@ -472,6 +496,143 @@ impl ChaseContext {
             );
         }
         v
+    }
+}
+
+/// Builds the keys of the two boolean-valued memos — containment and
+/// implication verdicts — for one dependency set. Both chase cores call
+/// it, so the sequential and the sharded context key identically. A key
+/// is the alpha-normalized (or canonicalized) form with every constant
+/// the dependency set does not mention replaced by a placeholder; see the
+/// module docs for why that is sound.
+#[derive(Debug, Clone)]
+pub(crate) struct MemoKeys {
+    /// The constants the dependency set mentions: kept literal in keys,
+    /// since a dependency can tell them apart from every other constant.
+    dep_constants: BTreeSet<Constant>,
+}
+
+impl MemoKeys {
+    pub(crate) fn new(deps: &[Dependency]) -> MemoKeys {
+        let mut dep_constants = BTreeSet::new();
+        let mut collect = |p: &Path| {
+            for sub in p.subpaths() {
+                if let Path::Const(c) = sub {
+                    dep_constants.insert(c.clone());
+                }
+            }
+        };
+        for d in deps {
+            for b in d.forall.iter().chain(&d.exists) {
+                collect(&b.src);
+            }
+            for e in d.premise.iter().chain(&d.conclusion) {
+                collect(&e.0);
+                collect(&e.1);
+            }
+        }
+        MemoKeys { dep_constants }
+    }
+
+    /// The containment key of `q1 ⊑ q2`: both queries alpha-normalized,
+    /// then constant-abstracted under one shared numbering.
+    pub(crate) fn containment(&self, q1: &Query, q2: &Query) -> (Query, Query) {
+        let (mut k1, mut k2) = (q1.alpha_normalized(), q2.alpha_normalized());
+        let mut abs = Abstraction::new(&self.dep_constants);
+        abs.query(&mut k1);
+        abs.query(&mut k2);
+        (k1, k2)
+    }
+
+    /// The implication key of `sigma`: [`canonical_dependency`], then
+    /// constant-abstracted.
+    pub(crate) fn implication(&self, sigma: &Dependency) -> Dependency {
+        let mut key = canonical_dependency(sigma);
+        let mut abs = Abstraction::new(&self.dep_constants);
+        for b in key.forall.iter_mut() {
+            abs.path(&mut b.src);
+        }
+        abs.conditions(&mut key.premise);
+        for b in key.exists.iter_mut() {
+            abs.path(&mut b.src);
+        }
+        abs.conditions(&mut key.conclusion);
+        key
+    }
+}
+
+/// One injective renaming of non-dependency constants to placeholders,
+/// applied in place. Placeholders are string constants outside the
+/// dependency constants, handed out in order of first occurrence.
+struct Abstraction<'a> {
+    fixed: &'a BTreeSet<Constant>,
+    renamed: HashMap<Constant, Constant>,
+    next: usize,
+}
+
+impl<'a> Abstraction<'a> {
+    fn new(fixed: &'a BTreeSet<Constant>) -> Abstraction<'a> {
+        Abstraction {
+            fixed,
+            renamed: HashMap::new(),
+            next: 0,
+        }
+    }
+
+    fn path(&mut self, p: &mut Path) {
+        match p {
+            Path::Const(c) => {
+                if !self.fixed.contains(c) {
+                    *c = self.placeholder(c);
+                }
+            }
+            Path::Var(_) | Path::Root(_) => {}
+            Path::Field(p, _) | Path::Dom(p) => self.path(p),
+            Path::Get(p, k) | Path::GetOrEmpty(p, k) => {
+                self.path(p);
+                self.path(k);
+            }
+        }
+    }
+
+    fn placeholder(&mut self, c: &Constant) -> Constant {
+        if let Some(ph) = self.renamed.get(c) {
+            return ph.clone();
+        }
+        let ph = loop {
+            let candidate = Constant::Str(format!("\u{1}{}", self.next));
+            self.next += 1;
+            if !self.fixed.contains(&candidate) {
+                break candidate;
+            }
+        };
+        self.renamed.insert(c.clone(), ph.clone());
+        ph
+    }
+
+    /// Renames a condition list, then restores its normal form: each
+    /// equality oriented, the list sorted and deduplicated.
+    fn conditions(&mut self, eqs: &mut Vec<Equality>) {
+        for e in eqs.iter_mut() {
+            self.path(&mut e.0);
+            self.path(&mut e.1);
+            if e.1 < e.0 {
+                std::mem::swap(&mut e.0, &mut e.1);
+            }
+        }
+        eqs.sort();
+        eqs.dedup();
+    }
+
+    fn query(&mut self, q: &mut Query) {
+        match &mut q.output {
+            Output::Struct(fields) => fields.values_mut().for_each(|p| self.path(p)),
+            Output::Path(p) => self.path(p),
+        }
+        for b in q.from.iter_mut() {
+            self.path(&mut b.src);
+        }
+        self.conditions(&mut q.where_);
     }
 }
 
@@ -681,5 +842,117 @@ mod tests {
         assert!(ctx.implies(&g2));
         assert_eq!(ctx.stats().implication_misses, 1);
         assert_eq!(ctx.stats().implication_hits, 1);
+    }
+
+    fn ric() -> Dependency {
+        parse_dependency("ric", "forall (r in R) -> exists (s in S) where r.A = s.A").unwrap()
+    }
+
+    /// `R r` restricted to `r.B = c`, with and without the `S` join the
+    /// RIC makes redundant, plus the matching dependency `σ(c)`.
+    fn constant_family(c: &str) -> (Query, Query, Dependency) {
+        let wider =
+            parse_query(&format!("select struct(A = r.A) from R r where r.B = {c}")).unwrap();
+        let narrower = parse_query(&format!(
+            "select struct(A = r.A) from R r, S s where r.A = s.A and r.B = {c}"
+        ))
+        .unwrap();
+        let sigma = parse_dependency(
+            "sigma",
+            &format!("forall (r in R) where r.B = {c} -> exists (s in S) where r.A = s.A"),
+        )
+        .unwrap();
+        (wider, narrower, sigma)
+    }
+
+    #[test]
+    fn queries_differing_only_in_a_constant_share_verdicts() {
+        let mut ctx = ChaseContext::new(vec![ric()], ChaseConfig::default());
+        let (wider, narrower, sigma) = constant_family("\"cust5\"");
+        assert!(ctx.equivalent(&wider, &narrower));
+        assert!(ctx.implies(&sigma));
+        let cold = ctx.stats();
+        let (wider, narrower, sigma) = constant_family("\"cust7\"");
+        assert!(ctx.equivalent(&wider, &narrower));
+        assert!(ctx.implies(&sigma));
+        let warm = ctx.stats();
+        assert_eq!(warm.containment_misses, cold.containment_misses, "{warm:?}");
+        assert_eq!(warm.implication_misses, cold.implication_misses, "{warm:?}");
+        assert_eq!(warm.containment_hits, cold.containment_hits + 2);
+        assert_eq!(warm.implication_hits, cold.implication_hits + 1);
+        // An integer in the same position is the same problem too.
+        let (wider, narrower, _) = constant_family("42");
+        assert!(ctx.contained_in(&wider, &narrower));
+        assert_eq!(ctx.stats().containment_misses, cold.containment_misses);
+    }
+
+    #[test]
+    fn abstraction_preserves_the_equality_pattern_of_constants() {
+        let keys = MemoKeys::new(&[ric()]);
+        let q = |a: &str, b: &str| {
+            parse_query(&format!(
+                "select struct(C = r.C) from R r where r.A = {a} and r.B = {b}"
+            ))
+            .unwrap()
+        };
+        let same = q("3", "3");
+        let distinct = q("3", "4");
+        assert_ne!(
+            keys.containment(&same, &same),
+            keys.containment(&distinct, &distinct)
+        );
+        assert_eq!(
+            keys.containment(&distinct, &distinct),
+            keys.containment(&q("5", "6"), &q("5", "6"))
+        );
+        // One numbering spans both queries of a pair.
+        assert_ne!(
+            keys.containment(&q("3", "4"), &q("3", "4")),
+            keys.containment(&q("3", "4"), &q("5", "6"))
+        );
+        // And the verdicts differ: `A = B` holds only when the constants
+        // coincide, so memoizing one must not answer the other.
+        let diagonal = parse_query("select struct(C = r.C) from R r where r.A = r.B").unwrap();
+        let mut ctx = ChaseContext::new(vec![], ChaseConfig::default());
+        assert!(ctx.contained_in(&same, &diagonal));
+        assert!(!ctx.contained_in(&distinct, &diagonal));
+        assert_eq!(ctx.stats().containment_hits, 0);
+    }
+
+    #[test]
+    fn dependency_constants_stay_literal_in_memo_keys() {
+        // Only gold customers are guaranteed an `S` partner, so the
+        // verdict genuinely depends on which constant the query names.
+        let gold = parse_dependency(
+            "gold",
+            "forall (r in R) where r.B = \"gold\" -> exists (s in S) where r.A = s.A",
+        )
+        .unwrap();
+        let cfg = ChaseConfig::default();
+        for order in [["\"gold\"", "\"silver\""], ["\"silver\"", "\"gold\""]] {
+            // Built over another theory first, so the dependency constants
+            // must be recomputed by the `ensure_deps` reset.
+            let mut ctx = ChaseContext::new(vec![ric()], cfg.clone());
+            assert!(ctx.implies(&constant_family("\"gold\"").2));
+            assert!(ctx.ensure_deps(std::slice::from_ref(&gold), &cfg));
+            for c in order {
+                let (wider, narrower, sigma) = constant_family(c);
+                let mut oracle = ChaseContext::without_memo(vec![gold.clone()], cfg.clone());
+                let expected = c == "\"gold\"";
+                assert_eq!(oracle.contained_in(&wider, &narrower), expected, "{c}");
+                assert_eq!(oracle.implies(&sigma), expected, "{c}");
+                assert_eq!(ctx.contained_in(&wider, &narrower), expected, "{c}");
+                assert_eq!(ctx.implies(&sigma), expected, "{c}");
+            }
+            let stats = ctx.stats();
+            assert_eq!(stats.containment_hits, 0, "{stats:?}");
+            assert_eq!(stats.implication_hits, 0, "{stats:?}");
+            // A third constant is abstracted and shares silver's verdicts.
+            let (wider, narrower, sigma) = constant_family("\"bronze\"");
+            assert!(!ctx.contained_in(&wider, &narrower));
+            assert!(!ctx.implies(&sigma));
+            assert_eq!(ctx.stats().containment_hits, 1);
+            assert_eq!(ctx.stats().implication_hits, 1);
+        }
     }
 }

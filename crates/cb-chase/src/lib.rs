@@ -31,7 +31,9 @@
 //! 2. **The context API** — [`ChaseContext`] owns a dependency set and a
 //!    budget and memoizes chase outcomes (keyed by alpha-normalized
 //!    query, held as *resumable* states), containment verdicts and
-//!    implication verdicts across calls: [`ChaseContext::chase`],
+//!    implication verdicts (keyed by constant-abstracted forms, so
+//!    questions that differ only in a constant share one proof) across
+//!    calls: [`ChaseContext::chase`],
 //!    [`ChaseContext::contained_in`], [`ChaseContext::implies`],
 //!    [`backchase_in`], [`backchase_greedy_in`], [`examine_removal_in`],
 //!    [`is_minimal_in`]. The backchase explores an exponential removal

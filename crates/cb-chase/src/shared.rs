@@ -7,9 +7,11 @@
 //! [`SharedChaseContext`] keeps the same three memos — chase states,
 //! containment verdicts, implication verdicts — but distributes each over
 //! [`SharedChaseContext::with_shards`] shards, keyed by the hash of the
-//! existing alpha-normalized (or canonicalized, for dependencies) memo
-//! keys, each shard behind its own [`Mutex`]. Workers touching different
-//! keys contend only on the hash-selected shard, never on the core.
+//! same memo keys the sequential context uses (alpha-normalized chase
+//! states; constant-abstracted containment pairs and dependencies, built
+//! by the one helper both contexts share), each shard behind its own
+//! [`Mutex`]. Workers touching different keys contend only on the
+//! hash-selected shard, never on the core.
 //!
 //! **Checkout protocol.** Chase states are *resumable* and must be
 //! stepped under `&mut` access, which a shard lock must not be held for
@@ -43,7 +45,7 @@ use pcql::Dependency;
 use crate::chase::{ChaseConfig, ChaseOutcome, ChaseState};
 use crate::containment::output_matching_hom;
 use crate::context::{
-    canonical_dependency, insert_bounded, CacheStats, ChaseContext, ChaseProver, ChasedEntry,
+    insert_bounded, CacheStats, ChaseContext, ChaseProver, ChasedEntry, MemoKeys,
 };
 use crate::faults::{self, FaultKind};
 use crate::implication::implies_uncached;
@@ -132,6 +134,8 @@ pub struct SharedChaseContext {
     cfg: ChaseConfig,
     /// Same identity notion as [`ChaseContext::fingerprint`].
     fingerprint: u64,
+    /// Builds the constant-abstracted containment and implication keys.
+    keys: MemoKeys,
     /// Total memo cap across shards (0 = unbounded), split evenly.
     memo_cap: usize,
     /// Approximate total memo-byte limit across shards (0 = unbounded);
@@ -150,6 +154,7 @@ impl SharedChaseContext {
     pub fn new(deps: Vec<Dependency>, cfg: ChaseConfig) -> SharedChaseContext {
         let fingerprint = ChaseContext::fingerprint_of(&deps, &cfg);
         SharedChaseContext {
+            keys: MemoKeys::new(&deps),
             deps,
             cfg,
             fingerprint,
@@ -410,7 +415,7 @@ impl SharedChaseContext {
         if faults::hit("context::contained_in").is_err() {
             faults::note_recovered();
         }
-        let ckey = (q1.alpha_normalized(), q2.alpha_normalized());
+        let ckey = self.keys.containment(q1, q2);
         let cidx = self.shard_of(&ckey);
         {
             let mut guard = self.lock(cidx);
@@ -421,7 +426,7 @@ impl SharedChaseContext {
             }
             shard.stats.containment_misses += 1;
         }
-        let chase_key = ckey.0.clone();
+        let chase_key = q1.alpha_normalized();
         let idx = self.shard_of(&chase_key);
         let (mut entry, owned) = self.checkout(idx, &chase_key, q1);
         let result = loop {
@@ -473,13 +478,14 @@ impl SharedChaseContext {
     }
 
     /// Does the dependency set imply `sigma`? Memoized on the
-    /// canonicalized `sigma`, computed outside any lock.
+    /// canonicalized, constant-abstracted `sigma`, computed outside any
+    /// lock.
     pub fn implies(&self, sigma: &Dependency) -> bool {
         // Same failpoint contract as `ChaseContext::implies`.
         if faults::hit("context::implies").is_err() {
             faults::note_recovered();
         }
-        let key = canonical_dependency(sigma);
+        let key = self.keys.implication(sigma);
         let idx = self.shard_of(&key);
         {
             let mut guard = self.lock(idx);
@@ -609,6 +615,9 @@ mod tests {
             "select struct(A = x.A) from R x", // alpha-equivalent: a hit
             "select struct(A = r.A) from R r, S s where r.B = s.B",
             "select struct(B = s.B) from S s",
+            // Differ only in a constant: containment keys shared.
+            "select struct(A = r.A) from R r where r.B = 1",
+            "select struct(A = r.A) from R r where r.B = 2",
         ]
         .iter()
         .map(|s| parse_query(s).unwrap())
@@ -658,6 +667,10 @@ mod tests {
         }
         assert!(seq_stats.chase_hits > 0);
         assert!(seq_stats.containment_hits > 0);
+        // Both cores key through the shared helper: the 36 pairs span 17
+        // constant-abstracted keys (25 if constants stayed literal), plus
+        // one repeated pair.
+        assert_eq!(seq_stats.containment_hits, 36 - 17 + 1);
         assert_eq!(seq_stats.implication_hits, 1);
     }
 

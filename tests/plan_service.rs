@@ -375,3 +375,47 @@ fn reordered_catalog_swap_keeps_chase_memos_and_cached_plans() {
     assert_eq!(warm.nodes_visited, 0);
     assert_eq!(warm.plan.outcome.best.query, cold.plan.outcome.best.query);
 }
+
+#[test]
+fn a_new_constant_misses_the_plan_cache_but_reuses_every_proof() {
+    let (_, catalog, instance, _) = builtin_scenarios().remove(0);
+    let projects_of = |cust: &str| {
+        parse_query(&format!(
+            "select struct(PN = s, PB = p.Budg, DN = d.DName) \
+             from depts d, d.DProjs s, Proj p \
+             where s = p.PName and p.CustName = \"{cust}\""
+        ))
+        .unwrap()
+    };
+    let mut svc = PlanService::new(catalog.clone(), OptimizerConfig::default());
+    let first = svc.prepare(&projects_of("CitiBank")).unwrap();
+    assert!(!first.cache_hit);
+    let warm = svc.chase_stats();
+
+    let q = projects_of("cust3");
+    let second = svc.prepare(&q).unwrap();
+    assert!(!second.cache_hit, "a new constant is a new plan");
+    let after = svc.chase_stats();
+    assert_eq!(
+        after.containment_misses, warm.containment_misses,
+        "{after:?}"
+    );
+    assert_eq!(
+        after.implication_misses, warm.implication_misses,
+        "{after:?}"
+    );
+
+    // The plan is the caller's own: it names cust3, not CitiBank.
+    let best = &second.plan.outcome.best.query;
+    let text = best.to_string();
+    assert!(text.contains("\"cust3\""), "{text}");
+    assert!(!text.contains("CitiBank"), "{text}");
+    let ev = Evaluator::for_catalog(&catalog, &instance);
+    let rows = ev.eval_query(best).unwrap();
+    let reference = ev.eval_query(&q).unwrap();
+    assert!(
+        !reference.is_empty(),
+        "cust3 should own projects at seed 42"
+    );
+    assert_eq!(rows, reference, "the plan must return the query's rows");
+}
