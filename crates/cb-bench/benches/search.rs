@@ -12,7 +12,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use cb_chase::{ChaseConfig, ParallelExploreAll, ParallelPlanSearch, SharedChaseContext};
+use cb_chase::{ChaseConfig, ChaseContext, ParallelExploreAll, ParallelPlanSearch};
 use pcql::parser::{parse_dependency, parse_query};
 
 /// One round of the frontier protocol: pop the cheapest entry, publish
@@ -81,10 +81,10 @@ fn parallel_walk(c: &mut Criterion) {
     for workers in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
             b.iter(|| {
-                let shared = SharedChaseContext::new(deps.clone(), ChaseConfig::default());
+                let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
                 let out = ParallelPlanSearch::new(black_box(&u), w)
                     .with_collect_visited(false)
-                    .run(&shared, &ParallelExploreAll);
+                    .run(&ctx, &ParallelExploreAll);
                 assert!(out.complete);
                 out.visited_count
             });

@@ -183,7 +183,7 @@ fn run_json(path: &str, selection: &[String]) {
     if want("e7") {
         let (catalog, q) = views_scenario(8);
         records.push(measure("e7_chase_8_views", ITERS, || {
-            let mut ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
+            let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
             ctx.chase(&q);
             ctx.chase(&q); // the memoized re-chase the counters attribute
             Some(ctx.stats())
@@ -193,9 +193,9 @@ fn run_json(path: &str, selection: &[String]) {
         let (catalog, q) = views_scenario(4);
         let deps = catalog.all_constraints();
         records.push(measure("e8_backchase_4_views", ITERS, || {
-            let mut ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+            let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
             let u = ctx.chase(&q).query;
-            backchase_in(&mut ctx, &u, 0);
+            backchase_in(&ctx, &u, 0);
             Some(ctx.stats())
         }));
     }
@@ -514,16 +514,12 @@ fn run_json(path: &str, selection: &[String]) {
                 "projdept speedup {pd_speedup:.2}x at 4 threads (expected >= 1.8x on a >= 4-core box)"
             );
         }
-        // Shard traffic of the last 4-thread projdept run.
-        let mut shards = CacheStats::default();
-        for s in &pd_out.shard_cache {
-            shards.absorb(s);
-        }
         let trace = &pd_out.incumbent_trace;
         let mut rec = JsonRecord {
             id: "e18_parallel_search",
             median_ns: pd_t4,
-            cache_hit_rate: Some(shards.hit_rate()),
+            // Memo traffic of the last 4-thread projdept run.
+            cache_hit_rate: Some(pd_out.cache.hit_rate()),
             extra: Vec::new(),
         };
         rec.extra = vec![
@@ -536,8 +532,6 @@ fn run_json(path: &str, selection: &[String]) {
             ("views_t4_ns", vw_t4 as u64),
             ("views_speedup_x1000", (1000.0 * vw_speedup) as u64),
             ("cores", cores as u64),
-            ("shard_count", pd_out.shard_cache.len() as u64),
-            ("shard_hit_rate_x1000", (1000.0 * shards.hit_rate()) as u64),
             ("incumbent_trace_points", trace.len() as u64),
             (
                 // The quality-vs-time curve's endpoint: when the final
@@ -1203,11 +1197,11 @@ fn e18_exhaustive(catalog: &cb_catalog::Catalog, q: &pcql::Query) -> cb_optimize
 
 /// E18 — the parallel anytime frontier: wall clock at 1/2/4 workers on
 /// ProjDept and the §4 views scenario, the incumbent-quality-vs-time
-/// curve, and the shard traffic of the shared chase core.
+/// curve, and the memo traffic of the chase core.
 fn e18_parallel_search() {
     banner(
         "E18",
-        "parallel plan search: speedup, incumbent descent, shard traffic",
+        "parallel plan search: speedup, incumbent descent, memo traffic",
     );
     let scenarios = [
         ("projdept", prepared_projdept(50, 10, 25)),
@@ -1225,10 +1219,6 @@ fn e18_parallel_search() {
                 out.best.cost,
                 full.best.cost
             );
-            let mut shards = CacheStats::default();
-            for s in &out.shard_cache {
-                shards.absorb(s);
-            }
             rows.push(vec![
                 name.to_string(),
                 threads.to_string(),
@@ -1236,11 +1226,7 @@ fn e18_parallel_search() {
                 format!("{:.2}x", t1 as f64 / ns.max(1) as f64),
                 format!("{:.1}", out.best.cost),
                 out.nodes_visited.to_string(),
-                if threads > 1 {
-                    format!("{:.0}%", 100.0 * shards.hit_rate())
-                } else {
-                    "-".to_string()
-                },
+                format!("{:.0}%", 100.0 * out.cache.hit_rate()),
             ]);
         }
     }
@@ -1254,7 +1240,7 @@ fn e18_parallel_search() {
                 "speedup",
                 "best cost",
                 "visited",
-                "shard hits"
+                "memo hits"
             ],
             &rows
         )
@@ -1487,9 +1473,9 @@ fn e1_projdept_plan_space() {
             p.catalog.without_semantic_constraints(),
         ),
     ] {
-        let mut ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
+        let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
         let u = ctx.chase(q).query;
-        let out = backchase_in(&mut ctx, &u, 4096);
+        let out = backchase_in(&ctx, &u, 4096);
         println!("\nregime: {regime}");
         println!("  universal plan: {} bindings", u.from.len());
         println!("  equivalent subqueries visited: {}", out.visited.len());
@@ -1527,7 +1513,7 @@ fn e3_universal_plan() {
     banner("E3", "the universal plan U (paper §3)");
     let catalog = cb_catalog::scenarios::projdept::catalog();
     let q = cb_catalog::scenarios::projdept::query();
-    let mut ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
+    let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
     let out = ctx.chase(&q);
     println!("chase steps: {}", out.steps.len());
     for s in &out.steps {
@@ -1618,7 +1604,7 @@ fn e7_chase_scaling() {
     let mut rows = Vec::new();
     for k in 1..=8usize {
         let (catalog, q) = views_scenario(k);
-        let mut ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
+        let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
         let t = Instant::now();
         let out = ctx.chase(&q);
         let cold_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -1661,10 +1647,10 @@ fn e8_backchase_scaling() {
     let mut rows = Vec::new();
     for k in 1..=5usize {
         let (catalog, q) = views_scenario(k);
-        let mut ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
+        let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
         let u = ctx.chase(&q).query;
         let t = Instant::now();
-        let out = backchase_in(&mut ctx, &u, 0);
+        let out = backchase_in(&ctx, &u, 0);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         let s = ctx.stats();
         rows.push(vec![
@@ -1723,9 +1709,9 @@ fn e9_completeness() {
          where r.B = s.B and s.C = t.C",
     )
     .unwrap();
-    let mut ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
+    let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
     let u = ctx.chase(&q).query;
-    let out = backchase_in(&mut ctx, &u, 0);
+    let out = backchase_in(&ctx, &u, 0);
 
     // Brute force over all removal subsets — one shared context and one
     // canonical database across all 2^n judgements.
@@ -1737,8 +1723,7 @@ fn e9_completeness() {
             .filter(|i| mask & (1 << i) != 0)
             .map(|i| vars[i].clone())
             .collect();
-        if let RemovalJudgement::Valid(qq) = examine_removal_in(&mut ctx, &u, &mut graph, &removed)
-        {
+        if let RemovalJudgement::Valid(qq) = examine_removal_in(&ctx, &u, &mut graph, &removed) {
             equivalents.push((removed, qq));
         }
     }

@@ -56,7 +56,7 @@ use pcql::Dependency;
 use crate::canon::QueryGraph;
 use crate::chase::ChaseConfig;
 use crate::containment::{contained_in_pre_chased, output_matching_hom};
-use crate::context::{ChaseContext, ChaseProver};
+use crate::context::ChaseContext;
 use crate::egraph::EGraph;
 use crate::hom::Assignment;
 
@@ -176,12 +176,12 @@ pub fn backchase_step(
     seed: &str,
     cfg: &ChaseConfig,
 ) -> Option<Query> {
-    let mut ctx = ChaseContext::new(deps.to_vec(), cfg.clone());
-    backchase_step_in(&mut ctx, q, seed)
+    let ctx = ChaseContext::new(deps.to_vec(), cfg.clone());
+    backchase_step_in(&ctx, q, seed)
 }
 
 /// [`backchase_step`] against a shared [`ChaseContext`].
-pub fn backchase_step_in(ctx: &mut ChaseContext, q: &Query, seed: &str) -> Option<Query> {
+pub fn backchase_step_in(ctx: &ChaseContext, q: &Query, seed: &str) -> Option<Query> {
     if !q.from.iter().any(|b| b.var == seed) {
         return None;
     }
@@ -304,10 +304,10 @@ fn implied_conditions(graph: &QueryGraph, removed: &BTreeSet<String>) -> Vec<Equ
 /// pruned subquery anyway. (Without pruning, the maximal `C'` could smuggle
 /// an index equation like `p = I[s]` into a plan whose own bindings cannot
 /// guarantee `s ∈ dom(I)`.)
-pub(crate) fn prune_unsafe_conditions<P: ChaseProver>(prover: &mut P, q: &Query) -> Option<Query> {
+pub(crate) fn prune_unsafe_conditions(ctx: &ChaseContext, q: &Query) -> Option<Query> {
     let mut q = q.clone();
     loop {
-        match first_unsafe(prover, &q) {
+        match first_unsafe(ctx, &q) {
             None => return Some(q),
             Some((lookup, fatal)) => {
                 if fatal {
@@ -328,15 +328,14 @@ pub(crate) fn prune_unsafe_conditions<P: ChaseProver>(prover: &mut P, q: &Query)
 
 /// The first not-provably-safe failing lookup of `q`, tagged with whether
 /// it is fatal (binding source / output) or condition-level. Safety
-/// proofs go through the prover's memoized implication memo — any
-/// [`ChaseProver`], so the sequential and the sharded parallel search run
-/// the identical proof discipline; the congruence graph for guardedness
+/// proofs go through the context's implication memo, from the sequential
+/// and the parallel search alike; the congruence graph for guardedness
 /// is built once per call (lazily), not once per obligation.
 ///
 /// Public so that static analysis (cb-analyze's lookup-safety pass) can be
 /// differentially checked against this prover: a lookup the syntactic
 /// pre-pass declares safe must never be the one returned here.
-pub fn first_unsafe<P: ChaseProver>(prover: &mut P, q: &Query) -> Option<(Path, bool)> {
+pub fn first_unsafe(ctx: &ChaseContext, q: &Query) -> Option<(Path, bool)> {
     let mut checked: BTreeSet<Path> = BTreeSet::new();
     let mut guard_graph: Option<QueryGraph> = None;
     // (lookup, bindings in scope, assumable premise, fatal)
@@ -417,7 +416,7 @@ pub fn first_unsafe<P: ChaseProver>(prover: &mut P, q: &Query) -> Option<(Path, 
                 vec![Binding::iter(g.clone(), Path::Dom(Box::new(m.clone())))],
                 vec![Equality(Path::Var(g), k.clone())],
             );
-            prover.implies(&sigma)
+            ctx.implies(&sigma)
         };
         if !safe {
             return Some((lookup, fatal));
@@ -490,7 +489,7 @@ pub trait SearchVisitor {
     /// steers the search. The [`ChaseContext`] is handed back so the
     /// visitor can run its own memoized proofs (e.g. condition pruning
     /// while costing a plan).
-    fn visit(&mut self, _ctx: &mut ChaseContext, _q: &Query, _removed: &BTreeSet<String>) -> Visit {
+    fn visit(&mut self, _ctx: &ChaseContext, _q: &Query, _removed: &BTreeSet<String>) -> Visit {
         Visit::Explore
     }
 
@@ -613,7 +612,7 @@ impl Ord for Frontier {
 /// pruning of sublattices under non-equivalent subqueries, child
 /// containment checks seeded from the parent's witness homomorphism, all
 /// through the shared [`ChaseContext`] memos. The visitor receives the
-/// context back (mutably) so it can run its own memoized proofs — e.g.
+/// context too, so it can run its own memoized proofs — e.g.
 /// condition pruning — while costing a node.
 #[derive(Debug, Clone)]
 pub struct PlanSearch<'a> {
@@ -661,7 +660,7 @@ impl<'a> PlanSearch<'a> {
 
     /// Runs the search, streaming each equivalence-verified subquery (and
     /// its removal set over `u`) to `visitor`.
-    pub fn run(&self, ctx: &mut ChaseContext, visitor: &mut dyn SearchVisitor) -> SearchOutcome {
+    pub fn run(&self, ctx: &ChaseContext, visitor: &mut dyn SearchVisitor) -> SearchOutcome {
         /// What became of a removal set that was examined via some route.
         #[derive(Clone, Copy, PartialEq)]
         enum ChildState {
@@ -851,15 +850,15 @@ impl<'a> PlanSearch<'a> {
 /// already be chased (Algorithm 1 passes the universal plan), so
 /// equivalence to `u` is equivalence to the original query.
 pub fn backchase(u: &Query, deps: &[Dependency], cfg: &BackchaseConfig) -> BackchaseOutcome {
-    let mut ctx = ChaseContext::new(deps.to_vec(), cfg.chase.clone());
-    backchase_in(&mut ctx, u, cfg.max_visited)
+    let ctx = ChaseContext::new(deps.to_vec(), cfg.chase.clone());
+    backchase_in(&ctx, u, cfg.max_visited)
 }
 
 /// [`backchase`] against a shared [`ChaseContext`]: the collect-everything
 /// instantiation of [`PlanSearch`] — a visitor that always explores, with
 /// the streamed nodes and normal forms gathered into a
 /// [`BackchaseOutcome`].
-pub fn backchase_in(ctx: &mut ChaseContext, u: &Query, max_visited: usize) -> BackchaseOutcome {
+pub fn backchase_in(ctx: &ChaseContext, u: &Query, max_visited: usize) -> BackchaseOutcome {
     let out = PlanSearch::new(u)
         .with_max_visited(max_visited)
         .run(ctx, &mut ExploreAll);
@@ -885,13 +884,13 @@ pub fn backchase_greedy(
     prefer_removing: &BTreeSet<String>,
     cfg: &ChaseConfig,
 ) -> Query {
-    let mut ctx = ChaseContext::new(deps.to_vec(), cfg.clone());
-    backchase_greedy_in(&mut ctx, u, prefer_removing)
+    let ctx = ChaseContext::new(deps.to_vec(), cfg.clone());
+    backchase_greedy_in(&ctx, u, prefer_removing)
 }
 
 /// [`backchase_greedy`] against a shared [`ChaseContext`].
 pub fn backchase_greedy_in(
-    ctx: &mut ChaseContext,
+    ctx: &ChaseContext,
     u: &Query,
     prefer_removing: &BTreeSet<String>,
 ) -> Query {
@@ -901,7 +900,7 @@ pub fn backchase_greedy_in(
     // The equivalence check for a candidate removal: the identity over
     // the surviving variables always witnesses u ⊑ q2 (see the
     // enumeration), so only validate it, then test q2 ⊑ u memoized.
-    let valid = |ctx: &mut ChaseContext, hom_graph: &mut QueryGraph, q2: &Query| -> bool {
+    let valid = |ctx: &ChaseContext, hom_graph: &mut QueryGraph, q2: &Query| -> bool {
         let seed: Assignment = q2
             .from
             .iter()
@@ -989,9 +988,9 @@ pub fn examine_removal(
     removed: &BTreeSet<String>,
     cfg: &ChaseConfig,
 ) -> RemovalJudgement {
-    let mut ctx = ChaseContext::new(deps.to_vec(), cfg.clone());
+    let ctx = ChaseContext::new(deps.to_vec(), cfg.clone());
     let mut graph = QueryGraph::of_query(u);
-    examine_removal_in(&mut ctx, u, &mut graph, removed)
+    examine_removal_in(&ctx, u, &mut graph, removed)
 }
 
 /// [`examine_removal`] against a shared [`ChaseContext`] and a caller-held
@@ -999,7 +998,7 @@ pub fn examine_removal(
 /// — the E9 brute-force sweep judges all `2^n` — does not rebuild the
 /// graph per call.
 pub fn examine_removal_in(
-    ctx: &mut ChaseContext,
+    ctx: &ChaseContext,
     u: &Query,
     graph: &mut QueryGraph,
     removed: &BTreeSet<String>,
@@ -1019,15 +1018,15 @@ pub fn examine_removal_in(
 
 /// Is `q` minimal (no equivalent, well-defined subquery below it)?
 pub fn is_minimal(q: &Query, deps: &[Dependency], cfg: &ChaseConfig) -> bool {
-    let mut ctx = ChaseContext::new(deps.to_vec(), cfg.clone());
-    is_minimal_in(&mut ctx, q)
+    let ctx = ChaseContext::new(deps.to_vec(), cfg.clone());
+    is_minimal_in(&ctx, q)
 }
 
 /// [`is_minimal`] against a shared [`ChaseContext`]. The canonical
 /// database of `q` is built once, not once per binding, and the
 /// equivalence checks share the context's chase memo (`q` itself is
 /// chased at most once across all bindings).
-pub fn is_minimal_in(ctx: &mut ChaseContext, q: &Query) -> bool {
+pub fn is_minimal_in(ctx: &ChaseContext, q: &Query) -> bool {
     let mut graph = QueryGraph::of_query(q);
     q.from.iter().all(|b| {
         let removed = dependent_closure(q, &mut graph, [b.var.clone()].into());
@@ -1338,7 +1337,7 @@ mod tests {
     fn plan_search_accept_stops_the_walk() {
         struct AcceptSmall;
         impl SearchVisitor for AcceptSmall {
-            fn visit(&mut self, _: &mut ChaseContext, q: &Query, _: &BTreeSet<String>) -> Visit {
+            fn visit(&mut self, _: &ChaseContext, q: &Query, _: &BTreeSet<String>) -> Visit {
                 if q.from.len() <= 2 {
                     Visit::Accept
                 } else {
@@ -1347,14 +1346,14 @@ mod tests {
             }
         }
         let (u, deps) = view_scenario();
-        let mut ctx = ChaseContext::new(deps, ChaseConfig::default());
-        let out = PlanSearch::new(&u).run(&mut ctx, &mut AcceptSmall);
+        let ctx = ChaseContext::new(deps, ChaseConfig::default());
+        let out = PlanSearch::new(&u).run(&ctx, &mut AcceptSmall);
         assert!(out.accepted);
         // The accepted plan is the last node visited, and the walk
         // stopped there (an exhaustive run visits more).
         assert_eq!(out.visited.last().unwrap().from.len(), 2);
-        let mut ctx = ChaseContext::new(ctx.deps().to_vec(), ChaseConfig::default());
-        let full = PlanSearch::new(&u).run(&mut ctx, &mut ExploreAll);
+        let ctx = ChaseContext::new(ctx.deps().to_vec(), ChaseConfig::default());
+        let full = PlanSearch::new(&u).run(&ctx, &mut ExploreAll);
         assert!(!full.accepted);
         assert!(out.visited.len() < full.visited.len());
     }
@@ -1372,8 +1371,8 @@ mod tests {
             }
         }
         let (u, deps) = view_scenario();
-        let mut ctx = ChaseContext::new(deps, ChaseConfig::default());
-        let out = PlanSearch::new(&u).run(&mut ctx, &mut RootOnly);
+        let ctx = ChaseContext::new(deps, ChaseConfig::default());
+        let out = PlanSearch::new(&u).run(&ctx, &mut RootOnly);
         assert_eq!(out.visited.len(), 1);
         assert!(out.pruned_at_gate > 0);
         assert_eq!(out.pruned(), out.pruned_at_gate);
@@ -1392,10 +1391,10 @@ mod tests {
             }
         }
         let (u, deps) = view_scenario();
-        let mut ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
-        let prioritized = PlanSearch::new(&u).run(&mut ctx, &mut SmallFirst);
-        let mut ctx = ChaseContext::new(deps, ChaseConfig::default());
-        let fifo = PlanSearch::new(&u).run(&mut ctx, &mut ExploreAll);
+        let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+        let prioritized = PlanSearch::new(&u).run(&ctx, &mut SmallFirst);
+        let ctx = ChaseContext::new(deps, ChaseConfig::default());
+        let fifo = PlanSearch::new(&u).run(&ctx, &mut ExploreAll);
         let norm = |qs: &[Query]| {
             let mut v: Vec<Query> = qs.iter().map(Query::alpha_normalized).collect();
             v.sort();
@@ -1441,30 +1440,30 @@ mod tests {
         let (u, deps) = view_scenario();
         // nodes = 0: the root is exempt, so exactly the universal plan
         // itself is visited and the expiry is reported.
-        let mut ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+        let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
         let out = PlanSearch::new(&u)
             .with_budget(SearchBudget {
                 nodes: Some(0),
                 ..SearchBudget::default()
             })
-            .run(&mut ctx, &mut ExploreAll);
+            .run(&ctx, &mut ExploreAll);
         assert!(out.budget_expired);
         assert!(!out.complete);
         assert_eq!(out.visited.len(), 1);
         assert_eq!(out.visited[0].alpha_normalized(), u.alpha_normalized());
         // A zero wall-clock budget behaves the same way.
-        let mut ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+        let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
         let out = PlanSearch::new(&u)
             .with_budget(SearchBudget {
                 wall_clock: Some(Duration::ZERO),
                 ..SearchBudget::default()
             })
-            .run(&mut ctx, &mut ExploreAll);
+            .run(&ctx, &mut ExploreAll);
         assert!(out.budget_expired);
         assert_eq!(out.visited.len(), 1);
         // An unlimited budget changes nothing and reports no expiry.
-        let mut ctx = ChaseContext::new(deps, ChaseConfig::default());
-        let out = PlanSearch::new(&u).run(&mut ctx, &mut ExploreAll);
+        let ctx = ChaseContext::new(deps, ChaseConfig::default());
+        let out = PlanSearch::new(&u).run(&ctx, &mut ExploreAll);
         assert!(!out.budget_expired);
         assert!(out.complete);
     }
@@ -1472,16 +1471,16 @@ mod tests {
     #[test]
     fn anytime_node_budget_truncates_mid_search() {
         let (u, deps) = view_scenario();
-        let mut ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
-        let full = PlanSearch::new(&u).run(&mut ctx, &mut ExploreAll);
+        let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+        let full = PlanSearch::new(&u).run(&ctx, &mut ExploreAll);
         assert!(full.visited.len() > 2);
-        let mut ctx = ChaseContext::new(deps, ChaseConfig::default());
+        let ctx = ChaseContext::new(deps, ChaseConfig::default());
         let out = PlanSearch::new(&u)
             .with_budget(SearchBudget {
                 nodes: Some(2),
                 ..SearchBudget::default()
             })
-            .run(&mut ctx, &mut ExploreAll);
+            .run(&ctx, &mut ExploreAll);
         assert!(out.budget_expired);
         assert_eq!(out.visited.len(), 2);
         // Everything kept is a verified plan from the full walk's set.

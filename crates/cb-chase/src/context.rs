@@ -1,4 +1,4 @@
-//! The shared, memoized chase core.
+//! The memoized chase core.
 //!
 //! Every phase of chase & backchase bottoms out in the same three
 //! questions — *what does `q` chase to?*, *is `q1 ⊑ q2`?*, *does `D ⊨ σ`
@@ -31,11 +31,33 @@
 //! `CustName = "cust7"` is answered from the proofs made for
 //! `CustName = "cust5"`. An isomorphism the canonical form fails to spot
 //! (placeholder numbering follows the constant-sorted condition order)
-//! costs a memo miss, never a wrong answer. The keys are built by one
-//! helper (`MemoKeys`) that the sequential and the sharded context
-//! share. **Chase states stay constant-exact**: a [`ChaseOutcome`] is
-//! handed back to callers (the universal plan is one), so it always
-//! carries the caller's own constants.
+//! costs a memo miss, never a wrong answer. **Chase states stay
+//! constant-exact**: a [`ChaseOutcome`] is handed back to callers (the
+//! universal plan is one), so it always carries the caller's own
+//! constants.
+//!
+//! **Shards.** Every question is answered through `&self`, so one
+//! context serves the sequential search and N parallel search workers
+//! alike. The three memos are distributed over 16 shards by the hash of
+//! the memo key, each shard behind its own [`Mutex`]; workers touching
+//! different keys contend only on the hash-selected shard. A poisoned
+//! shard is recovered by discarding that shard's entries (a cache, always
+//! safe to drop), counted in [`CacheStats::poison_recoveries`].
+//!
+//! **Checkout protocol.** Chase states are stepped under `&mut` access,
+//! which a shard lock must not be held for (a chase step can be the most
+//! expensive operation in the system). An entry is therefore *checked
+//! out* of its shard (a `CheckedOut` marker is left in its place),
+//! stepped outside the lock, and parked again afterwards. A caller that
+//! needs a state another worker holds retries with a bounded backoff
+//! ([`CacheStats::checkout_retries`]), then falls back to a private fresh
+//! chase (counted as a miss) and throws it away, letting the owner park
+//! the canonical one: contention can duplicate work, never corrupt it.
+//! A checkout dropped without being parked — a panic while stepping, a
+//! park lost to a fault — removes its marker on the way out, so the next
+//! ask of that query is a plain miss. Single-threaded, no checkout ever
+//! meets a marker, and the hit/miss counters do not depend on the shard
+//! count.
 //!
 //! [`CacheStats`] counts hits and misses so benchmarks (E7/E8) can
 //! attribute speedups; [`ChaseContext::without_memo`] disables the
@@ -47,10 +69,10 @@
 //! [`ChaseContext::ensure_deps`] drops every memo when asked to reason
 //! over a different theory (the optimizer calls it per optimization, so
 //! reusing one context across catalogs can no longer serve unsound
-//! memos), and [`ChaseContext::with_memo_cap`] bounds each memo table,
-//! evicting oldest-first, so a context embedded in a service cannot grow
-//! without bound. Both are counted in [`CacheStats`]
-//! (`deps_resets`/`evictions`).
+//! memos), and [`ChaseContext::set_byte_limit`] bounds the memos'
+//! approximate footprint: a shard over its share of the limit sheds every
+//! entry ([`CacheStats::pressure_sheds`]). Both are counted in
+//! [`CacheStats`].
 //!
 //! The free functions [`chase`](crate::chase()), [`contained_in`],
 //! [`equivalent`], [`implies`], [`backchase`](crate::backchase()) …
@@ -58,14 +80,19 @@
 //! use the context API whenever more than one question will be asked of
 //! the same dependency set.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 use pcql::query::{Binding, Equality, Output, Query};
 use pcql::{Constant, Dependency, Path};
 
 use crate::chase::{ChaseConfig, ChaseOutcome, ChaseState};
 use crate::containment::output_matching_hom;
+use crate::faults::{self, FaultKind};
 use crate::implication::implies_uncached;
 
 /// Cache hit/miss counters of a [`ChaseContext`].
@@ -100,13 +127,8 @@ pub struct CacheStats {
     /// full, pointless cold start — and would have been a plan-cache
     /// miss in a service keyed on the fingerprint.
     pub reorder_resets_avoided: u64,
-    /// Memo entries dropped by the entry cap (oldest first) — see
-    /// [`ChaseContext::with_memo_cap`].
-    pub evictions: u64,
     /// Poisoned shard mutexes recovered by discarding that shard's memo
-    /// entries (a cache, always safe to drop). Only the sharded
-    /// [`SharedChaseContext`](crate::SharedChaseContext) can count these;
-    /// a sequential context has no locks to poison.
+    /// entries (a cache, always safe to drop).
     pub poison_recoveries: u64,
     /// Checkout attempts retried after transient contention or an
     /// injected transient failure, before falling back to a fresh chase.
@@ -117,11 +139,8 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Field-wise sum — used to aggregate per-shard counters of a
-    /// [`SharedChaseContext`](crate::SharedChaseContext) and to merge the
-    /// counters of the sequential context and the shared search core into
-    /// one optimization-wide snapshot.
-    pub fn absorb(&mut self, other: &CacheStats) {
+    /// Field-wise sum, used to aggregate the per-shard counters.
+    fn absorb(&mut self, other: &CacheStats) {
         self.chase_hits += other.chase_hits;
         self.chase_misses += other.chase_misses;
         self.containment_hits += other.containment_hits;
@@ -131,7 +150,6 @@ impl CacheStats {
         self.seeded_hom_hits += other.seeded_hom_hits;
         self.deps_resets += other.deps_resets;
         self.reorder_resets_avoided += other.reorder_resets_avoided;
-        self.evictions += other.evictions;
         self.poison_recoveries += other.poison_recoveries;
         self.checkout_retries += other.checkout_retries;
         self.pressure_sheds += other.pressure_sheds;
@@ -159,53 +177,168 @@ impl CacheStats {
     }
 }
 
+/// Shard count: enough that 2–8 workers rarely collide on a shard, small
+/// enough that aggregating stats stays trivial.
+const SHARDS: usize = 16;
+
+/// Bounded retries on a contended (or transiently failing) checkout
+/// before falling back to a private fresh chase. The backoff per attempt
+/// is tiny — a parked state usually returns within one chase step.
+const CHECKOUT_RETRIES: usize = 3;
+
+/// Bounded backoff between checkout attempts: yield first (the common
+/// case — the owner is one step from parking), then sleep briefly.
+fn backoff(attempt: usize) {
+    match attempt {
+        0 => std::thread::yield_now(),
+        n => std::thread::sleep(Duration::from_micros(20 << n.min(4))),
+    }
+}
+
 /// A chase entry: the resumable state plus, once someone asked for the
-/// full result, the finalized (coalesced) outcome. Shared with the
-/// sharded [`SharedChaseContext`](crate::SharedChaseContext), whose
-/// shards park the same resumable states.
-#[derive(Debug, Clone)]
-pub(crate) struct ChasedEntry {
-    pub(crate) state: ChaseState,
-    pub(crate) outcome: Option<ChaseOutcome>,
+/// full result, the finalized (coalesced) outcome.
+struct ChasedEntry {
+    state: ChaseState,
+    outcome: Option<ChaseOutcome>,
 }
 
-/// The questions backchase machinery asks of a chase core, abstracted
-/// over *which* core answers them: the single-owner [`ChaseContext`]
-/// (sequential search) or a per-worker handle onto the sharded
-/// [`SharedChaseContext`](crate::SharedChaseContext) (parallel search).
-/// Lookup-safety proofs ([`first_unsafe`](crate::first_unsafe)),
-/// condition pruning and the lattice equivalence checks are generic over
-/// this trait, so both searches run the exact same proof discipline.
-pub trait ChaseProver {
-    /// The chase budgets in force.
-    fn cfg(&self) -> &ChaseConfig;
-    /// Does the dependency set imply `sigma` (bounded-chase prover)?
-    fn implies(&mut self, sigma: &Dependency) -> bool;
-    /// Is `q1 ⊑ q2` under the dependency set (set semantics)?
-    fn contained_in(&mut self, q1: &Query, q2: &Query) -> bool;
-    /// Counts a containment check discharged by a parent-seeded witness.
-    fn note_seeded_hom(&mut self);
-}
-
-impl ChaseProver for ChaseContext {
-    fn cfg(&self) -> &ChaseConfig {
-        ChaseContext::cfg(self)
-    }
-    fn implies(&mut self, sigma: &Dependency) -> bool {
-        ChaseContext::implies(self, sigma)
-    }
-    fn contained_in(&mut self, q1: &Query, q2: &Query) -> bool {
-        ChaseContext::contained_in(self, q1, q2)
-    }
-    fn note_seeded_hom(&mut self) {
-        ChaseContext::note_seeded_hom(self);
+impl ChasedEntry {
+    fn fresh(q: &Query) -> ChasedEntry {
+        ChasedEntry {
+            state: ChaseState::new(q),
+            outcome: None,
+        }
     }
 }
 
-/// The shared, memoized chase core: one dependency set, one budget, and
-/// caches for chase outcomes, containment and implication. See the
-/// module docs for the architecture.
-#[derive(Debug, Clone)]
+/// A parked (or absent-while-borrowed) chase memo entry.
+enum ChaseSlot {
+    /// The resumable state is home and may be checked out.
+    Parked(Box<ChasedEntry>),
+    /// Someone is stepping the state outside the shard lock; others
+    /// fall back to a fresh chase instead of waiting.
+    CheckedOut,
+}
+
+/// A memo key with its hash computed once: the hash picks the shard and
+/// is all the shard's table hashes, so each ask hashes its key once.
+struct Keyed<K> {
+    hash: u64,
+    key: K,
+}
+
+impl<K: Hash> Keyed<K> {
+    fn new(key: K) -> Keyed<K> {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        Keyed {
+            hash: h.finish(),
+            key,
+        }
+    }
+}
+
+impl<K: PartialEq> PartialEq for Keyed<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key == other.key
+    }
+}
+
+impl<K: Eq> Eq for Keyed<K> {}
+
+impl<K> Hash for Keyed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The shard tables' hasher: passes a [`Keyed`] hash through.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+type Memo<K, V> = HashMap<Keyed<K>, V, BuildHasherDefault<PassThrough>>;
+
+/// One shard: a slice of each of the three memo tables plus its own
+/// counters, all guarded by a single mutex.
+#[derive(Default)]
+struct MemoShard {
+    chased: Memo<Query, ChaseSlot>,
+    containment: Memo<(Query, Query), bool>,
+    implication: Memo<Dependency, bool>,
+    stats: CacheStats,
+    /// Approximate bytes held by this shard's memos: a per-entry
+    /// estimate added on insert, zeroed on shed/recovery. Overwrites are
+    /// counted again — the over-count only makes pressure sheds fire
+    /// *earlier*, and shedding is always sound.
+    bytes: usize,
+}
+
+impl MemoShard {
+    /// Drops every memo entry (a cache — always safe), keeping counters.
+    fn clear_memos(&mut self) {
+        self.chased.clear();
+        self.containment.clear();
+        self.implication.clear();
+        self.bytes = 0;
+    }
+
+    /// Sheds this shard under memory pressure (counted).
+    fn shed(&mut self) {
+        self.clear_memos();
+        self.stats.pressure_sheds += 1;
+    }
+}
+
+/// Rough per-entry footprint of a memoized query (key or resumable
+/// state): a fixed overhead plus a per-AST-node constant. Only relative
+/// accuracy matters — the limit is compared against sums.
+fn approx_query_bytes(q: &Query) -> usize {
+    64 + 48 * q.size()
+}
+
+fn approx_dependency_bytes(d: &Dependency) -> usize {
+    64 + 48 * (d.forall.len() + d.exists.len() + d.premise.len() + d.conclusion.len())
+}
+
+/// The `CheckedOut` marker a checkout left in its shard. Parking disarms
+/// it; dropped armed — a panic while stepping, a park lost to a fault —
+/// it removes the marker, so the slot is never stuck checked out.
+struct Marker<'a> {
+    ctx: &'a ChaseContext,
+    idx: usize,
+    key: &'a Keyed<Query>,
+    armed: bool,
+}
+
+impl Drop for Marker<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            // `shard`, not `lock`: no failpoint may fire while unwinding.
+            let mut shard = self.ctx.shard(self.idx);
+            if matches!(shard.chased.get(self.key), Some(ChaseSlot::CheckedOut)) {
+                shard.chased.remove(self.key);
+            }
+        }
+    }
+}
+
+/// The memoized chase core: one dependency set, one budget, and sharded
+/// caches for chase outcomes, containment and implication, shareable
+/// across threads. See the module docs for the architecture.
 pub struct ChaseContext {
     deps: Vec<Dependency>,
     cfg: ChaseConfig,
@@ -215,15 +348,15 @@ pub struct ChaseContext {
     fingerprint: u64,
     /// Builds the constant-abstracted containment and implication keys.
     keys: MemoKeys,
-    /// Per-table entry cap (0 = unbounded); oldest entries evicted first.
-    memo_cap: usize,
-    chased: HashMap<Query, ChasedEntry>,
-    chase_order: VecDeque<Query>,
-    containment: HashMap<(Query, Query), bool>,
-    containment_order: VecDeque<(Query, Query)>,
-    implication: HashMap<Dependency, bool>,
-    implication_order: VecDeque<Dependency>,
-    stats: CacheStats,
+    /// Approximate total memo-byte limit (`None` = unbounded); a shard
+    /// exceeding its even split sheds itself.
+    byte_limit: Option<usize>,
+    shards: Vec<Mutex<MemoShard>>,
+    /// Counters no shard owns: `ensure_deps` outcomes and seeded
+    /// witnesses (counted by the search loop, not a memo lookup).
+    deps_resets: u64,
+    reorder_resets_avoided: u64,
+    seeded_hom_hits: AtomicU64,
 }
 
 impl ChaseContext {
@@ -236,14 +369,11 @@ impl ChaseContext {
             cfg,
             caching: true,
             fingerprint,
-            memo_cap: 0,
-            chased: HashMap::new(),
-            chase_order: VecDeque::new(),
-            containment: HashMap::new(),
-            containment_order: VecDeque::new(),
-            implication: HashMap::new(),
-            implication_order: VecDeque::new(),
-            stats: CacheStats::default(),
+            byte_limit: None,
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
+            deps_resets: 0,
+            reorder_resets_avoided: 0,
+            seeded_hom_hits: AtomicU64::new(0),
         }
     }
 
@@ -257,20 +387,26 @@ impl ChaseContext {
         }
     }
 
-    /// Caps each memo table (chase states, containment, implication) at
-    /// `cap` entries, evicting the oldest entry first when the cap is
-    /// exceeded (0 = unbounded, the default). An evicted answer is simply
-    /// recomputed on the next ask — eviction can never change a verdict —
-    /// so a context held by a long-running service stays bounded.
-    /// Evictions are counted in [`CacheStats::evictions`].
-    pub fn with_memo_cap(mut self, cap: usize) -> ChaseContext {
-        self.memo_cap = cap;
+    /// Re-shards the (empty) context to `n` shards.
+    #[cfg(test)]
+    pub(crate) fn with_shards(mut self, n: usize) -> ChaseContext {
+        self.shards = (0..n.max(1)).map(|_| Mutex::default()).collect();
         self
     }
 
-    /// The per-table memo entry cap (0 = unbounded).
-    pub fn memo_cap(&self) -> usize {
-        self.memo_cap
+    /// Bounds the memos at approximately `bytes` across shards (`None`:
+    /// unbounded, the default). A shard whose estimated footprint exceeds
+    /// its even split of the limit *sheds itself* — drops every entry and
+    /// counts a [`CacheStats::pressure_sheds`] — so `Some(0)` sheds on
+    /// every insert. Shedding recomputes; it never changes a verdict.
+    pub fn set_byte_limit(&mut self, bytes: Option<usize>) {
+        self.byte_limit = bytes;
+    }
+
+    /// The approximate bytes currently held across all shards.
+    #[cfg(test)]
+    fn approx_memo_bytes(&self) -> usize {
+        (0..self.shards.len()).map(|i| self.shard(i).bytes).sum()
     }
 
     /// Fingerprint of a dependency set + chase budget: a cheap first
@@ -287,7 +423,7 @@ impl ChaseContext {
     /// comparison of the canonical forms, so a hash collision can never
     /// keep stale memos alive.
     pub fn fingerprint_of(deps: &[Dependency], cfg: &ChaseConfig) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = DefaultHasher::new();
         canonical_dep_set(deps).hash(&mut h);
         cfg.hash(&mut h);
         h.finish()
@@ -324,7 +460,7 @@ impl ChaseContext {
             // The fingerprint already hashes the canonical set; confirm
             // exactly so a collision cannot keep stale memos alive.
             if canonical_dep_set(deps) == canonical_dep_set(&self.deps) {
-                self.stats.reorder_resets_avoided += 1;
+                self.reorder_resets_avoided += 1;
                 return false;
             }
         }
@@ -332,28 +468,11 @@ impl ChaseContext {
         self.keys = MemoKeys::new(deps);
         self.cfg = cfg.clone();
         self.fingerprint = fp;
-        self.chased.clear();
-        self.chase_order.clear();
-        self.containment.clear();
-        self.containment_order.clear();
-        self.implication.clear();
-        self.implication_order.clear();
-        self.stats.deps_resets += 1;
+        for idx in 0..self.shards.len() {
+            self.shard(idx).clear_memos();
+        }
+        self.deps_resets += 1;
         true
-    }
-
-    /// Drops every memo while keeping the theory and counters. Sound at
-    /// any time (memos are caches); the optimizer's degradation ladder
-    /// calls it after catching a panic mid-proof, when a resumable chase
-    /// state may have been left half-stepped — recomputing is always
-    /// safe, serving a possibly-torn state is not.
-    pub fn clear_memos(&mut self) {
-        self.chased.clear();
-        self.chase_order.clear();
-        self.containment.clear();
-        self.containment_order.clear();
-        self.implication.clear();
-        self.implication_order.clear();
     }
 
     /// The dependency set this context reasons over.
@@ -366,37 +485,187 @@ impl ChaseContext {
         &self.cfg
     }
 
-    /// A snapshot of the cache counters.
+    /// A snapshot of the cache counters: the sum over every shard plus
+    /// the counters no shard owns.
     pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    pub(crate) fn note_seeded_hom(&mut self) {
-        self.stats.seeded_hom_hits += 1;
-    }
-
-    /// Ensures a chase entry for `q` exists under its alpha key; returns
-    /// the key and whether existing state was reused.
-    fn ensure_entry(&mut self, q: &Query) -> (Query, bool) {
-        let key = q.alpha_normalized();
-        let reused = self.caching && self.chased.contains_key(&key);
-        if reused {
-            self.stats.chase_hits += 1;
-        } else {
-            self.stats.chase_misses += 1;
-            insert_bounded(
-                &mut self.chased,
-                &mut self.chase_order,
-                self.memo_cap,
-                &mut self.stats.evictions,
-                key.clone(),
-                ChasedEntry {
-                    state: ChaseState::new(q),
-                    outcome: None,
-                },
-            );
+        let mut total = CacheStats {
+            deps_resets: self.deps_resets,
+            reorder_resets_avoided: self.reorder_resets_avoided,
+            seeded_hom_hits: self.seeded_hom_hits.load(Ordering::Relaxed),
+            ..CacheStats::default()
+        };
+        for idx in 0..self.shards.len() {
+            total.absorb(&self.shard(idx).stats);
         }
-        (key, reused)
+        total
+    }
+
+    /// The per-shard counters.
+    #[cfg(test)]
+    fn shard_stats(&self) -> Vec<CacheStats> {
+        (0..self.shards.len())
+            .map(|i| self.shard(i).stats)
+            .collect()
+    }
+
+    /// Counts a containment check discharged by a parent-seeded witness.
+    pub(crate) fn note_seeded_hom(&self) {
+        self.seeded_hom_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The shard of a key: high hash bits, so the low bits the shard's
+    /// table indexes by stay spread within each shard.
+    fn shard_of<K>(&self, key: &Keyed<K>) -> usize {
+        (key.hash >> 32) as usize % self.shards.len()
+    }
+
+    /// Acquires a shard, recovering a poisoned mutex by discarding only
+    /// that shard's memo entries: the contents are caches, so dropping
+    /// them is always sound, and a thread that panicked mid-insert may
+    /// have left a torn entry behind. Counted in
+    /// [`CacheStats::poison_recoveries`].
+    fn shard(&self, idx: usize) -> MutexGuard<'_, MemoShard> {
+        self.shards[idx].lock().unwrap_or_else(|poisoned| {
+            self.shards[idx].clear_poison();
+            let mut g = poisoned.into_inner();
+            g.clear_memos();
+            g.stats.poison_recoveries += 1;
+            g
+        })
+    }
+
+    /// [`ChaseContext::shard`] plus the `shared::shard_lock` failpoint,
+    /// fired *inside* the held lock: an injected panic here genuinely
+    /// poisons the shard, exercising the recovery. A transient Err is
+    /// recovered by proceeding with the guard; a pressure signal sheds
+    /// the shard on the spot.
+    fn lock(&self, idx: usize) -> MutexGuard<'_, MemoShard> {
+        let mut guard = self.shard(idx);
+        match faults::hit("shared::shard_lock") {
+            Ok(()) => {}
+            Err(f) if f.kind == FaultKind::MemPressure => {
+                guard.shed();
+                faults::note_recovered();
+            }
+            Err(_) => faults::note_recovered(),
+        }
+        guard
+    }
+
+    /// Enforces the byte limit after an insert grew the shard.
+    fn enforce_byte_limit(&self, shard: &mut MemoShard) {
+        if let Some(limit) = self.byte_limit {
+            if shard.bytes > limit / self.shards.len() {
+                shard.shed();
+            }
+        }
+    }
+
+    /// Checks the chase entry for `key` out of its shard: a parked
+    /// state is taken (hit), a missing one is created fresh after leaving
+    /// a `CheckedOut` marker (miss); both come with the armed [`Marker`]
+    /// that [`ChaseContext::park`] disarms. A state someone else holds is
+    /// *retried* with a bounded backoff ([`CacheStats::checkout_retries`];
+    /// the owner usually parks within one chase step) before being
+    /// substituted by a private fresh one (miss, no marker) — the
+    /// out-of-order fallback. An injected transient failure at the
+    /// `shared::checkout` failpoint takes the same retry path, so
+    /// contention and fault recovery share one discipline. With caching
+    /// off every checkout is a private fresh state.
+    fn checkout<'a>(
+        &'a self,
+        key: &'a Keyed<Query>,
+        q: &Query,
+    ) -> (ChasedEntry, Option<Marker<'a>>) {
+        let idx = self.shard_of(key);
+        for attempt in 0..=CHECKOUT_RETRIES {
+            let last = attempt == CHECKOUT_RETRIES;
+            // Failpoint: Err models a transient acquisition failure
+            // (retried, like contention); a pressure signal sheds the
+            // shard before the lookup.
+            let injected = faults::hit("shared::checkout").err();
+            let mut shard = self.lock(idx);
+            if let Some(f) = injected {
+                faults::note_recovered();
+                if f.kind == FaultKind::MemPressure {
+                    shard.shed();
+                } else if !last {
+                    shard.stats.checkout_retries += 1;
+                    drop(shard);
+                    backoff(attempt);
+                    continue;
+                }
+            }
+            if !self.caching {
+                shard.stats.chase_misses += 1;
+                return (ChasedEntry::fresh(q), None);
+            }
+            let marker = || {
+                Some(Marker {
+                    ctx: self,
+                    idx,
+                    key,
+                    armed: true,
+                })
+            };
+            match shard.chased.get_mut(key) {
+                Some(slot) => match std::mem::replace(slot, ChaseSlot::CheckedOut) {
+                    ChaseSlot::Parked(entry) => {
+                        shard.stats.chase_hits += 1;
+                        return (*entry, marker());
+                    }
+                    ChaseSlot::CheckedOut => {
+                        if !last {
+                            shard.stats.checkout_retries += 1;
+                            drop(shard);
+                            backoff(attempt);
+                            continue;
+                        }
+                        shard.stats.chase_misses += 1;
+                        return (ChasedEntry::fresh(q), None);
+                    }
+                },
+                None => {
+                    shard.stats.chase_misses += 1;
+                    let key = Keyed {
+                        hash: key.hash,
+                        key: key.key.clone(),
+                    };
+                    shard.chased.insert(key, ChaseSlot::CheckedOut);
+                    return (ChasedEntry::fresh(q), marker());
+                }
+            }
+        }
+        unreachable!("checkout loop returns on its last attempt")
+    }
+
+    /// Parks a checked-out entry back into its slot and disarms the
+    /// marker. If the slot was shed while checked out, the entry is
+    /// simply dropped (recomputing later counts as the miss that a shed
+    /// always implies). Accounts the entry's approximate footprint and
+    /// enforces the byte limit.
+    fn park(&self, mut marker: Marker<'_>, entry: ChasedEntry) {
+        // Failpoint (outside the lock — `shared::shard_lock` covers the
+        // poisoning case): a transient Err drops the park, a lost cache
+        // write; the armed marker then clears the slot.
+        match faults::hit("shared::park") {
+            Ok(()) => {}
+            Err(f) => {
+                faults::note_recovered();
+                if f.kind == FaultKind::Error {
+                    return;
+                }
+            }
+        }
+        let mut guard = self.lock(marker.idx);
+        let shard = &mut *guard;
+        if let Some(slot) = shard.chased.get_mut(marker.key) {
+            shard.bytes +=
+                approx_query_bytes(&marker.key.key) + approx_query_bytes(&entry.state.query);
+            *slot = ChaseSlot::Parked(Box::new(entry));
+            self.enforce_byte_limit(shard);
+        }
+        marker.armed = false;
     }
 
     /// Chases `q` to a fixpoint (or budget), memoized.
@@ -406,14 +675,18 @@ impl ChaseContext {
     /// first query chased under this key; all derived judgements
     /// (containment, equivalence, implication) are invariant under that
     /// renaming.
-    pub fn chase(&mut self, q: &Query) -> ChaseOutcome {
-        let (key, _) = self.ensure_entry(q);
-        let entry = self.chased.get_mut(&key).expect("entry just ensured");
+    pub fn chase(&self, q: &Query) -> ChaseOutcome {
+        let key = Keyed::new(q.alpha_normalized());
+        let (mut entry, marker) = self.checkout(&key, q);
         if entry.outcome.is_none() {
             while entry.state.step(&self.deps, &self.cfg) {}
             entry.outcome = Some(entry.state.finalize(&self.deps, &self.cfg));
         }
-        entry.outcome.clone().expect("outcome just finalized")
+        let out = entry.outcome.clone().expect("outcome just finalized");
+        if let Some(marker) = marker {
+            self.park(marker, entry);
+        }
+        out
     }
 
     /// Is `q1 ⊑ q2` under this context's dependencies (set semantics)?
@@ -422,24 +695,29 @@ impl ChaseContext {
     /// from `q2` is retried, and the chase stops at the first witness —
     /// a sound early exit, since each chase prefix is equivalent to
     /// `q1`. A verdict of `false` still requires the fixpoint (or the
-    /// budget), exactly like the eager test.
-    pub fn contained_in(&mut self, q1: &Query, q2: &Query) -> bool {
+    /// budget), exactly like the eager test. The chase state is checked
+    /// out, stepped outside any lock, and parked resumed.
+    pub fn contained_in(&self, q1: &Query, q2: &Query) -> bool {
         // Failpoint: a transient Err is recovered by proceeding (the
         // proof below is deterministic); a panic unwinds to the caller's
         // catch. Placed before any lookup so no memo is torn.
-        if crate::faults::hit("context::contained_in").is_err() {
-            crate::faults::note_recovered();
+        if faults::hit("context::contained_in").is_err() {
+            faults::note_recovered();
         }
-        let key = self.keys.containment(q1, q2);
-        if self.caching {
-            if let Some(&v) = self.containment.get(&key) {
-                self.stats.containment_hits += 1;
-                return v;
+        let ckey = Keyed::new(self.keys.containment(q1, q2));
+        let cidx = self.shard_of(&ckey);
+        {
+            let mut shard = self.lock(cidx);
+            if self.caching {
+                if let Some(&v) = shard.containment.get(&ckey) {
+                    shard.stats.containment_hits += 1;
+                    return v;
+                }
             }
+            shard.stats.containment_misses += 1;
         }
-        self.stats.containment_misses += 1;
-        let (chase_key, _) = self.ensure_entry(q1);
-        let entry = self.chased.get_mut(&chase_key).expect("entry just ensured");
+        let chase_key = Keyed::new(q1.alpha_normalized());
+        let (mut entry, marker) = self.checkout(&chase_key, q1);
         let result = loop {
             let output = entry.state.query.output.clone();
             if output_matching_hom(&mut entry.state.graph, &output, q2, &self.cfg, None).is_some() {
@@ -449,71 +727,86 @@ impl ChaseContext {
                 break false;
             }
         };
-        if self.caching {
-            insert_bounded(
-                &mut self.containment,
-                &mut self.containment_order,
-                self.memo_cap,
-                &mut self.stats.evictions,
-                key,
-                result,
-            );
+        if let Some(marker) = marker {
+            self.park(marker, entry);
         }
+        if !self.caching {
+            return result;
+        }
+        // Failpoint on the verdict insert: losing the cache write is
+        // recovered by recomputation; pressure sheds the shard first.
+        let mut pressured = false;
+        if let Err(f) = faults::hit("shared::memo") {
+            faults::note_recovered();
+            if f.kind == FaultKind::Error {
+                return result;
+            }
+            pressured = true;
+        }
+        let mut guard = self.lock(cidx);
+        let shard = &mut *guard;
+        if pressured {
+            shard.shed();
+        }
+        shard.bytes += approx_query_bytes(&ckey.key.0) + approx_query_bytes(&ckey.key.1);
+        shard.containment.insert(ckey, result);
+        self.enforce_byte_limit(shard);
         result
     }
 
     /// Are the queries equivalent under this context's dependencies?
-    pub fn equivalent(&mut self, q1: &Query, q2: &Query) -> bool {
+    pub fn equivalent(&self, q1: &Query, q2: &Query) -> bool {
         self.contained_in(q1, q2) && self.contained_in(q2, q1)
     }
 
     /// Does the dependency set imply `sigma` (as far as the bounded chase
     /// can tell)? Memoized on a canonicalized, constant-abstracted
-    /// `sigma`; the underlying prover also early-exits the moment the
-    /// conclusion is witnessed.
-    pub fn implies(&mut self, sigma: &Dependency) -> bool {
+    /// `sigma` and computed outside any lock; the underlying prover also
+    /// early-exits the moment the conclusion is witnessed.
+    pub fn implies(&self, sigma: &Dependency) -> bool {
         // Failpoint: same recovery contract as `contained_in`.
-        if crate::faults::hit("context::implies").is_err() {
-            crate::faults::note_recovered();
+        if faults::hit("context::implies").is_err() {
+            faults::note_recovered();
         }
-        let key = self.keys.implication(sigma);
-        if self.caching {
-            if let Some(&v) = self.implication.get(&key) {
-                self.stats.implication_hits += 1;
-                return v;
+        let key = Keyed::new(self.keys.implication(sigma));
+        let idx = self.shard_of(&key);
+        {
+            let mut shard = self.lock(idx);
+            if self.caching {
+                if let Some(&v) = shard.implication.get(&key) {
+                    shard.stats.implication_hits += 1;
+                    return v;
+                }
             }
+            shard.stats.implication_misses += 1;
         }
-        self.stats.implication_misses += 1;
         let v = implies_uncached(&self.deps, sigma, &self.cfg);
-        if self.caching {
-            insert_bounded(
-                &mut self.implication,
-                &mut self.implication_order,
-                self.memo_cap,
-                &mut self.stats.evictions,
-                key,
-                v,
-            );
+        if !self.caching {
+            return v;
         }
+        let mut guard = self.lock(idx);
+        let shard = &mut *guard;
+        shard.bytes += approx_dependency_bytes(&key.key);
+        shard.implication.insert(key, v);
+        self.enforce_byte_limit(shard);
         v
     }
 }
 
 /// Builds the keys of the two boolean-valued memos — containment and
-/// implication verdicts — for one dependency set. Both chase cores call
-/// it, so the sequential and the sharded context key identically. A key
+/// implication verdicts — for one dependency set. A key
 /// is the alpha-normalized (or canonicalized) form with every constant
 /// the dependency set does not mention replaced by a placeholder; see the
 /// module docs for why that is sound.
 #[derive(Debug, Clone)]
-pub(crate) struct MemoKeys {
+struct MemoKeys {
     /// The constants the dependency set mentions: kept literal in keys,
     /// since a dependency can tell them apart from every other constant.
     dep_constants: BTreeSet<Constant>,
 }
 
 impl MemoKeys {
-    pub(crate) fn new(deps: &[Dependency]) -> MemoKeys {
+    fn new(deps: &[Dependency]) -> MemoKeys {
         let mut dep_constants = BTreeSet::new();
         let mut collect = |p: &Path| {
             for sub in p.subpaths() {
@@ -536,7 +829,7 @@ impl MemoKeys {
 
     /// The containment key of `q1 ⊑ q2`: both queries alpha-normalized,
     /// then constant-abstracted under one shared numbering.
-    pub(crate) fn containment(&self, q1: &Query, q2: &Query) -> (Query, Query) {
+    fn containment(&self, q1: &Query, q2: &Query) -> (Query, Query) {
         let (mut k1, mut k2) = (q1.alpha_normalized(), q2.alpha_normalized());
         let mut abs = Abstraction::new(&self.dep_constants);
         abs.query(&mut k1);
@@ -546,7 +839,7 @@ impl MemoKeys {
 
     /// The implication key of `sigma`: [`canonical_dependency`], then
     /// constant-abstracted.
-    pub(crate) fn implication(&self, sigma: &Dependency) -> Dependency {
+    fn implication(&self, sigma: &Dependency) -> Dependency {
         let mut key = canonical_dependency(sigma);
         let mut abs = Abstraction::new(&self.dep_constants);
         for b in key.forall.iter_mut() {
@@ -636,37 +929,12 @@ impl<'a> Abstraction<'a> {
     }
 }
 
-/// Inserts into a memo table whose insertion order is tracked by `order`,
-/// evicting the oldest entry (and counting it) once `cap` is exceeded
-/// (0 = unbounded). Overwrites of an existing key leave the order
-/// untouched, so `order` always holds each key exactly once. The freshly
-/// inserted key sits at the back, so with a cap >= 1 it is never the one
-/// evicted.
-pub(crate) fn insert_bounded<K: Eq + Hash + Clone, V>(
-    map: &mut HashMap<K, V>,
-    order: &mut VecDeque<K>,
-    cap: usize,
-    evictions: &mut u64,
-    key: K,
-    value: V,
-) {
-    if map.insert(key.clone(), value).is_none() {
-        order.push_back(key);
-        if cap > 0 && map.len() > cap {
-            if let Some(old) = order.pop_front() {
-                map.remove(&old);
-                *evictions += 1;
-            }
-        }
-    }
-}
-
 /// The canonical form of a dependency *set*: each dependency
 /// canonicalized ([`canonical_dependency`]) and the whole slice sorted,
 /// so two orderings of the same constraints compare (and hash) equal.
 /// Duplicates are kept — a multiset, not a set — so the comparison in
 /// [`ChaseContext::ensure_deps`] stays an exact confirmation.
-pub(crate) fn canonical_dep_set(deps: &[Dependency]) -> Vec<Dependency> {
+fn canonical_dep_set(deps: &[Dependency]) -> Vec<Dependency> {
     let mut out: Vec<Dependency> = deps.iter().map(canonical_dependency).collect();
     out.sort();
     out
@@ -676,7 +944,7 @@ pub(crate) fn canonical_dep_set(deps: &[Dependency]) -> Vec<Dependency> {
 /// `c0, c1, …` in (forall, exists) order, name cleared, conditions
 /// normalized, sorted and deduplicated. Two dependencies that differ
 /// only in variable names or condition order share a key.
-pub(crate) fn canonical_dependency(sigma: &Dependency) -> Dependency {
+fn canonical_dependency(sigma: &Dependency) -> Dependency {
     let map: BTreeMap<String, String> = sigma
         .forall
         .iter()
@@ -713,7 +981,7 @@ mod tests {
     fn chase_memo_hits_on_alpha_equivalent_queries() {
         let d =
             parse_dependency("ric", "forall (r in R) -> exists (s in S) where r.B = s.B").unwrap();
-        let mut ctx = ChaseContext::new(vec![d], ChaseConfig::default());
+        let ctx = ChaseContext::new(vec![d], ChaseConfig::default());
         let q1 = parse_query("select struct(A = r.A) from R r").unwrap();
         let q2 = parse_query("select struct(A = x.A) from R x").unwrap();
         let o1 = ctx.chase(&q1);
@@ -729,8 +997,8 @@ mod tests {
             parse_dependency("ric", "forall (r in R) -> exists (s in S) where r.A = s.A").unwrap();
         let narrower = parse_query("select struct(A = r.A) from R r, S s where r.A = s.A").unwrap();
         let wider = parse_query("select struct(A = r.A) from R r").unwrap();
-        let mut on = ChaseContext::new(vec![ric.clone()], ChaseConfig::default());
-        let mut off = ChaseContext::without_memo(vec![ric], ChaseConfig::default());
+        let on = ChaseContext::new(vec![ric.clone()], ChaseConfig::default());
+        let off = ChaseContext::without_memo(vec![ric], ChaseConfig::default());
         for _ in 0..3 {
             assert!(on.equivalent(&narrower, &wider));
             assert!(off.equivalent(&narrower, &wider));
@@ -795,35 +1063,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_cap_evicts_oldest_and_stays_sound() {
-        let d =
-            parse_dependency("ric", "forall (r in R) -> exists (s in S) where r.B = s.B").unwrap();
-        let cfg = ChaseConfig::default();
-        let mut capped = ChaseContext::new(vec![d.clone()], cfg.clone()).with_memo_cap(2);
-        assert_eq!(capped.memo_cap(), 2);
-        let queries: Vec<_> = ["R", "S", "T", "R"]
-            .iter()
-            .map(|root| parse_query(&format!("select struct(A = x.A) from {root} x")).unwrap())
-            .collect();
-        let mut unbounded = ChaseContext::new(vec![d], cfg);
-        for q in &queries {
-            // Evicted entries are recomputed, never served stale: every
-            // outcome matches the unbounded context's.
-            assert_eq!(
-                capped.chase(q).query.alpha_normalized(),
-                unbounded.chase(q).query.alpha_normalized()
-            );
-        }
-        // Three distinct queries through a cap of two: the oldest (R) was
-        // evicted and its re-chase was a miss, not a hit.
-        assert!(capped.stats().evictions >= 1, "{:?}", capped.stats());
-        assert_eq!(capped.stats().chase_hits, 0);
-        assert_eq!(capped.stats().chase_misses, 4);
-        // The unbounded context served the repeat from the memo.
-        assert_eq!(unbounded.stats().chase_hits, 1);
-    }
-
-    #[test]
     fn implication_memo_ignores_names_and_condition_order() {
         let key =
             parse_dependency("key", "forall (p in R) (q in R) where p.K = q.K -> p = q").unwrap();
@@ -837,7 +1076,7 @@ mod tests {
             "forall (x in R) (y in R) where y.K = x.K -> x.B = y.B",
         )
         .unwrap();
-        let mut ctx = ChaseContext::new(vec![key], ChaseConfig::default());
+        let ctx = ChaseContext::new(vec![key], ChaseConfig::default());
         assert!(ctx.implies(&g1));
         assert!(ctx.implies(&g2));
         assert_eq!(ctx.stats().implication_misses, 1);
@@ -867,7 +1106,7 @@ mod tests {
 
     #[test]
     fn queries_differing_only_in_a_constant_share_verdicts() {
-        let mut ctx = ChaseContext::new(vec![ric()], ChaseConfig::default());
+        let ctx = ChaseContext::new(vec![ric()], ChaseConfig::default());
         let (wider, narrower, sigma) = constant_family("\"cust5\"");
         assert!(ctx.equivalent(&wider, &narrower));
         assert!(ctx.implies(&sigma));
@@ -913,7 +1152,7 @@ mod tests {
         // And the verdicts differ: `A = B` holds only when the constants
         // coincide, so memoizing one must not answer the other.
         let diagonal = parse_query("select struct(C = r.C) from R r where r.A = r.B").unwrap();
-        let mut ctx = ChaseContext::new(vec![], ChaseConfig::default());
+        let ctx = ChaseContext::new(vec![], ChaseConfig::default());
         assert!(ctx.contained_in(&same, &diagonal));
         assert!(!ctx.contained_in(&distinct, &diagonal));
         assert_eq!(ctx.stats().containment_hits, 0);
@@ -937,7 +1176,7 @@ mod tests {
             assert!(ctx.ensure_deps(std::slice::from_ref(&gold), &cfg));
             for c in order {
                 let (wider, narrower, sigma) = constant_family(c);
-                let mut oracle = ChaseContext::without_memo(vec![gold.clone()], cfg.clone());
+                let oracle = ChaseContext::without_memo(vec![gold.clone()], cfg.clone());
                 let expected = c == "\"gold\"";
                 assert_eq!(oracle.contained_in(&wider, &narrower), expected, "{c}");
                 assert_eq!(oracle.implies(&sigma), expected, "{c}");
@@ -954,5 +1193,174 @@ mod tests {
             assert_eq!(ctx.stats().containment_hits, 1);
             assert_eq!(ctx.stats().implication_hits, 1);
         }
+    }
+
+    fn theory() -> Vec<Dependency> {
+        vec![
+            parse_dependency("ric", "forall (r in R) -> exists (s in S) where r.B = s.B").unwrap(),
+            parse_dependency("key", "forall (p in R) (q in R) where p.K = q.K -> p = q").unwrap(),
+        ]
+    }
+
+    /// One fixed workload asked of a context; returns the verdicts so
+    /// differential tests can compare them too.
+    fn run_workload(ctx: &ChaseContext) -> Vec<bool> {
+        let qs: Vec<Query> = [
+            "select struct(A = r.A) from R r",
+            "select struct(A = x.A) from R x", // alpha-equivalent: a hit
+            "select struct(A = r.A) from R r, S s where r.B = s.B",
+            "select struct(B = s.B) from S s",
+            // Differ only in a constant: containment keys shared.
+            "select struct(A = r.A) from R r where r.B = 1",
+            "select struct(A = r.A) from R r where r.B = 2",
+        ]
+        .iter()
+        .map(|s| parse_query(s).unwrap())
+        .collect();
+        let sigma =
+            parse_dependency("g", "forall (p in R) (q in R) where p.K = q.K -> p.B = q.B").unwrap();
+        let mut verdicts = Vec::new();
+        for q in &qs {
+            ctx.chase(q);
+        }
+        for a in &qs {
+            for b in &qs {
+                verdicts.push(ctx.contained_in(a, b));
+            }
+        }
+        // Repeat one pair: containment memo hit.
+        verdicts.push(ctx.contained_in(&qs[0], &qs[2]));
+        verdicts.push(ctx.implies(&sigma));
+        verdicts.push(ctx.implies(&sigma)); // implication memo hit
+        verdicts
+    }
+
+    /// The memo-free oracle's verdicts on the workload.
+    fn oracle_verdicts() -> Vec<bool> {
+        run_workload(&ChaseContext::without_memo(
+            theory(),
+            ChaseConfig::default(),
+        ))
+    }
+
+    #[test]
+    fn shard_count_does_not_change_verdicts_or_counters() {
+        let oracle = oracle_verdicts();
+        let runs: Vec<(Vec<bool>, CacheStats)> = [1, 4, 16]
+            .into_iter()
+            .map(|shards| {
+                let ctx = ChaseContext::new(theory(), ChaseConfig::default()).with_shards(shards);
+                (run_workload(&ctx), ctx.stats())
+            })
+            .collect();
+        for (shards, (verdicts, stats)) in [1, 4, 16].into_iter().zip(&runs) {
+            assert_eq!(verdicts, &oracle, "verdicts @ {shards} shards");
+            assert_eq!(stats, &runs[0].1, "stats @ {shards} shards");
+        }
+        let stats = runs[0].1;
+        assert!(stats.chase_hits > 0);
+        // The 36 pairs span 17 constant-abstracted keys (25 if constants
+        // stayed literal), plus one repeated pair.
+        assert_eq!(stats.containment_hits, 36 - 17 + 1);
+        assert_eq!(stats.implication_hits, 1);
+    }
+
+    #[test]
+    fn concurrent_workers_agree_with_sequential_verdicts() {
+        let oracle = oracle_verdicts();
+        let ctx = ChaseContext::new(theory(), ChaseConfig::default());
+        let all: Vec<Vec<bool>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4).map(|_| scope.spawn(|| run_workload(&ctx))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for verdicts in all {
+            assert_eq!(verdicts, oracle);
+        }
+        // Contention may duplicate work (extra misses) and cross-worker
+        // memo hits may skip it, but every distinct question was computed
+        // at least once: no fewer lookups than one single-threaded pass.
+        let single = ChaseContext::new(theory(), ChaseConfig::default());
+        run_workload(&single);
+        let (stats, one) = (ctx.stats(), single.stats());
+        assert!(stats.hits() + stats.misses() >= one.hits() + one.misses());
+    }
+
+    #[test]
+    fn seeded_homs_are_counted_from_every_thread() {
+        let ctx = ChaseContext::new(theory(), ChaseConfig::default());
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| ctx.note_seeded_hom());
+            }
+        });
+        assert_eq!(ctx.stats().seeded_hom_hits, 2);
+    }
+
+    #[test]
+    fn poisoned_shard_recovers_by_discarding_only_that_shard() {
+        let ctx = ChaseContext::new(theory(), ChaseConfig::default()).with_shards(2);
+        let oracle = oracle_verdicts();
+        assert_eq!(run_workload(&ctx), oracle);
+        // Poison shard 0 by panicking while holding its guard.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = ctx.lock(0);
+            panic!("poison shard 0");
+        }));
+        // Every verdict is still served, and exactly one recovery is
+        // counted; the other shard's memos survive untouched.
+        assert_eq!(run_workload(&ctx), oracle);
+        let stats = ctx.stats();
+        assert_eq!(stats.poison_recoveries, 1, "{stats:?}");
+        let per_shard = ctx.shard_stats();
+        assert_eq!(per_shard[0].poison_recoveries, 1);
+        assert_eq!(per_shard[1].poison_recoveries, 0);
+    }
+
+    #[test]
+    fn byte_limit_sheds_shards_without_changing_verdicts() {
+        // A limit far below one entry's footprint: every insert sheds.
+        let mut ctx = ChaseContext::new(theory(), ChaseConfig::default()).with_shards(1);
+        ctx.set_byte_limit(Some(32));
+        assert_eq!(run_workload(&ctx), oracle_verdicts());
+        let stats = ctx.stats();
+        assert!(stats.pressure_sheds > 0, "{stats:?}");
+        assert!(ctx.approx_memo_bytes() <= 32 * 2, "sheds keep it tiny");
+        // An unbounded context never sheds.
+        let unbounded = ChaseContext::new(theory(), ChaseConfig::default());
+        run_workload(&unbounded);
+        assert_eq!(unbounded.stats().pressure_sheds, 0);
+    }
+
+    #[test]
+    fn injected_checkout_failures_are_retried_and_recovered() {
+        let _guard = faults::ScopedFaults::install("shared::checkout=err@1").unwrap();
+        let ctx = ChaseContext::new(theory(), ChaseConfig::default());
+        assert_eq!(run_workload(&ctx), oracle_verdicts());
+        let stats = ctx.stats();
+        assert!(stats.checkout_retries >= 1, "{stats:?}");
+        let fs = faults::stats();
+        assert_eq!(fs.injected, 1);
+        assert_eq!(fs.injected, fs.acknowledged(), "{fs:?}");
+    }
+
+    #[test]
+    fn a_panic_between_checkout_and_park_leaves_no_stuck_slot() {
+        let q = parse_query("select struct(A = r.A) from R r").unwrap();
+        let ctx = ChaseContext::new(theory(), ChaseConfig::default());
+        {
+            let _guard = faults::ScopedFaults::install("shared::park=panic@1").unwrap();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.chase(&q)));
+            let payload = unwound.expect_err("the park panics");
+            assert!(faults::is_injected_panic(payload.as_ref()));
+        }
+        // The unwound checkout took its marker with it: the next chase is
+        // a plain miss without a single retry, and the one after a hit.
+        let before = ctx.stats();
+        ctx.chase(&q);
+        let after = ctx.stats();
+        assert_eq!(after.chase_misses, before.chase_misses + 1, "{after:?}");
+        assert_eq!(after.checkout_retries, 0, "{after:?}");
+        ctx.chase(&q);
+        assert_eq!(ctx.stats().chase_hits, after.chase_hits + 1);
     }
 }

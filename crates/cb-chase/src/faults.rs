@@ -441,6 +441,12 @@ pub fn hit(site: &'static str) -> Result<(), InjectedFault> {
 fn fire(site: &'static str) -> Result<(), InjectedFault> {
     let action = {
         let mut r = registry();
+        // `disarm` may have run between the caller's `armed()` check and
+        // this lock; it clears the registry under the same lock, so a
+        // hit that lost that race must not count against the cleared one.
+        if STATE.load(Ordering::Relaxed) != ON {
+            return Ok(());
+        }
         // A thread-scoped schedule is invisible to non-participants:
         // their hits neither count nor fire, so a `ScopedFaults` test
         // cannot perturb (or be perturbed by) concurrently running

@@ -20,33 +20,34 @@
 //! Everything is built on one structure: the congruence-closure e-graph
 //! of a query's body ([`canon::QueryGraph`] over [`egraph::EGraph`]).
 //!
-//! ## The two API layers
+//! ## Free functions and the context
 //!
-//! All of the above exist twice:
+//! The free functions — `chase(q, deps, cfg)`, `contained_in(q1, q2,
+//! deps, cfg)`, `backchase(u, deps, cfg)`, … — are stateless and
+//! convenient; each call allocates a throwaway [`ChaseContext`]. Right
+//! for one-off questions, examples and tests.
 //!
-//! 1. **Free functions** — `chase(q, deps, cfg)`, `contained_in(q1, q2,
-//!    deps, cfg)`, `backchase(u, deps, cfg)`, … Stateless and
-//!    convenient; each call allocates a throwaway [`ChaseContext`].
-//!    Right for one-off questions, examples and tests.
-//! 2. **The context API** — [`ChaseContext`] owns a dependency set and a
-//!    budget and memoizes chase outcomes (keyed by alpha-normalized
-//!    query, held as *resumable* states), containment verdicts and
-//!    implication verdicts (keyed by constant-abstracted forms, so
-//!    questions that differ only in a constant share one proof) across
-//!    calls: [`ChaseContext::chase`],
-//!    [`ChaseContext::contained_in`], [`ChaseContext::implies`],
-//!    [`backchase_in`], [`backchase_greedy_in`], [`examine_removal_in`],
-//!    [`is_minimal_in`]. The backchase explores an exponential removal
-//!    lattice whose nodes keep asking the same questions — the context
-//!    is what makes that affordable, and the optimizer runs one context
-//!    per optimization so its chase, backchase and cleanup phases reuse
-//!    each other's work. [`CacheStats`] exposes hit/miss counters.
+//! A held [`ChaseContext`] is the one chase core: it owns a dependency
+//! set and a budget and memoizes chase outcomes (keyed by
+//! alpha-normalized query, held as *resumable* states), containment
+//! verdicts and implication verdicts (keyed by constant-abstracted forms,
+//! so questions that differ only in a constant share one proof) across
+//! calls: [`ChaseContext::chase`], [`ChaseContext::contained_in`],
+//! [`ChaseContext::implies`], [`backchase_in`], [`backchase_greedy_in`],
+//! [`examine_removal_in`], [`is_minimal_in`]. Every question is asked
+//! through `&self`: the memos are sharded behind per-shard locks, so the
+//! sequential search and the parallel workers of [`ParallelPlanSearch`]
+//! prove against the same context. The backchase explores an exponential
+//! removal lattice whose nodes keep asking the same questions — the
+//! context is what makes that affordable, and the optimizer runs phase 1,
+//! phase 2 and cleanup in one context so they reuse each other's work.
+//! [`CacheStats`] exposes hit/miss counters.
 //!
 //! Use the free functions until you ask two questions of the same
 //! dependency set; then hold a context. A held context is safe to keep:
 //! it fingerprints its dependency set ([`ChaseContext::ensure_deps`]
 //! resets it automatically when asked about a different theory) and its
-//! memo tables can be bounded ([`ChaseContext::with_memo_cap`]).
+//! memos can be bounded in bytes ([`ChaseContext::set_byte_limit`]).
 //!
 //! The backchase enumeration itself is exposed as [`PlanSearch`]: a
 //! streaming driver that hands each equivalence-verified subquery to a
@@ -71,7 +72,6 @@ pub mod hom;
 pub mod implication;
 pub mod must_remain;
 pub mod parallel;
-pub mod shared;
 pub mod termination;
 
 mod containment;
@@ -87,13 +87,12 @@ pub use chase::{
     chase, chase_step, coalesce_duplicates, ChaseConfig, ChaseOutcome, ChaseStepTrace,
 };
 pub use containment::{contained_in, contained_in_pre_chased, equivalent};
-pub use context::{CacheStats, ChaseContext, ChaseProver};
+pub use context::{CacheStats, ChaseContext};
 pub use egraph::EGraph;
 pub use faults::{FaultKind, FaultSpec, FaultStats, InjectedFault, ScopedFaults, SpecError};
 pub use implication::implies;
 pub use must_remain::MustRemainAnalysis;
 pub use parallel::{ParallelExploreAll, ParallelPlanSearch, ParallelVisitor};
-pub use shared::{SharedChaseContext, SharedProver};
 pub use termination::{
     analyze_termination, analyze_termination_with_witness, is_weakly_acyclic,
     weak_acyclicity_witness, CycleWitness, TerminationVerdict,

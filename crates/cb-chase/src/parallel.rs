@@ -7,10 +7,10 @@
 //! proofs — is per-node work. So the parallel driver keeps exactly the
 //! sequential node protocol and moves only its bookkeeping behind one
 //! mutex (`Progress`): workers pop the cheapest frontier entry, run the
-//! visit verdict and the child verification *outside* the lock against a
-//! [`SharedChaseContext`], and push verified children back. A condvar
-//! parks idle workers; the search is over when the frontier is empty and
-//! no worker is mid-expansion (`active == 0`).
+//! visit verdict and the child verification *outside* the lock against
+//! the caller's [`ChaseContext`], and push verified children back. A
+//! condvar parks idle workers; the search is over when the frontier is
+//! empty and no worker is mid-expansion (`active == 0`).
 //!
 //! Three bits of the sequential walk need care under concurrency:
 //!
@@ -24,7 +24,7 @@
 //!   search).
 //! * **Witness-hom seeding** carries the parent's witness in the frontier
 //!   entry (as sequentially), but each worker validates it against its
-//!   own `hom_graph`; chase states live in the shared core, whose
+//!   own `hom_graph`; chase states live in the context, whose
 //!   checkout protocol falls back to a fresh search when another worker
 //!   holds the parent's memo — out-of-order parent/child arrival can cost
 //!   duplicate work, never a wrong verdict.
@@ -64,25 +64,20 @@ use crate::backchase::{
 };
 use crate::canon::QueryGraph;
 use crate::containment::output_matching_hom;
+use crate::context::ChaseContext;
 use crate::faults;
 use crate::hom::Assignment;
-use crate::shared::{SharedChaseContext, SharedProver};
 
 /// A [`SearchVisitor`](crate::SearchVisitor) for the parallel walk:
-/// shared across workers (`&self`, `Sync`), with the per-worker
-/// [`SharedProver`] handed into [`ParallelVisitor::visit`] so a costing
-/// visitor can still run memoized proofs. The semantics of the three
-/// hooks are identical to the sequential trait's.
+/// shared across workers (`&self`, `Sync`), with the [`ChaseContext`]
+/// handed into [`ParallelVisitor::visit`] so a costing visitor can still
+/// run memoized proofs. The semantics of the three hooks are identical
+/// to the sequential trait's.
 pub trait ParallelVisitor: Sync {
     /// Called once per equivalence-verified node (by whichever worker
     /// popped it). The verdict steers the search exactly as in the
     /// sequential walk; [`Visit::Accept`] stops every worker.
-    fn visit(
-        &self,
-        _prover: &mut SharedProver<'_>,
-        _q: &Query,
-        _removed: &BTreeSet<String>,
-    ) -> Visit {
+    fn visit(&self, _ctx: &ChaseContext, _q: &Query, _removed: &BTreeSet<String>) -> Visit {
         Visit::Explore
     }
 
@@ -205,11 +200,7 @@ impl<'a> ParallelPlanSearch<'a> {
     /// nodes in — deterministic only at `threads = 1`; the *sets* of
     /// visited nodes and normal forms are thread-count-independent for an
     /// exhaustive (non-pruning, non-accepting, unbudgeted) visitor.
-    pub fn run<V: ParallelVisitor>(
-        &self,
-        shared: &SharedChaseContext,
-        visitor: &V,
-    ) -> SearchOutcome {
+    pub fn run<V: ParallelVisitor>(&self, ctx: &ChaseContext, visitor: &V) -> SearchOutcome {
         let u = self.u;
         let start = Instant::now();
         let identity: Assignment = u
@@ -252,7 +243,7 @@ impl<'a> ParallelPlanSearch<'a> {
             for _ in 0..self.threads {
                 scope.spawn(|| {
                     faults::adopt(fault_token);
-                    self.worker(shared, visitor, &progress, &idle, start);
+                    self.worker(ctx, visitor, &progress, &idle, start);
                 });
             }
         });
@@ -298,7 +289,7 @@ impl<'a> ParallelPlanSearch<'a> {
 
     fn worker<V: ParallelVisitor>(
         &self,
-        shared: &SharedChaseContext,
+        ctx: &ChaseContext,
         visitor: &V,
         progress: &Mutex<Progress>,
         idle: &Condvar,
@@ -330,7 +321,6 @@ impl<'a> ParallelPlanSearch<'a> {
             return;
         }
         let u = self.u;
-        let mut prover = shared.prover();
         // Worker-local graphs, same roles as the sequential walk's pair.
         let mut graph = QueryGraph::of_query(u);
         let mut hom_graph = graph.clone();
@@ -386,12 +376,11 @@ impl<'a> ParallelPlanSearch<'a> {
             };
             let expanded = catch_unwind(AssertUnwindSafe(|| {
                 self.expand(
-                    shared,
+                    ctx,
                     visitor,
                     progress,
                     idle,
                     &mut flight,
-                    &mut prover,
                     &mut graph,
                     &mut hom_graph,
                 );
@@ -400,7 +389,7 @@ impl<'a> ParallelPlanSearch<'a> {
                 // The expansion died mid-flight (an injected fault or a
                 // genuine bug): roll its ledger back so the survivors
                 // re-claim everything it held, then let this worker die —
-                // its prover and local graphs may be torn.
+                // its local graphs may be torn.
                 self.abandon(progress, idle, flight);
                 if faults::is_injected_panic(payload.as_ref()) {
                     faults::note_recovered();
@@ -417,12 +406,11 @@ impl<'a> ParallelPlanSearch<'a> {
     #[allow(clippy::too_many_arguments)]
     fn expand<V: ParallelVisitor>(
         &self,
-        shared: &SharedChaseContext,
+        ctx: &ChaseContext,
         visitor: &V,
         progress: &Mutex<Progress>,
         idle: &Condvar,
         flight: &mut InFlight,
-        prover: &mut SharedProver<'_>,
         graph: &mut QueryGraph,
         hom_graph: &mut QueryGraph,
     ) {
@@ -444,7 +432,7 @@ impl<'a> ParallelPlanSearch<'a> {
         // The visit verdict (costing, pruning) runs outside the lock.
         let verdict = {
             let node = flight.node.as_ref().expect("in-flight node");
-            visitor.visit(prover, &node.query, &node.removed)
+            visitor.visit(ctx, &node.query, &node.removed)
         };
         let explore = {
             let mut p = lock();
@@ -528,7 +516,7 @@ impl<'a> ParallelPlanSearch<'a> {
             }
             let mut gated = false;
             let child = subquery_for(u, graph, &grown)
-                .and_then(|q2| prune_unsafe_conditions(prover, &q2))
+                .and_then(|q2| prune_unsafe_conditions(ctx, &q2))
                 .and_then(|q2| {
                     if !visitor.admit(&q2, &grown) {
                         gated = true;
@@ -544,12 +532,12 @@ impl<'a> ParallelPlanSearch<'a> {
                         .map(|(v, p)| (v.clone(), p.clone()))
                         .collect();
                     let h2 =
-                        output_matching_hom(hom_graph, &u.output, &q2, shared.cfg(), Some(&seed))?;
+                        output_matching_hom(hom_graph, &u.output, &q2, ctx.cfg(), Some(&seed))?;
                     if h2 == seed {
-                        shared.note_seeded_hom();
+                        ctx.note_seeded_hom();
                     }
                     // …and q2 ⊑ u through the sharded memo.
-                    if shared.contained_in(&q2, u) {
+                    if ctx.contained_in(&q2, u) {
                         Some((q2, h2))
                     } else {
                         None
@@ -683,11 +671,11 @@ mod tests {
     #[test]
     fn parallel_exhaustive_matches_sequential_at_every_thread_count() {
         let (u, deps) = view_scenario();
-        let mut ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
-        let sequential = PlanSearch::new(&u).run(&mut ctx, &mut ExploreAll);
+        let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+        let sequential = PlanSearch::new(&u).run(&ctx, &mut ExploreAll);
         for threads in [1, 2, 4] {
-            let shared = SharedChaseContext::new(deps.clone(), ChaseConfig::default());
-            let out = ParallelPlanSearch::new(&u, threads).run(&shared, &ParallelExploreAll);
+            let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+            let out = ParallelPlanSearch::new(&u, threads).run(&ctx, &ParallelExploreAll);
             assert!(out.complete, "incomplete @ {threads} threads");
             assert!(!out.budget_expired);
             assert_eq!(
@@ -708,26 +696,26 @@ mod tests {
     fn parallel_node_budget_is_exact_and_keeps_the_root() {
         let (u, deps) = view_scenario();
         for threads in [1, 2, 4] {
-            let shared = SharedChaseContext::new(deps.clone(), ChaseConfig::default());
+            let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
             let out = ParallelPlanSearch::new(&u, threads)
                 .with_budget(SearchBudget {
                     nodes: Some(0),
                     ..SearchBudget::default()
                 })
-                .run(&shared, &ParallelExploreAll);
+                .run(&ctx, &ParallelExploreAll);
             assert!(out.budget_expired);
             assert_eq!(out.visited_count, 1, "root only @ {threads} threads");
             assert_eq!(out.visited[0].alpha_normalized(), u.alpha_normalized());
         }
         // A mid-search budget is exact, not approximate, at any width.
         for threads in [1, 2, 4] {
-            let shared = SharedChaseContext::new(deps.clone(), ChaseConfig::default());
+            let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
             let out = ParallelPlanSearch::new(&u, threads)
                 .with_budget(SearchBudget {
                     nodes: Some(2),
                     ..SearchBudget::default()
                 })
-                .run(&shared, &ParallelExploreAll);
+                .run(&ctx, &ParallelExploreAll);
             assert!(out.budget_expired);
             assert_eq!(out.visited_count, 2, "exact budget @ {threads} threads");
         }
@@ -736,13 +724,13 @@ mod tests {
     #[test]
     fn parallel_zero_wall_clock_budget_returns_the_root() {
         let (u, deps) = view_scenario();
-        let shared = SharedChaseContext::new(deps, ChaseConfig::default());
+        let ctx = ChaseContext::new(deps, ChaseConfig::default());
         let out = ParallelPlanSearch::new(&u, 4)
             .with_budget(SearchBudget {
                 wall_clock: Some(Duration::ZERO),
                 ..SearchBudget::default()
             })
-            .run(&shared, &ParallelExploreAll);
+            .run(&ctx, &ParallelExploreAll);
         assert!(out.budget_expired);
         assert_eq!(out.visited_count, 1);
     }
@@ -751,10 +739,10 @@ mod tests {
     fn parallel_max_visited_matches_sequential_truncation() {
         let (u, deps) = view_scenario();
         for threads in [1, 2, 4] {
-            let shared = SharedChaseContext::new(deps.clone(), ChaseConfig::default());
+            let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
             let out = ParallelPlanSearch::new(&u, threads)
                 .with_max_visited(1)
-                .run(&shared, &ParallelExploreAll);
+                .run(&ctx, &ParallelExploreAll);
             assert!(!out.complete);
             assert!(!out.budget_expired);
             assert_eq!(out.visited_count, 1);
@@ -764,15 +752,15 @@ mod tests {
     #[test]
     fn injected_worker_panic_is_recovered_by_the_survivors() {
         let (u, deps) = view_scenario();
-        let mut ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
-        let sequential = PlanSearch::new(&u).run(&mut ctx, &mut ExploreAll);
+        let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+        let sequential = PlanSearch::new(&u).run(&ctx, &mut ExploreAll);
         for threads in [2, 4] {
             // The second popped node panics its worker mid-expansion; the
             // rollback re-enqueues it and the survivors finish the
             // identical search.
             let _guard = faults::ScopedFaults::install("parallel::pop=panic@2").unwrap();
-            let shared = SharedChaseContext::new(deps.clone(), ChaseConfig::default());
-            let out = ParallelPlanSearch::new(&u, threads).run(&shared, &ParallelExploreAll);
+            let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+            let out = ParallelPlanSearch::new(&u, threads).run(&ctx, &ParallelExploreAll);
             assert!(out.complete, "complete @ {threads} threads");
             assert_eq!(out.workers_died, 1, "@ {threads} threads");
             assert_eq!(norm(&out.visited), norm(&sequential.visited));
@@ -787,14 +775,14 @@ mod tests {
     #[test]
     fn panic_mid_proof_rolls_back_the_visit_count() {
         let (u, deps) = view_scenario();
-        let mut ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
-        let sequential = PlanSearch::new(&u).run(&mut ctx, &mut ExploreAll);
+        let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+        let sequential = PlanSearch::new(&u).run(&ctx, &mut ExploreAll);
         // A panic deep inside a containment proof (a chase step) fires
         // *after* the node was counted visited — the rollback must revert
         // the count so the surviving worker's recount lands exactly once.
         let _guard = faults::ScopedFaults::install("chase::step=panic@3").unwrap();
-        let shared = SharedChaseContext::new(deps.clone(), ChaseConfig::default());
-        let out = ParallelPlanSearch::new(&u, 2).run(&shared, &ParallelExploreAll);
+        let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+        let out = ParallelPlanSearch::new(&u, 2).run(&ctx, &ParallelExploreAll);
         assert!(out.complete);
         assert_eq!(out.workers_died, 1);
         assert_eq!(norm(&out.visited), norm(&sequential.visited));
@@ -808,8 +796,8 @@ mod tests {
     fn every_worker_dying_leaves_an_incomplete_search_not_a_hang() {
         let (u, deps) = view_scenario();
         let _guard = faults::ScopedFaults::install("parallel::spawn=panic").unwrap();
-        let shared = SharedChaseContext::new(deps, ChaseConfig::default());
-        let out = ParallelPlanSearch::new(&u, 4).run(&shared, &ParallelExploreAll);
+        let ctx = ChaseContext::new(deps, ChaseConfig::default());
+        let out = ParallelPlanSearch::new(&u, 4).run(&ctx, &ParallelExploreAll);
         assert!(!out.complete, "work left on the frontier");
         assert_eq!(out.workers_died, 4);
         assert_eq!(out.visited_count, 0);
@@ -821,14 +809,14 @@ mod tests {
     #[test]
     fn transient_errors_at_parallel_sites_recover_by_proceeding() {
         let (u, deps) = view_scenario();
-        let mut ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
-        let sequential = PlanSearch::new(&u).run(&mut ctx, &mut ExploreAll);
+        let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+        let sequential = PlanSearch::new(&u).run(&ctx, &mut ExploreAll);
         let _guard = faults::ScopedFaults::install(
             "parallel::pop=err*2;parallel::claim=err*3;parallel::visit=err*2;parallel::spawn=err@2",
         )
         .unwrap();
-        let shared = SharedChaseContext::new(deps, ChaseConfig::default());
-        let out = ParallelPlanSearch::new(&u, 4).run(&shared, &ParallelExploreAll);
+        let ctx = ChaseContext::new(deps, ChaseConfig::default());
+        let out = ParallelPlanSearch::new(&u, 4).run(&ctx, &ParallelExploreAll);
         assert!(out.complete);
         // The spawn error killed one worker before it started; the
         // transient errors elsewhere were absorbed in place.
@@ -844,7 +832,7 @@ mod tests {
     fn parallel_accept_stops_every_worker() {
         struct AcceptSmall;
         impl ParallelVisitor for AcceptSmall {
-            fn visit(&self, _: &mut SharedProver<'_>, q: &Query, _: &BTreeSet<String>) -> Visit {
+            fn visit(&self, _: &ChaseContext, q: &Query, _: &BTreeSet<String>) -> Visit {
                 if q.from.len() <= 2 {
                     Visit::Accept
                 } else {
@@ -854,8 +842,8 @@ mod tests {
         }
         let (u, deps) = view_scenario();
         for threads in [1, 2, 4] {
-            let shared = SharedChaseContext::new(deps.clone(), ChaseConfig::default());
-            let out = ParallelPlanSearch::new(&u, threads).run(&shared, &AcceptSmall);
+            let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+            let out = ParallelPlanSearch::new(&u, threads).run(&ctx, &AcceptSmall);
             assert!(out.accepted, "accepted @ {threads} threads");
             // Whatever worker accepted, its plan is in the visited set.
             assert!(out.visited.iter().any(|q| q.from.len() <= 2));

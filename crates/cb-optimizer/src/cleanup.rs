@@ -46,16 +46,15 @@ pub fn prune_implied_conditions(
     q: &Query,
     cfg: &cb_chase::ChaseConfig,
 ) -> Query {
-    let mut ctx = cb_chase::ChaseContext::new(catalog.all_constraints(), cfg.clone());
-    prune_implied_conditions_in(&mut ctx, q)
+    let ctx = cb_chase::ChaseContext::new(catalog.all_constraints(), cfg.clone());
+    prune_implied_conditions_in(&ctx, q)
 }
 
-/// [`prune_implied_conditions`] against a shared prover — usually the
-/// one [`cb_chase::ChaseContext`] of an optimization run (so proof
-/// obligations repeated across plans are answered from the implication
-/// memo), or a [`cb_chase::SharedProver`] handle when the parallel
-/// search costs candidates from several workers at once.
-pub fn prune_implied_conditions_in<P: cb_chase::ChaseProver>(ctx: &mut P, q: &Query) -> Query {
+/// [`prune_implied_conditions`] against a held [`cb_chase::ChaseContext`]
+/// — usually the one context of an optimization run, so proof
+/// obligations repeated across plans (and across the parallel search's
+/// workers) are answered from the implication memo.
+pub fn prune_implied_conditions_in(ctx: &cb_chase::ChaseContext, q: &Query) -> Query {
     let mut out = q.clone();
     let mut i = 0;
     while i < out.where_.len() {

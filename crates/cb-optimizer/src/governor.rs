@@ -9,20 +9,27 @@
 //! equivalent by construction):
 //!
 //! 1. **Shed shard caches.** Under a [`memo byte
-//!    limit`](crate::OptimizerConfig::memo_byte_limit) the shared
-//!    context's shards drop memo entries instead of growing without
-//!    bound; the search proves verdicts again instead of remembering
-//!    them.
+//!    limit`](crate::OptimizerConfig::memo_byte_limit) the memo shards of
+//!    the [`ChaseContext`] the optimization runs in drop their entries
+//!    instead of growing without bound, at every thread count; the
+//!    search proves verdicts again instead of remembering them. The rung
+//!    counts this optimization's sheds, as a delta of the context's
+//!    [`CacheStats::pressure_sheds`](cb_chase::CacheStats::pressure_sheds).
 //! 2. **Collapse to the sequential search.** If the parallel frontier
 //!    loses workers to panics and cannot finish, the same lattice walk
-//!    is rerun single-threaded against the caller's [`ChaseContext`]
-//!    (which never touches the `parallel::*` failpoint sites), under
-//!    whatever wall clock the failed attempt left unspent.
+//!    is rerun single-threaded against the same [`ChaseContext`] (the
+//!    sequential walk never touches the `parallel::*` failpoint sites),
+//!    under whatever wall clock the failed attempt left unspent.
 //! 3. **Return the universal plan.** If phase 2 itself dies — a panic
 //!    escaping the sequential walk — the optimizer keeps any verified
 //!    candidates it already streamed and, when there are none, answers
 //!    with the verified universal plan: the anytime incumbent of last
 //!    resort.
+//!
+//! Phase 1 has one fallback of its own: the universal plan is chased
+//! through the memo shards, and a panic there (the shard failpoints
+//! inject exactly that) is answered by the memo-free chase, which is
+//! deterministic and yields the same plan.
 //!
 //! Every rung taken is recorded as a [`Degradation`] and surfaced in
 //! [`OptimizeOutcome::degradations`](crate::OptimizeOutcome::degradations)
@@ -40,9 +47,13 @@ use cb_chase::{SearchBudget, SearchOutcome};
 /// the order taken (see the [module docs](self) for the ladder).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Degradation {
-    /// Rung 1: the shared context shed shard memo entries to stay under
-    /// the configured memo byte limit. `sheds` counts the shard-level
-    /// shed events ([`cb_chase::CacheStats::pressure_sheds`]).
+    /// Phase 1: the memoized chase panicked (`reason` carries the panic
+    /// message) and the universal plan was recomputed without memos.
+    MemoFreeChase { reason: String },
+    /// Rung 1: the chase context shed shard memo entries to stay under
+    /// the configured memo byte limit. `sheds` counts this
+    /// optimization's shard-level shed events
+    /// ([`cb_chase::CacheStats::pressure_sheds`]).
     ShardCachesShed { sheds: u64 },
     /// Rung 2: the parallel phase-2 search lost `workers_died` workers
     /// to panics and could not finish; the search was rerun
@@ -57,6 +68,12 @@ pub enum Degradation {
 impl fmt::Display for Degradation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            Degradation::MemoFreeChase { reason } => {
+                write!(
+                    f,
+                    "phase-1 chase failed in the memo ({reason}); recomputed without memos"
+                )
+            }
             Degradation::ShardCachesShed { sheds } => {
                 write!(
                     f,
@@ -79,37 +96,25 @@ impl fmt::Display for Degradation {
     }
 }
 
-/// Walks the degradation ladder for one optimization: owns the memo
-/// byte limit (rung 1), decides when a crippled parallel search is
-/// rerun sequentially (rung 2), integrates the phase-2 [`SearchBudget`]
+/// Walks the degradation ladder for one optimization: decides when a
+/// crippled parallel search is rerun sequentially (rung 2), integrates
+/// the phase-2 [`SearchBudget`]
 /// so the latency SLO covers the *whole* ladder rather than each rung,
 /// and records every step taken.
 #[derive(Debug)]
 pub struct ResourceGovernor {
-    memo_byte_limit: Option<usize>,
     budget: SearchBudget,
     start: Instant,
     degradations: Vec<Degradation>,
 }
 
 impl ResourceGovernor {
-    pub fn new(
-        memo_byte_limit: Option<usize>,
-        budget: SearchBudget,
-        start: Instant,
-    ) -> ResourceGovernor {
+    pub fn new(budget: SearchBudget, start: Instant) -> ResourceGovernor {
         ResourceGovernor {
-            memo_byte_limit,
             budget,
             start,
             degradations: Vec::new(),
         }
-    }
-
-    /// The approximate byte cap the shared context's shards must stay
-    /// under (`None`: unbounded).
-    pub fn memo_byte_limit(&self) -> Option<usize> {
-        self.memo_byte_limit
     }
 
     /// The phase-2 budget with the wall clock shrunk by what has
@@ -134,6 +139,13 @@ impl ResourceGovernor {
     /// workers along the way — already hold the full result.
     pub fn should_fall_back(&self, out: &SearchOutcome) -> bool {
         out.workers_died > 0 && !out.complete && !out.budget_expired
+    }
+
+    /// Record the phase-1 memo-free chase.
+    pub fn note_memo_free_chase(&mut self, reason: impl Into<String>) {
+        self.degradations.push(Degradation::MemoFreeChase {
+            reason: reason.into(),
+        });
     }
 
     /// Record rung 1, if any shed events happened.
@@ -184,7 +196,7 @@ mod tests {
 
     #[test]
     fn fallback_fires_only_on_death_caused_incompleteness() {
-        let g = ResourceGovernor::new(None, SearchBudget::unlimited(), Instant::now());
+        let g = ResourceGovernor::new(SearchBudget::unlimited(), Instant::now());
         assert!(g.should_fall_back(&outcome(false, false, 4)));
         // Survivors finished: no rerun.
         assert!(!g.should_fall_back(&outcome(true, false, 1)));
@@ -200,7 +212,7 @@ mod tests {
             wall_clock: Some(Duration::from_secs(3600)),
             nodes: Some(17),
         };
-        let g = ResourceGovernor::new(None, budget, Instant::now());
+        let g = ResourceGovernor::new(budget, Instant::now());
         let rest = g.remaining_budget();
         assert!(rest.wall_clock.unwrap() <= Duration::from_secs(3600));
         assert!(rest.wall_clock.unwrap() > Duration::from_secs(3590));
@@ -208,7 +220,6 @@ mod tests {
 
         // An already-expired wall clock saturates to zero, not a panic.
         let spent = ResourceGovernor::new(
-            None,
             SearchBudget {
                 wall_clock: Some(Duration::ZERO),
                 nodes: None,
@@ -220,17 +231,21 @@ mod tests {
 
     #[test]
     fn rungs_are_recorded_in_order() {
-        let mut g = ResourceGovernor::new(Some(4096), SearchBudget::unlimited(), Instant::now());
+        let mut g = ResourceGovernor::new(SearchBudget::unlimited(), Instant::now());
+        g.note_memo_free_chase("injected panic");
         g.note_sheds(0); // no-op
         g.note_sheds(3);
         g.note_sequential_fallback(2);
         g.note_universal_fallback("injected panic");
         let d = g.into_degradations();
-        assert_eq!(d.len(), 3);
-        assert_eq!(d[0], Degradation::ShardCachesShed { sheds: 3 });
-        assert_eq!(d[1], Degradation::SequentialFallback { workers_died: 2 });
+        assert_eq!(d.len(), 4);
         assert!(
-            matches!(&d[2], Degradation::UniversalFallback { reason } if reason.contains("injected"))
+            matches!(&d[0], Degradation::MemoFreeChase { reason } if reason.contains("injected"))
+        );
+        assert_eq!(d[1], Degradation::ShardCachesShed { sheds: 3 });
+        assert_eq!(d[2], Degradation::SequentialFallback { workers_died: 2 });
+        assert!(
+            matches!(&d[3], Degradation::UniversalFallback { reason } if reason.contains("injected"))
         );
     }
 }

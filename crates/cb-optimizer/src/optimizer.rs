@@ -32,9 +32,8 @@ use cb_analyze::{Analyzer, Report};
 use cb_catalog::Catalog;
 use cb_chase::{
     backchase_greedy_in, BackchaseConfig, BackchaseOutcome, CacheStats, ChaseConfig, ChaseContext,
-    ChaseProver, ChaseStepTrace, ExploreAll, MustRemainAnalysis, ParallelExploreAll,
-    ParallelPlanSearch, ParallelVisitor, PlanSearch, SearchBudget, SearchVisitor,
-    SharedChaseContext, SharedProver, TerminationVerdict, Visit,
+    ChaseStepTrace, ExploreAll, MustRemainAnalysis, ParallelExploreAll, ParallelPlanSearch,
+    ParallelVisitor, PlanSearch, SearchBudget, SearchVisitor, TerminationVerdict, Visit,
 };
 use pcql::query::Query;
 use pcql::typecheck::{check_query, TypeError};
@@ -135,14 +134,14 @@ pub struct OptimizerConfig {
     /// carry the diagnostics, never fail).
     pub preflight: PreflightMode,
     /// Phase-2 worker count. `1` (the default) runs the sequential
-    /// search, bit-for-bit today's behavior; `> 1` runs the same lattice
-    /// walk as a work-sharing frontier over a [`SharedChaseContext`]
-    /// (sharded chase/containment/implication memos, incumbent best cost
-    /// published atomically across workers). The best plan and its cost
-    /// are thread-count-independent; per-run counters (`nodes_visited`,
-    /// pruning splits, cache traffic) and the `minimal` flags on
-    /// non-best candidates may differ, since workers race the incumbent
-    /// down in different orders. [`Optimizer::new`] seeds this from the
+    /// search; `> 1` runs the same lattice walk as a work-sharing
+    /// frontier, every worker proving against the optimization's one
+    /// [`ChaseContext`] (its memos are sharded behind per-shard locks)
+    /// and the incumbent best cost published atomically across workers.
+    /// The best plan and its cost are thread-count-independent; per-run
+    /// counters (`nodes_visited`, pruning splits, cache traffic) and the
+    /// `minimal` flags on non-best candidates may differ, since workers
+    /// race the incumbent down in different orders. [`Optimizer::new`] seeds this from the
     /// `CB_SEARCH_THREADS` environment variable.
     pub threads: usize,
     /// Anytime budget for the phase-2 search. On expiry the search stops
@@ -154,13 +153,14 @@ pub struct OptimizerConfig {
     /// How many verified plans [`OptimizeOutcome::top_k`] retains
     /// (mutually distinct, cheapest first) for serving-tier fallback.
     pub k_best: usize,
-    /// Approximate cap on the parallel search's shared memo tables, in
-    /// bytes (rung 1 of the resource governor's degradation ladder): a
-    /// shard over its even split of the cap sheds memo entries instead
-    /// of growing, each shed counted in
-    /// [`CacheStats::pressure_sheds`] and surfaced as a
-    /// [`Degradation::ShardCachesShed`]. `None` (the default) leaves
-    /// the memos unbounded. [`Optimizer::new`] seeds this from the
+    /// Approximate cap, in bytes, on the memo tables of the
+    /// [`ChaseContext`] the optimization runs in, at every thread count
+    /// (rung 1 of the resource governor's degradation ladder): a memo
+    /// shard over its even split of the cap sheds its entries instead of
+    /// growing, each shed counted in [`CacheStats::pressure_sheds`] and
+    /// this optimization's sheds surfaced as a
+    /// [`Degradation::ShardCachesShed`]. `None` (the default) leaves the
+    /// memos unbounded. [`Optimizer::new`] seeds this from the
     /// `CB_MEMO_BYTES` environment variable.
     pub memo_byte_limit: Option<usize>,
 }
@@ -257,10 +257,6 @@ pub struct OptimizeOutcome {
     /// `(elapsed, cost)` point per improvement, measured from the start
     /// of phase 2. Empty for the phased strategies.
     pub incumbent_trace: Vec<(Duration, f64)>,
-    /// Per-shard cache counters of the [`SharedChaseContext`] when the
-    /// search ran parallel (`threads > 1`); empty otherwise. Summed into
-    /// [`OptimizeOutcome::cache`] either way.
-    pub shard_cache: Vec<CacheStats>,
     /// Cache counters of the [`ChaseContext`] that ran this optimization
     /// (chase/containment/implication memo hits and misses).
     pub cache: CacheStats,
@@ -299,8 +295,8 @@ pub struct OptimizeOutcome {
     pub diagnostics: Report,
     /// Rungs of the resource governor's degradation ladder taken during
     /// this optimization, in the order taken (empty on a clean run):
-    /// shed shard caches, sequential fallback, universal-plan fallback.
-    /// See [`crate::governor`]. EXPLAIN prints them in its resilience
+    /// memo-free phase-1 chase, shed shard caches, sequential fallback,
+    /// universal-plan fallback. See [`crate::governor`]. EXPLAIN prints them in its resilience
     /// section.
     pub degradations: Vec<Degradation>,
     /// Phase-2 search workers that died to a panic and were recovered —
@@ -399,9 +395,9 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Runs Algorithm 1 on `q`. One [`ChaseContext`] is allocated per
-    /// optimization, so the chase, backchase and plan-cleanup phases all
-    /// reuse the same memoized chases, containment verdicts and
-    /// implication proofs.
+    /// optimization, so the chase, backchase (at any thread count) and
+    /// plan-cleanup phases all reuse the same memoized chases,
+    /// containment verdicts and implication proofs.
     pub fn optimize(&self, q: &Query) -> Result<OptimizeOutcome, OptimizeError> {
         let mut ctx = ChaseContext::new(self.catalog.all_constraints(), self.config.chase.clone());
         self.optimize_in(&mut ctx, q)
@@ -452,11 +448,27 @@ impl<'a> Optimizer<'a> {
         let schema = self.catalog.combined_schema();
         check_query(&schema, q)?;
 
-        // Guard the context-reuse footgun before asking it anything.
+        // Guard the context-reuse footgun before asking it anything, and
+        // bound its memos as this configuration asks (rung 1).
         ctx.ensure_deps(&self.catalog.all_constraints(), &self.config.chase);
+        ctx.set_byte_limit(self.config.memo_byte_limit);
+        let ctx: &ChaseContext = ctx;
+        let sheds_before = ctx.stats().pressure_sheds;
 
-        // Phase 1: chase to the universal plan.
-        let chased = ctx.chase(q);
+        // Phase 1: chase to the universal plan. The memoized chase crosses
+        // the shard failpoints; on a caught panic the memo-free chase,
+        // deterministic over the same dependency order, yields the same
+        // plan.
+        let (chased, phase1_panic) = match catch_unwind(AssertUnwindSafe(|| ctx.chase(q))) {
+            Ok(chased) => (chased, None),
+            Err(payload) => {
+                if cb_chase::faults::is_injected_panic(payload.as_ref()) {
+                    cb_chase::faults::note_recovered();
+                }
+                let chased = cb_chase::chase(q, ctx.deps(), ctx.cfg());
+                (chased, Some(panic_message(payload.as_ref())))
+            }
+        };
         let universal = chased.query.clone();
 
         // Phase 2: search the subquery lattice — enumerate-then-cost for
@@ -475,16 +487,13 @@ impl<'a> Optimizer<'a> {
         let mut nodes_pruned_at_visit = 0usize;
         let mut budget_expired = false;
         let mut incumbent_trace: Vec<(Duration, f64)> = Vec::new();
-        let mut shard_cache: Vec<CacheStats> = Vec::new();
-        let mut shared_stats: Option<CacheStats> = None;
         let mut workers_died = 0usize;
         let threads = self.config.threads.max(1);
         let search_start = Instant::now();
-        let mut governor = ResourceGovernor::new(
-            self.config.memo_byte_limit,
-            self.config.search_budget,
-            search_start,
-        );
+        let mut governor = ResourceGovernor::new(self.config.search_budget, search_start);
+        if let Some(reason) = phase1_panic {
+            governor.note_memo_free_chase(reason);
+        }
         let mut search_complete = false;
         // Phase 2 runs inside a panic boundary: a panic escaping the
         // search machinery (the failpoint sites inject exactly that) is
@@ -497,22 +506,18 @@ impl<'a> Optimizer<'a> {
             search_complete = match self.config.strategy {
                 SearchStrategy::Exhaustive => {
                     let out = if threads > 1 {
-                        let shared = self.shared_context(ctx);
                         let out = ParallelPlanSearch::new(&universal, threads)
                             .with_max_visited(self.config.backchase.max_visited)
                             .with_budget(self.config.search_budget)
-                            .run(&shared, &ParallelExploreAll);
-                        shard_cache = shared.shard_stats();
-                        let stats = shared.stats();
-                        governor.note_sheds(stats.pressure_sheds);
-                        shared_stats = Some(stats);
+                            .run(ctx, &ParallelExploreAll);
                         workers_died = out.workers_died;
                         if governor.should_fall_back(&out) {
                             // Rung 2: every worker died with frontier work
-                            // still queued. The sequential walk shares no
-                            // state with the dead workers and never touches
-                            // the parallel failpoint sites; it runs under
-                            // whatever wall clock the attempt left unspent.
+                            // still queued. The sequential walk shares only
+                            // completed memos with the dead workers and never
+                            // touches the parallel failpoint sites; it runs
+                            // under whatever wall clock the attempt left
+                            // unspent.
                             governor.note_sequential_fallback(out.workers_died);
                             PlanSearch::new(&universal)
                                 .with_max_visited(self.config.backchase.max_visited)
@@ -568,7 +573,6 @@ impl<'a> Optimizer<'a> {
                     // skipped *before* the equivalence checks, so they are
                     // never verified or costed at all.
                     let out = if threads > 1 {
-                        let shared = self.shared_context(ctx);
                         let (out, par_candidates, par_trace) = {
                             let guide = ParallelCostGuide {
                                 catalog: self.catalog,
@@ -585,7 +589,7 @@ impl<'a> Optimizer<'a> {
                                 .with_max_visited(self.config.backchase.max_visited)
                                 .with_budget(self.config.search_budget)
                                 .with_collect_visited(false)
-                                .run(&shared, &guide);
+                                .run(ctx, &guide);
                             // A worker that panicked while appending has
                             // poisoned these locks; the data under them is
                             // append-only and every element is a complete
@@ -602,10 +606,6 @@ impl<'a> Optimizer<'a> {
                                     .unwrap_or_else(PoisonError::into_inner),
                             )
                         };
-                        shard_cache = shared.shard_stats();
-                        let stats = shared.stats();
-                        governor.note_sheds(stats.pressure_sheds);
-                        shared_stats = Some(stats);
                         workers_died = out.workers_died;
                         if governor.should_fall_back(&out) {
                             // Rung 2: discard the crippled attempt's partial
@@ -680,6 +680,7 @@ impl<'a> Optimizer<'a> {
             };
         }))
         .err();
+        governor.note_sheds(ctx.stats().pressure_sheds - sheds_before);
         if let Some(payload) = search_panic {
             // Rung 3: the search machinery itself died. Injected panics
             // (the chaos harness's bread and butter) are acknowledged as
@@ -779,10 +780,6 @@ impl<'a> Optimizer<'a> {
             }
         }
 
-        let mut cache = ctx.stats();
-        if let Some(s) = &shared_stats {
-            cache.absorb(s);
-        }
         Ok(OptimizeOutcome {
             input: q.clone(),
             universal,
@@ -793,8 +790,7 @@ impl<'a> Optimizer<'a> {
             complete: chased.complete && search_complete,
             budget_expired,
             incumbent_trace,
-            shard_cache,
-            cache,
+            cache: ctx.stats(),
             nodes_visited,
             nodes_pruned_by_cost: nodes_pruned_at_gate + nodes_pruned_at_visit,
             nodes_pruned_at_gate,
@@ -807,31 +803,12 @@ impl<'a> Optimizer<'a> {
         })
     }
 
-    /// The thread-shareable twin of `ctx` for a parallel phase-2 run:
-    /// same dependency set, same chase budget, same memo cap, memo
-    /// tables sharded behind per-shard locks. Fresh per search — the
-    /// sequential context's memos stay with `ctx` (phase 1 and the
-    /// cleanup phase keep using them); only phase 2's traffic goes
-    /// through the shards.
-    fn shared_context(&self, ctx: &ChaseContext) -> SharedChaseContext {
-        // 0 means unbounded on both sides, so the cap passes through
-        // unconditionally.
-        let shared = SharedChaseContext::new(ctx.deps().to_vec(), self.config.chase.clone())
-            .with_memo_cap(ctx.memo_cap());
-        // Rung 1 of the governor's ladder: under a byte limit the
-        // shards shed memo entries instead of growing without bound.
-        match self.config.memo_byte_limit {
-            Some(bytes) => shared.with_byte_limit(bytes),
-            None => shared,
-        }
-    }
-
     /// The phased "enumerate, then cost" step 3 shared by `Exhaustive`
     /// and `Greedy`: normal forms first (flagged minimal), then — under
     /// `cost_visited` — every other visited physical subquery.
     fn cost_phased(
         &self,
-        ctx: &mut ChaseContext,
+        ctx: &ChaseContext,
         model: &CostModel<'_>,
         bc: &BackchaseOutcome,
         candidates: &mut Vec<PlanChoice>,
@@ -873,13 +850,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Step 3 for one plan: conventional optimization (condition pruning,
 /// guard-elimination cleanup, binding reordering) + costing. `None` for
-/// non-physical subqueries, which cannot execute. Generic over the
-/// prover so the sequential search costs against its [`ChaseContext`]
-/// and parallel workers against their [`SharedProver`] handles.
-fn cost_one<P: ChaseProver>(
+/// non-physical subqueries, which cannot execute.
+fn cost_one(
     catalog: &Catalog,
     model: &CostModel<'_>,
-    ctx: &mut P,
+    ctx: &ChaseContext,
     raw: &Query,
     minimal: bool,
 ) -> Option<PlanChoice> {
@@ -932,7 +907,7 @@ impl CostGuide<'_, '_> {
 }
 
 impl SearchVisitor for CostGuide<'_, '_> {
-    fn visit(&mut self, ctx: &mut ChaseContext, q: &Query, removed: &BTreeSet<String>) -> Visit {
+    fn visit(&mut self, ctx: &ChaseContext, q: &Query, removed: &BTreeSet<String>) -> Visit {
         // An admissible bound under-estimates `q` itself too: nothing to
         // gain from costing or descending once it exceeds the incumbent.
         if self.bound_of(q, removed) > self.incumbent {
@@ -1031,11 +1006,11 @@ impl ParallelCostGuide<'_, '_> {
 }
 
 impl ParallelVisitor for ParallelCostGuide<'_, '_> {
-    fn visit(&self, prover: &mut SharedProver<'_>, q: &Query, removed: &BTreeSet<String>) -> Visit {
+    fn visit(&self, ctx: &ChaseContext, q: &Query, removed: &BTreeSet<String>) -> Visit {
         if self.bound_of(q, removed) > self.incumbent() {
             return Visit::Prune;
         }
-        if let Some(choice) = cost_one(self.catalog, self.model, prover, q, false) {
+        if let Some(choice) = cost_one(self.catalog, self.model, ctx, q, false) {
             self.publish(choice.cost);
             self.candidates
                 .lock()
@@ -1391,31 +1366,33 @@ mod tests {
         let mut cat = projdept::catalog();
         projdept::stats_for(&mut cat, 100, 10, 20);
         let q = projdept::query();
-        let unlimited = Optimizer::with_config(&cat, exhaustive_config(2))
+        for threads in [1, 2] {
+            let unlimited = Optimizer::with_config(&cat, exhaustive_config(threads))
+                .optimize(&q)
+                .unwrap();
+            let squeezed = Optimizer::with_config(
+                &cat,
+                OptimizerConfig {
+                    // A cap far below one memo entry: every shard sheds on
+                    // every insert (rung 1), and the search just re-proves.
+                    memo_byte_limit: Some(64),
+                    ..exhaustive_config(threads)
+                },
+            )
             .optimize(&q)
             .unwrap();
-        let squeezed = Optimizer::with_config(
-            &cat,
-            OptimizerConfig {
-                // A cap far below one memo entry: every shard sheds on
-                // every insert (rung 1), and the search just re-proves.
-                memo_byte_limit: Some(64),
-                ..exhaustive_config(2)
-            },
-        )
-        .optimize(&q)
-        .unwrap();
-        assert!(squeezed.cache.pressure_sheds > 0, "{:?}", squeezed.cache);
-        assert!(
-            squeezed.degradations.iter().any(|d| matches!(
-                d,
-                Degradation::ShardCachesShed { sheds } if *sheds > 0
-            )),
-            "{:?}",
-            squeezed.degradations
-        );
-        assert_eq!(squeezed.best.query, unlimited.best.query);
-        assert_eq!(squeezed.candidates.len(), unlimited.candidates.len());
+            assert!(squeezed.cache.pressure_sheds > 0, "{:?}", squeezed.cache);
+            assert!(
+                squeezed.degradations.iter().any(|d| matches!(
+                    d,
+                    Degradation::ShardCachesShed { sheds } if *sheds > 0
+                )),
+                "@ {threads} threads: {:?}",
+                squeezed.degradations
+            );
+            assert_eq!(squeezed.best.query, unlimited.best.query);
+            assert_eq!(squeezed.candidates.len(), unlimited.candidates.len());
+        }
     }
 
     #[test]

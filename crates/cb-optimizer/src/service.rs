@@ -15,8 +15,9 @@
 //!   uninterpreted symbols), so a query that differs from an earlier one
 //!   only in a constant misses the plan cache but re-proves nothing.
 //!   Chase states stay constant-exact, so every plan carries the
-//!   caller's own constants. (A parallel phase 2 still builds its sharded
-//!   [`cb_chase::SharedChaseContext`] twin per search, as always.)
+//!   caller's own constants. A parallel phase 2 proves against the same
+//!   context, so its memos persist across preparations at every thread
+//!   count.
 //! * **Prepared plans** — the full [`OptimizeOutcome`] plus its
 //!   serialized [`PlanRepr`], keyed by *alpha-normalized query* ×
 //!   *canonical catalog fingerprint* × *cost-model fingerprint*. A hit
@@ -123,11 +124,9 @@ pub struct PlanService {
     /// The long-lived memoized chase core every preparation runs in.
     ctx: ChaseContext,
     cache: HashMap<PlanKey, Arc<PreparedPlan>>,
-    /// FIFO insertion order for eviction, mirroring the chase memos'
-    /// `insert_bounded` discipline.
+    /// FIFO insertion order for eviction.
     order: VecDeque<PlanKey>,
-    /// Max cached plans; 0 means unbounded (the [`cb_chase`] `memo_cap`
-    /// convention).
+    /// Max cached plans; 0 means unbounded.
     cache_cap: usize,
     stats: ServiceStats,
     catalog_fp: u64,

@@ -26,10 +26,11 @@
 //! means pasting that spec into [`ScopedFaults::install`] in a unit
 //! test.
 //!
-//! Panic faults are restricted to phase-2 sites: a panic in the phase-1
-//! chase (before a universal plan exists) has nothing to degrade to and
-//! legitimately propagates to the service layer, so `chase::step` gets
-//! only the recoverable kinds here.
+//! Panic faults stay off `chase::step`: a panic inside a chase step
+//! (before a universal plan exists) has nothing to degrade to and
+//! legitimately propagates to the service layer, so it gets only the
+//! recoverable kinds here. A panic at a shard site during the phase-1
+//! chase is recovered by the memo-free chase.
 
 use std::time::{Duration, Instant};
 
@@ -436,6 +437,45 @@ fn the_ladder_composes_rung_by_rung() {
     let text = cb_optimizer::explain(&out);
     assert!(text.contains("reran sequentially"), "{text}");
     assert!(text.contains("phase-2 search aborted"), "{text}");
+}
+
+/// Phase 1 is total under the shard sites: the universal plan is chased
+/// through the memo shards, and the first hit of each shard site panics
+/// there. The memo-free chase recomputes the same plan, and the answer
+/// is the fault-free one at every thread count.
+#[test]
+fn a_phase_one_panic_at_a_shard_site_keeps_the_fault_free_plan() {
+    let (_, catalog, q) = scenarios().swap_remove(0);
+    let base = Optimizer::with_config(&catalog, config(SearchStrategy::Exhaustive, 1))
+        .optimize(&q)
+        .unwrap();
+    for site in ["shared::shard_lock", "shared::checkout", "shared::park"] {
+        for threads in [1, 4] {
+            let spec = format!("{site}=panic@1");
+            let guard = ScopedFaults::install(&spec).unwrap();
+            let out = Optimizer::with_config(&catalog, config(SearchStrategy::Exhaustive, threads))
+                .optimize(&q)
+                .unwrap_or_else(|e| panic!("`{spec}` @ {threads} threads: {e}"));
+            let fs = faults::stats();
+            drop(guard);
+
+            let desc = format!("`{spec}` @ {threads} threads");
+            assert_eq!(fs.injected, 1, "{desc}: {fs:?}");
+            assert_eq!(fs.injected, fs.acknowledged(), "{desc}: {fs:?}");
+            assert!(
+                out.degradations
+                    .iter()
+                    .any(|d| matches!(d, Degradation::MemoFreeChase { .. })),
+                "{desc}: {:?}",
+                out.degradations
+            );
+            assert_eq!(out.universal, base.universal, "{desc}");
+            assert_eq!(out.best.query, base.best.query, "{desc}");
+            assert_eq!(out.candidates.len(), base.candidates.len(), "{desc}");
+            let text = cb_optimizer::explain(&out);
+            assert!(text.contains("recomputed without memos"), "{desc}: {text}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -140,9 +140,9 @@ fn lower_bound_is_admissible_for_every_visited_subquery() {
     // scenario — the bound may steer, it must never overshoot.
     for (name, catalog, q) in scenarios() {
         let model = CostModel::for_catalog(&catalog);
-        let mut ctx = ChaseContext::new(catalog.all_constraints(), Default::default());
+        let ctx = ChaseContext::new(catalog.all_constraints(), Default::default());
         let u = ctx.chase(&q).query;
-        let out = backchase_in(&mut ctx, &u, 0);
+        let out = backchase_in(&ctx, &u, 0);
         assert!(out.complete, "{name}");
         for v in &out.visited {
             let lb = model.lower_bound(v);

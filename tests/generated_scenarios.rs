@@ -187,7 +187,7 @@ struct Recorder {
 }
 
 impl SearchVisitor for Recorder {
-    fn visit(&mut self, _ctx: &mut ChaseContext, q: &Query, removed: &BTreeSet<String>) -> Visit {
+    fn visit(&mut self, _ctx: &ChaseContext, q: &Query, removed: &BTreeSet<String>) -> Visit {
         self.nodes.push((removed.clone(), q.clone()));
         Visit::Explore
     }
@@ -288,10 +288,10 @@ proptest! {
     #[test]
     fn lattice_bound_admissible_and_monotone_on_random_catalogs(s in arb_scenario()) {
         let model = CostModel::for_catalog(&s.catalog);
-        let mut ctx = ChaseContext::new(s.catalog.all_constraints(), ChaseConfig::default());
+        let ctx = ChaseContext::new(s.catalog.all_constraints(), ChaseConfig::default());
         let u = ctx.chase(&s.query).query;
         let mut rec = Recorder { nodes: Vec::new() };
-        let out = PlanSearch::new(&u).run(&mut ctx, &mut rec);
+        let out = PlanSearch::new(&u).run(&ctx, &mut rec);
         prop_assert!(out.complete, "{}", s.desc);
         let mut analysis = MustRemainAnalysis::new(&u);
 
@@ -456,9 +456,8 @@ proptest! {
             }
             // Static vs prover, on the raw subquery the backchase judged.
             let summary = analyzer.lookup_summary(&c.raw);
-            let mut ctx =
-                ChaseContext::new(s.catalog.all_constraints(), ChaseConfig::default());
-            let prover = first_unsafe(&mut ctx, &c.raw);
+            let ctx = ChaseContext::new(s.catalog.all_constraints(), ChaseConfig::default());
+            let prover = first_unsafe(&ctx, &c.raw);
             if let Some((lookup, _)) = &prover {
                 prop_assert!(
                     !summary.statically_safe().contains(&lookup),

@@ -23,15 +23,15 @@ fn check_scenario(name: &str, catalog: &Catalog, q: &Query, max_visited: usize) 
     let deps = catalog.all_constraints();
     let cfg = ChaseConfig::default();
 
-    let mut memoized = ChaseContext::new(deps.clone(), cfg.clone());
-    let mut disabled = ChaseContext::without_memo(deps, cfg);
+    let memoized = ChaseContext::new(deps.clone(), cfg.clone());
+    let disabled = ChaseContext::without_memo(deps, cfg);
 
     let u1 = memoized.chase(q).query;
     let u2 = disabled.chase(q).query;
     assert_eq!(u1, u2, "{name}: universal plans differ");
 
-    let a = backchase_in(&mut memoized, &u1, max_visited);
-    let b = backchase_in(&mut disabled, &u2, max_visited);
+    let a = backchase_in(&memoized, &u1, max_visited);
+    let b = backchase_in(&disabled, &u2, max_visited);
     assert_eq!(a.complete, b.complete, "{name}: completeness differs");
     assert_eq!(
         norm(&a.normal_forms),
@@ -203,10 +203,10 @@ fn check_constant_family_verdicts(scenario: &str, seed: u64) {
     let (catalog, queries) = constant_family(scenario, seed);
     let deps = catalog.all_constraints();
     let cfg = ChaseConfig::default();
-    let mut warm = ChaseContext::new(deps.clone(), cfg.clone());
+    let warm = ChaseContext::new(deps.clone(), cfg.clone());
     for (i, q) in queries.iter().enumerate() {
         let desc = format!("{scenario} seed {seed} query {i}: {q}");
-        let mut oracle = ChaseContext::without_memo(deps.clone(), cfg.clone());
+        let oracle = ChaseContext::without_memo(deps.clone(), cfg.clone());
         let u = oracle.chase(q).query;
         assert_eq!(
             warm.chase(q).query.alpha_normalized(),
@@ -214,15 +214,15 @@ fn check_constant_family_verdicts(scenario: &str, seed: u64) {
             "{desc}: universal plans differ"
         );
         let before = warm.stats();
-        let a = backchase_in(&mut warm, &u, 400);
-        let b = backchase_in(&mut oracle, &u, 400);
+        let a = backchase_in(&warm, &u, 400);
+        let b = backchase_in(&oracle, &u, 400);
         assert_eq!(a.complete, b.complete, "{desc}: completeness differs");
         assert_eq!(norm(&a.normal_forms), norm(&b.normal_forms), "{desc}");
         assert_eq!(norm(&a.visited), norm(&b.visited), "{desc}");
         for p in &b.visited {
             assert_eq!(
-                first_unsafe(&mut warm, p),
-                first_unsafe(&mut oracle, p),
+                first_unsafe(&warm, p),
+                first_unsafe(&oracle, p),
                 "{desc}: lookup-safety verdicts differ on {p}"
             );
         }

@@ -376,17 +376,19 @@ fn reordered_catalog_swap_keeps_chase_memos_and_cached_plans() {
     assert_eq!(warm.plan.outcome.best.query, cold.plan.outcome.best.query);
 }
 
+/// The ProjDept query restricted to one customer.
+fn projects_of(cust: &str) -> Query {
+    parse_query(&format!(
+        "select struct(PN = s, PB = p.Budg, DN = d.DName) \
+         from depts d, d.DProjs s, Proj p \
+         where s = p.PName and p.CustName = \"{cust}\""
+    ))
+    .unwrap()
+}
+
 #[test]
 fn a_new_constant_misses_the_plan_cache_but_reuses_every_proof() {
     let (_, catalog, instance, _) = builtin_scenarios().remove(0);
-    let projects_of = |cust: &str| {
-        parse_query(&format!(
-            "select struct(PN = s, PB = p.Budg, DN = d.DName) \
-             from depts d, d.DProjs s, Proj p \
-             where s = p.PName and p.CustName = \"{cust}\""
-        ))
-        .unwrap()
-    };
     let mut svc = PlanService::new(catalog.clone(), OptimizerConfig::default());
     let first = svc.prepare(&projects_of("CitiBank")).unwrap();
     assert!(!first.cache_hit);
@@ -418,4 +420,34 @@ fn a_new_constant_misses_the_plan_cache_but_reuses_every_proof() {
         "cust3 should own projects at seed 42"
     );
     assert_eq!(rows, reference, "the plan must return the query's rows");
+}
+
+#[test]
+fn parallel_preparations_keep_their_memos_across_preparations() {
+    let (_, catalog, _, _) = builtin_scenarios().remove(0);
+    for threads in [2, 4] {
+        let config = OptimizerConfig {
+            threads,
+            ..OptimizerConfig::default()
+        };
+        let mut svc = PlanService::new(catalog.clone(), config);
+        svc.prepare(&projects_of("CitiBank")).unwrap();
+        let warm = svc.chase_stats();
+        let second = svc.prepare(&projects_of("cust3")).unwrap();
+        assert!(!second.cache_hit, "a new constant is a new plan");
+        let after = svc.chase_stats();
+        assert_eq!(
+            after.containment_misses, warm.containment_misses,
+            "@ {threads} threads: {after:?}"
+        );
+        assert_eq!(
+            after.implication_misses, warm.implication_misses,
+            "@ {threads} threads: {after:?}"
+        );
+        // …because the search asked them of the service's own core.
+        assert!(
+            after.containment_hits > warm.containment_hits,
+            "@ {threads} threads: {after:?}"
+        );
+    }
 }
