@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use cb_bench::{prepared_indexes, prepared_projdept, prepared_views, render_table};
+use cb_bench::{prepared_indexes, prepared_projdept, prepared_views, render_table, Prepared};
 use cb_chase::{
     backchase_in, chase_step, examine_removal_in, minimize, BackchaseConfig, CacheStats,
     ChaseConfig, ChaseContext, QueryGraph, RemovalJudgement,
@@ -638,6 +638,47 @@ fn run_json(path: &str, selection: &[String]) {
                 ),
                 ("hit_rate_x1000", (1000.0 * hit_rate) as u64),
                 ("workload_preparations", hits + misses),
+            ],
+        });
+        // The stats-refresh row: a cold preparation, the first
+        // re-preparation after a statistics refresh (same constraints),
+        // which records the verified lattice, and the second, which
+        // replays it and must not ask a single containment or
+        // implication question.
+        let (mut cold_ns, mut record_ns, mut replay_ns) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut lattice_hits, mut lattice_misses) = (0u64, 0u64);
+        for (before, after) in stats_refresh_pairs() {
+            for _ in 0..ITERS {
+                let r = stats_refresh_replay(&before, &after);
+                cold_ns.push(r.cold.as_nanos());
+                record_ns.push(r.record.as_nanos());
+                replay_ns.push(r.replay.as_nanos());
+                lattice_hits += r.lattice_hits;
+                lattice_misses += r.lattice_misses;
+            }
+        }
+        cold_ns.sort_unstable();
+        record_ns.sort_unstable();
+        replay_ns.sort_unstable();
+        let cold_median = cold_ns[cold_ns.len() / 2];
+        let record_median = record_ns[record_ns.len() / 2];
+        let replay_median = replay_ns[replay_ns.len() / 2];
+        records.push(JsonRecord {
+            id: "e21_stats_refresh",
+            median_ns: replay_median,
+            cache_hit_rate: Some(
+                lattice_hits as f64 / (lattice_hits + lattice_misses).max(1) as f64,
+            ),
+            extra: vec![
+                ("cold_median_ns", cold_median as u64),
+                ("record_median_ns", record_median as u64),
+                ("replay_median_ns", replay_median as u64),
+                (
+                    "cold_over_replay_x1000",
+                    (1000.0 * cold_median as f64 / (replay_median as f64).max(1.0)) as u64,
+                ),
+                ("replay_lattice_hits", lattice_hits),
+                ("replay_lattice_misses", lattice_misses),
             ],
         });
     }
@@ -1443,11 +1484,121 @@ fn e21_plan_service() {
             &rows
         )
     );
+    // A statistics refresh invalidates the cached plan but not the
+    // chase memos: the first re-preparation records the verified
+    // lattice, the second replays it.
+    let mut rows = Vec::new();
+    for (before, after) in stats_refresh_pairs() {
+        let r = stats_refresh_replay(&before, &after);
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+        let (cold_ms, replay_ms) = (ms(r.cold), ms(r.replay));
+        rows.push(vec![
+            r.universal,
+            format!("{cold_ms:.2}"),
+            format!("{:.2}", ms(r.record)),
+            format!("{replay_ms:.2}"),
+            format!("{:.0}x", cold_ms / replay_ms.max(1e-9)),
+            r.lattice_hits.to_string(),
+            r.nodes_visited.to_string(),
+        ]);
+    }
+    println!(
+        "{}",
+        render_table(
+            &[
+                "universal plan",
+                "cold ms",
+                "1st refresh ms",
+                "2nd refresh ms",
+                "speedup",
+                "lattice hits",
+                "nodes visited",
+            ],
+            &rows
+        )
+    );
     // One EXPLAIN of a serialized plan, for the record.
     let p = prepared_projdept(20, 5, 5);
     let mut svc = PlanService::new(p.catalog.clone(), OptimizerConfig::default());
     let prepared = svc.prepare(&p.query).expect("prepare");
     println!("{}", explain_prepared(&prepared.plan.repr));
+}
+
+/// Each builtin scenario at two data scales: the same constraints under
+/// two sets of statistics, for E21's stats-refresh replay.
+fn stats_refresh_pairs() -> [(Prepared, Prepared); 3] {
+    [
+        (prepared_projdept(50, 10, 25), prepared_projdept(80, 8, 20)),
+        (
+            prepared_indexes(5_000, 100, 50),
+            prepared_indexes(2_000, 40, 200),
+        ),
+        (
+            prepared_views(1_000, 1_000, 0.05),
+            prepared_views(500, 2_000, 0.5),
+        ),
+    ]
+}
+
+/// One E21 stats-refresh measurement.
+struct Replay {
+    /// The universal plan's shape.
+    universal: String,
+    cold: std::time::Duration,
+    /// The first re-preparation, which records the lattice.
+    record: std::time::Duration,
+    replay: std::time::Duration,
+    nodes_visited: usize,
+    lattice_hits: u64,
+    lattice_misses: u64,
+}
+
+/// Prepares `before.query` cold under `before`'s catalog, swaps in
+/// `after`'s (same constraints, new statistics) and re-prepares, then
+/// swaps `before`'s back and re-prepares again. The first
+/// re-preparation walks the universal plan a second time and records
+/// its verified lattice; the second reads every verdict from it: it may
+/// not ask a single containment or implication question, not even of
+/// the memo.
+fn stats_refresh_replay(before: &Prepared, after: &Prepared) -> Replay {
+    use cb_optimizer::{OptimizerConfig, PlanService};
+    let mut svc = PlanService::new(before.catalog.clone(), OptimizerConfig::default());
+    let t = Instant::now();
+    let cold = svc.prepare(&before.query).expect("cold preparation");
+    let cold_time = t.elapsed();
+    svc.swap_catalog(after.catalog.clone());
+    let t = Instant::now();
+    let recorded = svc.prepare(&before.query).expect("recording preparation");
+    let record_time = t.elapsed();
+    assert!(!recorded.cache_hit, "a stats refresh must re-prepare");
+    svc.swap_catalog(before.catalog.clone());
+    let warm = svc.chase_stats();
+    let t = Instant::now();
+    let replay = svc.prepare(&before.query).expect("replayed preparation");
+    let replay_time = t.elapsed();
+    let now = svc.chase_stats();
+    assert!(!replay.cache_hit, "a stats refresh must re-prepare");
+    let lookups = |s: &CacheStats| {
+        s.containment_hits + s.containment_misses + s.implication_hits + s.implication_misses
+    };
+    assert_eq!(
+        lookups(&now),
+        lookups(&warm),
+        "the replay asked proofs: {now:?}"
+    );
+    assert!(
+        now.lattice_hits > warm.lattice_hits,
+        "no lattice replay: {now:?}"
+    );
+    Replay {
+        universal: shape(&cold.plan.outcome.universal),
+        cold: cold_time,
+        record: record_time,
+        replay: replay_time,
+        nodes_visited: replay.nodes_visited,
+        lattice_hits: now.lattice_hits - warm.lattice_hits,
+        lattice_misses: now.lattice_misses - warm.lattice_misses,
+    }
 }
 
 fn banner(id: &str, title: &str) {

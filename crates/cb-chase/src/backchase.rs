@@ -45,7 +45,7 @@
 //! collect-everything instantiations, and the optimizer's cost-guided
 //! branch-and-bound strategy is another.
 
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::time::{Duration, Instant};
 
 use pcql::idgen::VarGen;
@@ -59,6 +59,7 @@ use crate::containment::{contained_in_pre_chased, output_matching_hom};
 use crate::context::ChaseContext;
 use crate::egraph::EGraph;
 use crate::hom::Assignment;
+use crate::lattice::{Child, Expansion, Graphs, LatticeWalk, Node, Removal};
 
 /// Budgets for backchase enumeration.
 #[derive(Debug, Clone, Default)]
@@ -568,9 +569,7 @@ impl SearchOutcome {
 pub(crate) struct Frontier {
     pub(crate) prio: f64,
     pub(crate) seq: usize,
-    pub(crate) removed: BTreeSet<String>,
-    pub(crate) query: Query,
-    pub(crate) hom: Assignment,
+    pub(crate) node: Node,
 }
 
 impl PartialEq for Frontier {
@@ -611,9 +610,13 @@ impl Ord for Frontier {
 /// lattice-wide `QueryGraph`, dependent-closure removal sets, equivalence
 /// pruning of sublattices under non-equivalent subqueries, child
 /// containment checks seeded from the parent's witness homomorphism, all
-/// through the shared [`ChaseContext`] memos. The visitor receives the
-/// context too, so it can run its own memoized proofs — e.g.
-/// condition pruning — while costing a node.
+/// through the shared [`ChaseContext`] memos. Children are expanded
+/// through the context's verified-lattice memo (one expansion function
+/// shared with the parallel walk), so a walk over a universal plan an
+/// earlier walk already verified replays its closures, subqueries and
+/// verdicts instead of re-deriving them, while the visitor still steers
+/// live. The visitor receives the context too, so it can run its own
+/// memoized proofs — e.g. condition pruning — while costing a node.
 #[derive(Debug, Clone)]
 pub struct PlanSearch<'a> {
     u: &'a Query,
@@ -661,41 +664,22 @@ impl<'a> PlanSearch<'a> {
     /// Runs the search, streaming each equivalence-verified subquery (and
     /// its removal set over `u`) to `visitor`.
     pub fn run(&self, ctx: &ChaseContext, visitor: &mut dyn SearchVisitor) -> SearchOutcome {
-        /// What became of a removal set that was examined via some route.
-        #[derive(Clone, Copy, PartialEq)]
-        enum ChildState {
-            /// A verified equivalent subquery (enqueued once).
-            Valid,
-            /// Not a subquery / unsafe / not equivalent.
-            Invalid,
-            /// Skipped by the visitor's gate before verification.
-            Gated,
-        }
         let u = self.u;
-        // The lattice-construction graph (dependent closures,
-        // re-expression, implied conditions) and the homomorphism graph
-        // for `u ⊑ q'` checks. They are kept separate because hom
-        // searches intern candidate paths wholesale, and
-        // `implied_conditions` must only see paths that come from `u`
-        // itself.
-        let mut graph = QueryGraph::of_query(u);
-        let mut hom_graph = graph.clone();
-        let identity: Assignment = u
-            .from
-            .iter()
-            .map(|b| (b.var.clone(), Path::Var(b.var.clone())))
-            .collect();
-        let mut seen: std::collections::BTreeMap<BTreeSet<String>, ChildState> =
-            std::collections::BTreeMap::new();
-        let mut queue: BinaryHeap<Frontier> = BinaryHeap::new();
-        let mut seq = 0usize;
-        seen.insert(BTreeSet::new(), ChildState::Valid);
-        queue.push(Frontier {
-            prio: visitor.priority(u, &BTreeSet::new()),
-            seq,
-            removed: BTreeSet::new(),
-            query: u.clone(),
-            hom: identity,
+        let lattice = LatticeWalk::begin(ctx, u);
+        let mut graphs = Graphs::default();
+        let mut walk = SequentialWalk {
+            visitor,
+            seen: HashMap::new(),
+            queue: BinaryHeap::new(),
+            seq: 0,
+            pruned_at_gate: 0,
+        };
+        let root = lattice.root();
+        walk.seen.insert(root.key.clone(), ChildState::Valid);
+        walk.queue.push(Frontier {
+            prio: walk.visitor.priority(u, &root.removed),
+            seq: 0,
+            node: root,
         });
         let start = Instant::now();
         let mut normal_forms: Vec<Query> = Vec::new();
@@ -703,16 +687,9 @@ impl<'a> PlanSearch<'a> {
         let mut visited_count = 0usize;
         let mut complete = true;
         let mut pruned_at_visit = 0usize;
-        let mut pruned_at_gate = 0usize;
         let mut accepted = false;
         let mut budget_expired = false;
-        while let Some(Frontier {
-            removed,
-            query: q,
-            hom,
-            ..
-        }) = queue.pop()
-        {
+        while let Some(Frontier { node, .. }) = walk.queue.pop() {
             if self.max_visited > 0 && visited_count >= self.max_visited {
                 complete = false;
                 break;
@@ -724,11 +701,11 @@ impl<'a> PlanSearch<'a> {
                 budget_expired = true;
                 break;
             }
-            match visitor.visit(ctx, &q, &removed) {
+            match walk.visitor.visit(ctx, &node.query, &node.removed) {
                 Visit::Explore => {
                     visited_count += 1;
                     if self.collect_visited {
-                        visited.push(q.clone());
+                        visited.push((*node.query).clone());
                     }
                 }
                 Visit::Prune => {
@@ -740,106 +717,85 @@ impl<'a> PlanSearch<'a> {
                 Visit::Accept => {
                     visited_count += 1;
                     if self.collect_visited {
-                        visited.push(q.clone());
+                        visited.push((*node.query).clone());
                     }
                     accepted = true;
                     break;
                 }
             }
-            let mut reduced = false;
-            let mut any_gated = false;
-            for b in &u.from {
-                if removed.contains(&b.var) {
-                    continue;
-                }
-                let mut grown = removed.clone();
-                grown.insert(b.var.clone());
-                let grown = dependent_closure(u, &mut graph, grown);
-                if let Some(&state) = seen.get(&grown) {
-                    // Already examined via another route; a valid child
-                    // still means this node is not a normal form, a gated
-                    // one leaves its minimality undetermined.
-                    reduced |= state == ChildState::Valid;
-                    any_gated |= state == ChildState::Gated;
-                    continue;
-                }
-                let mut gated = false;
-                let child = subquery_for(u, &mut graph, &grown)
-                    .and_then(|q2| prune_unsafe_conditions(ctx, &q2))
-                    .and_then(|q2| {
-                        // Branch-and-bound gate: skip the expensive
-                        // equivalence verification when the visitor
-                        // already knows the candidate's sublattice cannot
-                        // matter.
-                        if !visitor.admit(&q2, &grown) {
-                            gated = true;
-                            return None;
-                        }
-                        // u ⊑ q2: containment mapping from q2 into u
-                        // itself (u is already chased, so no re-chase is
-                        // needed). The parent's witness restricted to the
-                        // surviving variables is almost always already
-                        // one; validate it before searching.
-                        let seed: Assignment = hom
-                            .iter()
-                            .filter(|&(v, _)| q2.from.iter().any(|b2| b2.var == *v))
-                            .map(|(v, p)| (v.clone(), p.clone()))
-                            .collect();
-                        let h2 = output_matching_hom(
-                            &mut hom_graph,
-                            &u.output,
-                            &q2,
-                            ctx.cfg(),
-                            Some(&seed),
-                        )?;
-                        if h2 == seed {
-                            ctx.note_seeded_hom();
-                        }
-                        // …and q2 ⊑ u: chase q2 (lazily, memoized), map
-                        // u in.
-                        if ctx.contained_in(&q2, u) {
-                            Some((q2, h2))
-                        } else {
-                            None
-                        }
-                    });
-                let state = match (&child, gated) {
-                    (Some(_), _) => ChildState::Valid,
-                    (None, true) => ChildState::Gated,
-                    (None, false) => ChildState::Invalid,
-                };
-                if gated {
-                    pruned_at_gate += 1;
-                    any_gated = true;
-                }
-                seen.insert(grown.clone(), state);
-                if let Some((q2, h2)) = child {
-                    reduced = true;
-                    seq += 1;
-                    queue.push(Frontier {
-                        prio: visitor.priority(&q2, &grown),
-                        seq,
-                        removed: grown,
-                        query: q2,
-                        hom: h2,
-                    });
-                }
-            }
-            if !reduced && !any_gated {
-                normal_forms.push(q);
+            // A valid child means this node is not a normal form; a gated
+            // one leaves its minimality undetermined.
+            let children = lattice.expand(&mut graphs, &node, &mut walk);
+            let minimal = children
+                .iter()
+                .all(|key| walk.seen.get(key) == Some(&ChildState::Invalid));
+            if minimal {
+                normal_forms.push((*node.query).clone());
             }
         }
+        lattice.finish();
         SearchOutcome {
             normal_forms,
             visited,
             visited_count,
             complete,
             pruned_at_visit,
-            pruned_at_gate,
+            pruned_at_gate: walk.pruned_at_gate,
             accepted,
             budget_expired,
             workers_died: 0,
         }
+    }
+}
+
+/// What became of a removal set the sequential walk examined.
+#[derive(Clone, Copy, PartialEq)]
+enum ChildState {
+    /// A verified equivalent subquery (enqueued once).
+    Valid,
+    /// Not a subquery / unsafe / not equivalent.
+    Invalid,
+    /// Skipped by the visitor's gate before verification.
+    Gated,
+}
+
+/// The sequential walk's half of an expansion: the seen map and the
+/// frontier.
+struct SequentialWalk<'v> {
+    visitor: &'v mut dyn SearchVisitor,
+    seen: HashMap<Removal, ChildState>,
+    queue: BinaryHeap<Frontier>,
+    seq: usize,
+    pruned_at_gate: usize,
+}
+
+impl Expansion for SequentialWalk<'_> {
+    fn claim(&mut self, key: &Removal) -> bool {
+        !self.seen.contains_key(key)
+    }
+
+    fn admit(&mut self, q: &Query, removed: &BTreeSet<String>) -> bool {
+        self.visitor.admit(q, removed)
+    }
+
+    fn settle(&mut self, key: Removal, child: Child) {
+        let state = match child {
+            Child::Valid(node) => {
+                self.seq += 1;
+                self.queue.push(Frontier {
+                    prio: self.visitor.priority(&node.query, &node.removed),
+                    seq: self.seq,
+                    node,
+                });
+                ChildState::Valid
+            }
+            Child::Invalid => ChildState::Invalid,
+            Child::Gated => {
+                self.pruned_at_gate += 1;
+                ChildState::Gated
+            }
+        };
+        self.seen.insert(key, state);
     }
 }
 

@@ -4,7 +4,8 @@
 //! questions — *what does `q` chase to?*, *is `q1 ⊑ q2`?*, *does `D ⊨ σ`
 //! hold?* — and the backchase asks them once per node of an exponential
 //! removal lattice. A [`ChaseContext`] owns one dependency set and one
-//! [`ChaseConfig`] and memoizes all three:
+//! [`ChaseConfig`], memoizes all three, and memoizes the lattice walk
+//! built from their answers:
 //!
 //! * **chase outcomes**, keyed by the alpha-normalized query. Entries
 //!   hold a *resumable* [`ChaseState`](crate::chase::ChaseState) rather
@@ -17,7 +18,28 @@
 //! * **implication verdicts** `D ⊨ σ`, keyed by a canonicalized `σ`
 //!   (bound variables renamed, constants abstracted, conditions
 //!   normalized and sorted) — lookup-safety and condition-pruning proofs
-//!   repeat heavily across the lattice.
+//!   repeat heavily across the lattice;
+//! * **verified lattices**, keyed by the exact universal plan `u`: for
+//!   every removal set a search walk examined, its dependent closure,
+//!   its safe subquery (or that it has none), and — once some walk
+//!   admitted it — the equivalence verdict with its witness. Phase 2
+//!   depends only on the query and the constraints, so a re-preparation
+//!   after a statistics refresh (phase 1 is a chase-memo hit and returns
+//!   the same `u`) replays the lattice without asking a single
+//!   containment or implication question; the visitor still gates,
+//!   orders, costs and prunes live. Next to them sit the **plan forms**
+//!   ([`ChaseContext::prune_implied_conditions`]): a lattice node with
+//!   its implied conditions dropped, keyed by the exact node, so costing
+//!   a replayed node asks no proof either. Both are constant-exact, like
+//!   chase states: a replayed subquery is handed back as a plan, so it
+//!   must carry the caller's own constants and variable names byte for
+//!   byte. Being constant-exact, they pay off only when the same plan
+//!   comes back, so both admit an entry on its *second* request: the
+//!   first leaves only the key's hash behind, and a workload whose plans
+//!   never repeat holds no lattice. Both count in
+//!   [`CacheStats::lattice_hits`] / [`CacheStats::lattice_misses`], apart
+//!   from the proof-memo totals [`CacheStats::hits`] /
+//!   [`CacheStats::misses`].
 //!
 //! **Constant abstraction.** The chase treats constants as uninterpreted
 //! symbols: a constant matches only itself, and no chase or hom rule
@@ -38,7 +60,7 @@
 //!
 //! **Shards.** Every question is answered through `&self`, so one
 //! context serves the sequential search and N parallel search workers
-//! alike. The three memos are distributed over 16 shards by the hash of
+//! alike. The memos are distributed over 16 shards by the hash of
 //! the memo key, each shard behind its own [`Mutex`]; workers touching
 //! different keys contend only on the hash-selected shard. A poisoned
 //! shard is recovered by discarding that shard's entries (a cache, always
@@ -59,20 +81,33 @@
 //! meets a marker, and the hit/miss counters do not depend on the shard
 //! count.
 //!
+//! A verified lattice goes through the same protocol at walk
+//! granularity: a search checks the lattice of `u` out when it starts
+//! (its parallel workers share the one checked-out copy behind a lock),
+//! fills it as it walks, and parks it when it ends. A concurrent walk of
+//! the same `u` works on a private lattice that is never parked. The
+//! checkout's slot is an armed guard like the chase marker: a walk that
+//! unwinds, or whose park panics or is lost to a fault, drops it armed,
+//! which clears the slot and loses the lattice — its verdicts are merely
+//! recomputed by the next walk. A lattice shed while checked out is
+//! dropped at park time.
+//!
 //! [`CacheStats`] counts hits and misses so benchmarks (E7/E8) can
 //! attribute speedups; [`ChaseContext::without_memo`] disables the
-//! caches for differential testing — a memoized and a cache-disabled run
-//! must produce byte-identical results.
+//! caches — the lattice memo included — for differential testing: a
+//! memoized and a cache-disabled run must produce byte-identical
+//! results.
 //!
 //! Two guards make long-lived contexts safe to hold: the context
 //! fingerprints its `(dependency set, budget)` and
 //! [`ChaseContext::ensure_deps`] drops every memo when asked to reason
 //! over a different theory (the optimizer calls it per optimization, so
 //! reusing one context across catalogs can no longer serve unsound
-//! memos), and [`ChaseContext::set_byte_limit`] bounds the memos'
-//! approximate footprint: a shard over its share of the limit sheds every
-//! entry ([`CacheStats::pressure_sheds`]). Both are counted in
-//! [`CacheStats`].
+//! memos, verified lattices included), and
+//! [`ChaseContext::set_byte_limit`] bounds the memos' approximate
+//! footprint, a parked lattice's entries included: a shard over its share
+//! of the limit sheds every entry ([`CacheStats::pressure_sheds`]). Both
+//! are counted in [`CacheStats`].
 //!
 //! The free functions [`chase`](crate::chase()), [`contained_in`],
 //! [`equivalent`], [`implies`], [`backchase`](crate::backchase()) …
@@ -81,10 +116,10 @@
 //! the same dependency set.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use pcql::query::{Binding, Equality, Output, Query};
@@ -94,6 +129,7 @@ use crate::chase::{ChaseConfig, ChaseOutcome, ChaseState};
 use crate::containment::output_matching_hom;
 use crate::faults::{self, FaultKind};
 use crate::implication::implies_uncached;
+use crate::lattice::Lattice;
 
 /// Cache hit/miss counters of a [`ChaseContext`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -136,6 +172,15 @@ pub struct CacheStats {
     /// Shards shed (all memo entries dropped) under memory pressure —
     /// either the approximate byte limit or an injected pressure signal.
     pub pressure_sheds: u64,
+    /// Lattice children a search walk took entirely from the lattice
+    /// memo (closure, subquery and, when admitted, the equivalence
+    /// verdict), plus plan forms served by
+    /// [`ChaseContext::prune_implied_conditions`]. Not part of
+    /// [`CacheStats::hits`]: those count proof lookups.
+    pub lattice_hits: u64,
+    /// Lattice children for which a walk computed anything, plus plan
+    /// forms computed. Not part of [`CacheStats::misses`].
+    pub lattice_misses: u64,
 }
 
 impl CacheStats {
@@ -153,20 +198,23 @@ impl CacheStats {
         self.poison_recoveries += other.poison_recoveries;
         self.checkout_retries += other.checkout_retries;
         self.pressure_sheds += other.pressure_sheds;
+        self.lattice_hits += other.lattice_hits;
+        self.lattice_misses += other.lattice_misses;
     }
 
-    /// Total memo hits across all three caches.
+    /// Total proof-memo hits: chase, containment and implication. The
+    /// lattice memo reports its own [`CacheStats::lattice_hits`].
     pub fn hits(&self) -> u64 {
         self.chase_hits + self.containment_hits + self.implication_hits
     }
 
-    /// Total memo misses across all three caches.
+    /// Total proof-memo misses: chase, containment and implication.
     pub fn misses(&self) -> u64 {
         self.chase_misses + self.containment_misses + self.implication_misses
     }
 
-    /// Fraction of lookups answered from a cache (0.0 when nothing was
-    /// asked).
+    /// Fraction of proof lookups answered from a cache (0.0 when nothing
+    /// was asked).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits() + self.misses();
         if total == 0 {
@@ -207,6 +255,41 @@ impl ChasedEntry {
         ChasedEntry {
             state: ChaseState::new(q),
             outcome: None,
+        }
+    }
+}
+
+/// A parked (or absent-while-borrowed) lattice memo entry.
+enum LatticeState {
+    Parked(Box<Lattice>),
+    /// A walk holds the lattice; a concurrent walk of the same plan
+    /// works on a private one instead.
+    CheckedOut,
+}
+
+/// The `CheckedOut` marker a lattice checkout left in its shard, and
+/// where the lattice parks again. Like [`Marker`]: parking disarms it;
+/// dropped armed — a walk that unwound, a park that panicked or was
+/// lost to a fault — it removes the marker, so the slot is never stuck
+/// checked out.
+pub(crate) struct LatticeSlot<'a> {
+    ctx: &'a ChaseContext,
+    key: Keyed<Arc<Query>>,
+    idx: usize,
+    armed: bool,
+}
+
+impl Drop for LatticeSlot<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            // `shard`, not `lock`: no failpoint may fire while unwinding.
+            let mut shard = self.ctx.shard(self.idx);
+            if matches!(
+                shard.lattices.get(&self.key),
+                Some(LatticeState::CheckedOut)
+            ) {
+                shard.lattices.remove(&self.key);
+            }
         }
     }
 }
@@ -272,13 +355,21 @@ impl Hasher for PassThrough {
 
 type Memo<K, V> = HashMap<Keyed<K>, V, BuildHasherDefault<PassThrough>>;
 
-/// One shard: a slice of each of the three memo tables plus its own
-/// counters, all guarded by a single mutex.
+/// One shard: a slice of each memo table plus its own counters, all
+/// guarded by a single mutex.
 #[derive(Default)]
 struct MemoShard {
     chased: Memo<Query, ChaseSlot>,
-    containment: Memo<(Query, Query), bool>,
+    containment: Memo<(Query, Arc<Query>), bool>,
     implication: Memo<Dependency, bool>,
+    lattices: Memo<Arc<Query>, LatticeState>,
+    /// Plan forms: a lattice node with its implied conditions pruned.
+    plans: Memo<Query, Query>,
+    /// Key hashes of the universal plans walked, and of the plan forms
+    /// computed, at least once: the constant-exact memos admit an entry
+    /// only on its second request (see [`ChaseContext::checkout_lattice`]).
+    lattices_sighted: HashSet<u64, BuildHasherDefault<PassThrough>>,
+    plans_sighted: HashSet<u64, BuildHasherDefault<PassThrough>>,
     stats: CacheStats,
     /// Approximate bytes held by this shard's memos: a per-entry
     /// estimate added on insert, zeroed on shed/recovery. Overwrites are
@@ -293,6 +384,10 @@ impl MemoShard {
         self.chased.clear();
         self.containment.clear();
         self.implication.clear();
+        self.lattices.clear();
+        self.plans.clear();
+        self.lattices_sighted.clear();
+        self.plans_sighted.clear();
         self.bytes = 0;
     }
 
@@ -306,9 +401,13 @@ impl MemoShard {
 /// Rough per-entry footprint of a memoized query (key or resumable
 /// state): a fixed overhead plus a per-AST-node constant. Only relative
 /// accuracy matters — the limit is compared against sums.
-fn approx_query_bytes(q: &Query) -> usize {
+pub(crate) fn approx_query_bytes(q: &Query) -> usize {
     64 + 48 * q.size()
 }
+
+/// Footprint of one sighted key hash (the admission filter of the
+/// constant-exact memos): the hash plus its table slot.
+const SIGHTED_BYTES: usize = 16;
 
 fn approx_dependency_bytes(d: &Dependency) -> usize {
     64 + 48 * (d.forall.len() + d.exists.len() + d.premise.len() + d.conclusion.len())
@@ -337,8 +436,9 @@ impl Drop for Marker<'_> {
 }
 
 /// The memoized chase core: one dependency set, one budget, and sharded
-/// caches for chase outcomes, containment and implication, shareable
-/// across threads. See the module docs for the architecture.
+/// caches for chase outcomes, containment, implication and verified
+/// lattices, shareable across threads. See the module docs for the
+/// architecture.
 pub struct ChaseContext {
     deps: Vec<Dependency>,
     cfg: ChaseConfig,
@@ -352,11 +452,14 @@ pub struct ChaseContext {
     /// exceeding its even split sheds itself.
     byte_limit: Option<usize>,
     shards: Vec<Mutex<MemoShard>>,
-    /// Counters no shard owns: `ensure_deps` outcomes and seeded
-    /// witnesses (counted by the search loop, not a memo lookup).
+    /// Counters no shard owns: `ensure_deps` outcomes, and seeded
+    /// witnesses and lattice children (counted by the search loop, not
+    /// a shard lookup).
     deps_resets: u64,
     reorder_resets_avoided: u64,
     seeded_hom_hits: AtomicU64,
+    lattice_hits: AtomicU64,
+    lattice_misses: AtomicU64,
 }
 
 impl ChaseContext {
@@ -374,6 +477,8 @@ impl ChaseContext {
             deps_resets: 0,
             reorder_resets_avoided: 0,
             seeded_hom_hits: AtomicU64::new(0),
+            lattice_hits: AtomicU64::new(0),
+            lattice_misses: AtomicU64::new(0),
         }
     }
 
@@ -452,17 +557,19 @@ impl ChaseContext {
     /// every optimization, so callers can hold one context across
     /// catalogs without tracking constraint identity themselves.
     pub fn ensure_deps(&mut self, deps: &[Dependency], cfg: &ChaseConfig) -> bool {
+        // The same slice and budget: nothing to fingerprint.
+        if deps == self.deps && cfg == &self.cfg {
+            return false;
+        }
         let fp = ChaseContext::fingerprint_of(deps, cfg);
-        if fp == self.fingerprint && cfg == &self.cfg {
-            if deps == self.deps {
-                return false;
-            }
-            // The fingerprint already hashes the canonical set; confirm
-            // exactly so a collision cannot keep stale memos alive.
-            if canonical_dep_set(deps) == canonical_dep_set(&self.deps) {
-                self.reorder_resets_avoided += 1;
-                return false;
-            }
+        // The fingerprint already hashes the canonical set; confirm
+        // exactly so a collision cannot keep stale memos alive.
+        if fp == self.fingerprint
+            && cfg == &self.cfg
+            && canonical_dep_set(deps) == canonical_dep_set(&self.deps)
+        {
+            self.reorder_resets_avoided += 1;
+            return false;
         }
         self.deps = deps.to_vec();
         self.keys = MemoKeys::new(deps);
@@ -485,6 +592,11 @@ impl ChaseContext {
         &self.cfg
     }
 
+    /// Whether the memos are on (off for [`ChaseContext::without_memo`]).
+    pub(crate) fn caching(&self) -> bool {
+        self.caching
+    }
+
     /// A snapshot of the cache counters: the sum over every shard plus
     /// the counters no shard owns.
     pub fn stats(&self) -> CacheStats {
@@ -492,6 +604,8 @@ impl ChaseContext {
             deps_resets: self.deps_resets,
             reorder_resets_avoided: self.reorder_resets_avoided,
             seeded_hom_hits: self.seeded_hom_hits.load(Ordering::Relaxed),
+            lattice_hits: self.lattice_hits.load(Ordering::Relaxed),
+            lattice_misses: self.lattice_misses.load(Ordering::Relaxed),
             ..CacheStats::default()
         };
         for idx in 0..self.shards.len() {
@@ -511,6 +625,17 @@ impl ChaseContext {
     /// Counts a containment check discharged by a parent-seeded witness.
     pub(crate) fn note_seeded_hom(&self) {
         self.seeded_hom_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one lattice child (or plan form): answered by the memo, or
+    /// not.
+    pub(crate) fn note_lattice(&self, hit: bool) {
+        let counter = if hit {
+            &self.lattice_hits
+        } else {
+            &self.lattice_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The shard of a key: high hash bits, so the low bits the shard's
@@ -698,13 +823,28 @@ impl ChaseContext {
     /// budget), exactly like the eager test. The chase state is checked
     /// out, stepped outside any lock, and parked resumed.
     pub fn contained_in(&self, q1: &Query, q2: &Query) -> bool {
+        self.contained_in_target(q1, &self.containment_target(q2))
+    }
+
+    /// `q2`'s half of the containment key of `_ ⊑ q2`, for asking
+    /// [`ChaseContext::contained_in_target`] about many subqueries of
+    /// one target (a lattice walk asks it of every child of `u`).
+    pub(crate) fn containment_target<'q>(&self, q2: &'q Query) -> ContainmentTarget<'q> {
+        self.keys.target(q2)
+    }
+
+    /// [`ChaseContext::contained_in`] with `q2`'s half of the key built
+    /// by [`ChaseContext::containment_target`]: the same key, the same
+    /// memo entry, the same verdict.
+    pub(crate) fn contained_in_target(&self, q1: &Query, target: &ContainmentTarget<'_>) -> bool {
+        let q2 = target.query;
         // Failpoint: a transient Err is recovered by proceeding (the
         // proof below is deterministic); a panic unwinds to the caller's
         // catch. Placed before any lookup so no memo is torn.
         if faults::hit("context::contained_in").is_err() {
             faults::note_recovered();
         }
-        let ckey = Keyed::new(self.keys.containment(q1, q2));
+        let ckey = self.keys.containment(q1, target);
         let cidx = self.shard_of(&ckey);
         {
             let mut shard = self.lock(cidx);
@@ -757,6 +897,146 @@ impl ChaseContext {
     /// Are the queries equivalent under this context's dependencies?
     pub fn equivalent(&self, q1: &Query, q2: &Query) -> bool {
         self.contained_in(q1, q2) && self.contained_in(q2, q1)
+    }
+
+    /// Checks the verified lattice of `u` out for one search walk (see
+    /// the `lattice` module): the parked lattice on a hit, with the armed
+    /// slot to park it in. A lattice is only worth its memory if `u` is
+    /// walked again — a re-preparation after a statistics refresh — so a
+    /// miss admits one only on the second walk of `u`: the first merely
+    /// records `u`'s key hash and walks on a private lattice that is
+    /// never parked, the second records a fresh lattice into a new slot,
+    /// and the third replays it. A workload that never repeats a plan
+    /// (every query with a new constant) therefore holds no lattice. A
+    /// lattice another walk holds — or any lattice with caching off — is
+    /// substituted by a private fresh one too. The `shared::checkout`
+    /// failpoint is recovered by proceeding (a pressure signal sheds the
+    /// shard first).
+    pub(crate) fn checkout_lattice(&self, u: &Arc<Query>) -> (Lattice, Option<LatticeSlot<'_>>) {
+        if !self.caching {
+            return (Lattice::default(), None);
+        }
+        let injected = faults::hit("shared::checkout").err();
+        let key = Keyed::new(Arc::clone(u));
+        let idx = self.shard_of(&key);
+        let mut guard = self.lock(idx);
+        let shard = &mut *guard;
+        if let Some(f) = injected {
+            faults::note_recovered();
+            if f.kind == FaultKind::MemPressure {
+                shard.shed();
+            }
+        }
+        let slot = |key| LatticeSlot {
+            ctx: self,
+            key,
+            idx,
+            armed: true,
+        };
+        match shard.lattices.get_mut(&key) {
+            Some(state) => match std::mem::replace(state, LatticeState::CheckedOut) {
+                LatticeState::Parked(lattice) => (*lattice, Some(slot(key))),
+                LatticeState::CheckedOut => (Lattice::default(), None),
+            },
+            None if shard.lattices_sighted.contains(&key.hash) => {
+                let key2 = Keyed {
+                    hash: key.hash,
+                    key: Arc::clone(&key.key),
+                };
+                shard.lattices.insert(key2, LatticeState::CheckedOut);
+                shard.bytes += approx_query_bytes(u);
+                self.enforce_byte_limit(shard);
+                (Lattice::default(), Some(slot(key)))
+            }
+            None => {
+                shard.lattices_sighted.insert(key.hash);
+                shard.bytes += SIGHTED_BYTES;
+                self.enforce_byte_limit(shard);
+                (Lattice::default(), None)
+            }
+        }
+    }
+
+    /// Parks a checked-out lattice, accounting the bytes it grew by and
+    /// enforcing the byte limit, and disarms its slot. A slot shed
+    /// meanwhile drops the lattice; a park lost to the `shared::park`
+    /// failpoint leaves the slot armed, so dropping it clears the
+    /// marker — as does a panic anywhere before the lattice is home.
+    pub(crate) fn park_lattice(&self, mut slot: LatticeSlot<'_>, mut lattice: Lattice) {
+        match faults::hit("shared::park") {
+            Ok(()) => {}
+            Err(f) => {
+                faults::note_recovered();
+                if f.kind == FaultKind::Error {
+                    return;
+                }
+            }
+        }
+        let mut guard = self.lock(slot.idx);
+        let shard = &mut *guard;
+        if let Some(state) = shard.lattices.get_mut(&slot.key) {
+            shard.bytes += lattice.bytes - lattice.accounted;
+            lattice.accounted = lattice.bytes;
+            *state = LatticeState::Parked(Box::new(lattice));
+            self.enforce_byte_limit(shard);
+        }
+        slot.armed = false;
+    }
+
+    /// `q` with every `where` condition the rest of `q` implies under
+    /// the dependencies dropped, one condition at a time in order — the
+    /// plan form the optimizer costs a lattice node in. The maximal `C'`
+    /// of a backchase subquery routinely carries conditions like
+    /// `t = I[t.PName]` that hold on every constraint-satisfying
+    /// instance and would only cost lookups at run time. Memoized per
+    /// exact query (constant-exact, like chase states: the result is
+    /// handed back) from its second computation on — the admission rule
+    /// of [`ChaseContext::checkout_lattice`] — and counted as lattice
+    /// hits and misses, so a replayed lattice costs its nodes without a
+    /// single implication lookup.
+    pub fn prune_implied_conditions(&self, q: &Query) -> Query {
+        let key = Keyed::new(q.clone());
+        let idx = self.shard_of(&key);
+        if self.caching {
+            if let Some(plan) = self.lock(idx).plans.get(&key) {
+                let plan = plan.clone();
+                self.note_lattice(true);
+                return plan;
+            }
+        }
+        self.note_lattice(false);
+        let mut out = q.clone();
+        let mut i = 0;
+        while i < out.where_.len() {
+            let mut premise = out.where_.clone();
+            let conclusion = premise.remove(i);
+            let sigma = Dependency::new(
+                "prune",
+                out.from.clone(),
+                premise.clone(),
+                vec![],
+                vec![conclusion],
+            );
+            if self.implies(&sigma) {
+                out.where_ = premise;
+            } else {
+                i += 1;
+            }
+        }
+        if self.caching {
+            // Admitted on its second computation, like a lattice: a plan
+            // form first only leaves its key hash.
+            let mut guard = self.lock(idx);
+            let shard = &mut *guard;
+            if shard.plans_sighted.insert(key.hash) {
+                shard.bytes += SIGHTED_BYTES;
+            } else {
+                shard.bytes += approx_query_bytes(&key.key) + approx_query_bytes(&out);
+                shard.plans.insert(key, out.clone());
+            }
+            self.enforce_byte_limit(shard);
+        }
+        out
     }
 
     /// Does the dependency set imply `sigma` (as far as the bounded chase
@@ -827,14 +1107,48 @@ impl MemoKeys {
         MemoKeys { dep_constants }
     }
 
-    /// The containment key of `q1 ⊑ q2`: both queries alpha-normalized,
-    /// then constant-abstracted under one shared numbering.
-    fn containment(&self, q1: &Query, q2: &Query) -> (Query, Query) {
-        let (mut k1, mut k2) = (q1.alpha_normalized(), q2.alpha_normalized());
+    /// The target half of containment keys `_ ⊑ q2`: `q2`
+    /// alpha-normalized and constant-abstracted, its hash, and the
+    /// numbering state the subquery half continues.
+    fn target<'q>(&self, q2: &'q Query) -> ContainmentTarget<'q> {
+        let mut key = q2.alpha_normalized();
         let mut abs = Abstraction::new(&self.dep_constants);
+        abs.query(&mut key);
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        ContainmentTarget {
+            query: q2,
+            key: Arc::new(key),
+            hash: h.finish(),
+            renamed: abs.renamed,
+            next: abs.next,
+        }
+    }
+
+    /// The containment key of `q1 ⊑ q2` given `q2`'s [`ContainmentTarget`]:
+    /// `q1` alpha-normalized, then constant-abstracted continuing the
+    /// target's numbering (placeholders are numbered from the target
+    /// first, so equal constants across the pair stay equal). Its hash
+    /// combines the target's precomputed hash with `q1`'s.
+    fn containment(
+        &self,
+        q1: &Query,
+        target: &ContainmentTarget<'_>,
+    ) -> Keyed<(Query, Arc<Query>)> {
+        let mut k1 = q1.alpha_normalized();
+        let mut abs = Abstraction {
+            fixed: &self.dep_constants,
+            renamed: target.renamed.clone(),
+            next: target.next,
+        };
         abs.query(&mut k1);
-        abs.query(&mut k2);
-        (k1, k2)
+        let mut h = DefaultHasher::new();
+        h.write_u64(target.hash);
+        k1.hash(&mut h);
+        Keyed {
+            hash: h.finish(),
+            key: (k1, Arc::clone(&target.key)),
+        }
     }
 
     /// The implication key of `sigma`: [`canonical_dependency`], then
@@ -852,6 +1166,16 @@ impl MemoKeys {
         abs.conditions(&mut key.conclusion);
         key
     }
+}
+
+/// `q2`'s half of the containment key of `_ ⊑ q2`; see
+/// [`ChaseContext::containment_target`].
+pub(crate) struct ContainmentTarget<'q> {
+    query: &'q Query,
+    key: Arc<Query>,
+    hash: u64,
+    renamed: HashMap<Constant, Constant>,
+    next: usize,
 }
 
 /// One injective renaming of non-dependency constants to placeholders,
@@ -1128,6 +1452,7 @@ mod tests {
     #[test]
     fn abstraction_preserves_the_equality_pattern_of_constants() {
         let keys = MemoKeys::new(&[ric()]);
+        let containment = |q1: &Query, q2: &Query| keys.containment(q1, &keys.target(q2)).key;
         let q = |a: &str, b: &str| {
             parse_query(&format!(
                 "select struct(C = r.C) from R r where r.A = {a} and r.B = {b}"
@@ -1136,18 +1461,15 @@ mod tests {
         };
         let same = q("3", "3");
         let distinct = q("3", "4");
-        assert_ne!(
-            keys.containment(&same, &same),
-            keys.containment(&distinct, &distinct)
-        );
+        assert_ne!(containment(&same, &same), containment(&distinct, &distinct));
         assert_eq!(
-            keys.containment(&distinct, &distinct),
-            keys.containment(&q("5", "6"), &q("5", "6"))
+            containment(&distinct, &distinct),
+            containment(&q("5", "6"), &q("5", "6"))
         );
         // One numbering spans both queries of a pair.
         assert_ne!(
-            keys.containment(&q("3", "4"), &q("3", "4")),
-            keys.containment(&q("3", "4"), &q("5", "6"))
+            containment(&q("3", "4"), &q("3", "4")),
+            containment(&q("3", "4"), &q("5", "6"))
         );
         // And the verdicts differ: `A = B` holds only when the constants
         // coincide, so memoizing one must not answer the other.

@@ -70,9 +70,10 @@ pub const SITES: &[&str] = &[
     // A shard mutex was just acquired (fires *inside* the lock, so a
     // panic here genuinely poisons the shard).
     "shared::shard_lock",
-    // A chase memo entry is being checked out of its shard.
+    // A chase memo entry (or a search walk's verified lattice) is being
+    // checked out of its shard.
     "shared::checkout",
-    // A checked-out entry is being parked back.
+    // A checked-out entry or lattice is being parked back.
     "shared::park",
     // A memo insert is about to land (the memory-pressure seam).
     "shared::memo",

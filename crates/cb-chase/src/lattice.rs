@@ -1,0 +1,552 @@
+//! The verified lattice of a universal plan — the [`ChaseContext`]'s
+//! fourth memo — and the one child expansion both search drivers run.
+//!
+//! Phases 1–2 of chase & backchase depend only on the query and the
+//! constraints; statistics enter only when a visitor gates, orders,
+//! costs and prunes. So everything a walk learns about the removal sets
+//! of `u` is a function of `(deps, cfg, u, removal set)`:
+//!
+//! * the dependent closure of each seed it expands;
+//! * each closure's safe syntactic subquery, or *dead* (not a subquery,
+//!   or fatally unsafe);
+//! * once some walk admitted a subquery through its gate, whether it is
+//!   equivalent to `u`, with the witness of `u ⊑ subquery`.
+//!
+//! The lattice-construction [`QueryGraph`] only ever interns `u`'s own
+//! paths and canonical representatives do not depend on insertion
+//! order, so a child computed by one walk is byte-identical to the child
+//! any other walk would compute. A [`Lattice`] records these facts per
+//! universal plan; a walk over the same `u` — a re-preparation after a
+//! statistics refresh — replays them instead of re-deriving closures,
+//! subqueries, lookup-safety proofs and containment proofs, while the
+//! visitor still gates, prioritises, costs and prunes live. Visit order,
+//! node and prune counters and plans are therefore those of a fresh
+//! walk. A child the first walk gated is verified lazily by the first
+//! walk that admits it.
+//!
+//! A lattice costs memory in proportion to the walk, so it is recorded
+//! only for a plan that is walked again: the first walk of `u` leaves
+//! just `u`'s key hash behind, the second records the lattice, the third
+//! and later ones replay it ([`ChaseContext::checkout_lattice`]). A
+//! workload that never repeats a universal plan holds no lattice.
+//!
+//! A walk checks the lattice out of the context for its whole duration
+//! ([`LatticeWalk::begin`]) and parks it again at the end
+//! ([`LatticeWalk::finish`]); the parallel walk's workers share the one
+//! checked-out lattice behind a lock. A walk that unwinds without
+//! finishing — or whose park panics or is lost — loses its additions and
+//! the lattice with them, and its armed slot clears the checked-out
+//! marker, so the next walk of `u` records afresh. That is always safe:
+//! the memo is a cache.
+
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
+use pcql::path::Path;
+use pcql::query::Query;
+
+use crate::backchase::{dependent_closure, prune_unsafe_conditions, subquery_for};
+use crate::canon::QueryGraph;
+use crate::containment::output_matching_hom;
+use crate::context::{approx_query_bytes, ChaseContext, ContainmentTarget, LatticeSlot};
+use crate::hom::Assignment;
+
+/// A removal set over `u.from`, one bit per binding position.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct Removal(Box<[u64]>);
+
+impl Removal {
+    /// The empty removal set over `n` bindings.
+    fn empty(n: usize) -> Removal {
+        Removal(vec![0; n.div_ceil(64).max(1)].into_boxed_slice())
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    fn with(&self, i: usize) -> Removal {
+        let mut grown = self.clone();
+        grown.0[i / 64] |= 1 << (i % 64);
+        grown
+    }
+
+    fn of_names(u: &Query, names: &BTreeSet<String>) -> Removal {
+        let mut r = Removal::empty(u.from.len());
+        for (i, b) in u.from.iter().enumerate() {
+            if names.contains(&b.var) {
+                r.0[i / 64] |= 1 << (i % 64);
+            }
+        }
+        r
+    }
+
+    fn names(&self, u: &Query) -> BTreeSet<String> {
+        u.from
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| self.contains(i))
+            .map(|(_, b)| b.var.clone())
+            .collect()
+    }
+
+    /// Its footprint as a memo key or value: the boxed words plus the
+    /// table slot.
+    fn approx_bytes(&self) -> usize {
+        48 + 8 * self.0.len()
+    }
+}
+
+/// Rough footprint of a shared name set or witness of `n` entries: the
+/// `Arc`, one B-tree node per eleven entries, and each entry's own heap.
+fn approx_tree_bytes(n: usize, per_entry: usize) -> usize {
+    48 + 280 * n.div_ceil(11).max(1) + per_entry * n
+}
+
+/// What the memo knows about one removal set (a dependent closure).
+#[derive(Clone)]
+struct Entry {
+    /// The removal set by variable name, as visitors see it.
+    removed: Arc<BTreeSet<String>>,
+    /// The safe syntactic subquery; `None` when the set is dead.
+    query: Option<Arc<Query>>,
+    /// Set once some walk admitted the subquery: the witness of
+    /// `u ⊑ query` when the subquery is equivalent to `u`, else `None`.
+    verdict: Option<Option<Arc<Assignment>>>,
+}
+
+/// The verified lattice of one universal plan: the dependent closure of
+/// every seed a walk expanded and the entry of every closure it
+/// examined. See the module docs.
+#[derive(Default)]
+pub(crate) struct Lattice {
+    closures: HashMap<Removal, Removal>,
+    entries: HashMap<Removal, Entry>,
+    /// Approximate bytes held, and how many of them the context's shard
+    /// accounting has seen (the rest were added since the last park).
+    pub(crate) bytes: usize,
+    pub(crate) accounted: usize,
+}
+
+/// A verified lattice node: a frontier entry's payload. Every part is
+/// shared with the memo, so enqueuing a node copies no query.
+pub(crate) struct Node {
+    pub(crate) key: Removal,
+    pub(crate) removed: Arc<BTreeSet<String>>,
+    pub(crate) query: Arc<Query>,
+    /// The witness of `u ⊑ query`, seeding the children's checks.
+    pub(crate) hom: Arc<Assignment>,
+}
+
+/// What became of a child a walk claimed.
+pub(crate) enum Child {
+    /// A verified equivalent subquery.
+    Valid(Node),
+    /// Not a subquery, unsafe, or not equivalent.
+    Invalid,
+    /// Skipped by the visitor's gate before verification.
+    Gated,
+}
+
+/// The walk-specific half of an expansion: which children the walk
+/// still has to examine, the visitor's gate, and what the walk does with
+/// each examined child.
+pub(crate) trait Expansion {
+    /// Claims a child removal set for examination; `false` when the walk
+    /// already examined (or is examining) it via another route.
+    fn claim(&mut self, key: &Removal) -> bool;
+    /// The visitor's pre-verification gate.
+    fn admit(&mut self, q: &Query, removed: &BTreeSet<String>) -> bool;
+    /// Records a claimed child's fate.
+    fn settle(&mut self, key: Removal, child: Child);
+}
+
+/// One walker's graphs over `u`, built on first use (a replayed walk
+/// never needs them): the lattice-construction graph (dependent
+/// closures, re-expression, implied conditions) and the homomorphism
+/// graph for `u ⊑ q'` checks. They are kept separate because hom
+/// searches intern candidate paths wholesale, and implied conditions
+/// must only see paths that come from `u` itself.
+#[derive(Default)]
+pub(crate) struct Graphs {
+    lattice: Option<QueryGraph>,
+    hom: Option<QueryGraph>,
+}
+
+impl Graphs {
+    fn lattice(&mut self, u: &Query) -> &mut QueryGraph {
+        self.lattice.get_or_insert_with(|| QueryGraph::of_query(u))
+    }
+
+    fn hom(&mut self, u: &Query) -> &mut QueryGraph {
+        self.hom.get_or_insert_with(|| QueryGraph::of_query(u))
+    }
+}
+
+/// One walk over the lattice of `u` with its memo checked out of the
+/// context; shared by reference among the walk's workers.
+pub(crate) struct LatticeWalk<'a> {
+    ctx: &'a ChaseContext,
+    u: &'a Query,
+    root: Arc<Query>,
+    memo: Mutex<Lattice>,
+    /// Where the memo parks again; `None` for a private memo (caching
+    /// off, the first walk of `u`, or the slot held by a concurrent
+    /// walk). Dropped armed — the walk unwound — it clears the slot.
+    slot: Option<LatticeSlot<'a>>,
+    /// `u`'s half of every containment key, built at most once.
+    target: OnceLock<ContainmentTarget<'a>>,
+}
+
+impl<'a> LatticeWalk<'a> {
+    /// Checks the lattice of `u` out of `ctx` (a fresh one on a miss;
+    /// recorded only from the second walk of `u` on).
+    pub(crate) fn begin(ctx: &'a ChaseContext, u: &'a Query) -> LatticeWalk<'a> {
+        let root = Arc::new(u.clone());
+        let (memo, slot) = ctx.checkout_lattice(&root);
+        LatticeWalk {
+            ctx,
+            u,
+            root,
+            memo: Mutex::new(memo),
+            slot,
+            target: OnceLock::new(),
+        }
+    }
+
+    /// Parks the memo back into the context.
+    pub(crate) fn finish(mut self) {
+        if let Some(slot) = self.slot.take() {
+            let memo = std::mem::take(&mut *self.lock());
+            self.ctx.park_lattice(slot, memo);
+        }
+    }
+
+    /// The lattice's root: `u` itself, witnessed by the identity.
+    pub(crate) fn root(&self) -> Node {
+        Node {
+            key: Removal::empty(self.u.from.len()),
+            removed: Arc::new(BTreeSet::new()),
+            query: Arc::clone(&self.root),
+            hom: Arc::new(
+                self.u
+                    .from
+                    .iter()
+                    .map(|b| (b.var.clone(), Path::Var(b.var.clone())))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// The memo. A worker that panicked while holding the lock left
+    /// every entry whole (entries are inserted whole), so poisoning is
+    /// ignored.
+    fn lock(&self) -> MutexGuard<'_, Lattice> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Expands `parent`: for every binding it keeps, the child removal
+    /// set (the dependent closure of the parent's plus that binding),
+    /// and — for each child the walk claims — the child's safe
+    /// subquery, the visitor's gate, and the two containment checks
+    /// against `u`, each read from the memo when a walk already made it
+    /// and recorded otherwise. Returns every child removal set, claimed
+    /// or not, for the normal-form judgement.
+    pub(crate) fn expand(
+        &self,
+        graphs: &mut Graphs,
+        parent: &Node,
+        walk: &mut impl Expansion,
+    ) -> Vec<Removal> {
+        let mut children = Vec::new();
+        for i in 0..self.u.from.len() {
+            if parent.key.contains(i) {
+                continue;
+            }
+            let (key, mut answered) = self.closure(graphs, parent.key.with(i));
+            children.push(key.clone());
+            if walk.claim(&key) {
+                let (child, replayed) = self.examine(graphs, &key, &parent.hom, walk);
+                answered &= replayed;
+                walk.settle(key, child);
+            }
+            self.ctx.note_lattice(answered);
+        }
+        children
+    }
+
+    /// The dependent closure of `seed`, and whether the memo had it.
+    /// Closures are kept even in a private memo (unless caching is off):
+    /// different parents reach the same seed within one walk, and a
+    /// closure is two small bitsets.
+    fn closure(&self, graphs: &mut Graphs, seed: Removal) -> (Removal, bool) {
+        if let Some(closure) = self.lock().closures.get(&seed) {
+            return (closure.clone(), true);
+        }
+        let names = dependent_closure(self.u, graphs.lattice(self.u), seed.names(self.u));
+        let closure = Removal::of_names(self.u, &names);
+        if self.ctx.caching() {
+            let mut memo = self.lock();
+            memo.bytes += seed.approx_bytes() + closure.approx_bytes();
+            memo.closures.insert(seed, closure.clone());
+        }
+        (closure, false)
+    }
+
+    /// Examines a claimed child: its subquery, the gate, the
+    /// equivalence verdict. Also returns whether the memo answered all
+    /// of it.
+    fn examine(
+        &self,
+        graphs: &mut Graphs,
+        key: &Removal,
+        parent_hom: &Assignment,
+        walk: &mut impl Expansion,
+    ) -> (Child, bool) {
+        let cached = self.lock().entries.get(key).cloned();
+        let mut replayed = cached.is_some();
+        let entry = cached.unwrap_or_else(|| {
+            let removed = key.names(self.u);
+            let query = subquery_for(self.u, graphs.lattice(self.u), &removed)
+                .and_then(|q2| prune_unsafe_conditions(self.ctx, &q2))
+                .map(Arc::new);
+            let entry = Entry {
+                removed: Arc::new(removed),
+                query,
+                verdict: None,
+            };
+            if self.slot.is_some() {
+                let mut memo = self.lock();
+                memo.bytes += key.approx_bytes()
+                    + 32
+                    + approx_tree_bytes(entry.removed.len(), 16)
+                    + entry.query.as_deref().map_or(0, approx_query_bytes);
+                memo.entries.insert(key.clone(), entry.clone());
+            }
+            entry
+        });
+        let Some(query) = entry.query else {
+            return (Child::Invalid, replayed);
+        };
+        // Branch-and-bound gate: skip the expensive equivalence
+        // verification when the visitor already knows the candidate's
+        // sublattice cannot matter.
+        if !walk.admit(&query, &entry.removed) {
+            return (Child::Gated, replayed);
+        }
+        let verdict = entry.verdict.unwrap_or_else(|| {
+            replayed = false;
+            let verdict = self.verify(graphs, &query, parent_hom);
+            if self.slot.is_some() {
+                let mut memo = self.lock();
+                memo.bytes += verdict
+                    .as_ref()
+                    .map_or(0, |h| approx_tree_bytes(h.len(), 64));
+                if let Some(e) = memo.entries.get_mut(key) {
+                    e.verdict = Some(verdict.clone());
+                }
+            }
+            verdict
+        });
+        let child = match verdict {
+            Some(hom) => Child::Valid(Node {
+                key: key.clone(),
+                removed: entry.removed,
+                query,
+                hom,
+            }),
+            None => Child::Invalid,
+        };
+        (child, replayed)
+    }
+
+    /// Is the subquery `q2` equivalent to `u`? The witness of `u ⊑ q2`
+    /// when it is.
+    fn verify(
+        &self,
+        graphs: &mut Graphs,
+        q2: &Query,
+        parent_hom: &Assignment,
+    ) -> Option<Arc<Assignment>> {
+        let u = self.u;
+        // u ⊑ q2: containment mapping from q2 into u itself (u is
+        // already chased, so no re-chase is needed). The parent's
+        // witness restricted to the surviving variables is almost always
+        // already one; validate it before searching.
+        let seed: Assignment = parent_hom
+            .iter()
+            .filter(|&(v, _)| q2.from.iter().any(|b| b.var == *v))
+            .map(|(v, p)| (v.clone(), p.clone()))
+            .collect();
+        let h2 = output_matching_hom(graphs.hom(u), &u.output, q2, self.ctx.cfg(), Some(&seed))?;
+        if h2 == seed {
+            self.ctx.note_seeded_hom();
+        }
+        // …and q2 ⊑ u: chase q2 (lazily, memoized), map u in — against
+        // u's half of the containment key, built once per walk.
+        let target = self.target.get_or_init(|| self.ctx.containment_target(u));
+        self.ctx
+            .contained_in_target(q2, target)
+            .then(|| Arc::new(h2))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::backchase::{ExploreAll, PlanSearch, SearchOutcome};
+    use crate::chase::ChaseConfig;
+    use crate::context::{CacheStats, ChaseContext};
+    use crate::faults;
+    use pcql::parser::{parse_dependency, parse_query};
+    use pcql::query::Query;
+    use pcql::Dependency;
+
+    fn view_scenario() -> (Query, Vec<Dependency>) {
+        let u = parse_query(
+            "select struct(A = r.A) from R r, S s, V v \
+             where r.B = s.B and v.A = r.A",
+        )
+        .unwrap();
+        let deps = vec![
+            parse_dependency(
+                "c_V",
+                "forall (r in R) (s in S) where r.B = s.B -> exists (v in V) where v.A = r.A",
+            )
+            .unwrap(),
+            parse_dependency(
+                "c'_V",
+                "forall (v in V) -> exists (r in R) (s in S) where r.B = s.B and v.A = r.A",
+            )
+            .unwrap(),
+        ];
+        (u, deps)
+    }
+
+    fn walk(ctx: &ChaseContext, u: &Query) -> (SearchOutcome, CacheStats) {
+        let before = ctx.stats();
+        let out = PlanSearch::new(u).run(ctx, &mut ExploreAll);
+        let after = ctx.stats();
+        let delta = CacheStats {
+            containment_hits: after.containment_hits - before.containment_hits,
+            containment_misses: after.containment_misses - before.containment_misses,
+            implication_hits: after.implication_hits - before.implication_hits,
+            implication_misses: after.implication_misses - before.implication_misses,
+            lattice_hits: after.lattice_hits - before.lattice_hits,
+            lattice_misses: after.lattice_misses - before.lattice_misses,
+            ..CacheStats::default()
+        };
+        (out, delta)
+    }
+
+    fn assert_same_walk(a: &SearchOutcome, b: &SearchOutcome) {
+        assert_eq!(a.visited, b.visited);
+        assert_eq!(a.normal_forms, b.normal_forms);
+        assert_eq!(a.pruned_at_gate, b.pruned_at_gate);
+    }
+
+    #[test]
+    fn the_second_walk_records_the_lattice_and_the_third_replays_it() {
+        let (u, deps) = view_scenario();
+        let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+        let (cold, first) = walk(&ctx, &u);
+        assert!(first.lattice_misses > 0 && first.containment_misses > 0);
+        // The first walk admitted no lattice: the second one computes
+        // the children again (its proofs hit the proof memos) and
+        // records them. Within either walk, only a closure reached twice
+        // is a hit.
+        let (recorded, second) = walk(&ctx, &u);
+        assert_same_walk(&recorded, &cold);
+        assert_eq!(second.lattice_misses, first.lattice_misses, "{second:?}");
+        assert_eq!(second.lattice_hits, first.lattice_hits, "{second:?}");
+        let (replay, third) = walk(&ctx, &u);
+        assert_same_walk(&replay, &cold);
+        assert_eq!(third.lattice_misses, 0, "{third:?}");
+        assert_eq!(
+            third.containment_hits + third.containment_misses,
+            0,
+            "{third:?}"
+        );
+        assert_eq!(
+            third.implication_hits + third.implication_misses,
+            0,
+            "{third:?}"
+        );
+        assert_eq!(
+            third.lattice_hits,
+            first.lattice_hits + first.lattice_misses
+        );
+        // The memo-free context walks the same lattice and never hits.
+        let off = ChaseContext::without_memo(deps, ChaseConfig::default());
+        let mut off_hits = 0;
+        for _ in 0..3 {
+            let (oracle, stats) = walk(&off, &u);
+            assert_same_walk(&oracle, &cold);
+            off_hits += stats.lattice_hits;
+        }
+        assert_eq!(off_hits, 0);
+    }
+
+    #[test]
+    fn a_walk_that_unwinds_loses_its_lattice_and_leaves_no_stuck_slot() {
+        let (u, deps) = view_scenario();
+        let ctx = ChaseContext::new(deps, ChaseConfig::default());
+        let (_, cold) = walk(&ctx, &u);
+        {
+            // The second walk records the lattice, and panics mid-walk.
+            let _guard = faults::ScopedFaults::install("context::contained_in=panic@2").unwrap();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                PlanSearch::new(&u).run(&ctx, &mut ExploreAll)
+            }));
+            let payload = unwound.expect_err("the second proof panics");
+            assert!(faults::is_injected_panic(payload.as_ref()));
+        }
+        // The unwound walk's lattice is gone and its slot is free: the
+        // next walk records the lattice afresh, the one after replays.
+        let (rebuilt, again) = walk(&ctx, &u);
+        assert_eq!(again.lattice_misses, cold.lattice_misses, "{again:?}");
+        let (replay, third) = walk(&ctx, &u);
+        assert_same_walk(&replay, &rebuilt);
+        assert_eq!(third.lattice_misses, 0, "{third:?}");
+    }
+
+    #[test]
+    fn a_panicking_park_leaves_no_stuck_slot() {
+        let (u, deps) = view_scenario();
+        let ctx = ChaseContext::new(deps, ChaseConfig::default());
+        let (cold, first) = walk(&ctx, &u);
+        walk(&ctx, &u);
+        {
+            // A replay asks no proof, so the walk's only park is the
+            // lattice's own.
+            let _guard = faults::ScopedFaults::install("shared::park=panic@1").unwrap();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                PlanSearch::new(&u).run(&ctx, &mut ExploreAll)
+            }));
+            let payload = unwound.expect_err("the lattice park panics");
+            assert!(faults::is_injected_panic(payload.as_ref()));
+            assert_eq!(faults::stats().injected, 1);
+        }
+        // The lattice is lost but its slot is not stuck: the next walk
+        // records it again, and the one after replays it.
+        let (rebuilt, again) = walk(&ctx, &u);
+        assert_same_walk(&rebuilt, &cold);
+        assert_eq!(again.lattice_misses, first.lattice_misses, "{again:?}");
+        let (replay, third) = walk(&ctx, &u);
+        assert_same_walk(&replay, &cold);
+        assert_eq!(third.lattice_misses, 0, "{third:?}");
+    }
+
+    #[test]
+    fn a_zero_byte_limit_sheds_every_lattice() {
+        let (u, deps) = view_scenario();
+        let mut ctx = ChaseContext::new(deps, ChaseConfig::default());
+        ctx.set_byte_limit(Some(0));
+        let (cold, first) = walk(&ctx, &u);
+        for _ in 0..2 {
+            let (again, stats) = walk(&ctx, &u);
+            assert_same_walk(&again, &cold);
+            assert_eq!(stats.lattice_misses, first.lattice_misses, "{stats:?}");
+        }
+        assert!(ctx.stats().pressure_sheds > 0);
+    }
+}

@@ -75,6 +75,7 @@ pub mod parallel;
 pub mod termination;
 
 mod containment;
+mod lattice;
 
 pub use backchase::{
     backchase, backchase_greedy, backchase_greedy_in, backchase_in, backchase_step,

@@ -24,13 +24,19 @@
 //!   search).
 //! * **Witness-hom seeding** carries the parent's witness in the frontier
 //!   entry (as sequentially), but each worker validates it against its
-//!   own `hom_graph`; chase states live in the context, whose
+//!   own hom graph; chase states live in the context, whose
 //!   checkout protocol falls back to a fresh search when another worker
 //!   holds the parent's memo — out-of-order parent/child arrival can cost
 //!   duplicate work, never a wrong verdict.
 //! * **Budgets** ([`SearchBudget`] and `max_visited`) count *committed*
 //!   nodes — visited plus reserved-by-a-worker — so a node budget is
 //!   exact at any worker count, not just approached from below.
+//!
+//! Children are expanded by the same function as the sequential walk's
+//! (`LatticeWalk::expand`): the walk checks the universal plan's
+//! verified lattice out of the context once, and its workers read and
+//! fill that one copy behind a lock while claims and verdicts go through
+//! `Progress`.
 //!
 //! With `threads = 1` the walk degenerates to the sequential one: one
 //! worker, the same (priority, seq) pop order, the same seen-map
@@ -50,23 +56,17 @@
 //! frontier and the optimizer's degradation ladder falls back to the
 //! sequential walk.
 
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use pcql::path::Path;
 use pcql::query::Query;
 
-use crate::backchase::{
-    dependent_closure, prune_unsafe_conditions, subquery_for, Frontier, SearchBudget,
-    SearchOutcome, Visit,
-};
-use crate::canon::QueryGraph;
-use crate::containment::output_matching_hom;
+use crate::backchase::{Frontier, SearchBudget, SearchOutcome, Visit};
 use crate::context::ChaseContext;
 use crate::faults;
-use crate::hom::Assignment;
+use crate::lattice::{Child, Expansion, Graphs, LatticeWalk, Removal};
 
 /// A [`SearchVisitor`](crate::SearchVisitor) for the parallel walk:
 /// shared across workers (`&self`, `Sync`), with the [`ChaseContext`]
@@ -118,7 +118,7 @@ enum NodeState {
 /// The lock-guarded search state every worker shares.
 struct Progress {
     queue: BinaryHeap<Frontier>,
-    seen: BTreeMap<BTreeSet<String>, NodeState>,
+    seen: HashMap<Removal, NodeState>,
     seq: usize,
     /// Workers between pop and end-of-expansion (termination detection).
     active: usize,
@@ -130,7 +130,7 @@ struct Progress {
     visited: Vec<Query>,
     /// (node, child removal sets) per expansion, for the deferred
     /// normal-form resolution.
-    expansions: Vec<(Query, Vec<BTreeSet<String>>)>,
+    expansions: Vec<(Arc<Query>, Vec<Removal>)>,
     stop: bool,
     complete: bool,
     accepted: bool,
@@ -151,7 +151,7 @@ struct InFlight {
     reserved: bool,
     active: bool,
     counted: bool,
-    claims: Vec<BTreeSet<String>>,
+    claims: Vec<Removal>,
 }
 
 /// The parallel counterpart of [`PlanSearch`](crate::PlanSearch): the
@@ -203,20 +203,15 @@ impl<'a> ParallelPlanSearch<'a> {
     pub fn run<V: ParallelVisitor>(&self, ctx: &ChaseContext, visitor: &V) -> SearchOutcome {
         let u = self.u;
         let start = Instant::now();
-        let identity: Assignment = u
-            .from
-            .iter()
-            .map(|b| (b.var.clone(), Path::Var(b.var.clone())))
-            .collect();
-        let mut seen = BTreeMap::new();
-        seen.insert(BTreeSet::new(), NodeState::Valid);
+        let lattice = LatticeWalk::begin(ctx, u);
+        let root = lattice.root();
+        let mut seen = HashMap::new();
+        seen.insert(root.key.clone(), NodeState::Valid);
         let mut queue = BinaryHeap::new();
         queue.push(Frontier {
-            prio: visitor.priority(u, &BTreeSet::new()),
+            prio: visitor.priority(u, &root.removed),
             seq: 0,
-            removed: BTreeSet::new(),
-            query: u.clone(),
-            hom: identity,
+            node: root,
         });
         let progress = Mutex::new(Progress {
             queue,
@@ -243,10 +238,11 @@ impl<'a> ParallelPlanSearch<'a> {
             for _ in 0..self.threads {
                 scope.spawn(|| {
                     faults::adopt(fault_token);
-                    self.worker(ctx, visitor, &progress, &idle, start);
+                    self.worker(ctx, &lattice, visitor, &progress, &idle, start);
                 });
             }
         });
+        lattice.finish();
         let mut p = progress
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
@@ -271,7 +267,7 @@ impl<'a> ParallelPlanSearch<'a> {
                 }
             }
             if !reduced && !undetermined {
-                normal_forms.push(q.clone());
+                normal_forms.push((**q).clone());
             }
         }
         SearchOutcome {
@@ -290,6 +286,7 @@ impl<'a> ParallelPlanSearch<'a> {
     fn worker<V: ParallelVisitor>(
         &self,
         ctx: &ChaseContext,
+        lattice: &LatticeWalk<'_>,
         visitor: &V,
         progress: &Mutex<Progress>,
         idle: &Condvar,
@@ -320,10 +317,8 @@ impl<'a> ParallelPlanSearch<'a> {
             idle.notify_all();
             return;
         }
-        let u = self.u;
         // Worker-local graphs, same roles as the sequential walk's pair.
-        let mut graph = QueryGraph::of_query(u);
-        let mut hom_graph = graph.clone();
+        let mut graphs = Graphs::default();
         loop {
             // Acquire a node (or learn the search is over).
             let node = {
@@ -377,12 +372,12 @@ impl<'a> ParallelPlanSearch<'a> {
             let expanded = catch_unwind(AssertUnwindSafe(|| {
                 self.expand(
                     ctx,
+                    lattice,
+                    &mut graphs,
                     visitor,
                     progress,
                     idle,
                     &mut flight,
-                    &mut graph,
-                    &mut hom_graph,
                 );
             }));
             if let Err(payload) = expanded {
@@ -407,14 +402,13 @@ impl<'a> ParallelPlanSearch<'a> {
     fn expand<V: ParallelVisitor>(
         &self,
         ctx: &ChaseContext,
+        lattice: &LatticeWalk<'_>,
+        graphs: &mut Graphs,
         visitor: &V,
         progress: &Mutex<Progress>,
         idle: &Condvar,
         flight: &mut InFlight,
-        graph: &mut QueryGraph,
-        hom_graph: &mut QueryGraph,
     ) {
-        let u = self.u;
         let lock = || -> MutexGuard<'_, Progress> {
             progress.lock().unwrap_or_else(PoisonError::into_inner)
         };
@@ -431,14 +425,14 @@ impl<'a> ParallelPlanSearch<'a> {
 
         // The visit verdict (costing, pruning) runs outside the lock.
         let verdict = {
-            let node = flight.node.as_ref().expect("in-flight node");
+            let node = &flight.node.as_ref().expect("in-flight node").node;
             visitor.visit(ctx, &node.query, &node.removed)
         };
         let explore = {
             let mut p = lock();
             p.reserved -= 1;
             flight.reserved = false;
-            let node = flight.node.as_ref().expect("in-flight node");
+            let node = &flight.node.as_ref().expect("in-flight node").node;
             let explore = match verdict {
                 Visit::Prune => {
                     p.pruned_at_visit += 1;
@@ -448,14 +442,14 @@ impl<'a> ParallelPlanSearch<'a> {
                     p.visited_count += 1;
                     flight.counted = true;
                     if self.collect_visited {
-                        p.visited.push(node.query.clone());
+                        p.visited.push((*node.query).clone());
                     }
                     !p.stop
                 }
                 Visit::Accept => {
                     p.visited_count += 1;
                     if self.collect_visited {
-                        p.visited.push(node.query.clone());
+                        p.visited.push((*node.query).clone());
                     }
                     p.accepted = true;
                     p.stop = true;
@@ -480,109 +474,21 @@ impl<'a> ParallelPlanSearch<'a> {
             return;
         }
 
-        // Expand: claim each child removal set, verify the claimed
-        // ones outside the lock, record the keys for the deferred
-        // normal-form resolution.
-        let (parent_removed, parent_hom) = {
-            let node = flight.node.as_ref().expect("in-flight node");
-            (node.removed.clone(), node.hom.clone())
+        // Expand: claim each child removal set, verify the claimed ones
+        // outside the lock, record the keys for the deferred normal-form
+        // resolution.
+        let node = &flight.node.as_ref().expect("in-flight node").node;
+        let mut walk = ParallelWalk {
+            visitor,
+            progress,
+            idle,
+            claims: &mut flight.claims,
         };
-        let mut child_keys: Vec<BTreeSet<String>> = Vec::new();
-        for b in &u.from {
-            if parent_removed.contains(&b.var) {
-                continue;
-            }
-            let mut grown = parent_removed.clone();
-            grown.insert(b.var.clone());
-            let grown = dependent_closure(u, graph, grown);
-            // Failpoint: a child claim is about to happen (outside the
-            // lock); transient errors recover by proceeding.
-            if faults::hit("parallel::claim").is_err() {
-                faults::note_recovered();
-            }
-            let claimed = {
-                let mut p = lock();
-                if p.seen.contains_key(&grown) {
-                    false
-                } else {
-                    p.seen.insert(grown.clone(), NodeState::Pending);
-                    flight.claims.push(grown.clone());
-                    true
-                }
-            };
-            child_keys.push(grown.clone());
-            if !claimed {
-                continue;
-            }
-            let mut gated = false;
-            let child = subquery_for(u, graph, &grown)
-                .and_then(|q2| prune_unsafe_conditions(ctx, &q2))
-                .and_then(|q2| {
-                    if !visitor.admit(&q2, &grown) {
-                        gated = true;
-                        return None;
-                    }
-                    // u ⊑ q2, seeded from the parent's witness; the
-                    // seed travels in the frontier entry, so it is
-                    // available even when the parent's chase memo is
-                    // checked out elsewhere.
-                    let seed: Assignment = parent_hom
-                        .iter()
-                        .filter(|&(v, _)| q2.from.iter().any(|b2| b2.var == *v))
-                        .map(|(v, p)| (v.clone(), p.clone()))
-                        .collect();
-                    let h2 =
-                        output_matching_hom(hom_graph, &u.output, &q2, ctx.cfg(), Some(&seed))?;
-                    if h2 == seed {
-                        ctx.note_seeded_hom();
-                    }
-                    // …and q2 ⊑ u through the sharded memo.
-                    if ctx.contained_in(&q2, u) {
-                        Some((q2, h2))
-                    } else {
-                        None
-                    }
-                });
-            match child {
-                Some((q2, h2)) => {
-                    let prio = visitor.priority(&q2, &grown);
-                    let mut p = lock();
-                    flight.claims.retain(|k| k != &grown);
-                    p.seen.insert(grown.clone(), NodeState::Valid);
-                    if !p.stop {
-                        p.seq += 1;
-                        let seq = p.seq;
-                        p.queue.push(Frontier {
-                            prio,
-                            seq,
-                            removed: grown,
-                            query: q2,
-                            hom: h2,
-                        });
-                        idle.notify_all();
-                    }
-                }
-                None => {
-                    let mut p = lock();
-                    flight.claims.retain(|k| k != &grown);
-                    if gated {
-                        p.pruned_at_gate += 1;
-                    }
-                    p.seen.insert(
-                        grown,
-                        if gated {
-                            NodeState::Gated
-                        } else {
-                            NodeState::Invalid
-                        },
-                    );
-                }
-            }
-        }
+        let children = lattice.expand(graphs, node, &mut walk);
         {
             let mut p = lock();
-            let node = flight.node.take().expect("in-flight node");
-            p.expansions.push((node.query, child_keys));
+            let entry = flight.node.take().expect("in-flight node");
+            p.expansions.push((entry.node.query, children));
             flight.counted = false;
             flight.active = false;
             p.active -= 1;
@@ -612,22 +518,79 @@ impl<'a> ParallelPlanSearch<'a> {
                 p.seen.remove(&key);
             }
         }
-        if let Some(node) = flight.node {
+        if let Some(entry) = flight.node {
             if flight.counted {
                 p.visited_count -= 1;
-                if let Some(i) = p.visited.iter().rposition(|q| *q == node.query) {
+                if let Some(i) = p.visited.iter().rposition(|q| *q == *entry.node.query) {
                     p.visited.swap_remove(i);
                 }
             }
             p.seq += 1;
             let seq = p.seq;
-            p.queue.push(Frontier { seq, ..node });
+            p.queue.push(Frontier { seq, ..entry });
         }
         p.workers_died += 1;
         if p.queue.is_empty() && p.active == 0 {
             p.stop = true;
         }
         idle.notify_all();
+    }
+}
+
+/// The parallel walk's half of an expansion: claims and verdicts go
+/// through the progress lock, every claim ledgered in the worker's
+/// [`InFlight`] until it is settled.
+struct ParallelWalk<'p, V> {
+    visitor: &'p V,
+    progress: &'p Mutex<Progress>,
+    idle: &'p Condvar,
+    claims: &'p mut Vec<Removal>,
+}
+
+impl<V: ParallelVisitor> Expansion for ParallelWalk<'_, V> {
+    fn claim(&mut self, key: &Removal) -> bool {
+        // Failpoint: a child claim is about to happen (outside the
+        // lock); transient errors recover by proceeding.
+        if faults::hit("parallel::claim").is_err() {
+            faults::note_recovered();
+        }
+        let mut p = self.progress.lock().unwrap_or_else(PoisonError::into_inner);
+        if p.seen.contains_key(key) {
+            return false;
+        }
+        p.seen.insert(key.clone(), NodeState::Pending);
+        self.claims.push(key.clone());
+        true
+    }
+
+    fn admit(&mut self, q: &Query, removed: &BTreeSet<String>) -> bool {
+        self.visitor.admit(q, removed)
+    }
+
+    fn settle(&mut self, key: Removal, child: Child) {
+        // The priority hook runs outside the lock.
+        let (state, node) = match child {
+            Child::Valid(node) => (
+                NodeState::Valid,
+                Some((self.visitor.priority(&node.query, &node.removed), node)),
+            ),
+            Child::Invalid => (NodeState::Invalid, None),
+            Child::Gated => (NodeState::Gated, None),
+        };
+        let mut p = self.progress.lock().unwrap_or_else(PoisonError::into_inner);
+        self.claims.retain(|k| k != &key);
+        if state == NodeState::Gated {
+            p.pruned_at_gate += 1;
+        }
+        if let Some((prio, node)) = node {
+            if !p.stop {
+                p.seq += 1;
+                let seq = p.seq;
+                p.queue.push(Frontier { prio, seq, node });
+                self.idle.notify_all();
+            }
+        }
+        p.seen.insert(key, state);
     }
 }
 

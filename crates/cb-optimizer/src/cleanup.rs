@@ -40,40 +40,14 @@ pub fn cleanup_plan(catalog: &Catalog, q: &Query) -> Query {
 /// carries conditions like `t = I[t.PName]` that are true on every
 /// constraint-satisfying instance and would only cost lookups at run
 /// time. Must run *before* [`cleanup_plan`] (the prover reasons over
-/// plain PC lookups, not the non-failing plan forms).
+/// plain PC lookups, not the non-failing plan forms). A throwaway-context
+/// wrapper of [`cb_chase::ChaseContext::prune_implied_conditions`].
 pub fn prune_implied_conditions(
     catalog: &Catalog,
     q: &Query,
     cfg: &cb_chase::ChaseConfig,
 ) -> Query {
-    let ctx = cb_chase::ChaseContext::new(catalog.all_constraints(), cfg.clone());
-    prune_implied_conditions_in(&ctx, q)
-}
-
-/// [`prune_implied_conditions`] against a held [`cb_chase::ChaseContext`]
-/// — usually the one context of an optimization run, so proof
-/// obligations repeated across plans (and across the parallel search's
-/// workers) are answered from the implication memo.
-pub fn prune_implied_conditions_in(ctx: &cb_chase::ChaseContext, q: &Query) -> Query {
-    let mut out = q.clone();
-    let mut i = 0;
-    while i < out.where_.len() {
-        let mut premise = out.where_.clone();
-        let conclusion = premise.remove(i);
-        let sigma = pcql::Dependency::new(
-            "prune",
-            out.from.clone(),
-            premise.clone(),
-            vec![],
-            vec![conclusion],
-        );
-        if ctx.implies(&sigma) {
-            out.where_ = premise;
-        } else {
-            i += 1;
-        }
-    }
-    out
+    cb_chase::ChaseContext::new(catalog.all_constraints(), cfg.clone()).prune_implied_conditions(q)
 }
 
 fn entry_is_set(catalog: &Catalog, dict: &Path) -> bool {

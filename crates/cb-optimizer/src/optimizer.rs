@@ -704,17 +704,15 @@ impl<'a> Optimizer<'a> {
         // and nonnegative — `cost_one` enforces that boundary — so
         // `total_cmp` is a plain numeric order with no NaN placement
         // surprises.
-        candidates.sort_by(|a, b| {
-            a.cost
-                .total_cmp(&b.cost)
-                .then_with(|| a.query.from.len().cmp(&b.query.from.len()))
-                .then_with(|| a.query.size().cmp(&b.query.size()))
-                .then_with(|| a.query.alpha_normalized().cmp(&b.query.alpha_normalized()))
-                .then_with(|| a.raw.from.len().cmp(&b.raw.from.len()))
-                .then_with(|| a.raw.size().cmp(&b.raw.size()))
-                .then_with(|| a.raw.alpha_normalized().cmp(&b.raw.alpha_normalized()))
-        });
-        candidates.dedup_by(|a, b| a.query.alpha_normalized() == b.query.alpha_normalized());
+        // Each candidate's canonical keys are computed once, not per
+        // comparison.
+        let mut ranked: Vec<(RankKey, PlanChoice)> = candidates
+            .into_iter()
+            .map(|c| (RankKey::of(&c), c))
+            .collect();
+        ranked.sort_by(|(a, _), (b, _)| a.cmp(b));
+        ranked.dedup_by(|(a, _), (b, _)| a.query == b.query);
+        let mut candidates: Vec<PlanChoice> = ranked.into_iter().map(|(_, c)| c).collect();
 
         // An expired budget — or a rung-3 abort — may stop the search
         // before any *physical* subquery was reached; the universal
@@ -835,6 +833,37 @@ impl<'a> Optimizer<'a> {
     }
 }
 
+/// A candidate's position in the final ranking: cost, then the shape
+/// and canonical form of the cleaned plan, then of the raw subquery.
+struct RankKey {
+    cost: f64,
+    query_shape: (usize, usize),
+    query: Query,
+    raw_shape: (usize, usize),
+    raw: Query,
+}
+
+impl RankKey {
+    fn of(c: &PlanChoice) -> RankKey {
+        RankKey {
+            cost: c.cost,
+            query_shape: (c.query.from.len(), c.query.size()),
+            query: c.query.alpha_normalized(),
+            raw_shape: (c.raw.from.len(), c.raw.size()),
+            raw: c.raw.alpha_normalized(),
+        }
+    }
+
+    fn cmp(&self, other: &RankKey) -> std::cmp::Ordering {
+        self.cost
+            .total_cmp(&other.cost)
+            .then_with(|| self.query_shape.cmp(&other.query_shape))
+            .then_with(|| self.query.cmp(&other.query))
+            .then_with(|| self.raw_shape.cmp(&other.raw_shape))
+            .then_with(|| self.raw.cmp(&other.raw))
+    }
+}
+
 /// Best-effort text of a caught panic payload, for the degradation
 /// trace (`panic!` with a literal gives `&str`, with a format string
 /// gives `String`; anything else is opaque).
@@ -861,7 +890,7 @@ fn cost_one(
     if !catalog.is_physical_query(raw) {
         return None;
     }
-    let pruned = crate::cleanup::prune_implied_conditions_in(ctx, raw);
+    let pruned = ctx.prune_implied_conditions(raw);
     let cleaned = cleanup_plan(catalog, &pruned);
     let ordered = reorder_bindings(&cleaned, model);
     // The cost-domain boundary: a non-finite estimate (poisoned

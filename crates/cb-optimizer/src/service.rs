@@ -18,6 +18,16 @@
 //!   caller's own constants. A parallel phase 2 proves against the same
 //!   context, so its memos persist across preparations at every thread
 //!   count.
+//! * **Verified lattices** — phases 1–2 depend only on the query and the
+//!   constraints, so the context also keeps, per universal plan walked
+//!   more than once, the backchase lattice its walks verified. A
+//!   re-preparation after a statistics refresh misses the plan cache and
+//!   hits the chase memo (the same universal plan); the first such
+//!   re-preparation records the lattice, every later one replays it: the
+//!   cost-guided or exhaustive visitor still gates, orders, costs and
+//!   prunes under the new statistics, but no containment or implication
+//!   question is asked, and the outcome is byte-identical to a fresh
+//!   service's. A plan prepared only once holds no lattice.
 //! * **Prepared plans** — the full [`OptimizeOutcome`] plus its
 //!   serialized [`PlanRepr`], keyed by *alpha-normalized query* ×
 //!   *canonical catalog fingerprint* × *cost-model fingerprint*. A hit
@@ -310,28 +320,35 @@ mod tests {
         let mut svc = service();
         let q = projdept::query();
         svc.prepare(&q).unwrap();
-        let warm = svc.chase_stats();
         // New statistics: same constraints, different cost model.
-        let mut c2 = projdept::catalog();
-        projdept::stats_for(&mut c2, 1000, 50, 5);
-        svc.swap_catalog(c2);
+        let refresh = |svc: &mut PlanService, n| {
+            let mut c = projdept::catalog();
+            projdept::stats_for(&mut c, n, 50, 5);
+            svc.swap_catalog(c);
+        };
+        refresh(&mut svc, 1000);
         // The cached plan was invalidated (the cost fingerprint moved)…
         assert_eq!(svc.stats().invalidations, 1);
         let re = svc.prepare(&q).unwrap();
         assert!(!re.cache_hit);
-        // …but the chase core kept its memos: same theory, no reset.
+        // …but the chase core kept its memos: same theory, no reset. This
+        // second walk of the universal plan recorded its lattice.
         assert_eq!(svc.chase_stats().deps_resets, 0);
-        // Every containment and implication proof was already made.
+        let warm = svc.chase_stats();
+        refresh(&mut svc, 2000);
+        assert_eq!(svc.stats().invalidations, 2);
+        assert!(!svc.prepare(&q).unwrap().cache_hit);
+        // The third walk replayed the verified lattice: not one
+        // containment or implication question was asked, not even of the
+        // memo.
         let after = svc.chase_stats();
-        assert_eq!(
-            after.containment_misses, warm.containment_misses,
-            "{after:?}"
-        );
-        assert_eq!(
-            after.implication_misses, warm.implication_misses,
-            "{after:?}"
-        );
-        assert!(after.hits() > warm.hits());
+        let lookups = |s: &CacheStats| {
+            s.containment_hits + s.containment_misses + s.implication_hits + s.implication_misses
+        };
+        assert_eq!(after.deps_resets, 0);
+        assert_eq!(lookups(&after), lookups(&warm), "{after:?}");
+        assert_eq!(after.lattice_misses, warm.lattice_misses, "{after:?}");
+        assert!(after.lattice_hits > warm.lattice_hits, "{after:?}");
     }
 
     #[test]

@@ -593,3 +593,64 @@ fn k_best_beyond_the_candidate_set_returns_every_distinct_plan() {
         out.universal.alpha_normalized()
     );
 }
+
+/// A re-preparation after a statistics refresh replays the verified
+/// lattice through the shard sites: the lattice checkout and park, the
+/// verdict inserts and the plan-form memo. Under recoverable faults at
+/// every `shared::*` site — with the memos unbounded (the lattice is
+/// replayed, or lost to a fault and rebuilt) and with a zero byte limit
+/// (every insert sheds, so nothing is ever replayed) — the plans are
+/// those of a fault-free fresh service, and every fault is acknowledged.
+#[test]
+fn a_replay_under_shard_faults_and_cache_pressure_keeps_the_plans() {
+    use cb_catalog::scenarios::projdept;
+    use cb_optimizer::PlanService;
+    let (_, before, q) = scenarios().swap_remove(0);
+    let refreshed = |n, per, customers| {
+        let mut c = projdept::catalog();
+        projdept::stats_for(&mut c, n, per, customers);
+        c
+    };
+    let (between, after) = (refreshed(500, 20, 10), refreshed(1000, 50, 5));
+    let spec = "seed=5;shared::shard_lock=err%0.1;shared::checkout=mem*3;\
+                shared::park=err*2;shared::memo=mem%0.2";
+    for strategy in [SearchStrategy::Exhaustive, SearchStrategy::CostGuided] {
+        for threads in [1usize, 4] {
+            let fresh = PlanService::new(after.clone(), config(strategy, threads))
+                .prepare(&q)
+                .unwrap();
+            for limit in [None, Some(0)] {
+                let desc = format!("limit {limit:?}, {strategy:?} @ {threads} threads");
+                let cfg = OptimizerConfig {
+                    memo_byte_limit: limit,
+                    ..config(strategy, threads)
+                };
+                let mut svc = PlanService::new(before.clone(), cfg);
+                svc.prepare(&q).unwrap();
+                // The second walk of the universal plan records its
+                // lattice; the third, under faults, replays it.
+                svc.swap_catalog(between.clone());
+                svc.prepare(&q).unwrap();
+                svc.swap_catalog(after.clone());
+                let guard = ScopedFaults::install(spec).unwrap();
+                let replay = svc.prepare(&q).unwrap_or_else(|e| panic!("{desc}: {e}"));
+                let fs = faults::stats();
+                drop(guard);
+
+                assert!(fs.injected > 0, "{desc}: {fs:?}");
+                assert_eq!(fs.injected, fs.acknowledged(), "{desc}: {fs:?}");
+                let (r, f) = (&replay.plan.outcome, &fresh.plan.outcome);
+                assert_eq!(r.best.query, f.best.query, "{desc}");
+                assert!((r.best.cost - f.best.cost).abs() < 1e-9, "{desc}");
+                if threads == 1 || strategy == SearchStrategy::Exhaustive {
+                    assert_eq!(
+                        format!("{:?}", r.candidates),
+                        format!("{:?}", f.candidates),
+                        "{desc}"
+                    );
+                    assert_eq!(r.nodes_visited, f.nodes_visited, "{desc}");
+                }
+            }
+        }
+    }
+}

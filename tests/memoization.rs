@@ -284,3 +284,101 @@ fn constant_varied_families_keep_best_plans_at_every_thread_count() {
         }
     }
 }
+
+/// A cost-guided walk whose gate cut children, recorded and then replayed
+/// under statistics that admit some of them: the replay verifies those children lazily —
+/// the only proofs it asks — and its outcome is the one a cache-disabled
+/// context computes from scratch under the new statistics.
+#[test]
+fn children_a_replay_admits_past_the_old_gate_are_verified_lazily() {
+    use cb_catalog::scenarios::{projdept, relational_views};
+    use cb_optimizer::{Optimizer, OptimizerConfig, SearchStrategy};
+    let cfg = OptimizerConfig {
+        strategy: SearchStrategy::CostGuided,
+        cost_visited: true,
+        ..OptimizerConfig::default()
+    };
+    let projdept_at = |n: u64, per: u64, customers: u64| {
+        let mut c = projdept::catalog();
+        projdept::stats_for(&mut c, n, per, customers);
+        c
+    };
+    let views_at = |r: u64, s: u64, v: u64| {
+        let mut c = relational_views::catalog();
+        relational_views::stats_for(&mut c, r, s, v);
+        c
+    };
+    let cases = [
+        (
+            "projdept",
+            projdept_at(5000, 10, 1000),
+            projdept_at(100, 10, 20),
+            projdept::query(),
+        ),
+        (
+            "views",
+            views_at(10_000, 10_000, 10),
+            views_at(100, 100, 50_000),
+            relational_views::query(),
+        ),
+    ];
+    for (name, gating, admitting, q) in cases {
+        let mut ctx = ChaseContext::new(gating.all_constraints(), cfg.chase.clone());
+        let cold = Optimizer::with_config(&gating, cfg.clone())
+            .optimize_in(&mut ctx, &q)
+            .unwrap();
+        assert!(
+            cold.nodes_pruned_at_gate > 0,
+            "{name}: the first walk gates"
+        );
+        // The second walk under the gating statistics records the lattice.
+        let recorded = Optimizer::with_config(&gating, cfg.clone())
+            .optimize_in(&mut ctx, &q)
+            .unwrap();
+        assert_eq!(
+            recorded.nodes_pruned_at_gate, cold.nodes_pruned_at_gate,
+            "{name}"
+        );
+        let warm = ctx.stats();
+        let replay = Optimizer::with_config(&admitting, cfg.clone())
+            .optimize_in(&mut ctx, &q)
+            .unwrap();
+        let after = ctx.stats();
+        assert_eq!(after.deps_resets, 0, "{name}");
+        assert!(after.lattice_hits > warm.lattice_hits, "{name}: {after:?}");
+        assert!(
+            after.containment_hits + after.containment_misses
+                > warm.containment_hits + warm.containment_misses,
+            "{name}: a child gated before must be verified now: {after:?}"
+        );
+
+        let mut oracle = ChaseContext::without_memo(admitting.all_constraints(), cfg.chase.clone());
+        let fresh = Optimizer::with_config(&admitting, cfg.clone())
+            .optimize_in(&mut oracle, &q)
+            .unwrap();
+        assert_eq!(
+            format!("{:?}", replay.best),
+            format!("{:?}", fresh.best),
+            "{name}"
+        );
+        assert_eq!(
+            format!("{:?}", replay.top_k),
+            format!("{:?}", fresh.top_k),
+            "{name}"
+        );
+        assert_eq!(
+            format!("{:?}", replay.candidates),
+            format!("{:?}", fresh.candidates),
+            "{name}"
+        );
+        assert_eq!(replay.nodes_visited, fresh.nodes_visited, "{name}");
+        assert_eq!(
+            replay.nodes_pruned_at_gate, fresh.nodes_pruned_at_gate,
+            "{name}"
+        );
+        assert_eq!(
+            replay.nodes_pruned_at_visit, fresh.nodes_pruned_at_visit,
+            "{name}"
+        );
+    }
+}

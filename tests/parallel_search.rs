@@ -8,7 +8,8 @@
 
 use std::time::Duration;
 
-use cb_optimizer::{Optimizer, OptimizerConfig, SearchStrategy};
+use cb_chase::CacheStats;
+use cb_optimizer::{OptimizeOutcome, Optimizer, OptimizerConfig, PlanService, SearchStrategy};
 use universal_plans::chase::SearchBudget;
 use universal_plans::prelude::*;
 
@@ -280,5 +281,131 @@ fn incumbent_trace_descends_and_shard_stats_flow() {
             c.containment_hits + c.containment_misses > 0,
             "no phase-2 memo traffic at {threads} threads: {c:?}"
         );
+    }
+}
+
+/// Every builtin scenario under two sets of statistics: the catalog a
+/// plan is prepared under, and the refreshed one it is re-prepared
+/// under (same constraints, different cost model).
+fn stats_refreshes() -> Vec<(&'static str, Catalog, Catalog, Query)> {
+    use cb_catalog::scenarios::{projdept, relational_indexes, relational_views};
+    let projdept_at = |n: u64, per: u64, customers: u64| {
+        let mut c = projdept::catalog();
+        projdept::stats_for(&mut c, n, per, customers);
+        c
+    };
+    let indexes_at = |n: u64, a: u64, b: u64| {
+        let mut c = relational_indexes::catalog();
+        relational_indexes::stats_for(&mut c, n, a, b);
+        c
+    };
+    let views_at = |r: u64, s: u64, v: u64| {
+        let mut c = relational_views::catalog();
+        relational_views::stats_for(&mut c, r, s, v);
+        c
+    };
+    vec![
+        (
+            "projdept",
+            projdept_at(100, 10, 20),
+            projdept_at(1000, 50, 5),
+            projdept::query(),
+        ),
+        (
+            "indexes",
+            indexes_at(10_000, 1000, 1000),
+            indexes_at(500, 5, 400),
+            relational_indexes::query(),
+        ),
+        (
+            "views",
+            views_at(10_000, 10_000, 10),
+            views_at(100, 100, 50_000),
+            relational_views::query(),
+        ),
+    ]
+}
+
+/// Containment and implication questions asked, answered from the memo
+/// or not.
+fn proof_lookups(s: &CacheStats) -> u64 {
+    s.containment_hits + s.containment_misses + s.implication_hits + s.implication_misses
+}
+
+/// The parts of two outcomes that must agree byte for byte. A parallel
+/// cost-guided walk races its incumbent, so there only the best plan is
+/// schedule-independent.
+fn assert_same_outcome(desc: &str, replay: &OptimizeOutcome, fresh: &OptimizeOutcome, exact: bool) {
+    assert_eq!(
+        format!("{:?}", replay.best),
+        format!("{:?}", fresh.best),
+        "{desc}: best"
+    );
+    if exact {
+        assert_eq!(
+            format!("{:?}", replay.top_k),
+            format!("{:?}", fresh.top_k),
+            "{desc}: top_k"
+        );
+        assert_eq!(
+            format!("{:?}", replay.candidates),
+            format!("{:?}", fresh.candidates),
+            "{desc}: candidates"
+        );
+        assert_eq!(replay.nodes_visited, fresh.nodes_visited, "{desc}");
+        assert_eq!(
+            replay.nodes_pruned_at_gate, fresh.nodes_pruned_at_gate,
+            "{desc}"
+        );
+        assert_eq!(
+            replay.nodes_pruned_at_visit, fresh.nodes_pruned_at_visit,
+            "{desc}"
+        );
+    }
+}
+
+#[test]
+fn a_stats_refresh_replays_the_lattice_and_matches_a_fresh_service() {
+    for (name, before, after, q) in stats_refreshes() {
+        for strategy in [SearchStrategy::Exhaustive, SearchStrategy::CostGuided] {
+            for threads in [1usize, 2, 4] {
+                let desc = format!("{name} {strategy:?} @ {threads} threads");
+                let cfg = config(strategy, threads);
+                // A sequential walk, or an exhaustive one at any width,
+                // is schedule-independent: everything must match.
+                let exact = threads == 1 || strategy == SearchStrategy::Exhaustive;
+                let mut svc = PlanService::new(before.clone(), cfg.clone());
+                assert!(!svc.prepare(&q).unwrap().cache_hit, "{desc}");
+                // The first refresh re-prepares on a second walk of the
+                // universal plan, which records its lattice…
+                svc.swap_catalog(after.clone());
+                let recorded = svc.prepare(&q).unwrap();
+                assert!(!recorded.cache_hit, "{desc}: the refresh must re-prepare");
+                let fresh = PlanService::new(after.clone(), cfg.clone())
+                    .prepare(&q)
+                    .unwrap();
+                assert_same_outcome(&desc, &recorded.plan.outcome, &fresh.plan.outcome, exact);
+                // …and the second refresh replays it.
+                svc.swap_catalog(before.clone());
+                let warm = svc.chase_stats();
+                let replay = svc.prepare(&q).unwrap();
+                assert!(!replay.cache_hit, "{desc}: the refresh must re-prepare");
+                let stats = svc.chase_stats();
+                let fresh = PlanService::new(before.clone(), cfg).prepare(&q).unwrap();
+                assert_same_outcome(&desc, &replay.plan.outcome, &fresh.plan.outcome, exact);
+                assert!(stats.lattice_hits > warm.lattice_hits, "{desc}: {stats:?}");
+                let added_lookups = proof_lookups(&stats) - proof_lookups(&warm);
+                let added_misses = stats.lattice_misses - warm.lattice_misses;
+                if strategy == SearchStrategy::Exhaustive {
+                    // The same lattice walked again: all of it replayed.
+                    assert_eq!(added_lookups, 0, "{desc}: {stats:?}");
+                    assert_eq!(added_misses, 0, "{desc}: {stats:?}");
+                } else {
+                    // Only a child (or plan form) the recording walk
+                    // never verified may cost a proof.
+                    assert!(added_lookups == 0 || added_misses > 0, "{desc}: {stats:?}");
+                }
+            }
+        }
     }
 }

@@ -451,3 +451,71 @@ fn parallel_preparations_keep_their_memos_across_preparations() {
         );
     }
 }
+
+/// Dropping the index `SB` and adding it back changes the constraint
+/// theory both ways, and each swap resets the chase core. A verified
+/// lattice recorded under one theory must never be replayed under the
+/// other: each re-preparation runs exactly the walk a fresh service
+/// runs, and plans the same.
+#[test]
+fn a_lattice_is_never_replayed_across_a_theory_change() {
+    let q = rs_query();
+    let full = rs_catalog(&["SA", "SB"]);
+    let mut refreshed = full.clone();
+    refreshed
+        .stats_mut()
+        .set("R", RootStats::with_cardinality(4_000));
+    let mut svc = PlanService::new(full.clone(), OptimizerConfig::default());
+    svc.prepare(&q).unwrap();
+    // Two statistics refreshes under the full theory: the second walk
+    // records the lattice, the third replays it — so there is a lattice
+    // a theory change could wrongly keep.
+    for (catalog, replays) in [(refreshed, false), (full, true)] {
+        svc.swap_catalog(catalog);
+        let before = svc.chase_stats();
+        assert!(!svc.prepare(&q).unwrap().cache_hit);
+        let after = svc.chase_stats();
+        assert_eq!(after.deps_resets, 0);
+        assert_eq!(
+            after.lattice_misses == before.lattice_misses,
+            replays,
+            "{after:?}"
+        );
+    }
+    for (resets, indexes) in [(1, &["SA"][..]), (2, &["SA", "SB"][..])] {
+        svc.swap_catalog(rs_catalog(indexes));
+        assert_eq!(svc.chase_stats().deps_resets, resets, "{indexes:?}");
+        let before = svc.chase_stats();
+        let re = svc.prepare(&q).unwrap();
+        assert!(!re.cache_hit, "{indexes:?}");
+        let after = svc.chase_stats();
+
+        let mut fresh_svc = PlanService::new(rs_catalog(indexes), OptimizerConfig::default());
+        let fresh = fresh_svc.prepare(&q).unwrap();
+        let cold = fresh_svc.chase_stats();
+        // The same cold walk, lattice child for lattice child…
+        assert_eq!(
+            after.lattice_hits - before.lattice_hits,
+            cold.lattice_hits,
+            "{indexes:?}: {after:?}"
+        );
+        assert_eq!(
+            after.lattice_misses - before.lattice_misses,
+            cold.lattice_misses,
+            "{indexes:?}: {after:?}"
+        );
+        // …and the same plans.
+        let (r, f) = (&re.plan.outcome, &fresh.plan.outcome);
+        assert_eq!(
+            format!("{:?}", r.best),
+            format!("{:?}", f.best),
+            "{indexes:?}"
+        );
+        assert_eq!(
+            format!("{:?}", r.top_k),
+            format!("{:?}", f.top_k),
+            "{indexes:?}"
+        );
+        assert_eq!(r.nodes_visited, f.nodes_visited, "{indexes:?}");
+    }
+}
