@@ -681,6 +681,50 @@ fn run_json(path: &str, selection: &[String]) {
                 ("replay_lattice_misses", lattice_misses),
             ],
         });
+        // The constant-variant rows: per builtin scenario, a cold
+        // preparation, a second constant (the second walk of the shape,
+        // which records the verified lattice) and a third, which replays
+        // it and must not ask a containment or implication question or
+        // miss the lattice memo.
+        for (id, p, queries) in constant_variants() {
+            let (mut cold_ns, mut record_ns, mut replay_ns) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut lattice_hits, mut lattice_misses) = (0u64, 0u64);
+            for _ in 0..ITERS {
+                let r = constant_variant_replay(&p, &queries);
+                cold_ns.push(r.cold.as_nanos());
+                record_ns.push(r.record.as_nanos());
+                replay_ns.push(r.replay.as_nanos());
+                lattice_hits += r.lattice_hits;
+                lattice_misses += r.lattice_misses;
+            }
+            let median = |v: &mut Vec<u128>| {
+                v.sort_unstable();
+                v[v.len() / 2]
+            };
+            let (cold, record, replay) = (
+                median(&mut cold_ns),
+                median(&mut record_ns),
+                median(&mut replay_ns),
+            );
+            records.push(JsonRecord {
+                id,
+                median_ns: replay,
+                cache_hit_rate: Some(
+                    lattice_hits as f64 / (lattice_hits + lattice_misses).max(1) as f64,
+                ),
+                extra: vec![
+                    ("cold_median_ns", cold as u64),
+                    ("record_median_ns", record as u64),
+                    ("replay_median_ns", replay as u64),
+                    (
+                        "cold_over_replay_x1000",
+                        (1000.0 * cold as f64 / (replay as f64).max(1.0)) as u64,
+                    ),
+                    ("replay_lattice_hits", lattice_hits),
+                    ("replay_lattice_misses", lattice_misses),
+                ],
+            });
+        }
     }
 
     let mut out =
@@ -1517,6 +1561,38 @@ fn e21_plan_service() {
             &rows
         )
     );
+    // Three queries differing only in a constant: the second records the
+    // lattice of their shape, the third replays it with its own constant.
+    let mut rows = Vec::new();
+    for (id, p, queries) in constant_variants() {
+        let r = constant_variant_replay(&p, &queries);
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+        let (cold_ms, replay_ms) = (ms(r.cold), ms(r.replay));
+        rows.push(vec![
+            id.trim_start_matches("e21_constant_variant_").to_string(),
+            format!("{cold_ms:.2}"),
+            format!("{:.2}", ms(r.record)),
+            format!("{replay_ms:.2}"),
+            format!("{:.0}x", cold_ms / replay_ms.max(1e-9)),
+            r.lattice_hits.to_string(),
+            r.nodes_visited.to_string(),
+        ]);
+    }
+    println!(
+        "{}",
+        render_table(
+            &[
+                "scenario",
+                "1st constant ms",
+                "2nd constant ms",
+                "3rd constant ms",
+                "speedup",
+                "lattice hits",
+                "nodes visited",
+            ],
+            &rows
+        )
+    );
     // One EXPLAIN of a serialized plan, for the record.
     let p = prepared_projdept(20, 5, 5);
     let mut svc = PlanService::new(p.catalog.clone(), OptimizerConfig::default());
@@ -1585,6 +1661,91 @@ fn stats_refresh_replay(before: &Prepared, after: &Prepared) -> Replay {
         lookups(&now),
         lookups(&warm),
         "the replay asked proofs: {now:?}"
+    );
+    assert!(
+        now.lattice_hits > warm.lattice_hits,
+        "no lattice replay: {now:?}"
+    );
+    Replay {
+        universal: shape(&cold.plan.outcome.universal),
+        cold: cold_time,
+        record: record_time,
+        replay: replay_time,
+        nodes_visited: replay.nodes_visited,
+        lattice_hits: now.lattice_hits - warm.lattice_hits,
+        lattice_misses: now.lattice_misses - warm.lattice_misses,
+    }
+}
+
+/// Each builtin scenario at its plan-diff scale with its query for three
+/// constants in one value order (so all three share one lattice shape),
+/// for E21's constant-variant replay. The §4 views query has no
+/// constant of its own; its variants add `r.A = k`.
+fn constant_variants() -> [(&'static str, Prepared, [pcql::Query; 3]); 3] {
+    let queries = |texts: [String; 3]| texts.map(|t| parse_query(&t).expect("variant parses"));
+    let projdept = |c: &str| {
+        format!(
+            "select struct(PN = s, PB = p.Budg, DN = d.DName) from depts d, d.DProjs s, Proj p \
+             where s = p.PName and p.CustName = \"{c}\""
+        )
+    };
+    let indexes =
+        |a: i64, b: i64| format!("select struct(C = r.C) from R r where r.A = {a} and r.B = {b}");
+    let views = |a: i64| {
+        format!(
+            "select struct(A = r.A, B = s.B, C = s.C) from R r, S s \
+             where r.B = s.B and r.A = {a}"
+        )
+    };
+    [
+        (
+            "e21_constant_variant_projdept",
+            prepared_projdept(50, 10, 25),
+            queries([projdept("CitiBank"), projdept("cust3"), projdept("cust7")]),
+        ),
+        (
+            "e21_constant_variant_relational_indexes",
+            prepared_indexes(5_000, 100, 50),
+            queries([indexes(5, 7), indexes(1, 2), indexes(2, 9)]),
+        ),
+        (
+            "e21_constant_variant_relational_views",
+            prepared_views(1_000, 1_000, 0.05),
+            queries([views(0), views(6), views(11)]),
+        ),
+    ]
+}
+
+/// Prepares three constant variants of one query on one service. The
+/// first is cold; the second walks the shape a second time and records
+/// its verified lattice; the third replays it, translated to its own
+/// constant: it may not ask a single containment or implication
+/// question, not even of the memo, nor miss the lattice memo.
+fn constant_variant_replay(p: &Prepared, queries: &[pcql::Query; 3]) -> Replay {
+    use cb_optimizer::{OptimizerConfig, PlanService};
+    let mut svc = PlanService::new(p.catalog.clone(), OptimizerConfig::default());
+    let prepare = |svc: &mut PlanService, q| {
+        let t = Instant::now();
+        let prepared = svc.prepare(q).expect("variant preparation");
+        assert!(!prepared.cache_hit, "every variant is a new query");
+        (prepared, t.elapsed())
+    };
+    let (cold, cold_time) = prepare(&mut svc, &queries[0]);
+    let (_, record_time) = prepare(&mut svc, &queries[1]);
+    let warm = svc.chase_stats();
+    let (replay, replay_time) = prepare(&mut svc, &queries[2]);
+    let now = svc.chase_stats();
+    let lookups = |s: &CacheStats| {
+        s.containment_hits + s.containment_misses + s.implication_hits + s.implication_misses
+    };
+    assert_eq!(
+        lookups(&now),
+        lookups(&warm),
+        "the replay asked proofs: {now:?}"
+    );
+    assert_eq!(
+        now.lattice_misses, warm.lattice_misses,
+        "the replay missed the lattice: {now:?}"
     );
     assert!(
         now.lattice_hits > warm.lattice_hits,

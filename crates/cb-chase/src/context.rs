@@ -19,23 +19,32 @@
 //!   (bound variables renamed, constants abstracted, conditions
 //!   normalized and sorted) — lookup-safety and condition-pruning proofs
 //!   repeat heavily across the lattice;
-//! * **verified lattices**, keyed by the exact universal plan `u`: for
-//!   every removal set a search walk examined, its dependent closure,
-//!   its safe subquery (or that it has none), and — once some walk
-//!   admitted it — the equivalence verdict with its witness. Phase 2
+//! * **verified lattices**, keyed by the *shape* of the universal plan
+//!   `u`: for every removal set a search walk examined, its dependent
+//!   closure, its safe subquery (or that it has none), and — once some
+//!   walk admitted it — the equivalence verdict with its witness. Phase 2
 //!   depends only on the query and the constraints, so a re-preparation
-//!   after a statistics refresh (phase 1 is a chase-memo hit and returns
-//!   the same `u`) replays the lattice without asking a single
-//!   containment or implication question; the visitor still gates,
-//!   orders, costs and prunes live. Next to them sit the **plan forms**
-//!   ([`ChaseContext::prune_implied_conditions`]): a lattice node with
-//!   its implied conditions dropped, keyed by the exact node, so costing
-//!   a replayed node asks no proof either. Both are constant-exact, like
-//!   chase states: a replayed subquery is handed back as a plan, so it
-//!   must carry the caller's own constants and variable names byte for
-//!   byte. Being constant-exact, they pay off only when the same plan
-//!   comes back, so both admit an entry on its *second* request: the
-//!   first leaves only the key's hash behind, and a workload whose plans
+//!   after a statistics refresh, or a query that differs from an earlier
+//!   one only in a constant the dependencies never mention, replays the
+//!   lattice without asking a single containment or implication
+//!   question; the visitor still gates, orders, costs and prunes live.
+//!   Next to them sit the **plan forms**
+//!   ([`ChaseContext::prune_implied_conditions`]): which conditions of a
+//!   lattice node survive the pruning of implied ones, keyed by the
+//!   node's shape, so costing a replayed node asks no proof either. A
+//!   replayed fact is handed back as (part of) a plan, so it must be
+//!   byte-identical to the one a walk of the caller's own `u` derives: a
+//!   lattice keeps the facts of the plan it was recorded for, and the
+//!   walk translates each subquery it settles to the caller's variables
+//!   (by binding position) and constants (by rank); a plan form is
+//!   recorded by condition position and applies to the caller's own
+//!   conditions. Subquery construction breaks ties by the structural
+//!   order of paths (a class's representative, the order of implied
+//!   conditions), so the lattice key keeps the *order* of `u`'s variable
+//!   names and of its constants — not their values: see
+//!   `MemoKeys::lattice`. Both memos pay off only when a shape comes
+//!   back, so both admit an entry on its *second* request: the first
+//!   leaves only the key's hash behind, and a workload whose shapes
 //!   never repeat holds no lattice. Both count in
 //!   [`CacheStats::lattice_hits`] / [`CacheStats::lattice_misses`], apart
 //!   from the proof-memo totals [`CacheStats::hits`] /
@@ -45,18 +54,20 @@
 //! symbols: a constant matches only itself, and no chase or hom rule
 //! looks at its value. So the two boolean-valued memos key on a form in
 //! which every constant the dependency set does not mention is replaced
-//! by a placeholder, numbered in order of first occurrence (one numbering
-//! for both queries of a containment pair, so equal constants stay equal
-//! and distinct ones stay distinct). The renaming is injective and fixes
-//! the dependency constants, so it maps one chase problem onto an
-//! isomorphic one: two questions with the same key have the same verdict.
-//! `CustName = "cust7"` is answered from the proofs made for
-//! `CustName = "cust5"`. An isomorphism the canonical form fails to spot
-//! (placeholder numbering follows the constant-sorted condition order)
-//! costs a memo miss, never a wrong answer. **Chase states stay
-//! constant-exact**: a [`ChaseOutcome`] is handed back to callers (the
-//! universal plan is one), so it always carries the caller's own
-//! constants.
+//! by a placeholder (one numbering for both queries of a containment
+//! pair, so equal constants stay equal and distinct ones stay distinct).
+//! The renaming is injective and fixes the dependency constants, so it
+//! maps one chase problem onto an isomorphic one: two questions with the
+//! same key have the same verdict. `CustName = "cust7"` is answered from
+//! the proofs made for `CustName = "cust5"`. Placeholders are numbered in
+//! an order that ignores constant values — binding sources and outputs
+//! by position, then conditions by their constant-erased form — so
+//! `A = 2 and B = 9` and `A = 9 and B = 2` share keys. An isomorphism
+//! the canonical form still fails to spot (two conditions with the same
+//! erased form keep their value order) costs a memo miss, never a wrong
+//! answer. **Chase states stay constant-exact**: a [`ChaseOutcome`] is
+//! handed back to callers (the universal plan is one), so it always
+//! carries the caller's own constants.
 //!
 //! **Shards.** Every question is answered through `&self`, so one
 //! context serves the sequential search and N parallel search workers
@@ -82,10 +93,11 @@
 //! count.
 //!
 //! A verified lattice goes through the same protocol at walk
-//! granularity: a search checks the lattice of `u` out when it starts
-//! (its parallel workers share the one checked-out copy behind a lock),
-//! fills it as it walks, and parks it when it ends. A concurrent walk of
-//! the same `u` works on a private lattice that is never parked. The
+//! granularity: a search checks the lattice of `u`'s shape out when it
+//! starts (its parallel workers share the one checked-out copy behind a
+//! lock), fills it as it walks, and parks it when it ends. A concurrent
+//! walk of the same shape works on a private lattice that is never
+//! parked. The
 //! checkout's slot is an armed guard like the chase marker: a walk that
 //! unwinds, or whose park panics or is lost to a fault, drops it armed,
 //! which clears the slot and loses the lattice — its verdicts are merely
@@ -274,7 +286,7 @@ enum LatticeState {
 /// checked out.
 pub(crate) struct LatticeSlot<'a> {
     ctx: &'a ChaseContext,
-    key: Keyed<Arc<Query>>,
+    key: Keyed<Query>,
     idx: usize,
     armed: bool,
 }
@@ -362,11 +374,12 @@ struct MemoShard {
     chased: Memo<Query, ChaseSlot>,
     containment: Memo<(Query, Arc<Query>), bool>,
     implication: Memo<Dependency, bool>,
-    lattices: Memo<Arc<Query>, LatticeState>,
-    /// Plan forms: a lattice node with its implied conditions pruned.
-    plans: Memo<Query, Query>,
-    /// Key hashes of the universal plans walked, and of the plan forms
-    /// computed, at least once: the constant-exact memos admit an entry
+    lattices: Memo<Query, LatticeState>,
+    /// Plan forms: which conditions of a lattice node survive the
+    /// pruning of implied ones, by position.
+    plans: Memo<Query, Box<[bool]>>,
+    /// Key hashes of the lattice shapes walked, and of the plan forms
+    /// computed, at least once: the shape-keyed memos admit an entry
     /// only on its second request (see [`ChaseContext::checkout_lattice`]).
     lattices_sighted: HashSet<u64, BuildHasherDefault<PassThrough>>,
     plans_sighted: HashSet<u64, BuildHasherDefault<PassThrough>>,
@@ -406,7 +419,7 @@ pub(crate) fn approx_query_bytes(q: &Query) -> usize {
 }
 
 /// Footprint of one sighted key hash (the admission filter of the
-/// constant-exact memos): the hash plus its table slot.
+/// shape-keyed memos): the hash plus its table slot.
 const SIGHTED_BYTES: usize = 16;
 
 fn approx_dependency_bytes(d: &Dependency) -> usize {
@@ -823,21 +836,25 @@ impl ChaseContext {
     /// budget), exactly like the eager test. The chase state is checked
     /// out, stepped outside any lock, and parked resumed.
     pub fn contained_in(&self, q1: &Query, q2: &Query) -> bool {
-        self.contained_in_target(q1, &self.containment_target(q2))
+        self.contained_in_target(q1, q2, &self.containment_target(q2))
     }
 
     /// `q2`'s half of the containment key of `_ ⊑ q2`, for asking
     /// [`ChaseContext::contained_in_target`] about many subqueries of
     /// one target (a lattice walk asks it of every child of `u`).
-    pub(crate) fn containment_target<'q>(&self, q2: &'q Query) -> ContainmentTarget<'q> {
+    pub(crate) fn containment_target(&self, q2: &Query) -> ContainmentTarget {
         self.keys.target(q2)
     }
 
     /// [`ChaseContext::contained_in`] with `q2`'s half of the key built
     /// by [`ChaseContext::containment_target`]: the same key, the same
     /// memo entry, the same verdict.
-    pub(crate) fn contained_in_target(&self, q1: &Query, target: &ContainmentTarget<'_>) -> bool {
-        let q2 = target.query;
+    pub(crate) fn contained_in_target(
+        &self,
+        q1: &Query,
+        q2: &Query,
+        target: &ContainmentTarget,
+    ) -> bool {
         // Failpoint: a transient Err is recovered by proceeding (the
         // proof below is deterministic); a panic unwinds to the caller's
         // catch. Placed before any lookup so no memo is torn.
@@ -899,25 +916,31 @@ impl ChaseContext {
         self.contained_in(q1, q2) && self.contained_in(q2, q1)
     }
 
-    /// Checks the verified lattice of `u` out for one search walk (see
-    /// the `lattice` module): the parked lattice on a hit, with the armed
-    /// slot to park it in. A lattice is only worth its memory if `u` is
-    /// walked again — a re-preparation after a statistics refresh — so a
-    /// miss admits one only on the second walk of `u`: the first merely
-    /// records `u`'s key hash and walks on a private lattice that is
+    /// Checks the verified lattice of `u`'s shape out for one search
+    /// walk (see the `lattice` module): the parked lattice on a hit, with
+    /// the armed slot to park it in, and `u`'s non-dependency constants
+    /// in rank order, which the walk pairs with the lattice's own to
+    /// translate its facts. A lattice is only worth its memory if its
+    /// shape is walked again — a re-preparation after a statistics
+    /// refresh, or the same query with another constant — so a miss
+    /// admits one only on the second walk of a shape: the first merely
+    /// records the key's hash and walks on a private lattice that is
     /// never parked, the second records a fresh lattice into a new slot,
-    /// and the third replays it. A workload that never repeats a plan
-    /// (every query with a new constant) therefore holds no lattice. A
-    /// lattice another walk holds — or any lattice with caching off — is
-    /// substituted by a private fresh one too. The `shared::checkout`
-    /// failpoint is recovered by proceeding (a pressure signal sheds the
-    /// shard first).
-    pub(crate) fn checkout_lattice(&self, u: &Arc<Query>) -> (Lattice, Option<LatticeSlot<'_>>) {
+    /// and the third replays it. A workload that never repeats a shape
+    /// therefore holds no lattice. A lattice another walk holds — or any
+    /// lattice with caching off — is substituted by a private fresh one
+    /// too. The `shared::checkout` failpoint is recovered by proceeding
+    /// (a pressure signal sheds the shard first).
+    pub(crate) fn checkout_lattice(
+        &self,
+        u: &Arc<Query>,
+    ) -> (Lattice, Option<LatticeSlot<'_>>, Vec<Constant>) {
         if !self.caching {
-            return (Lattice::default(), None);
+            return (Lattice::new(Arc::clone(u), Vec::new()), None, Vec::new());
         }
         let injected = faults::hit("shared::checkout").err();
-        let key = Keyed::new(Arc::clone(u));
+        let (shape, constants) = self.keys.lattice(u);
+        let key = Keyed::new(shape);
         let idx = self.shard_of(&key);
         let mut guard = self.lock(idx);
         let shard = &mut *guard;
@@ -927,34 +950,36 @@ impl ChaseContext {
                 shard.shed();
             }
         }
-        let slot = |key| LatticeSlot {
-            ctx: self,
-            key,
-            idx,
-            armed: true,
-        };
-        match shard.lattices.get_mut(&key) {
+        let fresh = || Lattice::new(Arc::clone(u), constants.clone());
+        let (lattice, slot) = match shard.lattices.get_mut(&key) {
             Some(state) => match std::mem::replace(state, LatticeState::CheckedOut) {
-                LatticeState::Parked(lattice) => (*lattice, Some(slot(key))),
-                LatticeState::CheckedOut => (Lattice::default(), None),
+                LatticeState::Parked(lattice) => (*lattice, true),
+                LatticeState::CheckedOut => (fresh(), false),
             },
             None if shard.lattices_sighted.contains(&key.hash) => {
-                let key2 = Keyed {
+                shard.bytes += approx_query_bytes(&key.key);
+                let marker = Keyed {
                     hash: key.hash,
-                    key: Arc::clone(&key.key),
+                    key: key.key.clone(),
                 };
-                shard.lattices.insert(key2, LatticeState::CheckedOut);
-                shard.bytes += approx_query_bytes(u);
+                shard.lattices.insert(marker, LatticeState::CheckedOut);
                 self.enforce_byte_limit(shard);
-                (Lattice::default(), Some(slot(key)))
+                (fresh(), true)
             }
             None => {
                 shard.lattices_sighted.insert(key.hash);
                 shard.bytes += SIGHTED_BYTES;
                 self.enforce_byte_limit(shard);
-                (Lattice::default(), None)
+                (fresh(), false)
             }
-        }
+        };
+        let slot = slot.then(|| LatticeSlot {
+            ctx: self,
+            key,
+            idx,
+            armed: true,
+        });
+        (lattice, slot, constants)
     }
 
     /// Parks a checked-out lattice, accounting the bytes it grew by and
@@ -989,54 +1014,59 @@ impl ChaseContext {
     /// of a backchase subquery routinely carries conditions like
     /// `t = I[t.PName]` that hold on every constraint-satisfying
     /// instance and would only cost lookups at run time. Memoized per
-    /// exact query (constant-exact, like chase states: the result is
-    /// handed back) from its second computation on — the admission rule
-    /// of [`ChaseContext::checkout_lattice`] — and counted as lattice
-    /// hits and misses, so a replayed lattice costs its nodes without a
-    /// single implication lookup.
+    /// shape: the key renames variables by binding position and
+    /// abstracts constants but keeps the conditions in place, and the
+    /// entry records which positions survive, so a hit applies to the
+    /// caller's own conditions. Admitted from its second computation on
+    /// — the admission rule of [`ChaseContext::checkout_lattice`] — and
+    /// counted as lattice hits and misses, so a replayed lattice costs
+    /// its nodes without a single implication lookup.
     pub fn prune_implied_conditions(&self, q: &Query) -> Query {
-        let key = Keyed::new(q.clone());
-        let idx = self.shard_of(&key);
-        if self.caching {
-            if let Some(plan) = self.lock(idx).plans.get(&key) {
-                let plan = plan.clone();
+        let key = self.caching.then(|| Keyed::new(self.keys.plan_form(q)));
+        if let Some(key) = &key {
+            let hit = self.lock(self.shard_of(key)).plans.get(key).cloned();
+            if let Some(kept) = hit {
                 self.note_lattice(true);
-                return plan;
+                return with_conditions(q, &kept);
             }
         }
         self.note_lattice(false);
-        let mut out = q.clone();
-        let mut i = 0;
-        while i < out.where_.len() {
-            let mut premise = out.where_.clone();
-            let conclusion = premise.remove(i);
+        let mut kept = vec![true; q.where_.len()];
+        for (i, conclusion) in q.where_.iter().enumerate() {
+            let premise = q
+                .where_
+                .iter()
+                .zip(&kept)
+                .enumerate()
+                .filter(|&(j, (_, &k))| k && j != i)
+                .map(|(_, (e, _))| e.clone())
+                .collect();
             let sigma = Dependency::new(
                 "prune",
-                out.from.clone(),
-                premise.clone(),
+                q.from.clone(),
+                premise,
                 vec![],
-                vec![conclusion],
+                vec![conclusion.clone()],
             );
             if self.implies(&sigma) {
-                out.where_ = premise;
-            } else {
-                i += 1;
+                kept[i] = false;
             }
         }
-        if self.caching {
+        let plan = with_conditions(q, &kept);
+        if let Some(key) = key {
             // Admitted on its second computation, like a lattice: a plan
             // form first only leaves its key hash.
-            let mut guard = self.lock(idx);
+            let mut guard = self.lock(self.shard_of(&key));
             let shard = &mut *guard;
             if shard.plans_sighted.insert(key.hash) {
                 shard.bytes += SIGHTED_BYTES;
             } else {
-                shard.bytes += approx_query_bytes(&key.key) + approx_query_bytes(&out);
-                shard.plans.insert(key, out.clone());
+                shard.bytes += approx_query_bytes(&key.key) + kept.len();
+                shard.plans.insert(key, kept.into_boxed_slice());
             }
             self.enforce_byte_limit(shard);
         }
-        out
+        plan
     }
 
     /// Does the dependency set imply `sigma` (as far as the bounded chase
@@ -1110,14 +1140,13 @@ impl MemoKeys {
     /// The target half of containment keys `_ ⊑ q2`: `q2`
     /// alpha-normalized and constant-abstracted, its hash, and the
     /// numbering state the subquery half continues.
-    fn target<'q>(&self, q2: &'q Query) -> ContainmentTarget<'q> {
+    fn target(&self, q2: &Query) -> ContainmentTarget {
         let mut key = q2.alpha_normalized();
         let mut abs = Abstraction::new(&self.dep_constants);
         abs.query(&mut key);
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         ContainmentTarget {
-            query: q2,
             key: Arc::new(key),
             hash: h.finish(),
             renamed: abs.renamed,
@@ -1130,11 +1159,7 @@ impl MemoKeys {
     /// target's numbering (placeholders are numbered from the target
     /// first, so equal constants across the pair stay equal). Its hash
     /// combines the target's precomputed hash with `q1`'s.
-    fn containment(
-        &self,
-        q1: &Query,
-        target: &ContainmentTarget<'_>,
-    ) -> Keyed<(Query, Arc<Query>)> {
+    fn containment(&self, q1: &Query, target: &ContainmentTarget) -> Keyed<(Query, Arc<Query>)> {
         let mut k1 = q1.alpha_normalized();
         let mut abs = Abstraction {
             fixed: &self.dep_constants,
@@ -1166,12 +1191,110 @@ impl MemoKeys {
         abs.conditions(&mut key.conclusion);
         key
     }
+
+    /// The shape key of the verified lattice of `u`, and `u`'s
+    /// non-dependency constants in value order. The key is `u` with
+    /// every variable renamed to its rank among `u`'s variable names and
+    /// every non-dependency constant to a placeholder numbered by its
+    /// rank among all of `u`'s constants, conditions normalized. Two
+    /// plans with one key correspond by binding position and by
+    /// constant rank, and that correspondence keeps the order of names
+    /// and of constants: subquery construction breaks ties by the
+    /// structural order of paths, so a correspondence that reordered
+    /// them could pick other representatives or another condition order
+    /// (see the module docs).
+    fn lattice(&self, u: &Query) -> (Query, Vec<Constant>) {
+        let mut names: Vec<&String> = u.from.iter().map(|b| &b.var).collect();
+        names.sort_unstable();
+        let labels: BTreeMap<String, String> = names
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| (v.clone(), format!("v{i}")))
+            .collect();
+        let mut key = u.rename(&labels);
+        let mut all = BTreeSet::new();
+        rewrite_paths(&mut key, &mut |p| {
+            visit_constants(p, &mut |c| {
+                all.insert(c.clone());
+            });
+        });
+        let mut placeholders = HashMap::new();
+        let mut constants = Vec::new();
+        for (rank, c) in all.into_iter().enumerate() {
+            if !self.dep_constants.contains(&c) {
+                let mut ph = format!("\u{1}{rank}");
+                while self.dep_constants.contains(&Constant::Str(ph.clone())) {
+                    ph.push('\u{1}');
+                }
+                placeholders.insert(c.clone(), Constant::Str(ph));
+                constants.push(c);
+            }
+        }
+        rewrite_paths(&mut key, &mut |p| {
+            rewrite_constants(p, &mut |c| {
+                if let Some(ph) = placeholders.get(c) {
+                    *c = ph.clone();
+                }
+            });
+        });
+        key.where_ = key.where_.iter().map(Equality::normalized).collect();
+        key.where_.sort();
+        key.where_.dedup();
+        (key, constants)
+    }
+
+    /// The key of the plan form of `q`: variables renamed by binding
+    /// position and constants abstracted in order of occurrence, with
+    /// the conditions left in place, since the plan form records the
+    /// surviving conditions by position.
+    fn plan_form(&self, q: &Query) -> Query {
+        let positional: BTreeMap<String, String> = q
+            .from
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (b.var.clone(), format!("v{i}")))
+            .collect();
+        let mut key = q.rename(&positional);
+        let mut abs = Abstraction::new(&self.dep_constants);
+        rewrite_paths(&mut key, &mut |p| abs.path(p));
+        key
+    }
+}
+
+/// Lets `f` rewrite every path of `q` in place: output, binding sources,
+/// conditions.
+fn rewrite_paths(q: &mut Query, f: &mut impl FnMut(&mut Path)) {
+    match &mut q.output {
+        Output::Struct(fields) => fields.values_mut().for_each(&mut *f),
+        Output::Path(p) => f(p),
+    }
+    for b in q.from.iter_mut() {
+        f(&mut b.src);
+    }
+    for e in q.where_.iter_mut() {
+        f(&mut e.0);
+        f(&mut e.1);
+    }
+}
+
+/// `q` keeping only the conditions `kept` marks.
+fn with_conditions(q: &Query, kept: &[bool]) -> Query {
+    Query {
+        output: q.output.clone(),
+        from: q.from.clone(),
+        where_: q
+            .where_
+            .iter()
+            .zip(kept)
+            .filter(|&(_, &k)| k)
+            .map(|(e, _)| e.clone())
+            .collect(),
+    }
 }
 
 /// `q2`'s half of the containment key of `_ ⊑ q2`; see
 /// [`ChaseContext::containment_target`].
-pub(crate) struct ContainmentTarget<'q> {
-    query: &'q Query,
+pub(crate) struct ContainmentTarget {
     key: Arc<Query>,
     hash: u64,
     renamed: HashMap<Constant, Constant>,
@@ -1197,19 +1320,11 @@ impl<'a> Abstraction<'a> {
     }
 
     fn path(&mut self, p: &mut Path) {
-        match p {
-            Path::Const(c) => {
-                if !self.fixed.contains(c) {
-                    *c = self.placeholder(c);
-                }
+        rewrite_constants(p, &mut |c| {
+            if !self.fixed.contains(c) {
+                *c = self.placeholder(c);
             }
-            Path::Var(_) | Path::Root(_) => {}
-            Path::Field(p, _) | Path::Dom(p) => self.path(p),
-            Path::Get(p, k) | Path::GetOrEmpty(p, k) => {
-                self.path(p);
-                self.path(k);
-            }
-        }
+        });
     }
 
     fn placeholder(&mut self, c: &Constant) -> Constant {
@@ -1228,17 +1343,53 @@ impl<'a> Abstraction<'a> {
     }
 
     /// Renames a condition list, then restores its normal form: each
-    /// equality oriented, the list sorted and deduplicated.
+    /// equality oriented, the list sorted and deduplicated. Placeholders
+    /// are handed out in an order that ignores constant values: the
+    /// conditions that hold a constant to rename, by their
+    /// constant-erased form, the given order breaking ties. So `A = 2
+    /// and B = 9` and `A = 9 and B = 2` number alike.
     fn conditions(&mut self, eqs: &mut Vec<Equality>) {
-        for e in eqs.iter_mut() {
+        let mut order: Vec<(Equality, usize)> = eqs
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| self.renames(&e.0) || self.renames(&e.1))
+            .map(|(i, e)| (self.erased(e), i))
+            .collect();
+        order.sort();
+        for (_, i) in order {
+            let e = &mut eqs[i];
             self.path(&mut e.0);
             self.path(&mut e.1);
+        }
+        for e in eqs.iter_mut() {
             if e.1 < e.0 {
                 std::mem::swap(&mut e.0, &mut e.1);
             }
         }
         eqs.sort();
         eqs.dedup();
+    }
+
+    /// Does `p` hold a constant this abstraction renames?
+    fn renames(&self, p: &Path) -> bool {
+        let mut found = false;
+        visit_constants(p, &mut |c| found |= !self.fixed.contains(c));
+        found
+    }
+
+    /// `e` oriented with every constant to rename replaced by one
+    /// marker: the condition's place in the numbering order.
+    fn erased(&self, e: &Equality) -> Equality {
+        let erase = |p: &Path| -> Path {
+            let mut p = p.clone();
+            rewrite_constants(&mut p, &mut |c| {
+                if !self.fixed.contains(c) {
+                    *c = Constant::Str(String::new());
+                }
+            });
+            p
+        };
+        Equality(erase(&e.0), erase(&e.1)).normalized()
     }
 
     fn query(&mut self, q: &mut Query) {
@@ -1250,6 +1401,32 @@ impl<'a> Abstraction<'a> {
             self.path(&mut b.src);
         }
         self.conditions(&mut q.where_);
+    }
+}
+
+/// Calls `f` on every constant of `p`.
+fn visit_constants<'p>(p: &'p Path, f: &mut impl FnMut(&'p Constant)) {
+    match p {
+        Path::Const(c) => f(c),
+        Path::Var(_) | Path::Root(_) => {}
+        Path::Field(p, _) | Path::Dom(p) => visit_constants(p, f),
+        Path::Get(p, k) | Path::GetOrEmpty(p, k) => {
+            visit_constants(p, f);
+            visit_constants(k, f);
+        }
+    }
+}
+
+/// Lets `f` rewrite every constant of `p` in place.
+fn rewrite_constants(p: &mut Path, f: &mut impl FnMut(&mut Constant)) {
+    match p {
+        Path::Const(c) => f(c),
+        Path::Var(_) | Path::Root(_) => {}
+        Path::Field(p, _) | Path::Dom(p) => rewrite_constants(p, f),
+        Path::Get(p, k) | Path::GetOrEmpty(p, k) => {
+            rewrite_constants(p, f);
+            rewrite_constants(k, f);
+        }
     }
 }
 
@@ -1478,6 +1655,93 @@ mod tests {
         assert!(ctx.contained_in(&same, &diagonal));
         assert!(!ctx.contained_in(&distinct, &diagonal));
         assert_eq!(ctx.stats().containment_hits, 0);
+    }
+
+    #[test]
+    fn placeholder_numbering_ignores_constant_values() {
+        let keys = MemoKeys::new(&[ric()]);
+        let q = |a: i64, b: i64| {
+            parse_query(&format!(
+                "select struct(C = r.C) from R r where r.A = {a} and r.B = {b}"
+            ))
+            .unwrap()
+        };
+        let containment = |a, b| {
+            let q = q(a, b);
+            keys.containment(&q, &keys.target(&q)).key
+        };
+        let implication = |a: i64, b: i64| {
+            keys.implication(
+                &parse_dependency(
+                    "d",
+                    &format!("forall (r in R) where r.A = {a} and r.B = {b} -> r.C = r.A"),
+                )
+                .unwrap(),
+            )
+        };
+        let lattice = |a, b| keys.lattice(&q(a, b)).0;
+        // The same equality pattern in either value order: one key.
+        assert_eq!(containment(2, 9), containment(9, 2));
+        assert_eq!(implication(2, 9), implication(9, 2));
+        // A lattice key keeps the order of the constants too (subquery
+        // construction breaks ties by it), and nothing else about them.
+        assert_eq!(lattice(2, 9), lattice(1, 5));
+        assert_ne!(lattice(2, 9), lattice(9, 2));
+        assert_eq!(lattice(9, 2), lattice(7, 3));
+        // An equality between constants is never abstracted away.
+        assert_ne!(containment(5, 5), containment(5, 6));
+        assert_ne!(implication(5, 5), implication(5, 6));
+        assert_ne!(lattice(5, 5), lattice(5, 6));
+        assert_ne!(lattice(5, 5), lattice(6, 5));
+        // Variables are matched by binding position; only the order of
+        // their names counts.
+        let renamed =
+            parse_query("select struct(C = x.C) from R x where x.A = 1 and x.B = 5").unwrap();
+        assert_eq!(keys.lattice(&renamed).0, lattice(2, 9));
+    }
+
+    /// Entry counts of the shape-keyed tables across all shards:
+    /// lattices, lattices sighted, plan forms, plan forms sighted.
+    fn shape_table_sizes(ctx: &ChaseContext) -> [usize; 4] {
+        (0..ctx.shards.len()).fold([0; 4], |acc, i| {
+            let shard = ctx.shard(i);
+            [
+                acc[0] + shard.lattices.len(),
+                acc[1] + shard.lattices_sighted.len(),
+                acc[2] + shard.plans.len(),
+                acc[3] + shard.plans_sighted.len(),
+            ]
+        })
+    }
+
+    #[test]
+    fn constant_churn_leaves_the_shape_memos_bounded() {
+        use crate::backchase::{ExploreAll, PlanSearch};
+        let ctx = ChaseContext::new(vec![ric()], ChaseConfig::default());
+        let walk = |k: usize| {
+            let u = parse_query(&format!(
+                "select struct(A = r.A) from R r, S s where r.A = s.A and r.C = \"c{k}\""
+            ))
+            .unwrap();
+            let out = PlanSearch::new(&u).run(&ctx, &mut ExploreAll);
+            assert_eq!(out.visited.len(), 2, "{out:?}");
+            for q in &out.visited {
+                let plan = ctx.prune_implied_conditions(q);
+                assert!(plan.to_string().contains(&format!("\"c{k}\"")), "{plan}");
+            }
+        };
+        for k in 0..3 {
+            walk(k);
+        }
+        let warm = shape_table_sizes(&ctx);
+        assert_eq!(warm, [1, 1, 2, 2], "one lattice and two plan forms");
+        let replays = ctx.stats().lattice_hits;
+        for k in 3..200 {
+            walk(k);
+        }
+        assert_eq!(shape_table_sizes(&ctx), warm);
+        let stats = ctx.stats();
+        assert!(stats.lattice_hits > replays, "{stats:?}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The verified lattice of a universal plan — the [`ChaseContext`]'s
+//! The verified lattice of a universal plan's shape — the [`ChaseContext`]'s
 //! fourth memo — and the one child expansion both search drivers run.
 //!
 //! Phases 1–2 of chase & backchase depend only on the query and the
@@ -15,20 +15,33 @@
 //! The lattice-construction [`QueryGraph`] only ever interns `u`'s own
 //! paths and canonical representatives do not depend on insertion
 //! order, so a child computed by one walk is byte-identical to the child
-//! any other walk would compute. A [`Lattice`] records these facts per
-//! universal plan; a walk over the same `u` — a re-preparation after a
-//! statistics refresh — replays them instead of re-deriving closures,
-//! subqueries, lookup-safety proofs and containment proofs, while the
-//! visitor still gates, prioritises, costs and prunes live. Visit order,
-//! node and prune counters and plans are therefore those of a fresh
-//! walk. A child the first walk gated is verified lazily by the first
-//! walk that admits it.
+//! any other walk would compute. Nor do they depend on the values of
+//! names and constants, only on their order: the chase and the hom
+//! search never look at a constant's value, and subquery construction
+//! compares paths only to break ties. So the facts of one plan carry
+//! over to every plan of the same *shape* — the same plan up to a
+//! renaming of variables by binding position and of the constants the
+//! dependencies never mention, one that keeps the order of both.
+//!
+//! A [`Lattice`] records these facts per shape, for the plan its first
+//! recording walk was asked about. A later walk of the shape — a
+//! re-preparation after a statistics refresh, or a query with another
+//! constant — replays them instead of re-deriving closures, subqueries,
+//! lookup-safety proofs and containment proofs. Every fact is computed
+//! on the recorded plan, so proofs only ever run on concrete queries
+//! and the lattice holds one form; each subquery the walk settles is
+//! translated to the walked plan (no renaming at all when the two
+//! coincide), while the visitor still gates, prioritises, costs and
+//! prunes live on it. Visit order, node and prune counters and plans are
+//! therefore those of a fresh walk. A child the first walk gated is
+//! verified lazily by the first walk that admits it.
 //!
 //! A lattice costs memory in proportion to the walk, so it is recorded
-//! only for a plan that is walked again: the first walk of `u` leaves
-//! just `u`'s key hash behind, the second records the lattice, the third
+//! only for a shape that is walked again: the first walk leaves just the
+//! shape's key hash behind, the second records the lattice, the third
 //! and later ones replay it ([`ChaseContext::checkout_lattice`]). A
-//! workload that never repeats a universal plan holds no lattice.
+//! workload that never repeats a shape holds no lattice, and one that
+//! serves a shape with ever new constants holds one.
 //!
 //! A walk checks the lattice out of the context for its whole duration
 //! ([`LatticeWalk::begin`]) and parks it again at the end
@@ -36,14 +49,14 @@
 //! checked-out lattice behind a lock. A walk that unwinds without
 //! finishing — or whose park panics or is lost — loses its additions and
 //! the lattice with them, and its armed slot clears the checked-out
-//! marker, so the next walk of `u` records afresh. That is always safe:
+//! marker, so the next walk of the shape records afresh. That is always safe:
 //! the memo is a cache.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use pcql::path::Path;
-use pcql::query::Query;
+use pcql::path::{Constant, Path};
+use pcql::query::{Binding, Equality, Query};
 
 use crate::backchase::{dependent_closure, prune_unsafe_conditions, subquery_for};
 use crate::canon::QueryGraph;
@@ -115,11 +128,15 @@ struct Entry {
     verdict: Option<Option<Arc<Assignment>>>,
 }
 
-/// The verified lattice of one universal plan: the dependent closure of
-/// every seed a walk expanded and the entry of every closure it
-/// examined. See the module docs.
-#[derive(Default)]
+/// The verified lattice of one shape of universal plan: the dependent
+/// closure of every seed a walk expanded and the entry of every closure
+/// it examined, all in the form of the plan the lattice was recorded
+/// for. See the module docs.
 pub(crate) struct Lattice {
+    /// The universal plan every fact is recorded for, and its
+    /// non-dependency constants in value order.
+    recorded: Arc<Query>,
+    constants: Vec<Constant>,
     closures: HashMap<Removal, Removal>,
     entries: HashMap<Removal, Entry>,
     /// Approximate bytes held, and how many of them the context's shard
@@ -128,13 +145,110 @@ pub(crate) struct Lattice {
     pub(crate) accounted: usize,
 }
 
-/// A verified lattice node: a frontier entry's payload. Every part is
-/// shared with the memo, so enqueuing a node copies no query.
+impl Lattice {
+    /// An empty lattice for `u`, whose non-dependency constants in value
+    /// order are `constants`.
+    pub(crate) fn new(u: Arc<Query>, constants: Vec<Constant>) -> Lattice {
+        Lattice {
+            bytes: approx_query_bytes(&u) + 32 * constants.len(),
+            accounted: 0,
+            recorded: u,
+            constants,
+            closures: HashMap::new(),
+            entries: HashMap::new(),
+        }
+    }
+}
+
+/// The renaming from a lattice's recorded plan to the plan a walk was
+/// asked about: variables by binding position, non-dependency constants
+/// by rank. Both keep the order of names and of constants (the shape key
+/// guarantees it), so it maps every fact recorded for one plan onto the
+/// fact a walk of the other would derive. Only the names and constants
+/// that differ are listed.
+struct Renaming {
+    vars: BTreeMap<String, String>,
+    constants: HashMap<Constant, Constant>,
+}
+
+impl Renaming {
+    /// The renaming from `recorded` to `u`; `None` when it is the
+    /// identity, as for a re-preparation of the same query.
+    fn between(
+        recorded: &Query,
+        recorded_constants: &[Constant],
+        u: &Query,
+        constants: &[Constant],
+    ) -> Option<Renaming> {
+        let vars: BTreeMap<String, String> = recorded
+            .from
+            .iter()
+            .zip(&u.from)
+            .filter(|(r, b)| r.var != b.var)
+            .map(|(r, b)| (r.var.clone(), b.var.clone()))
+            .collect();
+        let constants: HashMap<Constant, Constant> = recorded_constants
+            .iter()
+            .zip(constants)
+            .filter(|(r, c)| r != c)
+            .map(|(r, c)| (r.clone(), c.clone()))
+            .collect();
+        (!vars.is_empty() || !constants.is_empty()).then_some(Renaming { vars, constants })
+    }
+
+    fn path(&self, p: &Path) -> Path {
+        match p {
+            Path::Var(v) => Path::Var(self.vars.get(v).unwrap_or(v).clone()),
+            Path::Const(c) => Path::Const(self.constants.get(c).unwrap_or(c).clone()),
+            Path::Root(r) => Path::Root(r.clone()),
+            Path::Field(q, a) => Path::Field(Box::new(self.path(q)), a.clone()),
+            Path::Dom(q) => Path::Dom(Box::new(self.path(q))),
+            Path::Get(m, k) => Path::Get(Box::new(self.path(m)), Box::new(self.path(k))),
+            Path::GetOrEmpty(m, k) => {
+                Path::GetOrEmpty(Box::new(self.path(m)), Box::new(self.path(k)))
+            }
+        }
+    }
+
+    fn query(&self, q: &Query) -> Query {
+        Query {
+            output: q.output.map_paths(&mut |p| self.path(p)),
+            from: q
+                .from
+                .iter()
+                .map(|b| Binding {
+                    var: self.vars.get(&b.var).unwrap_or(&b.var).clone(),
+                    src: self.path(&b.src),
+                    kind: b.kind,
+                })
+                .collect(),
+            where_: q
+                .where_
+                .iter()
+                .map(|e| Equality(self.path(&e.0), self.path(&e.1)))
+                .collect(),
+        }
+    }
+
+    fn names(&self, names: &BTreeSet<String>) -> BTreeSet<String> {
+        names
+            .iter()
+            .map(|v| self.vars.get(v).unwrap_or(v).clone())
+            .collect()
+    }
+}
+
+/// A verified lattice node: a frontier entry's payload. With the
+/// identity renaming every part is shared with the memo, so enqueuing a
+/// node copies no query.
 pub(crate) struct Node {
     pub(crate) key: Removal,
+    /// The removal set and the subquery, in the walked plan's names and
+    /// constants: what the visitor sees.
     pub(crate) removed: Arc<BTreeSet<String>>,
     pub(crate) query: Arc<Query>,
-    /// The witness of `u ⊑ query`, seeding the children's checks.
+    /// The witness of `u ⊑ query` in the recorded plan's form, seeding
+    /// the children's checks.
     pub(crate) hom: Arc<Assignment>,
 }
 
@@ -184,30 +298,40 @@ impl Graphs {
 }
 
 /// One walk over the lattice of `u` with its memo checked out of the
-/// context; shared by reference among the walk's workers.
+/// context; shared by reference among the walk's workers. Every fact is
+/// computed on, and recorded for, the lattice's recorded plan `base`;
+/// what the visitor sees is translated to `u` on the way out.
 pub(crate) struct LatticeWalk<'a> {
     ctx: &'a ChaseContext,
-    u: &'a Query,
+    /// The plan the lattice's facts are about: the one it was recorded
+    /// for, `u` itself for a fresh lattice.
+    base: Arc<Query>,
+    /// `u`, the lattice's root as the visitor sees it.
     root: Arc<Query>,
+    /// From `base` to `u`; `None` for the identity.
+    renaming: Option<Renaming>,
     memo: Mutex<Lattice>,
     /// Where the memo parks again; `None` for a private memo (caching
-    /// off, the first walk of `u`, or the slot held by a concurrent
-    /// walk). Dropped armed — the walk unwound — it clears the slot.
+    /// off, the first walk of the shape, or the slot held by a
+    /// concurrent walk). Dropped armed — the walk unwound — it clears
+    /// the slot.
     slot: Option<LatticeSlot<'a>>,
-    /// `u`'s half of every containment key, built at most once.
-    target: OnceLock<ContainmentTarget<'a>>,
+    /// `base`'s half of every containment key, built at most once.
+    target: OnceLock<ContainmentTarget>,
 }
 
 impl<'a> LatticeWalk<'a> {
-    /// Checks the lattice of `u` out of `ctx` (a fresh one on a miss;
-    /// recorded only from the second walk of `u` on).
-    pub(crate) fn begin(ctx: &'a ChaseContext, u: &'a Query) -> LatticeWalk<'a> {
+    /// Checks the lattice of `u`'s shape out of `ctx` (a fresh one on a
+    /// miss; recorded only from the second walk of the shape on).
+    pub(crate) fn begin(ctx: &'a ChaseContext, u: &Query) -> LatticeWalk<'a> {
         let root = Arc::new(u.clone());
-        let (memo, slot) = ctx.checkout_lattice(&root);
+        let (memo, slot, constants) = ctx.checkout_lattice(&root);
+        let renaming = Renaming::between(&memo.recorded, &memo.constants, u, &constants);
         LatticeWalk {
             ctx,
-            u,
+            base: Arc::clone(&memo.recorded),
             root,
+            renaming,
             memo: Mutex::new(memo),
             slot,
             target: OnceLock::new(),
@@ -215,9 +339,12 @@ impl<'a> LatticeWalk<'a> {
     }
 
     /// Parks the memo back into the context.
-    pub(crate) fn finish(mut self) {
-        if let Some(slot) = self.slot.take() {
-            let memo = std::mem::take(&mut *self.lock());
+    pub(crate) fn finish(self) {
+        if let Some(slot) = self.slot {
+            let memo = self
+                .memo
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner);
             self.ctx.park_lattice(slot, memo);
         }
     }
@@ -225,11 +352,11 @@ impl<'a> LatticeWalk<'a> {
     /// The lattice's root: `u` itself, witnessed by the identity.
     pub(crate) fn root(&self) -> Node {
         Node {
-            key: Removal::empty(self.u.from.len()),
+            key: Removal::empty(self.base.from.len()),
             removed: Arc::new(BTreeSet::new()),
             query: Arc::clone(&self.root),
             hom: Arc::new(
-                self.u
+                self.base
                     .from
                     .iter()
                     .map(|b| (b.var.clone(), Path::Var(b.var.clone())))
@@ -259,7 +386,7 @@ impl<'a> LatticeWalk<'a> {
         walk: &mut impl Expansion,
     ) -> Vec<Removal> {
         let mut children = Vec::new();
-        for i in 0..self.u.from.len() {
+        for i in 0..self.base.from.len() {
             if parent.key.contains(i) {
                 continue;
             }
@@ -283,8 +410,9 @@ impl<'a> LatticeWalk<'a> {
         if let Some(closure) = self.lock().closures.get(&seed) {
             return (closure.clone(), true);
         }
-        let names = dependent_closure(self.u, graphs.lattice(self.u), seed.names(self.u));
-        let closure = Removal::of_names(self.u, &names);
+        let u = &*self.base;
+        let names = dependent_closure(u, graphs.lattice(u), seed.names(u));
+        let closure = Removal::of_names(u, &names);
         if self.ctx.caching() {
             let mut memo = self.lock();
             memo.bytes += seed.approx_bytes() + closure.approx_bytes();
@@ -293,9 +421,9 @@ impl<'a> LatticeWalk<'a> {
         (closure, false)
     }
 
-    /// Examines a claimed child: its subquery, the gate, the
-    /// equivalence verdict. Also returns whether the memo answered all
-    /// of it.
+    /// Examines a claimed child: its subquery, the gate (on the
+    /// subquery translated to `u`), the equivalence verdict. Also
+    /// returns whether the memo answered all of it.
     fn examine(
         &self,
         graphs: &mut Graphs,
@@ -306,8 +434,9 @@ impl<'a> LatticeWalk<'a> {
         let cached = self.lock().entries.get(key).cloned();
         let mut replayed = cached.is_some();
         let entry = cached.unwrap_or_else(|| {
-            let removed = key.names(self.u);
-            let query = subquery_for(self.u, graphs.lattice(self.u), &removed)
+            let u = &*self.base;
+            let removed = key.names(u);
+            let query = subquery_for(u, graphs.lattice(u), &removed)
                 .and_then(|q2| prune_unsafe_conditions(self.ctx, &q2))
                 .map(Arc::new);
             let entry = Entry {
@@ -328,10 +457,14 @@ impl<'a> LatticeWalk<'a> {
         let Some(query) = entry.query else {
             return (Child::Invalid, replayed);
         };
+        let (shown, removed) = match &self.renaming {
+            None => (Arc::clone(&query), entry.removed),
+            Some(r) => (Arc::new(r.query(&query)), Arc::new(r.names(&entry.removed))),
+        };
         // Branch-and-bound gate: skip the expensive equivalence
         // verification when the visitor already knows the candidate's
         // sublattice cannot matter.
-        if !walk.admit(&query, &entry.removed) {
+        if !walk.admit(&shown, &removed) {
             return (Child::Gated, replayed);
         }
         let verdict = entry.verdict.unwrap_or_else(|| {
@@ -351,8 +484,8 @@ impl<'a> LatticeWalk<'a> {
         let child = match verdict {
             Some(hom) => Child::Valid(Node {
                 key: key.clone(),
-                removed: entry.removed,
-                query,
+                removed,
+                query: shown,
                 hom,
             }),
             None => Child::Invalid,
@@ -360,15 +493,15 @@ impl<'a> LatticeWalk<'a> {
         (child, replayed)
     }
 
-    /// Is the subquery `q2` equivalent to `u`? The witness of `u ⊑ q2`
-    /// when it is.
+    /// Is the subquery `q2` of `base` equivalent to it? The witness of
+    /// `base ⊑ q2` when it is.
     fn verify(
         &self,
         graphs: &mut Graphs,
         q2: &Query,
         parent_hom: &Assignment,
     ) -> Option<Arc<Assignment>> {
-        let u = self.u;
+        let u = &*self.base;
         // u ⊑ q2: containment mapping from q2 into u itself (u is
         // already chased, so no re-chase is needed). The parent's
         // witness restricted to the surviving variables is almost always
@@ -386,20 +519,23 @@ impl<'a> LatticeWalk<'a> {
         // u's half of the containment key, built once per walk.
         let target = self.target.get_or_init(|| self.ctx.containment_target(u));
         self.ctx
-            .contained_in_target(q2, target)
+            .contained_in_target(q2, u, target)
             .then(|| Arc::new(h2))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Renaming;
     use crate::backchase::{ExploreAll, PlanSearch, SearchOutcome};
     use crate::chase::ChaseConfig;
     use crate::context::{CacheStats, ChaseContext};
     use crate::faults;
     use pcql::parser::{parse_dependency, parse_query};
+    use pcql::path::Constant;
     use pcql::query::Query;
     use pcql::Dependency;
+    use std::collections::BTreeMap;
 
     fn view_scenario() -> (Query, Vec<Dependency>) {
         let u = parse_query(
@@ -484,6 +620,70 @@ mod tests {
             off_hits += stats.lattice_hits;
         }
         assert_eq!(off_hits, 0);
+    }
+
+    /// The view scenario's plan with `r.C = a and s.C = b`: dropping `v`
+    /// leaves two conditions whose pivot is a constant, ordered by the
+    /// constants' values.
+    fn with_constants(a: i64, b: i64) -> Query {
+        parse_query(&format!(
+            "select struct(A = r.A) from R r, S s, V v \
+             where r.B = s.B and v.A = r.A and r.C = {a} and s.C = {b}"
+        ))
+        .unwrap()
+    }
+
+    fn assert_same_plans(a: &SearchOutcome, b: &SearchOutcome) {
+        assert_same_walk(a, b);
+        assert_eq!(a.visited, b.visited);
+    }
+
+    #[test]
+    fn a_constant_variant_replays_the_lattice_translated_to_its_own_constants() {
+        let (_, deps) = view_scenario();
+        let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+        let oracle = |u: &Query| {
+            let off = ChaseContext::without_memo(deps.clone(), ChaseConfig::default());
+            PlanSearch::new(u).run(&off, &mut ExploreAll)
+        };
+        // Sighted, recorded, then replayed for a third constant pair in
+        // the same order.
+        let (_, first) = walk(&ctx, &with_constants(2, 9));
+        let (_, second) = walk(&ctx, &with_constants(1, 5));
+        assert_eq!(second.lattice_misses, first.lattice_misses, "{second:?}");
+        let u = with_constants(3, 8);
+        let (replay, third) = walk(&ctx, &u);
+        assert_eq!(third.lattice_misses, 0, "{third:?}");
+        assert_eq!(
+            third.containment_hits + third.containment_misses,
+            0,
+            "{third:?}"
+        );
+        assert_same_plans(&replay, &oracle(&u));
+        assert!(replay.visited.iter().all(|q| !q.to_string().contains('9')));
+
+        // The same values the other way round are another shape: the
+        // subquery without `v` orders its conditions by value, so the
+        // recorded lattice renamed `2 ↔ 9` is not what a walk derives.
+        let flipped = with_constants(9, 2);
+        let swap = Renaming {
+            vars: BTreeMap::new(),
+            constants: [
+                (Constant::Int(2), Constant::Int(9)),
+                (Constant::Int(9), Constant::Int(2)),
+            ]
+            .into(),
+        };
+        let renamed: Vec<Query> = oracle(&with_constants(2, 9))
+            .visited
+            .iter()
+            .map(|q| swap.query(q))
+            .collect();
+        let fresh = oracle(&flipped);
+        assert_ne!(renamed, fresh.visited);
+        let (walked, fourth) = walk(&ctx, &flipped);
+        assert_eq!(fourth.lattice_misses, first.lattice_misses, "{fourth:?}");
+        assert_same_plans(&walked, &fresh);
     }
 
     #[test]

@@ -19,15 +19,18 @@
 //!   context, so its memos persist across preparations at every thread
 //!   count.
 //! * **Verified lattices** — phases 1–2 depend only on the query and the
-//!   constraints, so the context also keeps, per universal plan walked
-//!   more than once, the backchase lattice its walks verified. A
-//!   re-preparation after a statistics refresh misses the plan cache and
-//!   hits the chase memo (the same universal plan); the first such
-//!   re-preparation records the lattice, every later one replays it: the
-//!   cost-guided or exhaustive visitor still gates, orders, costs and
-//!   prunes under the new statistics, but no containment or implication
+//!   constraints, so the context also keeps, per shape of universal plan
+//!   walked more than once, the backchase lattice its walks verified. The
+//!   shape ignores the values of the constants the constraints never
+//!   mention, so two walks of it may be a re-preparation after a
+//!   statistics refresh (a plan-cache miss, a chase-memo hit: the same
+//!   universal plan) or two queries that differ only in such a constant
+//!   (`CustName = "cust5"`, then `"cust7"`). The second walk of a shape
+//!   records its lattice, every later one replays it, translated to its
+//!   own constants: the cost-guided or exhaustive visitor still gates,
+//!   orders, costs and prunes live, but no containment or implication
 //!   question is asked, and the outcome is byte-identical to a fresh
-//!   service's. A plan prepared only once holds no lattice.
+//!   service's. A shape walked only once holds no lattice.
 //! * **Prepared plans** — the full [`OptimizeOutcome`] plus its
 //!   serialized [`PlanRepr`], keyed by *alpha-normalized query* ×
 //!   *canonical catalog fingerprint* × *cost-model fingerprint*. A hit

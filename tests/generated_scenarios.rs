@@ -347,6 +347,101 @@ proptest! {
     }
 }
 
+/// `q` with every integer constant `c` replaced by `f(c)`. The generated
+/// dependencies mention no constant, so every one of them is a
+/// non-dependency constant.
+fn map_constants(q: &Query, f: &impl Fn(i64) -> i64) -> Query {
+    fn path(p: &Path, f: &impl Fn(i64) -> i64) -> Path {
+        match p {
+            Path::Const(Constant::Int(c)) => Path::Const(Constant::Int(f(*c))),
+            Path::Var(_) | Path::Root(_) | Path::Const(_) => p.clone(),
+            Path::Field(q, a) => Path::Field(Box::new(path(q, f)), a.clone()),
+            Path::Dom(q) => Path::Dom(Box::new(path(q, f))),
+            Path::Get(m, k) => Path::Get(Box::new(path(m, f)), Box::new(path(k, f))),
+            Path::GetOrEmpty(m, k) => Path::GetOrEmpty(Box::new(path(m, f)), Box::new(path(k, f))),
+        }
+    }
+    Query {
+        output: q.output.map_paths(&mut |p| path(p, f)),
+        from: q
+            .from
+            .iter()
+            .map(|b| Binding {
+                src: path(&b.src, f),
+                ..b.clone()
+            })
+            .collect(),
+        where_: q
+            .where_
+            .iter()
+            .map(|e| Equality(path(&e.0, f), path(&e.1, f)))
+            .collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// The constant-variant oracle. On one warm context, the scenario's
+    /// query prepared twice records its lattice shape; a variant with
+    /// its constants renamed injectively must then plan exactly as a
+    /// cache-disabled context does. A renaming that keeps the constants'
+    /// order keeps the shape, so the variant replays the lattice and
+    /// adds no containment, implication or lattice miss; one that
+    /// reverses their order is another shape, walked afresh.
+    #[test]
+    fn constant_variants_plan_like_a_fresh_context_on_random_catalogs(s in arb_scenario()) {
+        let constants = s.query.where_.iter().filter(|e| {
+            matches!(e.1, Path::Const(_)) || matches!(e.0, Path::Const(_))
+        }).count();
+        if constants == 0 {
+            return;
+        }
+        let deps = s.catalog.all_constraints();
+        let variants = [
+            (map_constants(&s.query, &|c| 10 * c + 7), true),
+            (map_constants(&s.query, &|c| 100 - c), constants < 2),
+        ];
+        for strategy in [SearchStrategy::Exhaustive, SearchStrategy::CostGuided] {
+            for threads in [1usize, 2] {
+                let config = OptimizerConfig { strategy, threads, ..Default::default() };
+                let optimizer = Optimizer::with_config(&s.catalog, config.clone());
+                // A parallel cost-guided walk races its incumbent, so only
+                // its best plan is schedule-independent.
+                let exact = threads == 1 || strategy == SearchStrategy::Exhaustive;
+                for (variant, same_shape) in &variants {
+                    let desc = format!("{strategy:?} @ {threads} threads, `{variant}` on {}", s.desc);
+                    let mut warm = ChaseContext::new(deps.clone(), config.chase.clone());
+                    for _ in 0..2 {
+                        optimizer.optimize_in(&mut warm, &s.query).unwrap();
+                    }
+                    let before = warm.stats();
+                    let got = optimizer.optimize_in(&mut warm, variant).unwrap();
+                    let after = warm.stats();
+                    let mut off = ChaseContext::without_memo(deps.clone(), config.chase.clone());
+                    let want = optimizer.optimize_in(&mut off, variant).unwrap();
+                    prop_assert_eq!(&got.best.query, &want.best.query, "{}", desc);
+                    prop_assert_eq!(got.best.cost, want.best.cost, "{}", desc);
+                    if !exact {
+                        continue;
+                    }
+                    prop_assert_eq!(got.nodes_visited, want.nodes_visited, "{}", desc);
+                    prop_assert_eq!(got.nodes_pruned_at_gate, want.nodes_pruned_at_gate, "{}", desc);
+                    prop_assert_eq!(got.nodes_pruned_at_visit, want.nodes_pruned_at_visit, "{}", desc);
+                    if *same_shape {
+                        let added = [
+                            after.containment_misses - before.containment_misses,
+                            after.implication_misses - before.implication_misses,
+                            after.lattice_misses - before.lattice_misses,
+                        ];
+                        prop_assert_eq!(added, [0; 3], "{}: {:?}", desc, after);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The harness must *fail* on a broken bound: inflating the bound makes
 /// it inadmissible, the branch-and-bound then prunes the optimal cone,
 /// and the differential check reports a cost gap. (This is the

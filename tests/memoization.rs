@@ -2,12 +2,15 @@
 //! pure speedup, so a memoized backchase and a cache-disabled one must
 //! produce exactly the same plan sets, and the memo must actually be
 //! exercised on the paper's pipeline. The containment and implication
-//! memos key on constant-abstracted forms, so queries that differ only
-//! in a constant share verdicts; the constant-varied families below
-//! check that sharing against a cache-disabled context per query.
+//! memos key on constant-abstracted forms, and the verified lattices on
+//! constant-abstracted shapes, so queries that differ only in a constant
+//! share verdicts and lattices; the constant-varied families below check
+//! that sharing against a cache-disabled context per query, and a
+//! dependency that mentions a constant is the canary that keeps it
+//! honest.
 
 use cb_catalog::Catalog;
-use cb_chase::{backchase_in, first_unsafe, ChaseConfig, ChaseContext};
+use cb_chase::{backchase_in, first_unsafe, CacheStats, ChaseConfig, ChaseContext};
 use pcql::Query;
 
 fn norm(plans: &[Query]) -> Vec<Query> {
@@ -227,7 +230,9 @@ fn check_constant_family_verdicts(scenario: &str, seed: u64) {
             );
         }
         // The last query of each family repeats an earlier one's shape
-        // with a fresh constant: every verdict it needs is already proved.
+        // with a fresh constant: every verdict it needs is already proved,
+        // and the walk replays the lattice two earlier walks of the shape
+        // recorded.
         if i + 1 == queries.len() {
             let after = warm.stats();
             assert_eq!(
@@ -238,7 +243,11 @@ fn check_constant_family_verdicts(scenario: &str, seed: u64) {
                 after.implication_misses, before.implication_misses,
                 "{desc}: implication verdicts re-proved: {after:?}"
             );
-            assert!(after.containment_hits > before.containment_hits);
+            assert_eq!(
+                after.lattice_misses, before.lattice_misses,
+                "{desc}: lattice not replayed: {after:?}"
+            );
+            assert!(after.lattice_hits > before.lattice_hits);
         }
     }
 }
@@ -381,4 +390,156 @@ fn children_a_replay_admits_past_the_old_gate_are_verified_lazily() {
             "{name}"
         );
     }
+}
+
+/// Misses of the three memos a preparation must not add when it replays
+/// a lattice, and the proof lookups it asked.
+fn replay_counters(before: &CacheStats, after: &CacheStats) -> ([u64; 3], u64) {
+    let lookups = |s: &CacheStats| {
+        s.containment_hits + s.containment_misses + s.implication_hits + s.implication_misses
+    };
+    (
+        [
+            after.containment_misses - before.containment_misses,
+            after.implication_misses - before.implication_misses,
+            after.lattice_misses - before.lattice_misses,
+        ],
+        lookups(after) - lookups(before),
+    )
+}
+
+/// Prepares `q` twice on one warm context — the second walk of its shape
+/// records the lattice — and then its constant variant `v`, and checks
+/// `v`'s outcome against a cache-disabled context: the same best plan
+/// and cost and, where the walk is schedule-independent (`exact`), the
+/// same node and prune counters. Returns what `v`'s preparation added.
+fn prepare_variant(
+    desc: &str,
+    catalog: &Catalog,
+    config: &cb_optimizer::OptimizerConfig,
+    q: &Query,
+    v: &Query,
+    exact: bool,
+) -> ([u64; 3], u64) {
+    let optimizer = cb_optimizer::Optimizer::with_config(catalog, config.clone());
+    let mut warm = ChaseContext::new(catalog.all_constraints(), config.chase.clone());
+    for _ in 0..2 {
+        optimizer.optimize_in(&mut warm, q).unwrap();
+    }
+    let before = warm.stats();
+    let got = optimizer.optimize_in(&mut warm, v).unwrap();
+    let added = replay_counters(&before, &warm.stats());
+    let mut off = ChaseContext::without_memo(catalog.all_constraints(), config.chase.clone());
+    let want = optimizer.optimize_in(&mut off, v).unwrap();
+    assert_eq!(
+        format!("{:?}", got.best),
+        format!("{:?}", want.best),
+        "{desc}"
+    );
+    if exact {
+        assert_eq!(got.nodes_visited, want.nodes_visited, "{desc}");
+        assert_eq!(
+            got.nodes_pruned_at_gate, want.nodes_pruned_at_gate,
+            "{desc}"
+        );
+        assert_eq!(
+            got.nodes_pruned_at_visit, want.nodes_pruned_at_visit,
+            "{desc}"
+        );
+    }
+    added
+}
+
+/// A query that differs from an earlier one only in its non-dependency
+/// constants — in the same order — replays the lattice their shape
+/// recorded, translated to its own constants: the plan of a fresh
+/// context, without a single containment, implication or lattice miss.
+#[test]
+fn constant_variants_replay_the_lattice_and_match_a_fresh_context() {
+    use cb_optimizer::{OptimizerConfig, SearchStrategy};
+    let families: [(&str, &[(usize, usize)]); 3] = [
+        ("projdept", &[(0, 3), (1, 3)]),
+        ("relational_indexes", &[(1, 4), (2, 3)]),
+        ("relational_views", &[(1, 3)]),
+    ];
+    for (scenario, pairs) in families {
+        let (catalog, queries) = constant_family(scenario, 1);
+        for &(i, j) in pairs {
+            for strategy in [SearchStrategy::Exhaustive, SearchStrategy::CostGuided] {
+                for threads in [1, 2] {
+                    let desc = format!("{scenario} {i} -> {j}, {strategy:?} @ {threads} threads");
+                    let config = OptimizerConfig {
+                        strategy,
+                        threads,
+                        ..OptimizerConfig::default()
+                    };
+                    // A parallel cost-guided walk races its incumbent, so
+                    // only its best plan is schedule-independent.
+                    let exact = threads == 1 || strategy == SearchStrategy::Exhaustive;
+                    let (misses, lookups) =
+                        prepare_variant(&desc, &catalog, &config, &queries[i], &queries[j], exact);
+                    if exact {
+                        assert_eq!(misses, [0; 3], "{desc}");
+                        assert_eq!(lookups, 0, "{desc}");
+                    } else {
+                        assert!(lookups == 0 || misses[2] > 0, "{desc}: {misses:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The canary: a constant the dependencies mention stays literal in the
+/// lattice key. Only customers with `A = 5` are guaranteed an `S`
+/// partner, so `A = 5` and `A = 6` have different lattices and must not
+/// share one; `A = 7` shares `A = 6`'s.
+#[test]
+fn a_dependency_constant_keeps_its_lattice_apart() {
+    use cb_optimizer::{Optimizer, OptimizerConfig};
+    let mut catalog = Catalog::new();
+    catalog.add_logical_relation("R", [("A", pcql::Type::Int), ("B", pcql::Type::Int)]);
+    catalog.add_logical_relation("S", [("B", pcql::Type::Int), ("C", pcql::Type::Int)]);
+    catalog.add_direct_mapping("R");
+    catalog.add_direct_mapping("S");
+    catalog
+        .add_semantic_constraint_text(
+            "five",
+            "forall (r in R) where r.A = 5 -> exists (s in S) where r.B = s.B",
+        )
+        .unwrap();
+    let q = |a: i64| {
+        pcql::parser::parse_query(&format!(
+            "select struct(A = r.A) from R r, S s where r.B = s.B and r.A = {a}"
+        ))
+        .unwrap()
+    };
+    let config = OptimizerConfig::default();
+    let optimizer = Optimizer::with_config(&catalog, config.clone());
+    let oracle = |a| {
+        let mut off = ChaseContext::without_memo(catalog.all_constraints(), config.chase.clone());
+        optimizer.optimize_in(&mut off, &q(a)).unwrap()
+    };
+    assert!(oracle(5).best.query.from.len() < oracle(6).best.query.from.len());
+    let mut warm = ChaseContext::new(catalog.all_constraints(), config.chase.clone());
+    let mut prepare = |a| {
+        let before = warm.stats();
+        let got = optimizer.optimize_in(&mut warm, &q(a)).unwrap();
+        let want = oracle(a);
+        assert_eq!(
+            format!("{:?}", got.best),
+            format!("{:?}", want.best),
+            "A = {a}"
+        );
+        assert_eq!(got.nodes_visited, want.nodes_visited, "A = {a}");
+        replay_counters(&before, &warm.stats()).0[2]
+    };
+    // `A = 5` is recorded and replayed; `A = 6` is a shape of its own.
+    assert!(prepare(5) > 0);
+    assert!(prepare(5) > 0);
+    assert_eq!(prepare(5), 0);
+    assert!(prepare(6) > 0, "A = 6 replayed A = 5's lattice");
+    assert!(prepare(6) > 0);
+    assert_eq!(prepare(7), 0, "A = 7 shares A = 6's shape");
+    assert!(prepare(5) == 0);
 }
