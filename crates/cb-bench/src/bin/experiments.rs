@@ -685,22 +685,27 @@ fn run_json(path: &str, selection: &[String]) {
         // preparation, a second constant (the second walk of the shape,
         // which records the verified lattice) and a third, which replays
         // it and must not ask a containment or implication question or
-        // miss the lattice memo.
-        for (id, p, queries) in constant_variants() {
+        // miss the lattice memo. The renamed-variant rows replay a third
+        // query under other variable names too, and its best plan must
+        // be a fresh service's.
+        for (id, p, queries) in variants(false).into_iter().chain(variants(true)) {
             let (mut cold_ns, mut record_ns, mut replay_ns) = (Vec::new(), Vec::new(), Vec::new());
             let (mut lattice_hits, mut lattice_misses) = (0u64, 0u64);
+            let mut best = None;
             for _ in 0..ITERS {
-                let r = constant_variant_replay(&p, &queries);
+                let (r, replayed) = variant_replay(&p, &queries);
                 cold_ns.push(r.cold.as_nanos());
                 record_ns.push(r.record.as_nanos());
                 replay_ns.push(r.replay.as_nanos());
                 lattice_hits += r.lattice_hits;
                 lattice_misses += r.lattice_misses;
+                best = Some(replayed);
             }
             let median = |v: &mut Vec<u128>| {
                 v.sort_unstable();
                 v[v.len() / 2]
             };
+            assert_plans_as_fresh(&p, &queries[2], &best.expect("ITERS > 0"));
             let (cold, record, replay) = (
                 median(&mut cold_ns),
                 median(&mut record_ns),
@@ -1562,14 +1567,16 @@ fn e21_plan_service() {
         )
     );
     // Three queries differing only in a constant: the second records the
-    // lattice of their shape, the third replays it with its own constant.
+    // lattice of their shape, the third replays it with its own constant
+    // — and, in the renamed variants, its own variable names.
     let mut rows = Vec::new();
-    for (id, p, queries) in constant_variants() {
-        let r = constant_variant_replay(&p, &queries);
+    for (id, p, queries) in variants(false).into_iter().chain(variants(true)) {
+        let (r, best) = variant_replay(&p, &queries);
+        assert_plans_as_fresh(&p, &queries[2], &best);
         let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
         let (cold_ms, replay_ms) = (ms(r.cold), ms(r.replay));
         rows.push(vec![
-            id.trim_start_matches("e21_constant_variant_").to_string(),
+            id.trim_start_matches("e21_").to_string(),
             format!("{cold_ms:.2}"),
             format!("{:.2}", ms(r.record)),
             format!("{replay_ms:.2}"),
@@ -1582,10 +1589,10 @@ fn e21_plan_service() {
         "{}",
         render_table(
             &[
-                "scenario",
-                "1st constant ms",
-                "2nd constant ms",
-                "3rd constant ms",
+                "variant",
+                "1st query ms",
+                "2nd query ms",
+                "3rd query ms",
                 "speedup",
                 "lattice hits",
                 "nodes visited",
@@ -1679,49 +1686,88 @@ fn stats_refresh_replay(before: &Prepared, after: &Prepared) -> Replay {
 
 /// Each builtin scenario at its plan-diff scale with its query for three
 /// constants in one value order (so all three share one lattice shape),
-/// for E21's constant-variant replay. The §4 views query has no
-/// constant of its own; its variants add `r.A = k`.
-fn constant_variants() -> [(&'static str, Prepared, [pcql::Query; 3]); 3] {
+/// for E21's variant replays. The §4 views query has no constant of its
+/// own; its variants add `r.A = k`. With `renamed`, the third query also
+/// names its variables otherwise, keeping their rank among all of its
+/// universal plan's variable names (the chase's own `i0`, `k0`, `t1`, …
+/// included), so it still shares the shape.
+fn variants(renamed: bool) -> [(&'static str, Prepared, [pcql::Query; 3]); 3] {
     let queries = |texts: [String; 3]| texts.map(|t| parse_query(&t).expect("variant parses"));
-    let projdept = |c: &str| {
+    let pick = |plain, other| if renamed { other } else { plain };
+    let projdept = |c: &str, [d, s, p]: [&str; 3]| {
         format!(
-            "select struct(PN = s, PB = p.Budg, DN = d.DName) from depts d, d.DProjs s, Proj p \
-             where s = p.PName and p.CustName = \"{c}\""
+            "select struct(PN = {s}, PB = {p}.Budg, DN = {d}.DName) \
+             from depts {d}, {d}.DProjs {s}, Proj {p} \
+             where {s} = {p}.PName and {p}.CustName = \"{c}\""
         )
     };
-    let indexes =
-        |a: i64, b: i64| format!("select struct(C = r.C) from R r where r.A = {a} and r.B = {b}");
-    let views = |a: i64| {
+    let indexes = |a: i64, b: i64, r: &str| {
+        format!("select struct(C = {r}.C) from R {r} where {r}.A = {a} and {r}.B = {b}")
+    };
+    let views = |a: i64, [r, s]: [&str; 2]| {
         format!(
-            "select struct(A = r.A, B = s.B, C = s.C) from R r, S s \
-             where r.B = s.B and r.A = {a}"
+            "select struct(A = {r}.A, B = {s}.B, C = {s}.C) from R {r}, S {s} \
+             where {r}.B = {s}.B and {r}.A = {a}"
         )
+    };
+    let (dsp, rs) = (["d", "s", "p"], ["r", "s"]);
+    let (dsp3, r3, rs3) = if renamed {
+        (["dp", "q", "pj"], "row", ["ra", "sb"])
+    } else {
+        (dsp, "r", rs)
     };
     [
         (
-            "e21_constant_variant_projdept",
+            pick(
+                "e21_constant_variant_projdept",
+                "e21_renamed_variant_projdept",
+            ),
             prepared_projdept(50, 10, 25),
-            queries([projdept("CitiBank"), projdept("cust3"), projdept("cust7")]),
+            queries([
+                projdept("CitiBank", dsp),
+                projdept("cust3", dsp),
+                projdept("cust7", dsp3),
+            ]),
         ),
         (
-            "e21_constant_variant_relational_indexes",
+            pick(
+                "e21_constant_variant_relational_indexes",
+                "e21_renamed_variant_relational_indexes",
+            ),
             prepared_indexes(5_000, 100, 50),
-            queries([indexes(5, 7), indexes(1, 2), indexes(2, 9)]),
+            queries([indexes(5, 7, "r"), indexes(1, 2, "r"), indexes(2, 9, r3)]),
         ),
         (
-            "e21_constant_variant_relational_views",
+            pick(
+                "e21_constant_variant_relational_views",
+                "e21_renamed_variant_relational_views",
+            ),
             prepared_views(1_000, 1_000, 0.05),
-            queries([views(0), views(6), views(11)]),
+            queries([views(0, rs), views(6, rs), views(11, rs3)]),
         ),
     ]
 }
 
-/// Prepares three constant variants of one query on one service. The
-/// first is cold; the second walks the shape a second time and records
-/// its verified lattice; the third replays it, translated to its own
-/// constant: it may not ask a single containment or implication
-/// question, not even of the memo, nor miss the lattice memo.
-fn constant_variant_replay(p: &Prepared, queries: &[pcql::Query; 3]) -> Replay {
+/// Asserts that a fresh service plans `q` as a replay did: `best` is
+/// the fresh service's best plan, byte for byte, in `q`'s own names and
+/// constants.
+fn assert_plans_as_fresh(p: &Prepared, q: &pcql::Query, best: &pcql::Query) {
+    use cb_optimizer::{OptimizerConfig, PlanService};
+    let mut svc = PlanService::new(p.catalog.clone(), OptimizerConfig::default());
+    let fresh = svc.prepare(q).expect("fresh preparation");
+    assert_eq!(
+        &fresh.plan.outcome.best.query, best,
+        "the replay planned {q} otherwise"
+    );
+}
+
+/// Prepares three variants of one query on one service. The first is
+/// cold; the second walks the shape a second time and records its
+/// verified lattice; the third replays it, translated to its own
+/// constants and names: it may not ask a single containment or
+/// implication question, not even of the memo, nor miss the lattice
+/// memo. Also returns the replay's best plan.
+fn variant_replay(p: &Prepared, queries: &[pcql::Query; 3]) -> (Replay, pcql::Query) {
     use cb_optimizer::{OptimizerConfig, PlanService};
     let mut svc = PlanService::new(p.catalog.clone(), OptimizerConfig::default());
     let prepare = |svc: &mut PlanService, q| {
@@ -1751,7 +1797,7 @@ fn constant_variant_replay(p: &Prepared, queries: &[pcql::Query; 3]) -> Replay {
         now.lattice_hits > warm.lattice_hits,
         "no lattice replay: {now:?}"
     );
-    Replay {
+    let timed = Replay {
         universal: shape(&cold.plan.outcome.universal),
         cold: cold_time,
         record: record_time,
@@ -1759,7 +1805,8 @@ fn constant_variant_replay(p: &Prepared, queries: &[pcql::Query; 3]) -> Replay {
         nodes_visited: replay.nodes_visited,
         lattice_hits: now.lattice_hits - warm.lattice_hits,
         lattice_misses: now.lattice_misses - warm.lattice_misses,
-    }
+    };
+    (timed, replay.plan.outcome.best.query.clone())
 }
 
 fn banner(id: &str, title: &str) {

@@ -512,13 +512,27 @@ pub trait SearchVisitor {
     fn priority(&mut self, _q: &Query, _removed: &BTreeSet<String>) -> f64 {
         0.0
     }
+
+    /// Whether the three hooks above read the query and removal set they
+    /// are handed — a property of the visitor type, not a setting. A
+    /// visitor that returns `false` may be handed a node replayed from a
+    /// verified lattice in the names and constants of the plan the
+    /// lattice was recorded for, so the walk skips translating nodes
+    /// nothing reads. Default: `true`, every argument in `u`'s names.
+    fn reads_nodes(&self) -> bool {
+        true
+    }
 }
 
 /// The always-explore visitor: exhaustive breadth-first enumeration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExploreAll;
 
-impl SearchVisitor for ExploreAll {}
+impl SearchVisitor for ExploreAll {
+    fn reads_nodes(&self) -> bool {
+        false
+    }
+}
 
 /// Outcome of a [`PlanSearch`] run.
 #[derive(Debug, Clone)]
@@ -529,9 +543,12 @@ pub struct SearchOutcome {
     /// never claimed minimal.
     pub normal_forms: Vec<Query>,
     /// Every equivalence-verified node streamed to the visitor, in visit
-    /// order (the input `u` first). Each is a sound plan. Empty when the
-    /// run opted out via [`PlanSearch::with_collect_visited`] — use
-    /// `visited_count` then.
+    /// order (the input `u` first), in `u`'s names and constants. Each is
+    /// a sound plan. Empty when the run opted out via
+    /// [`PlanSearch::with_collect_visited`] (or
+    /// [`ParallelPlanSearch::with_collect_visited`](crate::ParallelPlanSearch::with_collect_visited))
+    /// — use `visited_count` then. Collecting costs a copy of every
+    /// visited node, so ask for it only when something reads it.
     pub visited: Vec<Query>,
     /// Number of nodes streamed to the visitor (equals `visited.len()`
     /// unless collection was disabled).
@@ -652,10 +669,13 @@ impl<'a> PlanSearch<'a> {
         self
     }
 
-    /// Disables cloning each visited node into `SearchOutcome::visited`.
-    /// A streaming visitor already receives every node as it is reached,
-    /// so a caller that accumulates its own results (like the cost-guided
-    /// strategy) only needs `visited_count`.
+    /// Whether to copy each visited node into `SearchOutcome::visited`
+    /// (on by default). A streaming visitor already receives every node
+    /// as it is reached, so a caller that accumulates its own results
+    /// (like the cost-guided strategy), or reads only the normal forms
+    /// (like the exhaustive strategy without `cost_visited`), only needs
+    /// `visited_count`. Off, a replayed walk neither copies nor
+    /// translates the nodes its visitor does not read.
     pub fn with_collect_visited(mut self, collect: bool) -> PlanSearch<'a> {
         self.collect_visited = collect;
         self
@@ -682,6 +702,7 @@ impl<'a> PlanSearch<'a> {
             node: root,
         });
         let start = Instant::now();
+        let reads = walk.visitor.reads_nodes();
         let mut normal_forms: Vec<Query> = Vec::new();
         let mut visited: Vec<Query> = Vec::new();
         let mut visited_count = 0usize;
@@ -689,7 +710,7 @@ impl<'a> PlanSearch<'a> {
         let mut pruned_at_visit = 0usize;
         let mut accepted = false;
         let mut budget_expired = false;
-        while let Some(Frontier { node, .. }) = walk.queue.pop() {
+        while let Some(Frontier { mut node, .. }) = walk.queue.pop() {
             if self.max_visited > 0 && visited_count >= self.max_visited {
                 complete = false;
                 break;
@@ -701,27 +722,21 @@ impl<'a> PlanSearch<'a> {
                 budget_expired = true;
                 break;
             }
-            match walk.visitor.visit(ctx, &node.query, &node.removed) {
-                Visit::Explore => {
-                    visited_count += 1;
-                    if self.collect_visited {
-                        visited.push((*node.query).clone());
-                    }
-                }
-                Visit::Prune => {
-                    // Neither costed nor descended: the node does not
-                    // count as visited.
-                    pruned_at_visit += 1;
-                    continue;
-                }
-                Visit::Accept => {
-                    visited_count += 1;
-                    if self.collect_visited {
-                        visited.push((*node.query).clone());
-                    }
-                    accepted = true;
-                    break;
-                }
+            let shown = lattice.show(&mut node, reads);
+            let verdict = walk.visitor.visit(ctx, &shown.query, &shown.removed);
+            if verdict == Visit::Prune {
+                // Neither costed nor descended: the node does not count
+                // as visited.
+                pruned_at_visit += 1;
+                continue;
+            }
+            visited_count += 1;
+            if self.collect_visited {
+                visited.push((*lattice.show(&mut node, true).query).clone());
+            }
+            if verdict == Visit::Accept {
+                accepted = true;
+                break;
             }
             // A valid child means this node is not a normal form; a gated
             // one leaves its minimality undetermined.
@@ -730,7 +745,7 @@ impl<'a> PlanSearch<'a> {
                 .iter()
                 .all(|key| walk.seen.get(key) == Some(&ChildState::Invalid));
             if minimal {
-                normal_forms.push((*node.query).clone());
+                normal_forms.push((*lattice.show(&mut node, true).query).clone());
             }
         }
         lattice.finish();
@@ -772,6 +787,10 @@ struct SequentialWalk<'v> {
 impl Expansion for SequentialWalk<'_> {
     fn claim(&mut self, key: &Removal) -> bool {
         !self.seen.contains_key(key)
+    }
+
+    fn reads_nodes(&self) -> bool {
+        self.visitor.reads_nodes()
     }
 
     fn admit(&mut self, q: &Query, removed: &BTreeSet<String>) -> bool {

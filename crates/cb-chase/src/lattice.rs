@@ -30,11 +30,15 @@
 //! lookup-safety proofs and containment proofs. Every fact is computed
 //! on the recorded plan, so proofs only ever run on concrete queries
 //! and the lattice holds one form; each subquery the walk settles is
-//! translated to the walked plan (no renaming at all when the two
-//! coincide), while the visitor still gates, prioritises, costs and
+//! translated to the walked plan when read (no renaming at all when the
+//! two coincide), while the visitor still gates, prioritises, costs and
 //! prunes live on it. Visit order, node and prune counters and plans are
-//! therefore those of a fresh walk. A child the first walk gated is
-//! verified lazily by the first walk that admits it.
+//! therefore those of a fresh walk. A subquery is read when it is handed
+//! to a visitor that reads queries, reported as a normal form, or
+//! collected as a visited node ([`LatticeWalk::show`]); an exhaustive
+//! replay that collects nothing translates only its normal forms. A
+//! child the first walk gated is verified lazily by the first walk that
+//! admits it.
 //!
 //! A lattice costs memory in proportion to the walk, so it is recorded
 //! only for a shape that is walked again: the first walk leaves just the
@@ -238,15 +242,17 @@ impl Renaming {
     }
 }
 
-/// A verified lattice node: a frontier entry's payload. With the
-/// identity renaming every part is shared with the memo, so enqueuing a
-/// node copies no query.
+/// A verified lattice node: a frontier entry's payload. Until it is
+/// read every part is shared with the memo, so enqueuing a node copies
+/// no query.
 pub(crate) struct Node {
     pub(crate) key: Removal,
-    /// The removal set and the subquery, in the walked plan's names and
-    /// constants: what the visitor sees.
+    /// The removal set and the subquery: in the walked plan's names and
+    /// constants once `walked`, still in the recorded plan's before.
+    /// Readers get them through [`LatticeWalk::show`].
     pub(crate) removed: Arc<BTreeSet<String>>,
     pub(crate) query: Arc<Query>,
+    walked: bool,
     /// The witness of `u ⊑ query` in the recorded plan's form, seeding
     /// the children's checks.
     pub(crate) hom: Arc<Assignment>,
@@ -269,9 +275,13 @@ pub(crate) trait Expansion {
     /// Claims a child removal set for examination; `false` when the walk
     /// already examined (or is examining) it via another route.
     fn claim(&mut self, key: &Removal) -> bool;
+    /// Whether the visitor reads the queries it is handed: the children
+    /// of a visitor that does not are left in whatever form they are in.
+    fn reads_nodes(&self) -> bool;
     /// The visitor's pre-verification gate.
     fn admit(&mut self, q: &Query, removed: &BTreeSet<String>) -> bool;
-    /// Records a claimed child's fate.
+    /// Records a claimed child's fate. A valid child is shown as
+    /// [`Expansion::reads_nodes`] asks.
     fn settle(&mut self, key: Removal, child: Child);
 }
 
@@ -300,7 +310,7 @@ impl Graphs {
 /// One walk over the lattice of `u` with its memo checked out of the
 /// context; shared by reference among the walk's workers. Every fact is
 /// computed on, and recorded for, the lattice's recorded plan `base`;
-/// what the visitor sees is translated to `u` on the way out.
+/// what a reader sees is translated to `u` on the way out.
 pub(crate) struct LatticeWalk<'a> {
     ctx: &'a ChaseContext,
     /// The plan the lattice's facts are about: the one it was recorded
@@ -355,6 +365,7 @@ impl<'a> LatticeWalk<'a> {
             key: Removal::empty(self.base.from.len()),
             removed: Arc::new(BTreeSet::new()),
             query: Arc::clone(&self.root),
+            walked: true,
             hom: Arc::new(
                 self.base
                     .from
@@ -363,6 +374,22 @@ impl<'a> LatticeWalk<'a> {
                     .collect(),
             ),
         }
+    }
+
+    /// Hands `node` to a reader: translates its subquery and removal set
+    /// to the walked plan's names and constants first, in place and at
+    /// most once — unless `reads` is false, for a reader that never looks
+    /// at them. So a replayed walk pays for the translation of exactly
+    /// the nodes something reads.
+    pub(crate) fn show<'n>(&self, node: &'n mut Node, reads: bool) -> &'n Node {
+        if reads && !node.walked {
+            if let Some(r) = &self.renaming {
+                node.query = Arc::new(r.query(&node.query));
+                node.removed = Arc::new(r.names(&node.removed));
+            }
+            node.walked = true;
+        }
+        node
     }
 
     /// The memo. A worker that panicked while holding the lock left
@@ -393,7 +420,7 @@ impl<'a> LatticeWalk<'a> {
             let (key, mut answered) = self.closure(graphs, parent.key.with(i));
             children.push(key.clone());
             if walk.claim(&key) {
-                let (child, replayed) = self.examine(graphs, &key, &parent.hom, walk);
+                let (child, replayed) = self.examine(graphs, &key, parent, walk);
                 answered &= replayed;
                 walk.settle(key, child);
             }
@@ -421,14 +448,14 @@ impl<'a> LatticeWalk<'a> {
         (closure, false)
     }
 
-    /// Examines a claimed child: its subquery, the gate (on the
-    /// subquery translated to `u`), the equivalence verdict. Also
-    /// returns whether the memo answered all of it.
+    /// Examines a claimed child: its subquery, the gate (shown as the
+    /// visitor reads), the equivalence verdict. Also returns whether the
+    /// memo answered all of it.
     fn examine(
         &self,
         graphs: &mut Graphs,
         key: &Removal,
-        parent_hom: &Assignment,
+        parent: &Node,
         walk: &mut impl Expansion,
     ) -> (Child, bool) {
         let cached = self.lock().entries.get(key).cloned();
@@ -457,19 +484,24 @@ impl<'a> LatticeWalk<'a> {
         let Some(query) = entry.query else {
             return (Child::Invalid, replayed);
         };
-        let (shown, removed) = match &self.renaming {
-            None => (Arc::clone(&query), entry.removed),
-            Some(r) => (Arc::new(r.query(&query)), Arc::new(r.names(&entry.removed))),
+        // The child's witness is the parent's until its own is known.
+        let mut node = Node {
+            key: key.clone(),
+            removed: entry.removed,
+            query: Arc::clone(&query),
+            walked: self.renaming.is_none(),
+            hom: Arc::clone(&parent.hom),
         };
         // Branch-and-bound gate: skip the expensive equivalence
         // verification when the visitor already knows the candidate's
         // sublattice cannot matter.
-        if !walk.admit(&shown, &removed) {
+        let shown = self.show(&mut node, walk.reads_nodes());
+        if !walk.admit(&shown.query, &shown.removed) {
             return (Child::Gated, replayed);
         }
         let verdict = entry.verdict.unwrap_or_else(|| {
             replayed = false;
-            let verdict = self.verify(graphs, &query, parent_hom);
+            let verdict = self.verify(graphs, &query, &node.hom);
             if self.slot.is_some() {
                 let mut memo = self.lock();
                 memo.bytes += verdict
@@ -482,12 +514,7 @@ impl<'a> LatticeWalk<'a> {
             verdict
         });
         let child = match verdict {
-            Some(hom) => Child::Valid(Node {
-                key: key.clone(),
-                removed,
-                query: shown,
-                hom,
-            }),
+            Some(hom) => Child::Valid(Node { hom, ..node }),
             None => Child::Invalid,
         };
         (child, replayed)
@@ -525,9 +552,9 @@ impl<'a> LatticeWalk<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::Renaming;
-    use crate::backchase::{ExploreAll, PlanSearch, SearchOutcome};
+    use crate::backchase::{ExploreAll, PlanSearch, SearchOutcome, SearchVisitor, Visit};
     use crate::chase::ChaseConfig;
     use crate::context::{CacheStats, ChaseContext};
     use crate::faults;
@@ -535,9 +562,9 @@ mod tests {
     use pcql::path::Constant;
     use pcql::query::Query;
     use pcql::Dependency;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
-    fn view_scenario() -> (Query, Vec<Dependency>) {
+    pub(crate) fn view_scenario() -> (Query, Vec<Dependency>) {
         let u = parse_query(
             "select struct(A = r.A) from R r, S s, V v \
              where r.B = s.B and v.A = r.A",
@@ -559,8 +586,20 @@ mod tests {
     }
 
     fn walk(ctx: &ChaseContext, u: &Query) -> (SearchOutcome, CacheStats) {
+        walk_with(ctx, u, true, &mut ExploreAll)
+    }
+
+    /// One walk of `u` with `visitor`, and the memo traffic it caused.
+    fn walk_with(
+        ctx: &ChaseContext,
+        u: &Query,
+        collect: bool,
+        visitor: &mut dyn SearchVisitor,
+    ) -> (SearchOutcome, CacheStats) {
         let before = ctx.stats();
-        let out = PlanSearch::new(u).run(ctx, &mut ExploreAll);
+        let out = PlanSearch::new(u)
+            .with_collect_visited(collect)
+            .run(ctx, visitor);
         let after = ctx.stats();
         let delta = CacheStats {
             containment_hits: after.containment_hits - before.containment_hits,
@@ -684,6 +723,101 @@ mod tests {
         let (walked, fourth) = walk(&ctx, &flipped);
         assert_eq!(fourth.lattice_misses, first.lattice_misses, "{fourth:?}");
         assert_same_plans(&walked, &fresh);
+    }
+
+    /// The view scenario's plan with `r.C = a and s.C = b`, its variables
+    /// `r, s, v` named `vars` (in the same order).
+    pub(crate) fn renamed_view(vars: [&str; 3], a: i64, b: i64) -> Query {
+        let [r, s, v] = vars;
+        parse_query(&format!(
+            "select struct(A = {r}.A) from R {r}, S {s}, V {v} \
+             where {r}.B = {s}.B and {v}.A = {r}.A and {r}.C = {a} and {s}.C = {b}"
+        ))
+        .unwrap()
+    }
+
+    /// The names and constants of the plan [`renamed_view`] records for
+    /// the lazy-translation oracles, none of which its replays use.
+    pub(crate) const RECORDED: ([&str; 3], i64, i64) = (["r", "s", "v"], 2, 9);
+    pub(crate) const REPLAYED: ([&str; 3], i64, i64) = (["x", "y", "z"], 3, 8);
+
+    /// Whether `text` mentions a name or constant of the [`RECORDED`]
+    /// plan as a whole token.
+    pub(crate) fn mentions_recorded(text: &str) -> bool {
+        let (names, a, b) = RECORDED;
+        let (a, b) = (a.to_string(), b.to_string());
+        text.split(|c: char| !c.is_alphanumeric())
+            .any(|t| names.contains(&t) || t == a || t == b)
+    }
+
+    /// A reading visitor: records every query and removal set it is
+    /// handed, in the order it is handed them.
+    #[derive(Default)]
+    struct Reader(Vec<String>);
+
+    impl SearchVisitor for Reader {
+        fn visit(&mut self, _: &ChaseContext, q: &Query, removed: &BTreeSet<String>) -> Visit {
+            self.0.push(format!("visit {q} {removed:?}"));
+            Visit::Explore
+        }
+
+        fn admit(&mut self, q: &Query, removed: &BTreeSet<String>) -> bool {
+            self.0.push(format!("admit {q} {removed:?}"));
+            true
+        }
+
+        fn priority(&mut self, q: &Query, removed: &BTreeSet<String>) -> f64 {
+            self.0.push(format!("priority {q} {removed:?}"));
+            0.0
+        }
+    }
+
+    #[test]
+    fn a_renamed_replay_translates_what_is_read_and_only_that() {
+        let (_, deps) = view_scenario();
+        let (names, a, b) = RECORDED;
+        let recorded = renamed_view(names, a, b);
+        let (names, a, b) = REPLAYED;
+        let u = renamed_view(names, a, b);
+        let off = ChaseContext::without_memo(deps.clone(), ChaseConfig::default());
+        let oracle = PlanSearch::new(&u).run(&off, &mut ExploreAll);
+        let mut oracle_reader = Reader::default();
+        PlanSearch::new(&u).run(&off, &mut oracle_reader);
+        assert!(!oracle_reader.0.iter().any(|t| mentions_recorded(t)));
+
+        let ctx = ChaseContext::new(deps, ChaseConfig::default());
+        walk(&ctx, &recorded);
+        walk(&ctx, &recorded);
+        let replayed = |stats: &CacheStats| {
+            assert_eq!(stats.lattice_misses, 0, "{stats:?}");
+            let proofs = stats.containment_hits
+                + stats.containment_misses
+                + stats.implication_hits
+                + stats.implication_misses;
+            assert_eq!(proofs, 0, "{stats:?}");
+        };
+        // Collecting nothing: the normal forms are still the caller's.
+        let (lean, stats) = walk_with(&ctx, &u, false, &mut ExploreAll);
+        replayed(&stats);
+        assert!(lean.visited.is_empty());
+        assert_eq!(lean.visited_count, oracle.visited_count);
+        assert_eq!(lean.normal_forms, oracle.normal_forms);
+        assert_eq!(lean.pruned_at_gate, oracle.pruned_at_gate);
+        // Collecting: so is every visited node.
+        let (full, stats) = walk_with(&ctx, &u, true, &mut ExploreAll);
+        replayed(&stats);
+        assert_same_walk(&full, &oracle);
+        assert_eq!(full.visited_count, oracle.visited_count);
+        // A reading visitor is handed exactly what it is handed on a
+        // memo-free walk, never a recorded name or constant.
+        let mut reader = Reader::default();
+        let (read, stats) = walk_with(&ctx, &u, false, &mut reader);
+        replayed(&stats);
+        assert_eq!(read.normal_forms, oracle.normal_forms);
+        for text in &reader.0 {
+            assert!(!mentions_recorded(text), "{text}");
+        }
+        assert_eq!(reader.0, oracle_reader.0);
     }
 
     #[test]

@@ -58,7 +58,7 @@
 
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use pcql::query::Query;
@@ -66,7 +66,7 @@ use pcql::query::Query;
 use crate::backchase::{Frontier, SearchBudget, SearchOutcome, Visit};
 use crate::context::ChaseContext;
 use crate::faults;
-use crate::lattice::{Child, Expansion, Graphs, LatticeWalk, Removal};
+use crate::lattice::{Child, Expansion, Graphs, LatticeWalk, Node, Removal};
 
 /// A [`SearchVisitor`](crate::SearchVisitor) for the parallel walk:
 /// shared across workers (`&self`, `Sync`), with the [`ChaseContext`]
@@ -94,13 +94,24 @@ pub trait ParallelVisitor: Sync {
     fn priority(&self, _q: &Query, _removed: &BTreeSet<String>) -> f64 {
         0.0
     }
+
+    /// Whether the hooks above read their arguments (see
+    /// [`SearchVisitor::reads_nodes`](crate::SearchVisitor::reads_nodes)).
+    /// Default: `true`.
+    fn reads_nodes(&self) -> bool {
+        true
+    }
 }
 
 /// The always-explore parallel visitor (exhaustive enumeration).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParallelExploreAll;
 
-impl ParallelVisitor for ParallelExploreAll {}
+impl ParallelVisitor for ParallelExploreAll {
+    fn reads_nodes(&self) -> bool {
+        false
+    }
+}
 
 /// What became of a removal set in the parallel walk.
 #[derive(Clone, Copy, PartialEq)]
@@ -129,8 +140,9 @@ struct Progress {
     pruned_at_gate: usize,
     visited: Vec<Query>,
     /// (node, child removal sets) per expansion, for the deferred
-    /// normal-form resolution.
-    expansions: Vec<(Arc<Query>, Vec<Removal>)>,
+    /// normal-form resolution; a node is shown only if it resolves to a
+    /// normal form.
+    expansions: Vec<(Node, Vec<Removal>)>,
     stop: bool,
     complete: bool,
     accepted: bool,
@@ -190,7 +202,9 @@ impl<'a> ParallelPlanSearch<'a> {
         self
     }
 
-    /// Disables cloning each visited node into `SearchOutcome::visited`.
+    /// Whether to copy each visited node into `SearchOutcome::visited`
+    /// (on by default); see
+    /// [`PlanSearch::with_collect_visited`](crate::PlanSearch::with_collect_visited).
     pub fn with_collect_visited(mut self, collect: bool) -> ParallelPlanSearch<'a> {
         self.collect_visited = collect;
         self
@@ -242,7 +256,6 @@ impl<'a> ParallelPlanSearch<'a> {
                 });
             }
         });
-        lattice.finish();
         let mut p = progress
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
@@ -256,7 +269,7 @@ impl<'a> ParallelPlanSearch<'a> {
         // children (the latter only after an early stop) leave the node's
         // minimality undetermined — same rule as the sequential walk.
         let mut normal_forms = Vec::new();
-        for (q, children) in &p.expansions {
+        for (node, children) in &mut p.expansions {
             let mut reduced = false;
             let mut undetermined = false;
             for key in children {
@@ -267,9 +280,10 @@ impl<'a> ParallelPlanSearch<'a> {
                 }
             }
             if !reduced && !undetermined {
-                normal_forms.push((**q).clone());
+                normal_forms.push((*lattice.show(node, true).query).clone());
             }
         }
+        lattice.finish();
         SearchOutcome {
             normal_forms,
             visited: p.visited,
@@ -423,16 +437,21 @@ impl<'a> ParallelPlanSearch<'a> {
             faults::note_recovered();
         }
 
-        // The visit verdict (costing, pruning) runs outside the lock.
-        let verdict = {
-            let node = &flight.node.as_ref().expect("in-flight node").node;
-            visitor.visit(ctx, &node.query, &node.removed)
+        // The visit verdict (costing, pruning) runs outside the lock, and
+        // so does the copy of a collected node. It is shown in place, so
+        // a rollback looks for the form that was pushed.
+        let (verdict, collected) = {
+            let node = &mut flight.node.as_mut().expect("in-flight node").node;
+            let shown = lattice.show(node, visitor.reads_nodes());
+            let verdict = visitor.visit(ctx, &shown.query, &shown.removed);
+            let collected = (self.collect_visited && verdict != Visit::Prune)
+                .then(|| (*lattice.show(node, true).query).clone());
+            (verdict, collected)
         };
         let explore = {
             let mut p = lock();
             p.reserved -= 1;
             flight.reserved = false;
-            let node = &flight.node.as_ref().expect("in-flight node").node;
             let explore = match verdict {
                 Visit::Prune => {
                     p.pruned_at_visit += 1;
@@ -441,16 +460,12 @@ impl<'a> ParallelPlanSearch<'a> {
                 Visit::Explore => {
                     p.visited_count += 1;
                     flight.counted = true;
-                    if self.collect_visited {
-                        p.visited.push((*node.query).clone());
-                    }
+                    p.visited.extend(collected);
                     !p.stop
                 }
                 Visit::Accept => {
                     p.visited_count += 1;
-                    if self.collect_visited {
-                        p.visited.push((*node.query).clone());
-                    }
+                    p.visited.extend(collected);
                     p.accepted = true;
                     p.stop = true;
                     false
@@ -488,7 +503,7 @@ impl<'a> ParallelPlanSearch<'a> {
         {
             let mut p = lock();
             let entry = flight.node.take().expect("in-flight node");
-            p.expansions.push((entry.node.query, children));
+            p.expansions.push((entry.node, children));
             flight.counted = false;
             flight.active = false;
             p.active -= 1;
@@ -521,6 +536,8 @@ impl<'a> ParallelPlanSearch<'a> {
         if let Some(entry) = flight.node {
             if flight.counted {
                 p.visited_count -= 1;
+                // The node was shown before its copy was pushed, so both
+                // are in the same form.
                 if let Some(i) = p.visited.iter().rposition(|q| *q == *entry.node.query) {
                     p.visited.swap_remove(i);
                 }
@@ -563,6 +580,10 @@ impl<V: ParallelVisitor> Expansion for ParallelWalk<'_, V> {
         true
     }
 
+    fn reads_nodes(&self) -> bool {
+        self.visitor.reads_nodes()
+    }
+
     fn admit(&mut self, q: &Query, removed: &BTreeSet<String>) -> bool {
         self.visitor.admit(q, removed)
     }
@@ -600,30 +621,8 @@ mod tests {
     use crate::backchase::{ExploreAll, PlanSearch};
     use crate::chase::ChaseConfig;
     use crate::context::ChaseContext;
-    use pcql::parser::{parse_dependency, parse_query};
-    use pcql::Dependency;
+    use crate::lattice::tests::view_scenario;
     use std::time::Duration;
-
-    fn view_scenario() -> (Query, Vec<Dependency>) {
-        let u = parse_query(
-            "select struct(A = r.A) from R r, S s, V v \
-             where r.B = s.B and v.A = r.A",
-        )
-        .unwrap();
-        let deps = vec![
-            parse_dependency(
-                "c_V",
-                "forall (r in R) (s in S) where r.B = s.B -> exists (v in V) where v.A = r.A",
-            )
-            .unwrap(),
-            parse_dependency(
-                "c'_V",
-                "forall (v in V) -> exists (r in R) (s in S) where r.B = s.B and v.A = r.A",
-            )
-            .unwrap(),
-        ];
-        (u, deps)
-    }
 
     fn norm(qs: &[Query]) -> Vec<Query> {
         let mut v: Vec<Query> = qs.iter().map(Query::alpha_normalized).collect();
@@ -789,6 +788,115 @@ mod tests {
         let fs = faults::stats();
         assert!(fs.injected >= 1);
         assert_eq!(fs.injected, fs.acknowledged(), "{fs:?}");
+    }
+
+    /// A reading parallel visitor: records every query and removal set
+    /// it is handed.
+    #[derive(Default)]
+    struct Reader(Mutex<Vec<String>>);
+
+    impl Reader {
+        fn note(&self, hook: &str, q: &Query, removed: &BTreeSet<String>) {
+            let line = format!("{hook} {q} {removed:?}");
+            self.0.lock().unwrap().push(line);
+        }
+
+        fn sorted(self) -> Vec<String> {
+            let mut lines = self.0.into_inner().unwrap();
+            lines.sort();
+            lines
+        }
+    }
+
+    impl ParallelVisitor for Reader {
+        fn visit(&self, _: &ChaseContext, q: &Query, removed: &BTreeSet<String>) -> Visit {
+            self.note("visit", q, removed);
+            Visit::Explore
+        }
+
+        fn admit(&self, q: &Query, removed: &BTreeSet<String>) -> bool {
+            self.note("admit", q, removed);
+            true
+        }
+
+        fn priority(&self, q: &Query, removed: &BTreeSet<String>) -> f64 {
+            self.note("priority", q, removed);
+            0.0
+        }
+    }
+
+    #[test]
+    fn a_renamed_parallel_replay_translates_what_is_read_and_only_that() {
+        use crate::lattice::tests::{mentions_recorded, renamed_view, RECORDED, REPLAYED};
+        let (_, deps) = view_scenario();
+        let (names, a, b) = RECORDED;
+        let recorded = renamed_view(names, a, b);
+        let (names, a, b) = REPLAYED;
+        let u = renamed_view(names, a, b);
+        let off = ChaseContext::without_memo(deps.clone(), ChaseConfig::default());
+        let oracle = PlanSearch::new(&u).run(&off, &mut ExploreAll);
+        let oracle_reader = Reader::default();
+        ParallelPlanSearch::new(&u, 1).run(&off, &oracle_reader);
+        let oracle_reader = oracle_reader.sorted();
+        for threads in [1, 2] {
+            let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+            for _ in 0..2 {
+                ParallelPlanSearch::new(&recorded, threads).run(&ctx, &ParallelExploreAll);
+            }
+            let replay = |collect: bool, visitor: &dyn Fn(&ParallelPlanSearch) -> SearchOutcome| {
+                let before = ctx.stats();
+                let out =
+                    visitor(&ParallelPlanSearch::new(&u, threads).with_collect_visited(collect));
+                let after = ctx.stats();
+                assert_eq!(after.lattice_misses, before.lattice_misses, "{after:?}");
+                assert_eq!(
+                    after.containment_hits + after.containment_misses,
+                    before.containment_hits + before.containment_misses,
+                    "{after:?}"
+                );
+                out
+            };
+            let desc = format!("@ {threads} threads");
+            let lean = replay(false, &|search| search.run(&ctx, &ParallelExploreAll));
+            assert!(lean.visited.is_empty(), "{desc}");
+            assert_eq!(lean.visited_count, oracle.visited_count, "{desc}");
+            assert_eq!(
+                sorted(&lean.normal_forms),
+                sorted(&oracle.normal_forms),
+                "{desc}"
+            );
+            let full = replay(true, &|search| search.run(&ctx, &ParallelExploreAll));
+            assert_eq!(full.visited_count, oracle.visited_count, "{desc}");
+            assert_eq!(sorted(&full.visited), sorted(&oracle.visited), "{desc}");
+            assert_eq!(
+                sorted(&full.normal_forms),
+                sorted(&oracle.normal_forms),
+                "{desc}"
+            );
+            if threads == 1 {
+                assert_eq!(full.visited, oracle.visited);
+                assert_eq!(full.normal_forms, oracle.normal_forms);
+            }
+            let reader = Reader::default();
+            let read = replay(false, &|search| search.run(&ctx, &reader));
+            assert_eq!(
+                sorted(&read.normal_forms),
+                sorted(&oracle.normal_forms),
+                "{desc}"
+            );
+            let lines = reader.sorted();
+            for line in &lines {
+                assert!(!mentions_recorded(line), "{desc}: {line}");
+            }
+            assert_eq!(lines, oracle_reader, "{desc}");
+        }
+    }
+
+    /// `qs` in a thread-count-independent order, names untouched.
+    fn sorted(qs: &[Query]) -> Vec<Query> {
+        let mut v = qs.to_vec();
+        v.sort();
+        v
     }
 
     #[test]

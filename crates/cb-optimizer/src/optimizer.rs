@@ -31,9 +31,9 @@ use std::time::{Duration, Instant};
 use cb_analyze::{Analyzer, Report};
 use cb_catalog::Catalog;
 use cb_chase::{
-    backchase_greedy_in, BackchaseConfig, BackchaseOutcome, CacheStats, ChaseConfig, ChaseContext,
-    ChaseStepTrace, ExploreAll, MustRemainAnalysis, ParallelExploreAll, ParallelPlanSearch,
-    ParallelVisitor, PlanSearch, SearchBudget, SearchVisitor, TerminationVerdict, Visit,
+    backchase_greedy_in, BackchaseConfig, CacheStats, ChaseConfig, ChaseContext, ChaseStepTrace,
+    ExploreAll, MustRemainAnalysis, ParallelExploreAll, ParallelPlanSearch, ParallelVisitor,
+    PlanSearch, SearchBudget, SearchVisitor, TerminationVerdict, Visit,
 };
 use pcql::query::Query;
 use pcql::typecheck::{check_query, TypeError};
@@ -117,7 +117,10 @@ pub struct OptimizerConfig {
     pub chase: ChaseConfig,
     pub backchase: BackchaseConfig,
     /// Cost also the non-minimal physical subqueries encountered during
-    /// backchase (they are sound plans; the paper's P1 is one).
+    /// backchase (they are sound plans; the paper's P1 is one). Only
+    /// under it does the `Exhaustive` walk collect its visited nodes
+    /// ([`SearchOutcome::visited`](cb_chase::SearchOutcome::visited));
+    /// without it the walk keeps just the normal forms.
     pub cost_visited: bool,
     pub strategy: SearchStrategy,
     /// The lower bound `CostGuided` prunes with (ignored by the other
@@ -505,10 +508,14 @@ impl<'a> Optimizer<'a> {
         let search_panic = catch_unwind(AssertUnwindSafe(|| {
             search_complete = match self.config.strategy {
                 SearchStrategy::Exhaustive => {
+                    // Only `cost_visited` costs the visited nodes;
+                    // without it they are not even collected.
+                    let collect = self.config.cost_visited;
                     let out = if threads > 1 {
                         let out = ParallelPlanSearch::new(&universal, threads)
                             .with_max_visited(self.config.backchase.max_visited)
                             .with_budget(self.config.search_budget)
+                            .with_collect_visited(collect)
                             .run(ctx, &ParallelExploreAll);
                         workers_died = out.workers_died;
                         if governor.should_fall_back(&out) {
@@ -522,6 +529,7 @@ impl<'a> Optimizer<'a> {
                             PlanSearch::new(&universal)
                                 .with_max_visited(self.config.backchase.max_visited)
                                 .with_budget(governor.remaining_budget())
+                                .with_collect_visited(collect)
                                 .run(ctx, &mut ExploreAll)
                         } else {
                             out
@@ -530,17 +538,19 @@ impl<'a> Optimizer<'a> {
                         PlanSearch::new(&universal)
                             .with_max_visited(self.config.backchase.max_visited)
                             .with_budget(self.config.search_budget)
+                            .with_collect_visited(collect)
                             .run(ctx, &mut ExploreAll)
                     };
                     nodes_visited = out.visited_count;
                     budget_expired = out.budget_expired;
-                    let bc = BackchaseOutcome {
-                        normal_forms: out.normal_forms,
-                        visited: out.visited,
-                        complete: out.complete,
-                    };
-                    self.cost_phased(ctx, &model, &bc, &mut candidates);
-                    bc.complete
+                    self.cost_phased(
+                        ctx,
+                        &model,
+                        &out.normal_forms,
+                        &out.visited,
+                        &mut candidates,
+                    );
+                    out.complete
                 }
                 SearchStrategy::Greedy => {
                     // Prefer removing what is logical-only, per the paper's
@@ -554,14 +564,15 @@ impl<'a> Optimizer<'a> {
                         .cloned()
                         .collect();
                     let plan = backchase_greedy_in(ctx, &universal, &prefer);
-                    let bc = BackchaseOutcome {
-                        normal_forms: vec![plan],
-                        visited: vec![universal.clone()],
-                        complete: true,
+                    // The greedy descent visits the universal plan alone.
+                    nodes_visited = 1;
+                    let visited = if self.config.cost_visited {
+                        std::slice::from_ref(&universal)
+                    } else {
+                        &[]
                     };
-                    nodes_visited = bc.visited.len();
-                    self.cost_phased(ctx, &model, &bc, &mut candidates);
-                    bc.complete
+                    self.cost_phased(ctx, &model, &[plan], visited, &mut candidates);
+                    true
                 }
                 SearchStrategy::CostGuided => {
                     // Branch-and-bound: cost each equivalence-verified node
@@ -802,31 +813,27 @@ impl<'a> Optimizer<'a> {
     }
 
     /// The phased "enumerate, then cost" step 3 shared by `Exhaustive`
-    /// and `Greedy`: normal forms first (flagged minimal), then — under
-    /// `cost_visited` — every other visited physical subquery.
+    /// and `Greedy`: normal forms first (flagged minimal), then every
+    /// other physical subquery in `visited` — which the strategy fills
+    /// only under `cost_visited`.
     fn cost_phased(
         &self,
         ctx: &ChaseContext,
         model: &CostModel<'_>,
-        bc: &BackchaseOutcome,
+        normal_forms: &[Query],
+        visited: &[Query],
         candidates: &mut Vec<PlanChoice>,
     ) {
-        for nf in &bc.normal_forms {
+        for nf in normal_forms {
             if let Some(choice) = cost_one(self.catalog, model, ctx, nf, true) {
                 candidates.push(choice);
             }
         }
-        if self.config.cost_visited {
-            let nf_set: BTreeSet<Query> = bc
-                .normal_forms
-                .iter()
-                .map(Query::alpha_normalized)
-                .collect();
-            for v in &bc.visited {
-                if !nf_set.contains(&v.alpha_normalized()) {
-                    if let Some(choice) = cost_one(self.catalog, model, ctx, v, false) {
-                        candidates.push(choice);
-                    }
+        let nf_set: BTreeSet<Query> = normal_forms.iter().map(Query::alpha_normalized).collect();
+        for v in visited {
+            if !nf_set.contains(&v.alpha_normalized()) {
+                if let Some(choice) = cost_one(self.catalog, model, ctx, v, false) {
+                    candidates.push(choice);
                 }
             }
         }
@@ -1306,6 +1313,63 @@ mod tests {
             cost_visited: true,
             threads,
             ..Default::default()
+        }
+    }
+
+    /// Every `Exhaustive` walk — sequential, parallel, and the rung-2
+    /// sequential rerun after every worker died — collects its visited
+    /// nodes exactly when `cost_visited` asks: the candidates are then
+    /// every visited physical subquery, and otherwise exactly the costed
+    /// normal forms.
+    #[test]
+    fn exhaustive_collects_the_visited_nodes_only_under_cost_visited() {
+        let mut cat = projdept::catalog();
+        projdept::stats_for(&mut cat, 100, 10, 20);
+        let q = projdept::query();
+        let ctx = ChaseContext::new(cat.all_constraints(), ChaseConfig::default());
+        let universal = ctx.chase(&q).query;
+        let bc = cb_chase::backchase_in(&ctx, &universal, 4096);
+        let physical = |qs: &[Query]| -> BTreeSet<Query> {
+            qs.iter()
+                .filter(|q| cat.is_physical_query(q))
+                .map(Query::alpha_normalized)
+                .collect()
+        };
+        let (visited, normal_forms) = (physical(&bc.visited), physical(&bc.normal_forms));
+        assert!(visited.len() > normal_forms.len(), "{visited:?}");
+        for (threads, faults) in [(1, None), (2, None), (2, Some("parallel::spawn=panic"))] {
+            for cost_visited in [true, false] {
+                let desc = format!("{threads} threads, {faults:?}, cost_visited {cost_visited}");
+                let config = OptimizerConfig {
+                    cost_visited,
+                    ..exhaustive_config(threads)
+                };
+                let out = {
+                    let _guard =
+                        faults.map(|f| cb_chase::faults::ScopedFaults::install(f).unwrap());
+                    Optimizer::with_config(&cat, config).optimize(&q).unwrap()
+                };
+                assert_eq!(
+                    out.degradations
+                        .iter()
+                        .any(|d| matches!(d, Degradation::SequentialFallback { .. })),
+                    faults.is_some(),
+                    "{desc}: {:?}",
+                    out.degradations
+                );
+                let raws: BTreeSet<Query> = out
+                    .candidates
+                    .iter()
+                    .map(|c| c.raw.alpha_normalized())
+                    .collect();
+                assert_eq!(raws.len(), out.candidates.len(), "{desc}");
+                if cost_visited {
+                    assert_eq!(raws, visited, "{desc}");
+                } else {
+                    assert_eq!(raws, normal_forms, "{desc}");
+                    assert!(out.candidates.iter().all(|c| c.minimal), "{desc}");
+                }
+            }
         }
     }
 

@@ -26,11 +26,14 @@
 //!   statistics refresh (a plan-cache miss, a chase-memo hit: the same
 //!   universal plan) or two queries that differ only in such a constant
 //!   (`CustName = "cust5"`, then `"cust7"`). The second walk of a shape
-//!   records its lattice, every later one replays it, translated to its
-//!   own constants: the cost-guided or exhaustive visitor still gates,
-//!   orders, costs and prunes live, but no containment or implication
-//!   question is asked, and the outcome is byte-identical to a fresh
-//!   service's. A shape walked only once holds no lattice.
+//!   records its lattice, every later one replays it, each subquery
+//!   translated to its own names and constants when read — by the
+//!   cost-guided visitor, as a normal form, or as a visited node the
+//!   exhaustive strategy collects under `cost_visited` (an exhaustive
+//!   replay without it translates only its normal forms): the visitor
+//!   still gates, orders, costs and prunes live, but no containment or
+//!   implication question is asked, and the outcome is byte-identical to
+//!   a fresh service's. A shape walked only once holds no lattice.
 //! * **Prepared plans** — the full [`OptimizeOutcome`] plus its
 //!   serialized [`PlanRepr`], keyed by *alpha-normalized query* ×
 //!   *canonical catalog fingerprint* × *cost-model fingerprint*. A hit

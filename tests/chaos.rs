@@ -654,3 +654,65 @@ fn a_replay_under_shard_faults_and_cache_pressure_keeps_the_plans() {
         }
     }
 }
+
+/// A renamed replay at four workers: the ProjDept query under other
+/// variable names (in the same order) and another constant replays the
+/// lattice recorded for the paper's query, collecting every visited node.
+/// `parallel::visit` panics kill workers before their node is counted,
+/// and a `parallel::claim` panic kills one after its node was counted and
+/// collected in the caller's names. The rollback removes that entry by
+/// the form that was pushed, so the collected multiset is the sequential
+/// oracle's: no entry twice, none missing.
+#[test]
+fn a_renamed_parallel_replay_collects_each_visited_node_once_under_worker_deaths() {
+    use universal_plans::chase::{
+        ChaseContext, ExploreAll, ParallelExploreAll, ParallelPlanSearch, PlanSearch,
+    };
+    let (_, catalog, _) = scenarios().swap_remove(0);
+    let projdept = |[d, s, p]: [&str; 3], c: &str| {
+        parse_query(&format!(
+            "select struct(PN = {s}, PB = {p}.Budg, DN = {d}.DName) \
+             from depts {d}, {d}.DProjs {s}, Proj {p} \
+             where {s} = {p}.PName and {p}.CustName = \"{c}\""
+        ))
+        .unwrap()
+    };
+    let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
+    let recorded = ctx.chase(&projdept(["d", "s", "p"], "CitiBank")).query;
+    // `dp < i0 < k0 < o0 < pj < q < s1`: the chase's own names keep
+    // their rank among the renamed ones.
+    let u = ctx.chase(&projdept(["dp", "q", "pj"], "cust7")).query;
+    for _ in 0..2 {
+        ParallelPlanSearch::new(&recorded, 4).run(&ctx, &ParallelExploreAll);
+    }
+    let off = ChaseContext::without_memo(catalog.all_constraints(), ChaseConfig::default());
+    let oracle = PlanSearch::new(&u).run(&off, &mut ExploreAll);
+
+    let spec = "parallel::visit=panic*150;parallel::claim=panic@700";
+    let before = ctx.stats();
+    let guard = ScopedFaults::install(spec).unwrap();
+    let out = ParallelPlanSearch::new(&u, 4)
+        .with_collect_visited(true)
+        .run(&ctx, &ParallelExploreAll);
+    let fs = faults::stats();
+    drop(guard);
+    let after = ctx.stats();
+
+    assert_eq!(fs.injected, 3, "{spec}: {fs:?}");
+    assert_eq!(fs.injected, fs.acknowledged(), "{spec}: {fs:?}");
+    assert_eq!(out.workers_died, 3, "{spec}");
+    assert!(out.complete, "{spec}: one survivor finishes the walk");
+    assert_eq!(after.lattice_misses, before.lattice_misses, "{after:?}");
+    let sorted = |qs: &[Query]| {
+        let mut v = qs.to_vec();
+        v.sort();
+        v
+    };
+    assert_eq!(out.visited_count, oracle.visited_count, "{spec}");
+    assert_eq!(sorted(&out.visited), sorted(&oracle.visited), "{spec}");
+    assert_eq!(
+        sorted(&out.normal_forms),
+        sorted(&oracle.normal_forms),
+        "{spec}"
+    );
+}
