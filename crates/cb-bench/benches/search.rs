@@ -12,7 +12,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use cb_chase::{ChaseConfig, ChaseContext, ParallelExploreAll, ParallelPlanSearch};
+use cb_chase::{ChaseConfig, ChaseContext, ExploreAll, PlanSearch};
 use pcql::parser::{parse_dependency, parse_query};
 
 /// One round of the frontier protocol: pop the cheapest entry, publish
@@ -56,8 +56,9 @@ fn frontier_contention(c: &mut Criterion) {
     group.finish();
 }
 
-/// The real parallel walk over the §4 views lattice: frontier + sharded
-/// memo traffic end to end, swept over worker counts.
+/// The real plan-search walk over the §4 views lattice: frontier +
+/// sharded memo traffic end to end, swept over worker counts (one worker
+/// walks on the calling thread).
 fn parallel_walk(c: &mut Criterion) {
     let u = parse_query(
         "select struct(A = r.A) from R r, S s, V v \
@@ -82,9 +83,10 @@ fn parallel_walk(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
             b.iter(|| {
                 let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
-                let out = ParallelPlanSearch::new(black_box(&u), w)
+                let out = PlanSearch::new(black_box(&u))
+                    .with_threads(w)
                     .with_collect_visited(false)
-                    .run(&ctx, &ParallelExploreAll);
+                    .run(&ctx, &ExploreAll);
                 assert!(out.complete);
                 out.visited_count
             });

@@ -18,7 +18,7 @@ use std::time::Instant;
 use cb_bench::{prepared_indexes, prepared_projdept, prepared_views, render_table, Prepared};
 use cb_chase::{
     backchase_in, chase_step, examine_removal_in, minimize, BackchaseConfig, CacheStats,
-    ChaseConfig, ChaseContext, QueryGraph, RemovalJudgement,
+    ChaseConfig, ChaseContext, ExploreAll, PlanSearch, QueryGraph, RemovalJudgement,
 };
 use cb_engine::{Evaluator, Materializer};
 use cb_optimizer::{explain, Optimizer};
@@ -545,6 +545,7 @@ fn run_json(path: &str, selection: &[String]) {
             ),
         ];
         records.push(rec);
+        records.push(e18_replay_one_worker(&p));
     }
 
     if want("e20") {
@@ -1270,7 +1271,39 @@ fn e18_time_guided(
     (samples[samples.len() / 2], last.unwrap())
 }
 
-/// E18's baseline: the sequential exhaustive search (explicit config, so
+/// E18's per-node protocol row: the median of a ProjDept lattice replay
+/// at one worker. The replay is the third walk of the universal plan and
+/// asks no proof, so what it times is the walk's own bookkeeping: pops,
+/// claims, settles and the memo reads, about 340 nodes' worth.
+fn e18_replay_one_worker(p: &Prepared) -> JsonRecord {
+    let ctx = ChaseContext::new(p.catalog.all_constraints(), ChaseConfig::default());
+    let u = ctx.chase(&p.query).query;
+    let walk = || {
+        PlanSearch::new(&u)
+            .with_collect_visited(false)
+            .run(&ctx, &ExploreAll)
+    };
+    // The first walk sights the shape, the second records its lattice.
+    walk();
+    walk();
+    let before = ctx.stats();
+    let mut visited = 0;
+    let mut rec = measure("e18_replay_one_worker", 400, || {
+        visited = walk().visited_count;
+        None
+    });
+    let after = ctx.stats();
+    assert_eq!(after.lattice_misses, before.lattice_misses, "{after:?}");
+    assert_eq!(
+        after.containment_hits + after.containment_misses,
+        before.containment_hits + before.containment_misses,
+        "a replay asks no containment question: {after:?}"
+    );
+    rec.extra = vec![("nodes_visited", visited as u64)];
+    rec
+}
+
+/// E18's baseline: the one-worker exhaustive search (explicit config, so
 /// the record is insensitive to `CB_SEARCH_THREADS` in the environment).
 fn e18_exhaustive(catalog: &cb_catalog::Catalog, q: &pcql::Query) -> cb_optimizer::OptimizeOutcome {
     use cb_optimizer::OptimizerConfig;

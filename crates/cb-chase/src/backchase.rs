@@ -13,7 +13,7 @@
 //!
 //! Condition 3 comes in two flavours, both implemented here:
 //!
-//! * [`backchase_step`] — the paper's §3 *rewrite rule*: discharge the
+//! * [`backchase_step_in`] — the paper's §3 *rewrite rule*: discharge the
 //!   reconstruction constraint `forall(remaining) C' -> exists(removed) C`
 //!   with the chase-based implication prover. Sound, and what a
 //!   rule-based optimizer would run; but a single-binding rule can miss
@@ -45,7 +45,7 @@
 //! collect-everything instantiations, and the optimizer's cost-guided
 //! branch-and-bound strategy is another.
 
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use pcql::idgen::VarGen;
@@ -59,7 +59,7 @@ use crate::containment::{contained_in_pre_chased, output_matching_hom};
 use crate::context::ChaseContext;
 use crate::egraph::EGraph;
 use crate::hom::Assignment;
-use crate::lattice::{Child, Expansion, Graphs, LatticeWalk, Node, Removal};
+use crate::parallel::PlanSearch;
 
 /// Budgets for backchase enumeration.
 #[derive(Debug, Clone, Default)]
@@ -169,19 +169,8 @@ pub(crate) fn subquery_for(
 
 /// The paper's §3 backchase **rewrite rule**: remove the binding of
 /// `seed` (with its dependent closure) when the reconstruction constraint
-/// is implied by `deps`. Sound; see the module docs for why the full
-/// enumeration uses equivalence pruning instead.
-pub fn backchase_step(
-    q: &Query,
-    deps: &[Dependency],
-    seed: &str,
-    cfg: &ChaseConfig,
-) -> Option<Query> {
-    let ctx = ChaseContext::new(deps.to_vec(), cfg.clone());
-    backchase_step_in(&ctx, q, seed)
-}
-
-/// [`backchase_step`] against a shared [`ChaseContext`].
+/// is implied by the context's dependencies. Sound; see the module docs
+/// for why the full enumeration uses equivalence pruning instead.
 pub fn backchase_step_in(ctx: &ChaseContext, q: &Query, seed: &str) -> Option<Query> {
     if !q.from.iter().any(|b| b.var == seed) {
         return None;
@@ -329,8 +318,8 @@ pub(crate) fn prune_unsafe_conditions(ctx: &ChaseContext, q: &Query) -> Option<Q
 
 /// The first not-provably-safe failing lookup of `q`, tagged with whether
 /// it is fatal (binding source / output) or condition-level. Safety
-/// proofs go through the context's implication memo, from the sequential
-/// and the parallel search alike; the congruence graph for guardedness
+/// proofs go through the context's implication memo, from every search
+/// worker alike; the congruence graph for guardedness
 /// is built once per call (lazily), not once per obligation.
 ///
 /// Public so that static analysis (cb-analyze's lookup-safety pass) can be
@@ -426,8 +415,7 @@ pub fn first_unsafe(ctx: &ChaseContext, q: &Query) -> Option<(Path, bool)> {
     None
 }
 
-/// An *anytime* budget for a lattice search ([`PlanSearch`] and the
-/// parallel [`ParallelPlanSearch`](crate::ParallelPlanSearch)): the walk
+/// An *anytime* budget for a [`PlanSearch`]: the walk
 /// stops the moment either limit is reached and keeps everything found so
 /// far. Every node a search has streamed is a fully equivalence-verified
 /// plan, so expiry only trims how much of the plan space was explored —
@@ -462,8 +450,8 @@ impl SearchBudget {
     }
 }
 
-/// What a [`PlanSearch`] visitor tells the driver about one
-/// equivalence-verified lattice node.
+/// What a [`PlanSearch`] visitor tells the driver
+/// about one equivalence-verified lattice node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Visit {
     /// Examine the node's children — the exhaustive behaviour.
@@ -479,18 +467,22 @@ pub enum Visit {
     Accept,
 }
 
-/// A caller-supplied steering policy for [`PlanSearch`]: which verified
-/// nodes to expand ([`SearchVisitor::visit`]), which candidates are worth
-/// verifying at all ([`SearchVisitor::admit`]), and in what order the
-/// frontier is explored ([`SearchVisitor::priority`]). The defaults
-/// reproduce the exhaustive breadth-first enumeration exactly.
-pub trait SearchVisitor {
-    /// Called once per equivalence-verified node, in exploration order
-    /// (the search root first). The node is a sound plan; the verdict
-    /// steers the search. The [`ChaseContext`] is handed back so the
-    /// visitor can run its own memoized proofs (e.g. condition pruning
-    /// while costing a plan).
-    fn visit(&mut self, _ctx: &ChaseContext, _q: &Query, _removed: &BTreeSet<String>) -> Visit {
+/// A caller-supplied steering policy for [`PlanSearch`]:
+/// which verified nodes to expand ([`SearchVisitor::visit`]), which
+/// candidates are worth verifying at all ([`SearchVisitor::admit`]), and
+/// in what order the frontier is explored ([`SearchVisitor::priority`]).
+/// The defaults reproduce the exhaustive breadth-first enumeration
+/// exactly. The hooks take `&self` and the visitor is shared by every
+/// worker of the walk, so any state it keeps sits behind its own locks
+/// or atomics.
+pub trait SearchVisitor: Sync {
+    /// Called once per equivalence-verified node (by whichever worker
+    /// popped it; at one worker in exploration order, the search root
+    /// first). The node is a sound plan; the verdict steers the search,
+    /// and [`Visit::Accept`] stops every worker. The [`ChaseContext`] is
+    /// handed back so the visitor can run its own memoized proofs (e.g.
+    /// condition pruning while costing a plan).
+    fn visit(&self, _ctx: &ChaseContext, _q: &Query, _removed: &BTreeSet<String>) -> Visit {
         Visit::Explore
     }
 
@@ -501,7 +493,7 @@ pub trait SearchVisitor {
     /// admissible lower bound for the candidate (and hence, by
     /// monotonicity, for its whole sublattice) already exceeds its
     /// incumbent. Default: admit everything.
-    fn admit(&mut self, _q: &Query, _removed: &BTreeSet<String>) -> bool {
+    fn admit(&self, _q: &Query, _removed: &BTreeSet<String>) -> bool {
         true
     }
 
@@ -509,7 +501,7 @@ pub trait SearchVisitor {
     /// pop in discovery order. The default (a constant) makes the search
     /// breadth-first; a cost-guided caller returns a cost estimate so
     /// cheap regions are explored first and the incumbent drops early.
-    fn priority(&mut self, _q: &Query, _removed: &BTreeSet<String>) -> f64 {
+    fn priority(&self, _q: &Query, _removed: &BTreeSet<String>) -> f64 {
         0.0
     }
 
@@ -535,7 +527,7 @@ impl SearchVisitor for ExploreAll {
 }
 
 /// Outcome of a [`PlanSearch`] run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SearchOutcome {
     /// Nodes that were explored, had no valid child and no gated
     /// candidate child: minimal plans. With a pruning visitor this is a
@@ -545,8 +537,7 @@ pub struct SearchOutcome {
     /// Every equivalence-verified node streamed to the visitor, in visit
     /// order (the input `u` first), in `u`'s names and constants. Each is
     /// a sound plan. Empty when the run opted out via
-    /// [`PlanSearch::with_collect_visited`] (or
-    /// [`ParallelPlanSearch::with_collect_visited`](crate::ParallelPlanSearch::with_collect_visited))
+    /// [`PlanSearch::with_collect_visited`]
     /// — use `visited_count` then. Collecting costs a copy of every
     /// visited node, so ask for it only when something reads it.
     pub visited: Vec<Query>,
@@ -566,9 +557,10 @@ pub struct SearchOutcome {
     /// still carries every verified plan found up to that point).
     pub budget_expired: bool,
     /// Workers that died to a panic mid-search and were recovered by
-    /// abandoning their claims (parallel walk only; always 0 here). The
-    /// surviving workers re-claim and finish, so a non-zero count with
-    /// `complete == true` still carries the full search result.
+    /// abandoning their claims (always 0 at one worker, whose panics
+    /// reach the caller). The surviving workers re-claim and finish, so
+    /// a non-zero count with `complete == true` still carries the full
+    /// search result.
     pub workers_died: usize,
 }
 
@@ -576,245 +568,6 @@ impl SearchOutcome {
     /// Total sublattices cut by the visitor (gate + visit).
     pub fn pruned(&self) -> usize {
         self.pruned_at_visit + self.pruned_at_gate
-    }
-}
-
-/// A frontier entry ordered by (priority, discovery sequence) — a
-/// min-heap pop order that degrades to exactly the old FIFO walk when
-/// every priority is equal. Shared with the parallel search, whose
-/// workers pull from one heap of these behind a lock.
-pub(crate) struct Frontier {
-    pub(crate) prio: f64,
-    pub(crate) seq: usize,
-    pub(crate) node: Node,
-}
-
-impl PartialEq for Frontier {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for Frontier {}
-impl PartialOrd for Frontier {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Frontier {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the lowest
-        // (priority, seq) first.
-        other
-            .prio
-            .total_cmp(&self.prio)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The backchase lattice walk as a streaming driver (Theorem 2's complete
-/// enumeration, inverted): instead of materializing every equivalent
-/// subquery up front, each equivalence-verified node is handed to a
-/// caller-supplied visitor *as it is reached*, and the visitor steers the
-/// search — [`Visit::Explore`] descends (exhaustive enumeration),
-/// [`Visit::Prune`] cuts the node's sublattice (branch-and-bound: the
-/// optimizer's cost-guided strategy carries its incumbent best cost into
-/// the visitor and prunes branches whose admissible lower bound already
-/// exceeds it), [`Visit::Accept`] stops the search (anytime planning —
-/// every visited subquery is a sound plan, "we can stop this rewriting
-/// anytime").
-///
-/// The walk itself is the one [`backchase_in`] always performed: one
-/// lattice-wide `QueryGraph`, dependent-closure removal sets, equivalence
-/// pruning of sublattices under non-equivalent subqueries, child
-/// containment checks seeded from the parent's witness homomorphism, all
-/// through the shared [`ChaseContext`] memos. Children are expanded
-/// through the context's verified-lattice memo (one expansion function
-/// shared with the parallel walk), so a walk over a universal plan an
-/// earlier walk already verified replays its closures, subqueries and
-/// verdicts instead of re-deriving them, while the visitor still steers
-/// live. The visitor receives the context too, so it can run its own
-/// memoized proofs — e.g. condition pruning — while costing a node.
-#[derive(Debug, Clone)]
-pub struct PlanSearch<'a> {
-    u: &'a Query,
-    max_visited: usize,
-    collect_visited: bool,
-    budget: SearchBudget,
-}
-
-impl<'a> PlanSearch<'a> {
-    /// A search over the subquery lattice of `u`, which should already be
-    /// chased (Algorithm 1 passes the universal plan), so equivalence to
-    /// `u` is equivalence to the original query. Unlimited by default.
-    pub fn new(u: &'a Query) -> PlanSearch<'a> {
-        PlanSearch {
-            u,
-            max_visited: 0,
-            collect_visited: true,
-            budget: SearchBudget::default(),
-        }
-    }
-
-    /// Bounds the number of visited nodes (0 = unlimited).
-    pub fn with_max_visited(mut self, max_visited: usize) -> PlanSearch<'a> {
-        self.max_visited = max_visited;
-        self
-    }
-
-    /// Sets an anytime [`SearchBudget`]; on expiry the walk stops and
-    /// keeps everything verified so far (the root is always visited
-    /// first, so at least one sound plan survives any budget).
-    pub fn with_budget(mut self, budget: SearchBudget) -> PlanSearch<'a> {
-        self.budget = budget;
-        self
-    }
-
-    /// Whether to copy each visited node into `SearchOutcome::visited`
-    /// (on by default). A streaming visitor already receives every node
-    /// as it is reached, so a caller that accumulates its own results
-    /// (like the cost-guided strategy), or reads only the normal forms
-    /// (like the exhaustive strategy without `cost_visited`), only needs
-    /// `visited_count`. Off, a replayed walk neither copies nor
-    /// translates the nodes its visitor does not read.
-    pub fn with_collect_visited(mut self, collect: bool) -> PlanSearch<'a> {
-        self.collect_visited = collect;
-        self
-    }
-
-    /// Runs the search, streaming each equivalence-verified subquery (and
-    /// its removal set over `u`) to `visitor`.
-    pub fn run(&self, ctx: &ChaseContext, visitor: &mut dyn SearchVisitor) -> SearchOutcome {
-        let u = self.u;
-        let lattice = LatticeWalk::begin(ctx, u);
-        let mut graphs = Graphs::default();
-        let mut walk = SequentialWalk {
-            visitor,
-            seen: HashMap::new(),
-            queue: BinaryHeap::new(),
-            seq: 0,
-            pruned_at_gate: 0,
-        };
-        let root = lattice.root();
-        walk.seen.insert(root.key.clone(), ChildState::Valid);
-        walk.queue.push(Frontier {
-            prio: walk.visitor.priority(u, &root.removed),
-            seq: 0,
-            node: root,
-        });
-        let start = Instant::now();
-        let reads = walk.visitor.reads_nodes();
-        let mut normal_forms: Vec<Query> = Vec::new();
-        let mut visited: Vec<Query> = Vec::new();
-        let mut visited_count = 0usize;
-        let mut complete = true;
-        let mut pruned_at_visit = 0usize;
-        let mut accepted = false;
-        let mut budget_expired = false;
-        while let Some(Frontier { mut node, .. }) = walk.queue.pop() {
-            if self.max_visited > 0 && visited_count >= self.max_visited {
-                complete = false;
-                break;
-            }
-            // The root (visited_count == 0) is exempt: any budget still
-            // yields at least one verified plan.
-            if visited_count > 0 && self.budget.expired(start, visited_count) {
-                complete = false;
-                budget_expired = true;
-                break;
-            }
-            let shown = lattice.show(&mut node, reads);
-            let verdict = walk.visitor.visit(ctx, &shown.query, &shown.removed);
-            if verdict == Visit::Prune {
-                // Neither costed nor descended: the node does not count
-                // as visited.
-                pruned_at_visit += 1;
-                continue;
-            }
-            visited_count += 1;
-            if self.collect_visited {
-                visited.push((*lattice.show(&mut node, true).query).clone());
-            }
-            if verdict == Visit::Accept {
-                accepted = true;
-                break;
-            }
-            // A valid child means this node is not a normal form; a gated
-            // one leaves its minimality undetermined.
-            let children = lattice.expand(&mut graphs, &node, &mut walk);
-            let minimal = children
-                .iter()
-                .all(|key| walk.seen.get(key) == Some(&ChildState::Invalid));
-            if minimal {
-                normal_forms.push((*lattice.show(&mut node, true).query).clone());
-            }
-        }
-        lattice.finish();
-        SearchOutcome {
-            normal_forms,
-            visited,
-            visited_count,
-            complete,
-            pruned_at_visit,
-            pruned_at_gate: walk.pruned_at_gate,
-            accepted,
-            budget_expired,
-            workers_died: 0,
-        }
-    }
-}
-
-/// What became of a removal set the sequential walk examined.
-#[derive(Clone, Copy, PartialEq)]
-enum ChildState {
-    /// A verified equivalent subquery (enqueued once).
-    Valid,
-    /// Not a subquery / unsafe / not equivalent.
-    Invalid,
-    /// Skipped by the visitor's gate before verification.
-    Gated,
-}
-
-/// The sequential walk's half of an expansion: the seen map and the
-/// frontier.
-struct SequentialWalk<'v> {
-    visitor: &'v mut dyn SearchVisitor,
-    seen: HashMap<Removal, ChildState>,
-    queue: BinaryHeap<Frontier>,
-    seq: usize,
-    pruned_at_gate: usize,
-}
-
-impl Expansion for SequentialWalk<'_> {
-    fn claim(&mut self, key: &Removal) -> bool {
-        !self.seen.contains_key(key)
-    }
-
-    fn reads_nodes(&self) -> bool {
-        self.visitor.reads_nodes()
-    }
-
-    fn admit(&mut self, q: &Query, removed: &BTreeSet<String>) -> bool {
-        self.visitor.admit(q, removed)
-    }
-
-    fn settle(&mut self, key: Removal, child: Child) {
-        let state = match child {
-            Child::Valid(node) => {
-                self.seq += 1;
-                self.queue.push(Frontier {
-                    prio: self.visitor.priority(&node.query, &node.removed),
-                    seq: self.seq,
-                    node,
-                });
-                ChildState::Valid
-            }
-            Child::Invalid => ChildState::Invalid,
-            Child::Gated => {
-                self.pruned_at_gate += 1;
-                ChildState::Gated
-            }
-        };
-        self.seen.insert(key, state);
     }
 }
 
@@ -830,13 +583,13 @@ pub fn backchase(u: &Query, deps: &[Dependency], cfg: &BackchaseConfig) -> Backc
 }
 
 /// [`backchase`] against a shared [`ChaseContext`]: the collect-everything
-/// instantiation of [`PlanSearch`] — a visitor that always explores, with
-/// the streamed nodes and normal forms gathered into a
-/// [`BackchaseOutcome`].
+/// instantiation of [`PlanSearch`] — a visitor that
+/// always explores, with the streamed nodes and normal forms gathered
+/// into a [`BackchaseOutcome`].
 pub fn backchase_in(ctx: &ChaseContext, u: &Query, max_visited: usize) -> BackchaseOutcome {
     let out = PlanSearch::new(u)
         .with_max_visited(max_visited)
-        .run(ctx, &mut ExploreAll);
+        .run(ctx, &ExploreAll);
     BackchaseOutcome {
         normal_forms: out.normal_forms,
         visited: out.visited,
@@ -853,17 +606,6 @@ pub fn backchase_in(ctx: &ChaseContext, u: &Query, max_visited: usize) -> Backch
 /// equivalence checks once per candidate), against the exhaustive
 /// enumeration's exponential lattice — the E13 ablation measures the
 /// plan-quality price.
-pub fn backchase_greedy(
-    u: &Query,
-    deps: &[Dependency],
-    prefer_removing: &BTreeSet<String>,
-    cfg: &ChaseConfig,
-) -> Query {
-    let ctx = ChaseContext::new(deps.to_vec(), cfg.clone());
-    backchase_greedy_in(&ctx, u, prefer_removing)
-}
-
-/// [`backchase_greedy`] against a shared [`ChaseContext`].
 pub fn backchase_greedy_in(
     ctx: &ChaseContext,
     u: &Query,
@@ -991,14 +733,8 @@ pub fn examine_removal_in(
     RemovalJudgement::Valid(q2)
 }
 
-/// Is `q` minimal (no equivalent, well-defined subquery below it)?
-pub fn is_minimal(q: &Query, deps: &[Dependency], cfg: &ChaseConfig) -> bool {
-    let ctx = ChaseContext::new(deps.to_vec(), cfg.clone());
-    is_minimal_in(&ctx, q)
-}
-
-/// [`is_minimal`] against a shared [`ChaseContext`]. The canonical
-/// database of `q` is built once, not once per binding, and the
+/// Is `q` minimal (no equivalent, well-defined subquery below it)? The
+/// canonical database of `q` is built once, not once per binding, and the
 /// equivalence checks share the context's chase memo (`q` itself is
 /// chased at most once across all bindings).
 pub fn is_minimal_in(ctx: &ChaseContext, q: &Query) -> bool {
@@ -1044,6 +780,10 @@ mod tests {
         ChaseConfig::default()
     }
 
+    fn ctx(deps: &[Dependency]) -> ChaseContext {
+        ChaseContext::new(deps.to_vec(), ccfg())
+    }
+
     #[test]
     fn paper_tableau_minimization_example() {
         // §3: R(A,B) with a redundant third binding.
@@ -1076,9 +816,9 @@ mod tests {
         // A plain join has no removable binding.
         let q =
             parse_query("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B").unwrap();
-        assert!(is_minimal(&q, &[], &ccfg()));
+        assert!(is_minimal_in(&ctx(&[]), &q));
         for b in &q.from {
-            assert!(backchase_step(&q, &[], &b.var, &ccfg()).is_none());
+            assert!(backchase_step_in(&ctx(&[]), &q, &b.var).is_none());
         }
     }
 
@@ -1089,11 +829,11 @@ mod tests {
         let q = parse_query("select struct(A = r.A) from R r, S s where r.B = s.B").unwrap();
         let ric =
             parse_dependency("ric", "forall (r in R) -> exists (s in S) where r.B = s.B").unwrap();
-        let q2 = backchase_step(&q, std::slice::from_ref(&ric), "s", &ccfg()).expect("s removable");
+        let q2 = backchase_step_in(&ctx(std::slice::from_ref(&ric)), &q, "s").expect("s removable");
         assert_eq!(q2.from.len(), 1);
         assert_eq!(q2.to_string(), "select struct(A = r.A) from R r");
         // Without the constraint the step is rejected.
-        assert!(backchase_step(&q, &[], "s", &ccfg()).is_none());
+        assert!(backchase_step_in(&ctx(&[]), &q, "s").is_none());
         // The enumeration agrees.
         let out = backchase(&q, &[ric], &bcfg());
         assert_eq!(out.normal_forms.len(), 1);
@@ -1107,7 +847,7 @@ mod tests {
         let q = parse_query("select struct(A = p.A) from depts d, d.DProjs s, Proj p").unwrap();
         // Unconstrained, the removal is not equivalence-preserving
         // (depts or DProjs may be empty).
-        assert!(backchase_step(&q, &[], "d", &ccfg()).is_none());
+        assert!(backchase_step_in(&ctx(&[]), &q, "d").is_none());
         // With a constraint making every Proj row belong to some dept,
         // the removal of {d, s} is justified.
         let cov = parse_dependency(
@@ -1115,7 +855,7 @@ mod tests {
             "forall (p in Proj) -> exists (d in depts) (s in d.DProjs) where s = s",
         )
         .unwrap();
-        let q2 = backchase_step(&q, &[cov], "d", &ccfg()).expect("d,s removable");
+        let q2 = backchase_step_in(&ctx(&[cov]), &q, "d").expect("d,s removable");
         assert_eq!(q2.from.len(), 1);
         assert_eq!(q2.from[0].src, Path::root("Proj"));
     }
@@ -1126,7 +866,7 @@ mod tests {
         // source over d2.
         let q = parse_query("select struct(S = s) from depts d, depts d2, d.DProjs s where d = d2")
             .unwrap();
-        let q2 = backchase_step(&q, &[], "d", &ccfg()).expect("d removable");
+        let q2 = backchase_step_in(&ctx(&[]), &q, "d").expect("d removable");
         assert_eq!(q2.from.len(), 2);
         assert!(q2
             .from
@@ -1141,7 +881,7 @@ mod tests {
         let q = parse_query("select struct(C = s.C) from R r, S s where r.B = s.B").unwrap();
         let ric =
             parse_dependency("ric", "forall (r in R) -> exists (s in S) where r.B = s.B").unwrap();
-        assert!(backchase_step(&q, std::slice::from_ref(&ric), "s", &ccfg()).is_none());
+        assert!(backchase_step_in(&ctx(std::slice::from_ref(&ric)), &q, "s").is_none());
         let out = backchase(&q, &[ric], &bcfg());
         assert_eq!(out.normal_forms.len(), 1);
         assert_eq!(out.normal_forms[0].from.len(), 2);
@@ -1172,9 +912,9 @@ mod tests {
         ];
         // The single-binding rule: v is removable, r alone is not (the
         // witness for the remaining s is lost).
-        let base = backchase_step(&u, &deps, "v", &ccfg()).expect("v removable");
+        let base = backchase_step_in(&ctx(&deps), &u, "v").expect("v removable");
         assert_eq!(base.from.len(), 2);
-        assert!(backchase_step(&u, &deps, "r", &ccfg()).is_none());
+        assert!(backchase_step_in(&ctx(&deps), &u, "r").is_none());
 
         // The complete enumeration still reaches the view-only plan.
         let out = backchase(&u, &deps, &bcfg());
@@ -1202,7 +942,7 @@ mod tests {
             r#"select struct(PN = t.PName) from dom(SI) k, SI[k] t where k = "CitiBank""#,
         )
         .unwrap();
-        assert!(backchase_step(&q, &[], "k", &ccfg()).is_none());
+        assert!(backchase_step_in(&ctx(&[]), &q, "k").is_none());
         let out = backchase(&q, &[], &bcfg());
         assert_eq!(out.normal_forms.len(), 1);
         assert_eq!(out.normal_forms[0].from.len(), 2);
@@ -1220,11 +960,11 @@ mod tests {
         )
         .unwrap();
         let q2 =
-            backchase_step(&q, std::slice::from_ref(&safety), "i", &ccfg()).expect("i removable");
+            backchase_step_in(&ctx(std::slice::from_ref(&safety)), &q, "i").expect("i removable");
         assert_eq!(q2.from.len(), 1);
         assert_eq!(q2.output.paths()[0].1.to_string(), "I[j.PN].Budg");
         // Without the safety constraint the step is rejected.
-        assert!(backchase_step(&q, &[], "i", &ccfg()).is_none());
+        assert!(backchase_step_in(&ctx(&[]), &q, "i").is_none());
         // Enumeration reaches P4's shape as the unique normal form.
         let out = backchase(&q, &[safety], &bcfg());
         assert_eq!(out.normal_forms.len(), 1);
@@ -1266,16 +1006,16 @@ mod tests {
         // Preferring to remove R and S (as if they were logical-only)
         // drives the descent into the view-only plan.
         let prefer: BTreeSet<String> = ["R".to_string(), "S".to_string()].into();
-        let plan = backchase_greedy(&u, &deps, &prefer, &ccfg());
+        let plan = backchase_greedy_in(&ctx(&deps), &u, &prefer);
         assert_eq!(plan.from.len(), 1);
         assert_eq!(plan.from[0].src, Path::root("V"));
-        assert!(is_minimal(&plan, &deps, &ccfg()));
+        assert!(is_minimal_in(&ctx(&deps), &plan));
 
         // With no preference the descent still reaches a minimal plan
         // (removing r alone is equivalence-preserving here: an empty S
         // forces an empty V, so the dangling S binding filters nothing).
-        let plan2 = backchase_greedy(&u, &deps, &BTreeSet::new(), &ccfg());
-        assert!(is_minimal(&plan2, &deps, &ccfg()));
+        let plan2 = backchase_greedy_in(&ctx(&deps), &u, &BTreeSet::new());
+        assert!(is_minimal_in(&ctx(&deps), &plan2));
         assert_eq!(plan2.from.len(), 1);
     }
 
@@ -1283,7 +1023,7 @@ mod tests {
     fn greedy_on_already_minimal_query_is_identity_shaped() {
         let q =
             parse_query("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B").unwrap();
-        let plan = backchase_greedy(&q, &[], &BTreeSet::new(), &ccfg());
+        let plan = backchase_greedy_in(&ctx(&[]), &q, &BTreeSet::new());
         assert_eq!(plan.from.len(), 2);
     }
 
@@ -1312,7 +1052,7 @@ mod tests {
     fn plan_search_accept_stops_the_walk() {
         struct AcceptSmall;
         impl SearchVisitor for AcceptSmall {
-            fn visit(&mut self, _: &ChaseContext, q: &Query, _: &BTreeSet<String>) -> Visit {
+            fn visit(&self, _: &ChaseContext, q: &Query, _: &BTreeSet<String>) -> Visit {
                 if q.from.len() <= 2 {
                     Visit::Accept
                 } else {
@@ -1322,13 +1062,13 @@ mod tests {
         }
         let (u, deps) = view_scenario();
         let ctx = ChaseContext::new(deps, ChaseConfig::default());
-        let out = PlanSearch::new(&u).run(&ctx, &mut AcceptSmall);
+        let out = PlanSearch::new(&u).run(&ctx, &AcceptSmall);
         assert!(out.accepted);
         // The accepted plan is the last node visited, and the walk
         // stopped there (an exhaustive run visits more).
         assert_eq!(out.visited.last().unwrap().from.len(), 2);
         let ctx = ChaseContext::new(ctx.deps().to_vec(), ChaseConfig::default());
-        let full = PlanSearch::new(&u).run(&ctx, &mut ExploreAll);
+        let full = PlanSearch::new(&u).run(&ctx, &ExploreAll);
         assert!(!full.accepted);
         assert!(out.visited.len() < full.visited.len());
     }
@@ -1341,13 +1081,13 @@ mod tests {
         // undetermined — is claimed a normal form.
         struct RootOnly;
         impl SearchVisitor for RootOnly {
-            fn admit(&mut self, _: &Query, _: &BTreeSet<String>) -> bool {
+            fn admit(&self, _: &Query, _: &BTreeSet<String>) -> bool {
                 false
             }
         }
         let (u, deps) = view_scenario();
         let ctx = ChaseContext::new(deps, ChaseConfig::default());
-        let out = PlanSearch::new(&u).run(&ctx, &mut RootOnly);
+        let out = PlanSearch::new(&u).run(&ctx, &RootOnly);
         assert_eq!(out.visited.len(), 1);
         assert!(out.pruned_at_gate > 0);
         assert_eq!(out.pruned(), out.pruned_at_gate);
@@ -1361,15 +1101,15 @@ mod tests {
         // of nodes as the FIFO walk — order is a policy, coverage is not.
         struct SmallFirst;
         impl SearchVisitor for SmallFirst {
-            fn priority(&mut self, q: &Query, _: &BTreeSet<String>) -> f64 {
+            fn priority(&self, q: &Query, _: &BTreeSet<String>) -> f64 {
                 q.from.len() as f64
             }
         }
         let (u, deps) = view_scenario();
         let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
-        let prioritized = PlanSearch::new(&u).run(&ctx, &mut SmallFirst);
+        let prioritized = PlanSearch::new(&u).run(&ctx, &SmallFirst);
         let ctx = ChaseContext::new(deps, ChaseConfig::default());
-        let fifo = PlanSearch::new(&u).run(&ctx, &mut ExploreAll);
+        let fifo = PlanSearch::new(&u).run(&ctx, &ExploreAll);
         let norm = |qs: &[Query]| {
             let mut v: Vec<Query> = qs.iter().map(Query::alpha_normalized).collect();
             v.sort();
@@ -1421,7 +1161,7 @@ mod tests {
                 nodes: Some(0),
                 ..SearchBudget::default()
             })
-            .run(&ctx, &mut ExploreAll);
+            .run(&ctx, &ExploreAll);
         assert!(out.budget_expired);
         assert!(!out.complete);
         assert_eq!(out.visited.len(), 1);
@@ -1433,12 +1173,12 @@ mod tests {
                 wall_clock: Some(Duration::ZERO),
                 ..SearchBudget::default()
             })
-            .run(&ctx, &mut ExploreAll);
+            .run(&ctx, &ExploreAll);
         assert!(out.budget_expired);
         assert_eq!(out.visited.len(), 1);
         // An unlimited budget changes nothing and reports no expiry.
         let ctx = ChaseContext::new(deps, ChaseConfig::default());
-        let out = PlanSearch::new(&u).run(&ctx, &mut ExploreAll);
+        let out = PlanSearch::new(&u).run(&ctx, &ExploreAll);
         assert!(!out.budget_expired);
         assert!(out.complete);
     }
@@ -1447,7 +1187,7 @@ mod tests {
     fn anytime_node_budget_truncates_mid_search() {
         let (u, deps) = view_scenario();
         let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
-        let full = PlanSearch::new(&u).run(&ctx, &mut ExploreAll);
+        let full = PlanSearch::new(&u).run(&ctx, &ExploreAll);
         assert!(full.visited.len() > 2);
         let ctx = ChaseContext::new(deps, ChaseConfig::default());
         let out = PlanSearch::new(&u)
@@ -1455,7 +1195,7 @@ mod tests {
                 nodes: Some(2),
                 ..SearchBudget::default()
             })
-            .run(&ctx, &mut ExploreAll);
+            .run(&ctx, &ExploreAll);
         assert!(out.budget_expired);
         assert_eq!(out.visited.len(), 2);
         // Everything kept is a verified plan from the full walk's set.

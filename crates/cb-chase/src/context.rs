@@ -70,8 +70,7 @@
 //! carries the caller's own constants.
 //!
 //! **Shards.** Every question is answered through `&self`, so one
-//! context serves the sequential search and N parallel search workers
-//! alike. The memos are distributed over 16 shards by the hash of
+//! context serves every worker of a search alike. The memos are distributed over 16 shards by the hash of
 //! the memo key, each shard behind its own [`Mutex`]; workers touching
 //! different keys contend only on the hash-selected shard. A poisoned
 //! shard is recovered by discarding that shard's entries (a cache, always
@@ -1716,14 +1715,14 @@ mod tests {
 
     #[test]
     fn constant_churn_leaves_the_shape_memos_bounded() {
-        use crate::backchase::{ExploreAll, PlanSearch};
+        use crate::{ExploreAll, PlanSearch};
         let ctx = ChaseContext::new(vec![ric()], ChaseConfig::default());
         let walk = |k: usize| {
             let u = parse_query(&format!(
                 "select struct(A = r.A) from R r, S s where r.A = s.A and r.C = \"c{k}\""
             ))
             .unwrap();
-            let out = PlanSearch::new(&u).run(&ctx, &mut ExploreAll);
+            let out = PlanSearch::new(&u).run(&ctx, &ExploreAll);
             assert_eq!(out.visited.len(), 2, "{out:?}");
             for q in &out.visited {
                 let plan = ctx.prune_implied_conditions(q);

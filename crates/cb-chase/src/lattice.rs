@@ -1,5 +1,5 @@
 //! The verified lattice of a universal plan's shape — the [`ChaseContext`]'s
-//! fourth memo — and the one child expansion both search drivers run.
+//! fourth memo — and the one child expansion the plan search runs.
 //!
 //! Phases 1–2 of chase & backchase depend only on the query and the
 //! constraints; statistics enter only when a visitor gates, orders,
@@ -49,15 +49,15 @@
 //!
 //! A walk checks the lattice out of the context for its whole duration
 //! ([`LatticeWalk::begin`]) and parks it again at the end
-//! ([`LatticeWalk::finish`]); the parallel walk's workers share the one
-//! checked-out lattice behind a lock. A walk that unwinds without
+//! ([`LatticeWalk::finish`]); the walk's workers share the one
+//! checked-out lattice under the walk's lock. A walk that unwinds without
 //! finishing — or whose park panics or is lost — loses its additions and
 //! the lattice with them, and its armed slot clears the checked-out
 //! marker, so the next walk of the shape records afresh. That is always safe:
 //! the memo is a cache.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 use pcql::path::{Constant, Path};
 use pcql::query::{Binding, Equality, Query};
@@ -67,6 +67,8 @@ use crate::canon::QueryGraph;
 use crate::containment::output_matching_hom;
 use crate::context::{approx_query_bytes, ChaseContext, ContainmentTarget, LatticeSlot};
 use crate::hom::Assignment;
+use crate::parallel::Claims;
+use crate::SearchVisitor;
 
 /// A removal set over `u.from`, one bit per binding position.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -268,23 +270,6 @@ pub(crate) enum Child {
     Gated,
 }
 
-/// The walk-specific half of an expansion: which children the walk
-/// still has to examine, the visitor's gate, and what the walk does with
-/// each examined child.
-pub(crate) trait Expansion {
-    /// Claims a child removal set for examination; `false` when the walk
-    /// already examined (or is examining) it via another route.
-    fn claim(&mut self, key: &Removal) -> bool;
-    /// Whether the visitor reads the queries it is handed: the children
-    /// of a visitor that does not are left in whatever form they are in.
-    fn reads_nodes(&self) -> bool;
-    /// The visitor's pre-verification gate.
-    fn admit(&mut self, q: &Query, removed: &BTreeSet<String>) -> bool;
-    /// Records a claimed child's fate. A valid child is shown as
-    /// [`Expansion::reads_nodes`] asks.
-    fn settle(&mut self, key: Removal, child: Child);
-}
-
 /// One walker's graphs over `u`, built on first use (a replayed walk
 /// never needs them): the lattice-construction graph (dependent
 /// closures, re-expression, implied conditions) and the homomorphism
@@ -308,9 +293,12 @@ impl Graphs {
 }
 
 /// One walk over the lattice of `u` with its memo checked out of the
-/// context; shared by reference among the walk's workers. Every fact is
-/// computed on, and recorded for, the lattice's recorded plan `base`;
-/// what a reader sees is translated to `u` on the way out.
+/// context; shared by reference among the walk's workers, while the memo
+/// itself sits under the walk's lock with the rest of its shared state
+/// (`Progress`), so a child's closure, claim and entry are read under one
+/// acquisition. Every fact is computed on, and recorded for, the
+/// lattice's recorded plan `base`; what a reader sees is translated to
+/// `u` on the way out.
 pub(crate) struct LatticeWalk<'a> {
     ctx: &'a ChaseContext,
     /// The plan the lattice's facts are about: the one it was recorded
@@ -320,7 +308,6 @@ pub(crate) struct LatticeWalk<'a> {
     root: Arc<Query>,
     /// From `base` to `u`; `None` for the identity.
     renaming: Option<Renaming>,
-    memo: Mutex<Lattice>,
     /// Where the memo parks again; `None` for a private memo (caching
     /// off, the first walk of the shape, or the slot held by a
     /// concurrent walk). Dropped armed — the walk unwound — it clears
@@ -332,29 +319,26 @@ pub(crate) struct LatticeWalk<'a> {
 
 impl<'a> LatticeWalk<'a> {
     /// Checks the lattice of `u`'s shape out of `ctx` (a fresh one on a
-    /// miss; recorded only from the second walk of the shape on).
-    pub(crate) fn begin(ctx: &'a ChaseContext, u: &Query) -> LatticeWalk<'a> {
+    /// miss; recorded only from the second walk of the shape on), and
+    /// hands its memo to the walk's lock.
+    pub(crate) fn begin(ctx: &'a ChaseContext, u: &Query) -> (LatticeWalk<'a>, Lattice) {
         let root = Arc::new(u.clone());
         let (memo, slot, constants) = ctx.checkout_lattice(&root);
         let renaming = Renaming::between(&memo.recorded, &memo.constants, u, &constants);
-        LatticeWalk {
+        let walk = LatticeWalk {
             ctx,
             base: Arc::clone(&memo.recorded),
             root,
             renaming,
-            memo: Mutex::new(memo),
             slot,
             target: OnceLock::new(),
-        }
+        };
+        (walk, memo)
     }
 
     /// Parks the memo back into the context.
-    pub(crate) fn finish(self) {
+    pub(crate) fn finish(self, memo: Lattice) {
         if let Some(slot) = self.slot {
-            let memo = self
-                .memo
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
             self.ctx.park_lattice(slot, memo);
         }
     }
@@ -392,73 +376,72 @@ impl<'a> LatticeWalk<'a> {
         node
     }
 
-    /// The memo. A worker that panicked while holding the lock left
-    /// every entry whole (entries are inserted whole), so poisoning is
-    /// ignored.
-    fn lock(&self) -> MutexGuard<'_, Lattice> {
-        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Expands `parent`: for every binding it keeps, the child removal
     /// set (the dependent closure of the parent's plus that binding),
     /// and — for each child the walk claims — the child's safe
     /// subquery, the visitor's gate, and the two containment checks
     /// against `u`, each read from the memo when a walk already made it
-    /// and recorded otherwise. Returns every child removal set, claimed
-    /// or not, for the normal-form judgement.
-    pub(crate) fn expand(
+    /// and recorded otherwise. A valid child is shown as the visitor
+    /// reads.
+    pub(crate) fn expand<V: SearchVisitor + ?Sized>(
         &self,
         graphs: &mut Graphs,
         parent: &Node,
-        walk: &mut impl Expansion,
-    ) -> Vec<Removal> {
-        let mut children = Vec::new();
+        walk: &mut Claims<'_, V>,
+    ) {
         for i in 0..self.base.from.len() {
             if parent.key.contains(i) {
                 continue;
             }
-            let (key, mut answered) = self.closure(graphs, parent.key.with(i));
-            children.push(key.clone());
-            if walk.claim(&key) {
-                let (child, replayed) = self.examine(graphs, &key, parent, walk);
+            walk.before_claim();
+            // The child's closure, whether the memo had it, and the walk's
+            // claim on it, under as few acquisitions as a miss allows.
+            let seed = parent.key.with(i);
+            let mut p = walk.lock();
+            let mut answered = true;
+            let key = match p.memo.closures.get(&seed) {
+                Some(key) => key.clone(),
+                None => {
+                    drop(p);
+                    answered = false;
+                    let u = &*self.base;
+                    let names = dependent_closure(u, graphs.lattice(u), seed.names(u));
+                    let key = Removal::of_names(u, &names);
+                    p = walk.lock();
+                    // Closures are kept even in a private memo (unless
+                    // caching is off): different parents reach the same
+                    // seed within one walk, and a closure is two small
+                    // bitsets.
+                    if self.ctx.caching() {
+                        p.memo.bytes += seed.approx_bytes() + key.approx_bytes();
+                        p.memo.closures.insert(seed, key.clone());
+                    }
+                    key
+                }
+            };
+            if let Some(key) = walk.claim(&mut p, key) {
+                let cached = p.memo.entries.get(&key).cloned();
+                drop(p);
+                let (child, replayed) = self.examine(graphs, &key, cached, parent, walk);
                 answered &= replayed;
                 walk.settle(key, child);
             }
             self.ctx.note_lattice(answered);
         }
-        children
     }
 
-    /// The dependent closure of `seed`, and whether the memo had it.
-    /// Closures are kept even in a private memo (unless caching is off):
-    /// different parents reach the same seed within one walk, and a
-    /// closure is two small bitsets.
-    fn closure(&self, graphs: &mut Graphs, seed: Removal) -> (Removal, bool) {
-        if let Some(closure) = self.lock().closures.get(&seed) {
-            return (closure.clone(), true);
-        }
-        let u = &*self.base;
-        let names = dependent_closure(u, graphs.lattice(u), seed.names(u));
-        let closure = Removal::of_names(u, &names);
-        if self.ctx.caching() {
-            let mut memo = self.lock();
-            memo.bytes += seed.approx_bytes() + closure.approx_bytes();
-            memo.closures.insert(seed, closure.clone());
-        }
-        (closure, false)
-    }
-
-    /// Examines a claimed child: its subquery, the gate (shown as the
-    /// visitor reads), the equivalence verdict. Also returns whether the
-    /// memo answered all of it.
-    fn examine(
+    /// Examines a claimed child, given the memo's entry for it if any:
+    /// its subquery, the gate (shown as the visitor reads), the
+    /// equivalence verdict. Also returns whether the memo answered all
+    /// of it.
+    fn examine<V: SearchVisitor + ?Sized>(
         &self,
         graphs: &mut Graphs,
         key: &Removal,
+        cached: Option<Entry>,
         parent: &Node,
-        walk: &mut impl Expansion,
+        walk: &Claims<'_, V>,
     ) -> (Child, bool) {
-        let cached = self.lock().entries.get(key).cloned();
         let mut replayed = cached.is_some();
         let entry = cached.unwrap_or_else(|| {
             let u = &*self.base;
@@ -472,7 +455,7 @@ impl<'a> LatticeWalk<'a> {
                 verdict: None,
             };
             if self.slot.is_some() {
-                let mut memo = self.lock();
+                let memo = &mut walk.lock().memo;
                 memo.bytes += key.approx_bytes()
                     + 32
                     + approx_tree_bytes(entry.removed.len(), 16)
@@ -503,7 +486,7 @@ impl<'a> LatticeWalk<'a> {
             replayed = false;
             let verdict = self.verify(graphs, &query, &node.hom);
             if self.slot.is_some() {
-                let mut memo = self.lock();
+                let memo = &mut walk.lock().memo;
                 memo.bytes += verdict
                     .as_ref()
                     .map_or(0, |h| approx_tree_bytes(h.len(), 64));
@@ -554,15 +537,17 @@ impl<'a> LatticeWalk<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::Renaming;
-    use crate::backchase::{ExploreAll, PlanSearch, SearchOutcome, SearchVisitor, Visit};
+    use crate::backchase::{ExploreAll, SearchOutcome, SearchVisitor, Visit};
     use crate::chase::ChaseConfig;
     use crate::context::{CacheStats, ChaseContext};
     use crate::faults;
+    use crate::parallel::PlanSearch;
     use pcql::parser::{parse_dependency, parse_query};
     use pcql::path::Constant;
     use pcql::query::Query;
     use pcql::Dependency;
     use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::Mutex;
 
     pub(crate) fn view_scenario() -> (Query, Vec<Dependency>) {
         let u = parse_query(
@@ -586,7 +571,7 @@ pub(crate) mod tests {
     }
 
     fn walk(ctx: &ChaseContext, u: &Query) -> (SearchOutcome, CacheStats) {
-        walk_with(ctx, u, true, &mut ExploreAll)
+        walk_with(ctx, u, true, &ExploreAll)
     }
 
     /// One walk of `u` with `visitor`, and the memo traffic it caused.
@@ -594,7 +579,7 @@ pub(crate) mod tests {
         ctx: &ChaseContext,
         u: &Query,
         collect: bool,
-        visitor: &mut dyn SearchVisitor,
+        visitor: &dyn SearchVisitor,
     ) -> (SearchOutcome, CacheStats) {
         let before = ctx.stats();
         let out = PlanSearch::new(u)
@@ -683,7 +668,7 @@ pub(crate) mod tests {
         let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
         let oracle = |u: &Query| {
             let off = ChaseContext::without_memo(deps.clone(), ChaseConfig::default());
-            PlanSearch::new(u).run(&off, &mut ExploreAll)
+            PlanSearch::new(u).run(&off, &ExploreAll)
         };
         // Sighted, recorded, then replayed for a third constant pair in
         // the same order.
@@ -753,21 +738,31 @@ pub(crate) mod tests {
     /// A reading visitor: records every query and removal set it is
     /// handed, in the order it is handed them.
     #[derive(Default)]
-    struct Reader(Vec<String>);
+    struct Reader(Mutex<Vec<String>>);
+
+    impl Reader {
+        fn note(&self, line: String) {
+            self.0.lock().unwrap().push(line);
+        }
+
+        fn lines(self) -> Vec<String> {
+            self.0.into_inner().unwrap()
+        }
+    }
 
     impl SearchVisitor for Reader {
-        fn visit(&mut self, _: &ChaseContext, q: &Query, removed: &BTreeSet<String>) -> Visit {
-            self.0.push(format!("visit {q} {removed:?}"));
+        fn visit(&self, _: &ChaseContext, q: &Query, removed: &BTreeSet<String>) -> Visit {
+            self.note(format!("visit {q} {removed:?}"));
             Visit::Explore
         }
 
-        fn admit(&mut self, q: &Query, removed: &BTreeSet<String>) -> bool {
-            self.0.push(format!("admit {q} {removed:?}"));
+        fn admit(&self, q: &Query, removed: &BTreeSet<String>) -> bool {
+            self.note(format!("admit {q} {removed:?}"));
             true
         }
 
-        fn priority(&mut self, q: &Query, removed: &BTreeSet<String>) -> f64 {
-            self.0.push(format!("priority {q} {removed:?}"));
+        fn priority(&self, q: &Query, removed: &BTreeSet<String>) -> f64 {
+            self.note(format!("priority {q} {removed:?}"));
             0.0
         }
     }
@@ -780,10 +775,11 @@ pub(crate) mod tests {
         let (names, a, b) = REPLAYED;
         let u = renamed_view(names, a, b);
         let off = ChaseContext::without_memo(deps.clone(), ChaseConfig::default());
-        let oracle = PlanSearch::new(&u).run(&off, &mut ExploreAll);
-        let mut oracle_reader = Reader::default();
-        PlanSearch::new(&u).run(&off, &mut oracle_reader);
-        assert!(!oracle_reader.0.iter().any(|t| mentions_recorded(t)));
+        let oracle = PlanSearch::new(&u).run(&off, &ExploreAll);
+        let oracle_reader = Reader::default();
+        PlanSearch::new(&u).run(&off, &oracle_reader);
+        let oracle_reader = oracle_reader.lines();
+        assert!(!oracle_reader.iter().any(|t| mentions_recorded(t)));
 
         let ctx = ChaseContext::new(deps, ChaseConfig::default());
         walk(&ctx, &recorded);
@@ -797,27 +793,28 @@ pub(crate) mod tests {
             assert_eq!(proofs, 0, "{stats:?}");
         };
         // Collecting nothing: the normal forms are still the caller's.
-        let (lean, stats) = walk_with(&ctx, &u, false, &mut ExploreAll);
+        let (lean, stats) = walk_with(&ctx, &u, false, &ExploreAll);
         replayed(&stats);
         assert!(lean.visited.is_empty());
         assert_eq!(lean.visited_count, oracle.visited_count);
         assert_eq!(lean.normal_forms, oracle.normal_forms);
         assert_eq!(lean.pruned_at_gate, oracle.pruned_at_gate);
         // Collecting: so is every visited node.
-        let (full, stats) = walk_with(&ctx, &u, true, &mut ExploreAll);
+        let (full, stats) = walk_with(&ctx, &u, true, &ExploreAll);
         replayed(&stats);
         assert_same_walk(&full, &oracle);
         assert_eq!(full.visited_count, oracle.visited_count);
         // A reading visitor is handed exactly what it is handed on a
         // memo-free walk, never a recorded name or constant.
-        let mut reader = Reader::default();
-        let (read, stats) = walk_with(&ctx, &u, false, &mut reader);
+        let reader = Reader::default();
+        let (read, stats) = walk_with(&ctx, &u, false, &reader);
         replayed(&stats);
         assert_eq!(read.normal_forms, oracle.normal_forms);
-        for text in &reader.0 {
+        let lines = reader.lines();
+        for text in &lines {
             assert!(!mentions_recorded(text), "{text}");
         }
-        assert_eq!(reader.0, oracle_reader.0);
+        assert_eq!(lines, oracle_reader);
     }
 
     #[test]
@@ -829,7 +826,7 @@ pub(crate) mod tests {
             // The second walk records the lattice, and panics mid-walk.
             let _guard = faults::ScopedFaults::install("context::contained_in=panic@2").unwrap();
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                PlanSearch::new(&u).run(&ctx, &mut ExploreAll)
+                PlanSearch::new(&u).run(&ctx, &ExploreAll)
             }));
             let payload = unwound.expect_err("the second proof panics");
             assert!(faults::is_injected_panic(payload.as_ref()));
@@ -854,7 +851,7 @@ pub(crate) mod tests {
             // lattice's own.
             let _guard = faults::ScopedFaults::install("shared::park=panic@1").unwrap();
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                PlanSearch::new(&u).run(&ctx, &mut ExploreAll)
+                PlanSearch::new(&u).run(&ctx, &ExploreAll)
             }));
             let payload = unwound.expect_err("the lattice park panics");
             assert!(faults::is_injected_panic(payload.as_ref()));

@@ -34,10 +34,10 @@
 //! so questions that differ only in a constant share one proof) across
 //! calls: [`ChaseContext::chase`], [`ChaseContext::contained_in`],
 //! [`ChaseContext::implies`], [`backchase_in`], [`backchase_greedy_in`],
-//! [`examine_removal_in`], [`is_minimal_in`]. Every question is asked
-//! through `&self`: the memos are sharded behind per-shard locks, so the
-//! sequential search and the parallel workers of [`ParallelPlanSearch`]
-//! prove against the same context. The backchase explores an exponential
+//! [`backchase_step_in`], [`examine_removal_in`], [`is_minimal_in`] —
+//! the backchase questions come only in this form. Every question is
+//! asked through `&self`: the memos are sharded behind per-shard locks,
+//! so every worker of a [`PlanSearch`] proves against the same context. The backchase explores an exponential
 //! removal lattice whose nodes keep asking the same questions — the
 //! context is what makes that affordable, and the optimizer runs phase 1,
 //! phase 2 and cleanup in one context so they reuse each other's work.
@@ -54,9 +54,12 @@
 //! [`SearchVisitor`] which steers the walk — explore, prune a
 //! sublattice, or accept and stop — with an admission gate that can cut
 //! candidates *before* their equivalence checks and a priority hook
-//! that orders the frontier. The optimizer's cost-guided
-//! branch-and-bound strategy is one such visitor; [`backchase_in`] is
-//! the collect-everything one. [`MustRemainAnalysis`] reads the same
+//! that orders the frontier. It is the one phase-2 driver: one worker
+//! (the default) walks on the caller's thread, and
+//! [`PlanSearch::with_threads`] shares the same walk among N workers
+//! over one frontier. The optimizer's cost-guided branch-and-bound
+//! strategy is one visitor; [`backchase_in`] is the collect-everything
+//! one. [`MustRemainAnalysis`] reads the same
 //! lattice structure statically: which bindings every
 //! equivalence-preserving removal set keeps (and which source paths a
 //! binding can be re-expressed to) — the ingredient of the optimizer's
@@ -78,10 +81,9 @@ mod containment;
 mod lattice;
 
 pub use backchase::{
-    backchase, backchase_greedy, backchase_greedy_in, backchase_in, backchase_step,
-    backchase_step_in, examine_removal, examine_removal_in, first_unsafe, is_minimal,
-    is_minimal_in, minimize, BackchaseConfig, BackchaseOutcome, ExploreAll, PlanSearch,
-    RemovalJudgement, SearchBudget, SearchOutcome, SearchVisitor, Visit,
+    backchase, backchase_greedy_in, backchase_in, backchase_step_in, examine_removal,
+    examine_removal_in, first_unsafe, is_minimal_in, minimize, BackchaseConfig, BackchaseOutcome,
+    ExploreAll, RemovalJudgement, SearchBudget, SearchOutcome, SearchVisitor, Visit,
 };
 pub use canon::QueryGraph;
 pub use chase::{
@@ -93,7 +95,7 @@ pub use egraph::EGraph;
 pub use faults::{FaultKind, FaultSpec, FaultStats, InjectedFault, ScopedFaults, SpecError};
 pub use implication::implies;
 pub use must_remain::MustRemainAnalysis;
-pub use parallel::{ParallelExploreAll, ParallelPlanSearch, ParallelVisitor};
+pub use parallel::PlanSearch;
 pub use termination::{
     analyze_termination, analyze_termination_with_witness, is_weakly_acyclic,
     weak_acyclicity_witness, CycleWitness, TerminationVerdict,

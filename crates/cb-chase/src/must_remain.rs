@@ -68,7 +68,7 @@ impl MustRemainAnalysis {
     /// An analysis over the subquery lattice of `u` (which should already
     /// be chased, exactly like the input of a [`PlanSearch`]).
     ///
-    /// [`PlanSearch`]: crate::backchase::PlanSearch
+    /// [`PlanSearch`]: crate::PlanSearch
     pub fn new(u: &Query) -> MustRemainAnalysis {
         MustRemainAnalysis {
             u: u.clone(),

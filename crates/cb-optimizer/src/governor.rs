@@ -15,13 +15,13 @@
 //!    search proves verdicts again instead of remembering them. The rung
 //!    counts this optimization's sheds, as a delta of the context's
 //!    [`CacheStats::pressure_sheds`](cb_chase::CacheStats::pressure_sheds).
-//! 2. **Collapse to the sequential search.** If the parallel frontier
-//!    loses workers to panics and cannot finish, the same lattice walk
-//!    is rerun single-threaded against the same [`ChaseContext`] (the
-//!    sequential walk never touches the `parallel::*` failpoint sites),
-//!    under whatever wall clock the failed attempt left unspent.
+//! 2. **Collapse to one worker.** If a multi-worker walk loses every
+//!    worker to panics and cannot finish, the same walk is rerun at one
+//!    worker, on the calling thread, against the same [`ChaseContext`]
+//!    (one worker never touches the `parallel::*` failpoint sites), under
+//!    whatever wall clock the failed attempt left unspent.
 //! 3. **Return the universal plan.** If phase 2 itself dies — a panic
-//!    escaping the sequential walk — the optimizer keeps any verified
+//!    escaping a one-worker walk — the optimizer keeps any verified
 //!    candidates it already streamed and, when there are none, answers
 //!    with the verified universal plan: the anytime incumbent of last
 //!    resort.

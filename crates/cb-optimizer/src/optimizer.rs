@@ -32,8 +32,8 @@ use cb_analyze::{Analyzer, Report};
 use cb_catalog::Catalog;
 use cb_chase::{
     backchase_greedy_in, BackchaseConfig, CacheStats, ChaseConfig, ChaseContext, ChaseStepTrace,
-    ExploreAll, MustRemainAnalysis, ParallelExploreAll, ParallelPlanSearch, ParallelVisitor,
-    PlanSearch, SearchBudget, SearchVisitor, TerminationVerdict, Visit,
+    ExploreAll, MustRemainAnalysis, PlanSearch, SearchBudget, SearchOutcome, SearchVisitor,
+    TerminationVerdict, Visit,
 };
 use pcql::query::Query;
 use pcql::typecheck::{check_query, TypeError};
@@ -136,8 +136,9 @@ pub struct OptimizerConfig {
     /// What to do with the static analyzer's findings (default: run it,
     /// carry the diagnostics, never fail).
     pub preflight: PreflightMode,
-    /// Phase-2 worker count. `1` (the default) runs the sequential
-    /// search; `> 1` runs the same lattice walk as a work-sharing
+    /// Phase-2 worker count: the [`PlanSearch`] walk's
+    /// `with_threads`. `1` (the default) walks on the calling thread;
+    /// `> 1` shares the same walk among that many workers over one
     /// frontier, every worker proving against the optimization's one
     /// [`ChaseContext`] (its memos are sharded behind per-shard locks)
     /// and the incumbent best cost published atomically across workers.
@@ -177,7 +178,8 @@ impl OptimizerConfig {
     /// same input config always yields the same effective one, so a bad
     /// knob can change performance but never the answer:
     ///
-    /// - `threads == 0` (meaningless) becomes 1, the sequential search;
+    /// - `threads == 0` (meaningless) becomes 1, a walk on the calling
+    ///   thread;
     ///   values above [`OptimizerConfig::MAX_THREADS`] are clamped down
     ///   to it.
     /// - `k_best == 0` becomes 1: the winner always retains itself.
@@ -304,7 +306,7 @@ pub struct OptimizeOutcome {
     pub degradations: Vec<Degradation>,
     /// Phase-2 search workers that died to a panic and were recovered —
     /// their claims abandoned and re-claimed by survivors, or, when all
-    /// of them died, the walk rerun sequentially
+    /// of them died, the walk rerun at one worker
     /// ([`Degradation::SequentialFallback`]). Always 0 when
     /// `threads == 1`.
     pub workers_died: usize,
@@ -491,7 +493,6 @@ impl<'a> Optimizer<'a> {
         let mut budget_expired = false;
         let mut incumbent_trace: Vec<(Duration, f64)> = Vec::new();
         let mut workers_died = 0usize;
-        let threads = self.config.threads.max(1);
         let search_start = Instant::now();
         let mut governor = ResourceGovernor::new(self.config.search_budget, search_start);
         if let Some(reason) = phase1_panic {
@@ -511,36 +512,14 @@ impl<'a> Optimizer<'a> {
                     // Only `cost_visited` costs the visited nodes;
                     // without it they are not even collected.
                     let collect = self.config.cost_visited;
-                    let out = if threads > 1 {
-                        let out = ParallelPlanSearch::new(&universal, threads)
-                            .with_max_visited(self.config.backchase.max_visited)
-                            .with_budget(self.config.search_budget)
-                            .with_collect_visited(collect)
-                            .run(ctx, &ParallelExploreAll);
-                        workers_died = out.workers_died;
-                        if governor.should_fall_back(&out) {
-                            // Rung 2: every worker died with frontier work
-                            // still queued. The sequential walk shares only
-                            // completed memos with the dead workers and never
-                            // touches the parallel failpoint sites; it runs
-                            // under whatever wall clock the attempt left
-                            // unspent.
-                            governor.note_sequential_fallback(out.workers_died);
-                            PlanSearch::new(&universal)
-                                .with_max_visited(self.config.backchase.max_visited)
-                                .with_budget(governor.remaining_budget())
-                                .with_collect_visited(collect)
-                                .run(ctx, &mut ExploreAll)
-                        } else {
-                            out
-                        }
-                    } else {
-                        PlanSearch::new(&universal)
-                            .with_max_visited(self.config.backchase.max_visited)
-                            .with_budget(self.config.search_budget)
-                            .with_collect_visited(collect)
-                            .run(ctx, &mut ExploreAll)
-                    };
+                    let out = self.search(
+                        ctx,
+                        &mut governor,
+                        &universal,
+                        collect,
+                        (&mut ExploreAll, |_| {}),
+                        &mut workers_died,
+                    );
                     nodes_visited = out.visited_count;
                     budget_expired = out.budget_expired;
                     self.cost_phased(
@@ -583,93 +562,46 @@ impl<'a> Optimizer<'a> {
                     // a cut can be cheaper) — candidates under a cut are
                     // skipped *before* the equivalence checks, so they are
                     // never verified or costed at all.
-                    let out = if threads > 1 {
-                        let (out, par_candidates, par_trace) = {
-                            let guide = ParallelCostGuide {
-                                catalog: self.catalog,
-                                model: &model,
-                                analysis: Mutex::new(&mut analysis),
-                                bound: self.config.bound,
-                                bound_scale: self.config.bound_scale,
-                                candidates: Mutex::new(Vec::new()),
-                                incumbent: AtomicU64::new(f64::INFINITY.to_bits()),
-                                trace: Mutex::new(Vec::new()),
-                                start: search_start,
-                            };
-                            let out = ParallelPlanSearch::new(&universal, threads)
-                                .with_max_visited(self.config.backchase.max_visited)
-                                .with_budget(self.config.search_budget)
-                                .with_collect_visited(false)
-                                .run(ctx, &guide);
-                            // A worker that panicked while appending has
-                            // poisoned these locks; the data under them is
-                            // append-only and every element is a complete
-                            // verified plan, so take it regardless.
-                            (
-                                out,
-                                guide
-                                    .candidates
-                                    .into_inner()
-                                    .unwrap_or_else(PoisonError::into_inner),
-                                guide
-                                    .trace
-                                    .into_inner()
-                                    .unwrap_or_else(PoisonError::into_inner),
-                            )
-                        };
-                        workers_died = out.workers_died;
-                        if governor.should_fall_back(&out) {
-                            // Rung 2: discard the crippled attempt's partial
-                            // results and redo the walk sequentially, so the
-                            // outcome is exactly the single-threaded one.
-                            governor.note_sequential_fallback(out.workers_died);
-                            let mut guide = CostGuide {
-                                catalog: self.catalog,
-                                model: &model,
-                                analysis: &mut analysis,
-                                bound: self.config.bound,
-                                bound_scale: self.config.bound_scale,
-                                candidates: &mut candidates,
-                                incumbent: f64::INFINITY,
-                                trace: &mut incumbent_trace,
-                                start: search_start,
-                            };
-                            PlanSearch::new(&universal)
-                                .with_max_visited(self.config.backchase.max_visited)
-                                .with_budget(governor.remaining_budget())
-                                .with_collect_visited(false)
-                                .run(ctx, &mut guide)
-                        } else {
-                            candidates.extend(par_candidates);
-                            incumbent_trace = par_trace;
-                            // Improvements raced in from several workers:
-                            // order the curve by time, keep only the
-                            // monotone descent.
-                            incumbent_trace.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-                            incumbent_trace.dedup_by(|next, prev| next.1 >= prev.1);
-                            out
-                        }
-                    } else {
-                        let mut guide = CostGuide {
-                            catalog: self.catalog,
-                            model: &model,
-                            analysis: &mut analysis,
-                            bound: self.config.bound,
-                            bound_scale: self.config.bound_scale,
-                            candidates: &mut candidates,
-                            incumbent: f64::INFINITY,
-                            trace: &mut incumbent_trace,
-                            start: search_start,
-                        };
-                        PlanSearch::new(&universal)
-                            .with_max_visited(self.config.backchase.max_visited)
-                            .with_budget(self.config.search_budget)
-                            // The guide accumulates its own candidates as
-                            // nodes stream in; no need to clone each visited
-                            // query.
-                            .with_collect_visited(false)
-                            .run(ctx, &mut guide)
+                    let mut guide = CostGuide {
+                        catalog: self.catalog,
+                        model: &model,
+                        analysis: Mutex::new(&mut analysis),
+                        bound: self.config.bound,
+                        bound_scale: self.config.bound_scale,
+                        candidates: Mutex::default(),
+                        incumbent: AtomicU64::new(f64::INFINITY.to_bits()),
+                        trace: Mutex::default(),
+                        start: search_start,
                     };
+                    // The guide accumulates its own candidates as nodes
+                    // stream in; no need to clone each visited query.
+                    let out = self.search(
+                        ctx,
+                        &mut governor,
+                        &universal,
+                        false,
+                        (&mut guide, CostGuide::reset),
+                        &mut workers_died,
+                    );
+                    // A worker that panicked while appending has poisoned
+                    // these locks; the data under them is append-only and
+                    // every element is a complete verified plan, so take
+                    // it regardless.
+                    candidates.extend(
+                        guide
+                            .candidates
+                            .into_inner()
+                            .unwrap_or_else(PoisonError::into_inner),
+                    );
+                    incumbent_trace = guide
+                        .trace
+                        .into_inner()
+                        .unwrap_or_else(PoisonError::into_inner);
+                    // Improvements raced in from several workers: order the
+                    // curve by time, keep only the monotone descent (one
+                    // worker's curve already is one).
+                    incumbent_trace.sort_by_key(|&(elapsed, _)| elapsed);
+                    incumbent_trace.dedup_by(|next, prev| next.1 >= prev.1);
                     nodes_visited = out.visited_count;
                     nodes_pruned_at_gate = out.pruned_at_gate;
                     nodes_pruned_at_visit = out.pruned_at_visit;
@@ -812,6 +744,39 @@ impl<'a> Optimizer<'a> {
         })
     }
 
+    /// Phase 2's walk over `universal` with the configured workers, its
+    /// worker deaths recorded in `workers_died` before any rerun. Rung
+    /// 2: when every worker died with work left, `reset` discards what
+    /// `visitor` gathered and the same walk reruns at one worker, which
+    /// hits no `parallel::*` failpoint, under the wall clock the attempt
+    /// left unspent.
+    fn search<V: SearchVisitor>(
+        &self,
+        ctx: &ChaseContext,
+        governor: &mut ResourceGovernor,
+        universal: &Query,
+        collect: bool,
+        (visitor, reset): (&mut V, impl FnOnce(&mut V)),
+        workers_died: &mut usize,
+    ) -> SearchOutcome {
+        let walk = |threads: usize, budget: SearchBudget, visitor: &V| {
+            PlanSearch::new(universal)
+                .with_threads(threads)
+                .with_max_visited(self.config.backchase.max_visited)
+                .with_budget(budget)
+                .with_collect_visited(collect)
+                .run(ctx, visitor)
+        };
+        let out = walk(self.config.threads, self.config.search_budget, visitor);
+        *workers_died = out.workers_died;
+        if !governor.should_fall_back(&out) {
+            return out;
+        }
+        governor.note_sequential_fallback(out.workers_died);
+        reset(visitor);
+        walk(1, governor.remaining_budget(), visitor)
+    }
+
     /// The phased "enumerate, then cost" step 3 shared by `Exhaustive`
     /// and `Greedy`: normal forms first (flagged minimal), then every
     /// other physical subquery in `visited` — which the strategy fills
@@ -920,62 +885,8 @@ fn cost_one(
 /// admissible lower bound exceeds the incumbent — by default the summed
 /// must-remain bound ([`CostModel::lattice_lower_bound`] over the shared
 /// [`MustRemainAnalysis`]), selectable via [`OptimizerConfig::bound`].
-struct CostGuide<'a, 'b> {
-    catalog: &'a Catalog,
-    model: &'b CostModel<'a>,
-    analysis: &'b mut MustRemainAnalysis,
-    bound: CostBound,
-    bound_scale: f64,
-    candidates: &'b mut Vec<PlanChoice>,
-    incumbent: f64,
-    trace: &'b mut Vec<(Duration, f64)>,
-    start: Instant,
-}
-
-impl CostGuide<'_, '_> {
-    fn bound_of(&mut self, q: &Query, removed: &BTreeSet<String>) -> f64 {
-        let b = match self.bound {
-            CostBound::MustRemain => self.model.lattice_lower_bound(q, removed, self.analysis),
-            CostBound::AccessFloor => self.model.lower_bound(q),
-        };
-        b * self.bound_scale
-    }
-}
-
-impl SearchVisitor for CostGuide<'_, '_> {
-    fn visit(&mut self, ctx: &ChaseContext, q: &Query, removed: &BTreeSet<String>) -> Visit {
-        // An admissible bound under-estimates `q` itself too: nothing to
-        // gain from costing or descending once it exceeds the incumbent.
-        if self.bound_of(q, removed) > self.incumbent {
-            return Visit::Prune;
-        }
-        if let Some(choice) = cost_one(self.catalog, self.model, ctx, q, false) {
-            if choice.cost < self.incumbent {
-                self.incumbent = choice.cost;
-                self.trace.push((self.start.elapsed(), choice.cost));
-            }
-            self.candidates.push(choice);
-        }
-        Visit::Explore
-    }
-
-    fn admit(&mut self, q: &Query, removed: &BTreeSet<String>) -> bool {
-        // The bound is monotone along lattice descent, so exceeding the
-        // incumbent here rules out the candidate's whole sublattice —
-        // skip the equivalence checks entirely.
-        self.bound_of(q, removed) <= self.incumbent
-    }
-
-    fn priority(&mut self, q: &Query, _removed: &BTreeSet<String>) -> f64 {
-        // Best-first by the estimated cost of the raw subquery (plans and
-        // logical subqueries alike): cheap regions are explored first, so
-        // the incumbent drops early and the bound starts biting.
-        self.model.plan_cost(q)
-    }
-}
-
-/// [`CostGuide`] for the parallel frontier: the same branch-and-bound
-/// steering shared by reference across N workers. The incumbent is an
+///
+/// One guide is shared by every worker of the walk. The incumbent is an
 /// `AtomicU64` over the cost's bit pattern — for non-negative floats the
 /// bit order is the numeric order, so `fetch_min` publishes one worker's
 /// improvement to every other worker's gate without a lock. Candidates
@@ -986,9 +897,9 @@ impl SearchVisitor for CostGuide<'_, '_> {
 /// Pruning uses a *strict* comparison against the incumbent, and the
 /// final ranking breaks cost ties on canonical plan keys — so every
 /// candidate that could still be (or tie) the best survives every
-/// schedule, and the best plan is thread-count-independent even though
+/// schedule, and the best plan is worker-count-independent even though
 /// the visit order and the pruned-node counts are not.
-struct ParallelCostGuide<'a, 'b> {
+struct CostGuide<'a, 'b> {
     catalog: &'a Catalog,
     model: &'b CostModel<'a>,
     analysis: Mutex<&'b mut MustRemainAnalysis>,
@@ -1000,7 +911,15 @@ struct ParallelCostGuide<'a, 'b> {
     start: Instant,
 }
 
-impl ParallelCostGuide<'_, '_> {
+impl CostGuide<'_, '_> {
+    /// Forgets every candidate, the incumbent and its trace (the
+    /// analysis memo stays: it is a cache).
+    fn reset(&mut self) {
+        self.candidates = Mutex::default();
+        self.incumbent = AtomicU64::new(f64::INFINITY.to_bits());
+        self.trace = Mutex::default();
+    }
+
     fn incumbent(&self) -> f64 {
         f64::from_bits(self.incumbent.load(Ordering::SeqCst))
     }
@@ -1041,8 +960,10 @@ impl ParallelCostGuide<'_, '_> {
     }
 }
 
-impl ParallelVisitor for ParallelCostGuide<'_, '_> {
+impl SearchVisitor for CostGuide<'_, '_> {
     fn visit(&self, ctx: &ChaseContext, q: &Query, removed: &BTreeSet<String>) -> Visit {
+        // An admissible bound under-estimates `q` itself too: nothing to
+        // gain from costing or descending once it exceeds the incumbent.
         if self.bound_of(q, removed) > self.incumbent() {
             return Visit::Prune;
         }
@@ -1057,10 +978,16 @@ impl ParallelVisitor for ParallelCostGuide<'_, '_> {
     }
 
     fn admit(&self, q: &Query, removed: &BTreeSet<String>) -> bool {
+        // The bound is monotone along lattice descent, so exceeding the
+        // incumbent here rules out the candidate's whole sublattice —
+        // skip the equivalence checks entirely.
         self.bound_of(q, removed) <= self.incumbent()
     }
 
     fn priority(&self, q: &Query, _removed: &BTreeSet<String>) -> f64 {
+        // Best-first by the estimated cost of the raw subquery (plans and
+        // logical subqueries alike): cheap regions are explored first, so
+        // the incumbent drops early and the bound starts biting.
         self.model.plan_cost(q)
     }
 }
@@ -1316,8 +1243,8 @@ mod tests {
         }
     }
 
-    /// Every `Exhaustive` walk — sequential, parallel, and the rung-2
-    /// sequential rerun after every worker died — collects its visited
+    /// Every `Exhaustive` walk — at one worker, at two, and the rung-2
+    /// one-worker rerun after every worker died — collects its visited
     /// nodes exactly when `cost_visited` asks: the candidates are then
     /// every visited physical subquery, and otherwise exactly the costed
     /// normal forms.
@@ -1452,6 +1379,38 @@ mod tests {
         assert_eq!(out.best.raw, out.universal);
         let text = crate::explain::explain(&out);
         assert!(text.contains("phase-2 search aborted"), "{text}");
+    }
+
+    /// The whole ladder: every worker dies at spawn (rung 2), then the
+    /// one-worker rerun dies on its first proof (rung 3). The outcome
+    /// still counts the workers the first attempt lost.
+    #[test]
+    fn a_panicking_rerun_still_reports_the_workers_that_died() {
+        let mut cat = projdept::catalog();
+        projdept::stats_for(&mut cat, 100, 10, 20);
+        let q = projdept::query();
+        let _guard = cb_chase::faults::ScopedFaults::install(
+            "parallel::spawn=panic;context::contained_in=panic",
+        )
+        .unwrap();
+        let out = Optimizer::with_config(&cat, exhaustive_config(4))
+            .optimize(&q)
+            .unwrap();
+        let fs = cb_chase::faults::stats();
+        assert_eq!(fs.injected, fs.acknowledged(), "{fs:?}");
+        assert_eq!(out.workers_died, 4);
+        assert!(
+            matches!(
+                out.degradations.as_slice(),
+                [
+                    Degradation::SequentialFallback { workers_died: 4 },
+                    Degradation::UniversalFallback { .. }
+                ]
+            ),
+            "{:?}",
+            out.degradations
+        );
+        assert_eq!(out.best.raw, out.universal);
     }
 
     #[test]

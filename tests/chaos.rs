@@ -665,9 +665,7 @@ fn a_replay_under_shard_faults_and_cache_pressure_keeps_the_plans() {
 /// oracle's: no entry twice, none missing.
 #[test]
 fn a_renamed_parallel_replay_collects_each_visited_node_once_under_worker_deaths() {
-    use universal_plans::chase::{
-        ChaseContext, ExploreAll, ParallelExploreAll, ParallelPlanSearch, PlanSearch,
-    };
+    use universal_plans::chase::{ChaseContext, ExploreAll, PlanSearch};
     let (_, catalog, _) = scenarios().swap_remove(0);
     let projdept = |[d, s, p]: [&str; 3], c: &str| {
         parse_query(&format!(
@@ -683,17 +681,20 @@ fn a_renamed_parallel_replay_collects_each_visited_node_once_under_worker_deaths
     // their rank among the renamed ones.
     let u = ctx.chase(&projdept(["dp", "q", "pj"], "cust7")).query;
     for _ in 0..2 {
-        ParallelPlanSearch::new(&recorded, 4).run(&ctx, &ParallelExploreAll);
+        PlanSearch::new(&recorded)
+            .with_threads(4)
+            .run(&ctx, &ExploreAll);
     }
     let off = ChaseContext::without_memo(catalog.all_constraints(), ChaseConfig::default());
-    let oracle = PlanSearch::new(&u).run(&off, &mut ExploreAll);
+    let oracle = PlanSearch::new(&u).run(&off, &ExploreAll);
 
     let spec = "parallel::visit=panic*150;parallel::claim=panic@700";
     let before = ctx.stats();
     let guard = ScopedFaults::install(spec).unwrap();
-    let out = ParallelPlanSearch::new(&u, 4)
+    let out = PlanSearch::new(&u)
+        .with_threads(4)
         .with_collect_visited(true)
-        .run(&ctx, &ParallelExploreAll);
+        .run(&ctx, &ExploreAll);
     let fs = faults::stats();
     drop(guard);
     let after = ctx.stats();

@@ -13,26 +13,27 @@
 use std::collections::BTreeSet;
 
 use universal_plans::chase::{
-    backchase, chase, contained_in, equivalent, BackchaseConfig, ChaseConfig,
+    backchase, chase, contained_in, equivalent, examine_removal_in, BackchaseConfig, ChaseConfig,
+    ChaseContext, ExploreAll, PlanSearch, QueryGraph, RemovalJudgement,
 };
 use universal_plans::prelude::*;
 
 /// Brute force: for every subset of U's bindings, build the subquery the
 /// same way the backchase does (via the public examine API) and test
-/// equivalence; keep the minimal equivalent ones.
+/// equivalence; keep the minimal equivalent ones. It never walks the
+/// lattice, so it is the reference for the walk at any worker count.
 fn brute_force_minimal(u: &Query, deps: &[Dependency]) -> Vec<Query> {
     let vars: Vec<String> = u.from.iter().map(|b| b.var.clone()).collect();
     let n = vars.len();
-    let cfg = ChaseConfig::default();
+    let ctx = ChaseContext::new(deps.to_vec(), ChaseConfig::default());
+    let mut graph = QueryGraph::of_query(u);
     let mut equivalents: Vec<(BTreeSet<String>, Query)> = Vec::new();
     for mask in 0..(1u32 << n) {
         let removed: BTreeSet<String> = (0..n)
             .filter(|i| mask & (1 << i) != 0)
             .map(|i| vars[i].clone())
             .collect();
-        if let universal_plans::chase::RemovalJudgement::Valid(q) =
-            universal_plans::chase::examine_removal(u, deps, &removed, &cfg)
-        {
+        if let RemovalJudgement::Valid(q) = examine_removal_in(&ctx, u, &mut graph, &removed) {
             equivalents.push((removed, q));
         }
     }
@@ -126,6 +127,27 @@ fn scenario(seed: u64) -> (Catalog, Query) {
     (catalog, q)
 }
 
+/// Theorem 2 at 1, 2 and 4 workers: the walk's normal forms are the
+/// brute-force sweep's minimal equivalent subqueries of `u`.
+fn assert_walk_matches_brute_force(desc: &str, u: &Query, deps: &[Dependency]) -> Vec<Query> {
+    let brute = shapes(&brute_force_minimal(u, deps));
+    let mut normal_forms = Vec::new();
+    for threads in [1, 2, 4] {
+        let ctx = ChaseContext::new(deps.to_vec(), ChaseConfig::default());
+        let out = PlanSearch::new(u)
+            .with_threads(threads)
+            .run(&ctx, &ExploreAll);
+        assert!(out.complete, "{desc} @ {threads} workers");
+        assert_eq!(
+            shapes(&out.normal_forms),
+            brute,
+            "{desc} @ {threads} workers: backchase vs brute force"
+        );
+        normal_forms = out.normal_forms;
+    }
+    normal_forms
+}
+
 #[test]
 fn backchase_matches_brute_force_on_view_scenarios() {
     for seed in 0..4u64 {
@@ -147,13 +169,8 @@ fn backchase_matches_brute_force_on_view_scenarios() {
             },
         );
         assert!(out.complete);
-        let brute = brute_force_minimal(&u, &deps);
-
-        assert_eq!(
-            shapes(&out.normal_forms),
-            shapes(&brute),
-            "scenario {seed}: backchase vs brute force"
-        );
+        let normal_forms = assert_walk_matches_brute_force(&format!("scenario {seed}"), &u, &deps);
+        assert_eq!(shapes(&out.normal_forms), shapes(&normal_forms));
         // Every normal form is equivalent to the original query.
         for nf in &out.normal_forms {
             assert!(
@@ -161,6 +178,33 @@ fn backchase_matches_brute_force_on_view_scenarios() {
                 "scenario {seed}: NF not equivalent: {nf}"
             );
         }
+    }
+}
+
+/// The builtin scenarios, outside the theorem's views-only regime
+/// (dictionaries, lookups, semantic constraints): the walk still finds
+/// exactly the minimal equivalent subqueries. ProjDept's universal plan
+/// has 9 bindings, a 512-set sweep.
+#[test]
+fn backchase_matches_brute_force_on_builtin_scenarios() {
+    use cb_catalog::scenarios::{projdept, relational_indexes, relational_views};
+    for (name, catalog, q) in [
+        ("projdept", projdept::catalog(), projdept::query()),
+        (
+            "indexes",
+            relational_indexes::catalog(),
+            relational_indexes::query(),
+        ),
+        (
+            "views",
+            relational_views::catalog(),
+            relational_views::query(),
+        ),
+    ] {
+        let deps = catalog.all_constraints();
+        let chased = chase(&q, &deps, &ChaseConfig::default());
+        assert!(chased.complete, "{name}: chase must terminate");
+        assert_walk_matches_brute_force(name, &chased.query, &deps);
     }
 }
 

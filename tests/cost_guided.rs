@@ -99,6 +99,57 @@ fn cost_guided_prunes_on_projdept_and_views() {
     }
 }
 
+/// The one-worker `CostGuided` walk, pinned per scenario: its visit and
+/// pruning counters and the costs of its incumbent trace, in order. The
+/// plan snapshots pin only `Exhaustive`, so this is what catches a change
+/// in the cost-guided pop order or pruning discipline.
+#[test]
+fn cost_guided_one_worker_counters_are_pinned() {
+    // (scenario, nodes_visited, pruned at gate, pruned at visit, trace)
+    let pins: [(&str, usize, usize, usize, &[f64]); 6] = [
+        ("projdept", 313, 26, 0, &[201.0]),
+        ("indexes", 10, 3, 0, &[22430.01, 221.1, 22.0]),
+        ("views", 21, 18, 1, &[1200040.0, 200080.0, 80.0]),
+        (
+            "projdept (mapping-only)",
+            282,
+            0,
+            0,
+            &[115701.0, 14242.0, 13240.0, 3240.0],
+        ),
+        ("indexes (mapping-only)", 10, 3, 0, &[22430.01, 221.1, 22.0]),
+        (
+            "views (mapping-only)",
+            21,
+            18,
+            1,
+            &[1200040.0, 200080.0, 80.0],
+        ),
+    ];
+    let scenarios = scenarios();
+    assert_eq!(scenarios.len(), pins.len());
+    for ((name, catalog, q), (pinned, visited, gate, visit, trace)) in scenarios.iter().zip(pins) {
+        assert_eq!(name, pinned);
+        let config = OptimizerConfig {
+            strategy: SearchStrategy::CostGuided,
+            threads: 1,
+            ..Default::default()
+        };
+        let out = Optimizer::with_config(catalog, config).optimize(q).unwrap();
+        let costs: Vec<f64> = out.incumbent_trace.iter().map(|&(_, c)| c).collect();
+        assert_eq!(
+            (
+                out.nodes_visited,
+                out.nodes_pruned_at_gate,
+                out.nodes_pruned_at_visit,
+                costs.as_slice(),
+            ),
+            (visited, gate, visit, trace),
+            "{name}"
+        );
+    }
+}
+
 #[test]
 fn cost_guided_plans_are_sound_on_real_data() {
     // Every candidate the guided search costs must still compute the

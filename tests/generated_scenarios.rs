@@ -27,6 +27,7 @@
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Mutex;
 
 use cb_optimizer::{CostModel, Optimizer, OptimizerConfig, SearchStrategy};
 use universal_plans::analyze::codes;
@@ -183,12 +184,15 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
 /// Records every node of the exhaustive walk with its removal set, so
 /// the bound can be evaluated against genuine parent/descendant pairs.
 struct Recorder {
-    nodes: Vec<(BTreeSet<String>, Query)>,
+    nodes: Mutex<Vec<(BTreeSet<String>, Query)>>,
 }
 
 impl SearchVisitor for Recorder {
-    fn visit(&mut self, _ctx: &ChaseContext, q: &Query, removed: &BTreeSet<String>) -> Visit {
-        self.nodes.push((removed.clone(), q.clone()));
+    fn visit(&self, _ctx: &ChaseContext, q: &Query, removed: &BTreeSet<String>) -> Visit {
+        self.nodes
+            .lock()
+            .unwrap()
+            .push((removed.clone(), q.clone()));
         Visit::Explore
     }
 }
@@ -290,8 +294,9 @@ proptest! {
         let model = CostModel::for_catalog(&s.catalog);
         let ctx = ChaseContext::new(s.catalog.all_constraints(), ChaseConfig::default());
         let u = ctx.chase(&s.query).query;
-        let mut rec = Recorder { nodes: Vec::new() };
-        let out = PlanSearch::new(&u).run(&ctx, &mut rec);
+        let rec = Recorder { nodes: Mutex::default() };
+        let out = PlanSearch::new(&u).run(&ctx, &rec);
+        let nodes = rec.nodes.into_inner().unwrap();
         prop_assert!(out.complete, "{}", s.desc);
         let mut analysis = MustRemainAnalysis::new(&u);
 
@@ -304,12 +309,11 @@ proptest! {
             .map(|c| (c.raw.alpha_normalized(), c.cost))
             .collect();
 
-        let bounds: Vec<f64> = rec
-            .nodes
+        let bounds: Vec<f64> = nodes
             .iter()
             .map(|(removed, q)| model.lattice_lower_bound(q, removed, &mut analysis))
             .collect();
-        for (i, (removed_i, q_i)) in rec.nodes.iter().enumerate() {
+        for (i, (removed_i, q_i)) in nodes.iter().enumerate() {
             // Per-node admissibility: never above the node's own raw and
             // final cost.
             prop_assert!(
@@ -324,7 +328,7 @@ proptest! {
                     bounds[i], final_cost, removed_i, s.desc
                 );
             }
-            for (j, (removed_j, q_j)) in rec.nodes.iter().enumerate() {
+            for (j, (removed_j, q_j)) in nodes.iter().enumerate() {
                 if i == j || !removed_j.is_superset(removed_i) {
                     continue;
                 }
