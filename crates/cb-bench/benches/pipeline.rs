@@ -1,14 +1,13 @@
 //! E15/E19 — the slot-compiled pipeline executor: compile-then-execute,
-//! nested-loop vs hash-join vs merge-join pipelines, batched vs
-//! row-at-a-time drivers, against the tree-walking interpreter as the
-//! reference. Set `CRITERION_STUB_JSON` to land the medians in a
+//! nested-loop vs hash-join vs merge-join pipelines, against the
+//! tree-walking interpreter as the reference. Set `CRITERION_STUB_JSON` to land the medians in a
 //! `BENCH_*.json` record.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cb_bench::prepared_views;
-use cb_engine::exec::{compile, execute, execute_rows, CompileOptions};
+use cb_engine::exec::{compile, execute, CompileOptions};
 
 fn compile_then_execute(c: &mut Criterion) {
     let p = prepared_views(400, 400, 0.05);
@@ -38,7 +37,7 @@ fn compile_then_execute(c: &mut Criterion) {
     let reference = ev.eval_query(&p.query).unwrap();
     assert_eq!(execute(&ev, &hashed).unwrap(), reference);
     assert_eq!(execute(&ev, &merged).unwrap(), reference);
-    assert_eq!(execute_rows(&ev, &nested).unwrap(), reference);
+    assert_eq!(execute(&ev, &nested).unwrap(), reference);
 
     let mut group = c.benchmark_group("e15/pipeline");
     group.sample_size(10);
@@ -65,27 +64,21 @@ fn compile_then_execute(c: &mut Criterion) {
     });
     group.finish();
 
-    // E19: the batched push-based driver vs the row-at-a-time machine on
-    // the same pipelines, plus merge vs hash joins on ordered roots.
+    // E19: the batched push-based executor vs the interpreter on the
+    // same plan, plus merge vs hash joins on ordered roots.
     let mut group = c.benchmark_group("e19/batched");
     group.sample_size(10);
     group.bench_function("nested_loop/batched", |b| {
         b.iter(|| execute(&ev, black_box(&nested)).unwrap());
     });
-    group.bench_function("nested_loop/rows", |b| {
-        b.iter(|| execute_rows(&ev, black_box(&nested)).unwrap());
-    });
     group.bench_function("hash_join/batched", |b| {
         b.iter(|| execute(&ev, black_box(&hashed)).unwrap());
-    });
-    group.bench_function("hash_join/rows", |b| {
-        b.iter(|| execute_rows(&ev, black_box(&hashed)).unwrap());
     });
     group.bench_function("merge_join/batched", |b| {
         b.iter(|| execute(&ev, black_box(&merged)).unwrap());
     });
-    group.bench_function("merge_join/rows", |b| {
-        b.iter(|| execute_rows(&ev, black_box(&merged)).unwrap());
+    group.bench_function("evaluator/reference", |b| {
+        b.iter(|| ev.eval_query(black_box(&p.query)).unwrap());
     });
     group.finish();
 }

@@ -40,34 +40,33 @@
 //!
 //! # Batched, push-based execution
 //!
-//! The default driver ([`execute`]/[`execute_with_stats`]) is **batch
+//! [`execute`]/[`execute_with_stats`] run one driver, **batch
 //! vectorized**: operators consume and emit [`Batch`]es — fixed-capacity
 //! row batches laid out as one `CowValue` column per register slot
 //! ([`CompileOptions::batch_size`] rows, default 1024) with a selection
 //! vector. Execution is **push-based**: each operator processes a whole
 //! batch, then pushes the result at its successor, so the engine recurses
-//! once per *batch* per operator instead of once per *row* — the per-row
-//! call/dispatch overhead of the row-at-a-time driver disappears from
-//! the hot loop.
+//! once per *batch* per operator instead of once per *row*.
 //!
-//! * `Scan` fills output batches directly from the root collection,
-//!   replicating the (cheap, usually borrowed) outer registers per row;
-//! * `Filter` marks failing rows dead in the selection vector instead of
-//!   compacting, so upstream columns never shift;
-//! * `HashJoin` probes a whole batch per pass over its lazily built
-//!   table; `MergeJoin` (below) probes a sorted run;
+//! * `Scan`, `IterDependent`, `HashJoin` and `MergeJoin` fan out through
+//!   one kernel: each supplies only how one row finds its matches, and
+//!   the kernel replicates the row's (cheap, usually borrowed) registers
+//!   per match and pushes full batches downstream as they fill;
+//! * a `Scan` directly followed by a `Filter` runs fused: rows the filter
+//!   rejects are never materialized;
+//! * `Bind` and `Filter` work in place — `Filter` marks failing rows dead
+//!   in the selection vector instead of compacting, so upstream columns
+//!   never shift;
 //! * the final projection drains the survivors of each arriving batch.
 //!
-//! The row-at-a-time recursive driver is retained as
-//! [`execute_rows`]/[`execute_rows_with_stats`] — it is the differential
-//! baseline the proptest corpus and experiment E19 compare against, and
-//! both drivers produce identical results *and byte-identical
-//! `EvalError`s*. The batched driver preserves the row machine's
-//! depth-first error order with a truncate-on-error discipline: when an
-//! operator fails at live row *i*, rows ≥ *i* are killed, the surviving
-//! prefix is flushed downstream (any downstream error necessarily
-//! belongs to an earlier row and wins), and the pending error surfaces
-//! only if the flush returns cleanly.
+//! The reference order is the interpreter's depth-first walk, and errors
+//! keep it by truncation: when an operator fails at live row *i*, rows ≥
+//! *i* are killed, the surviving prefix is flushed downstream (any
+//! downstream error necessarily belongs to an earlier row and wins), and
+//! the pending error surfaces only if the flush returns cleanly. At batch
+//! size 1 every batch holds one row, so the same code walks the rows
+//! strictly depth-first; the tests pin the discipline by comparing batch
+//! sizes 1, 2 and 1024.
 //!
 //! # Merge joins over ordered roots
 //!
@@ -349,7 +348,7 @@ pub struct Pipeline {
     pub n_runs: usize,
     /// Interned schema roots, resolved once per execution.
     pub roots: Vec<String>,
-    /// Rows per batch for the batched driver (always ≥ 1).
+    /// Rows per batch (always ≥ 1).
     pub batch_size: usize,
 }
 
@@ -420,7 +419,7 @@ pub struct CompileOptions {
     /// shape (a single-field projection off a root-scanned binding) into
     /// sort-merge joins; preferred over `hash_joins` when both apply.
     pub merge_joins: bool,
-    /// Rows per batch for the batched driver (clamped to ≥ 1).
+    /// Rows per batch (clamped to ≥ 1).
     pub batch_size: usize,
 }
 
@@ -467,8 +466,7 @@ pub struct PipelineStats {
     pub runs_sorted: u64,
     /// Merge-join runs never materialized because no probe reached them.
     pub runs_skipped: u64,
-    /// Batches pushed between operators (batched driver only; 0 for the
-    /// row-at-a-time driver).
+    /// Batches pushed between operators.
     pub batches: u64,
     /// Live rows across all pushed batches (selection-vector numerator).
     pub sel_rows_live: u64,
@@ -803,17 +801,12 @@ type JoinTable<'a> = BTreeMap<CowValue<'a>, Vec<&'a Value>>;
 /// keep their `BTreeSet` order — the hash join's emission order).
 type MergeRun<'a> = Vec<(CowValue<'a>, &'a Value)>;
 
-/// A read-only view of a register file: the row machine's `Vec` of
-/// registers or one row of a [`Batch`]. The shared evaluation core is
-/// generic over this, so both drivers run the exact same accessor code.
+/// A read-only view of a register file: one row of a [`Batch`], or the
+/// scratch files join builds and the fused scan+filter evaluate against.
+/// Accessor evaluation is generic over this, so every caller runs the
+/// exact same accessor code.
 trait Regs<'a> {
     fn reg(&self, slot: usize) -> &CowValue<'a>;
-}
-
-impl<'a> Regs<'a> for Vec<CowValue<'a>> {
-    fn reg(&self, slot: usize) -> &CowValue<'a> {
-        &self[slot]
-    }
 }
 
 /// One row of a batch, viewed as a register file.
@@ -830,8 +823,8 @@ impl<'a> Regs<'a> for BatchRow<'_, 'a> {
 
 /// The single-slot scratch register file join builds evaluate their
 /// build key against: build keys read only the join's own slot (the
-/// compiler guarantees it, cb-analyze verifies it), so neither driver
-/// needs its full register file to materialize a table or run.
+/// compiler guarantees it, cb-analyze verifies it), so no build needs a
+/// full register file to materialize a table or run.
 struct OneSlot<'a> {
     slot: usize,
     val: CowValue<'a>,
@@ -864,10 +857,35 @@ impl<'a> Regs<'a> for SlotOverlay<'_, 'a> {
     }
 }
 
-/// The shared executor core: lazily resolved roots, lazily built join
-/// tables and merge runs, counters, and the result accumulator. The two
-/// drivers — the recursive row machine and the push-based batch
-/// machine — wrap this with their own control flow.
+/// Failpoint: the executor is about to push a batch at an operator. An
+/// injected transient error surfaces as a typed [`EvalError::Injected`]
+/// (reported — the caller sees exactly what fired); a memory-pressure
+/// signal is meaningless to the stateless executor and recovers by
+/// proceeding. Disarmed cost: one relaxed atomic load.
+fn op_failpoint() -> Result<(), EvalError> {
+    match cb_chase::faults::hit("exec::op") {
+        Ok(()) => Ok(()),
+        Err(f) if f.kind == cb_chase::faults::FaultKind::Error => {
+            cb_chase::faults::note_reported();
+            Err(EvalError::Injected(f.site.to_string()))
+        }
+        Err(_) => {
+            cb_chase::faults::note_recovered();
+            Ok(())
+        }
+    }
+}
+
+/// The executor: lazily resolved roots, lazily built join tables and
+/// merge runs, counters and the result accumulator, driven push-based.
+/// Each operator consumes a whole batch and pushes its output at the
+/// next operator, recursing once per *batch* per operator — never per
+/// row. Errors keep the interpreter's depth-first row order by
+/// truncation: an error at live row `i` kills rows ≥ `i`, the surviving
+/// prefix is flushed downstream (a downstream error belongs to an
+/// earlier row and wins), and the pending error surfaces only if the
+/// flush returns cleanly. At batch size 1 every batch holds one row, so
+/// the same code walks the rows strictly depth-first.
 struct Exec<'a, 'p> {
     ev: &'p Evaluator<'a>,
     pipeline: &'p Pipeline,
@@ -878,6 +896,8 @@ struct Exec<'a, 'p> {
     runs: Vec<Option<MergeRun<'a>>>,
     stats: PipelineStats,
     out: BTreeSet<Value>,
+    /// Rows per batch (≥ 1).
+    cap: usize,
 }
 
 impl<'a> Exec<'a, '_> {
@@ -1078,37 +1098,18 @@ impl<'a> Exec<'a, '_> {
         Ok(())
     }
 
-    fn emit<R: Regs<'a>>(&mut self, regs: &R) -> Result<(), EvalError> {
-        let pipeline = self.pipeline;
-        let row = match &pipeline.output {
-            CompiledOutput::Struct(fields) => {
-                let mut m = BTreeMap::new();
-                for (name, a) in fields {
-                    m.insert(name.clone(), self.eval_access(regs, a)?.into_owned());
-                }
-                Value::Struct(m)
-            }
-            CompiledOutput::Path(a) => self.eval_access(regs, a)?.into_owned(),
-        };
-        self.stats.rows_emitted += 1;
-        self.out.insert(row);
-        Ok(())
-    }
-
-    /// Runs the hoisted ground filters once, against an all-placeholder
-    /// register file; `Ok(true)` means one was false and the pipeline
+    /// Runs the hoisted ground filters once, against the seed batch's
+    /// all-unbound row; `Ok(true)` means one was false and the pipeline
     /// short-circuits to the empty result.
-    fn ground_short_circuits(&mut self) -> Result<bool, EvalError> {
+    fn ground_short_circuits(&mut self, seed: &Batch<'a>) -> Result<bool, EvalError> {
+        let regs = BatchRow {
+            batch: seed,
+            row: 0,
+        };
         let pipeline = self.pipeline;
-        let regs: Vec<CowValue<'a>> = vec![Cow::Owned(Value::Bool(false)); pipeline.n_slots];
         for g in &pipeline.ground {
             self.stats.ground_filters += 1;
-            let pass = {
-                let l = self.eval_access(&regs, &g.left)?;
-                let r = self.eval_access(&regs, &g.right)?;
-                l.as_ref() == r.as_ref()
-            };
-            if !pass {
+            if self.eval_access(&regs, &g.left)? != self.eval_access(&regs, &g.right)? {
                 self.stats.short_circuited = true;
                 return Ok(true);
             }
@@ -1122,42 +1123,25 @@ impl<'a> Exec<'a, '_> {
         self.stats.runs_skipped = self.pipeline.n_runs as u64 - self.stats.runs_built;
         (self.out, self.stats)
     }
-}
 
-/// The recursive row-at-a-time driver: one call per row, the
-/// differential baseline the batched driver is proven against.
-/// Failpoint: the driver is about to execute an operator. An injected
-/// transient error surfaces as a typed [`EvalError::Injected`]
-/// (reported — the caller sees exactly what fired); a memory-pressure
-/// signal is meaningless to the stateless driver and recovers by
-/// proceeding. Disarmed cost: one relaxed atomic load.
-fn op_failpoint() -> Result<(), EvalError> {
-    match cb_chase::faults::hit("exec::op") {
-        Ok(()) => Ok(()),
-        Err(f) if f.kind == cb_chase::faults::FaultKind::Error => {
-            cb_chase::faults::note_reported();
-            Err(EvalError::Injected(f.site.to_string()))
+    /// Runs operator `op_idx` (the final projection past the last one)
+    /// over `batch`.
+    fn push(&mut self, op_idx: usize, batch: &mut Batch<'a>) -> Result<(), EvalError> {
+        // An all-dead (or empty) batch carries no rows: no operator may
+        // observe it — exactly like the interpreter never reaching a
+        // binding no row reaches.
+        if batch.live() == 0 {
+            return Ok(());
         }
-        Err(_) => {
-            cb_chase::faults::note_recovered();
-            Ok(())
-        }
-    }
-}
-
-struct RowMachine<'a, 'p> {
-    x: Exec<'a, 'p>,
-    regs: Vec<CowValue<'a>>,
-}
-
-impl<'a> RowMachine<'a, '_> {
-    fn run(&mut self, op_idx: usize) -> Result<(), EvalError> {
         op_failpoint()?;
-        let pipeline = self.x.pipeline;
+        self.stats.batches += 1;
+        self.stats.sel_rows_live += batch.live() as u64;
+        self.stats.sel_rows_total += batch.rows() as u64;
+        let pipeline = self.pipeline;
         if op_idx == pipeline.ops.len() {
-            return self.x.emit(&self.regs);
+            return self.project(batch);
         }
-        self.x.stats.per_op[op_idx].input += 1;
+        self.stats.per_op[op_idx].input += batch.live() as u64;
         match &pipeline.ops[op_idx] {
             Operator::Scan {
                 slot,
@@ -1165,59 +1149,60 @@ impl<'a> RowMachine<'a, '_> {
                 root_id,
                 ..
             } => {
-                let set = self.x.root(*root_id, root)?;
+                let set = self.root(*root_id, root)?;
                 let items = set
                     .as_set()
                     .ok_or_else(|| EvalError::NotASet(format!("{root} = {set}")))?;
-                for item in items {
-                    self.regs[*slot] = Cow::Borrowed(item);
-                    self.x.stats.per_op[op_idx].output += 1;
-                    self.run(op_idx + 1)?;
+                // A filter directly after the scan is applied while
+                // filling: rows it rejects are never materialized at all.
+                if let Some(Operator::Filter { left, right }) = pipeline.ops.get(op_idx + 1) {
+                    return self.scan_filter(op_idx, batch, *slot, items, left, right);
                 }
+                self.fan_out(op_idx, batch, *slot, |_, _| {
+                    Ok(items.iter().map(Cow::Borrowed))
+                })
             }
             Operator::IterDependent { slot, src, .. } => {
-                // Items of an instance-owned collection outlive the
-                // register file, so they bind by reference — zero clones
-                // per row. Derived collections (dom sets, collections
-                // reached through owned registers) clone their items,
-                // one at a time, exactly like the interpreter.
-                if let Some(items) = self.x.anchored(&self.regs, src).and_then(|v| v.as_set()) {
-                    for item in items {
-                        self.regs[*slot] = Cow::Borrowed(item);
-                        self.x.stats.per_op[op_idx].output += 1;
-                        self.run(op_idx + 1)?;
-                    }
-                } else {
-                    let items: Vec<Value> = match self.x.eval_access(&self.regs, src)? {
-                        Cow::Borrowed(Value::Set(items)) => items.iter().cloned().collect(),
-                        Cow::Owned(Value::Set(items)) => items.into_iter().collect(),
-                        other => {
-                            return Err(EvalError::NotASet(format!("{} = {}", src, other.as_ref())))
-                        }
+                self.fan_out(op_idx, batch, *slot, |x, row| {
+                    // Items of an instance-owned collection outlive the
+                    // batch, so they bind by reference — zero clones per
+                    // row. A derived collection (a dom set, a collection
+                    // reached through an owned register) is iterated
+                    // owned, its items cloned exactly like the
+                    // interpreter clones them.
+                    let anchored = x.anchored(&row, src).and_then(Value::as_set);
+                    let derived = match anchored {
+                        Some(_) => None,
+                        None => match x.eval_access(&row, src)? {
+                            Cow::Owned(Value::Set(items)) => Some(items),
+                            Cow::Borrowed(Value::Set(items)) => Some(items.clone()),
+                            other => {
+                                return Err(EvalError::NotASet(format!(
+                                    "{src} = {}",
+                                    other.as_ref()
+                                )))
+                            }
+                        },
                     };
-                    for item in items {
-                        self.regs[*slot] = Cow::Owned(item);
-                        self.x.stats.per_op[op_idx].output += 1;
-                        self.run(op_idx + 1)?;
-                    }
-                }
+                    Ok(anchored
+                        .into_iter()
+                        .flatten()
+                        .map(Cow::Borrowed)
+                        .chain(derived.into_iter().flatten().map(Cow::Owned)))
+                })
             }
             Operator::Bind { slot, src, .. } => {
-                self.regs[*slot] = self.x.eval_detached(&self.regs, src)?;
-                self.x.stats.per_op[op_idx].output += 1;
-                self.run(op_idx + 1)?;
+                batch.bind_col(*slot);
+                self.sift(op_idx, batch, |x, batch, row| {
+                    let v = x.eval_detached(&BatchRow { batch, row }, src)?;
+                    batch.set(*slot, row, v);
+                    Ok(true)
+                })
             }
-            Operator::Filter { left, right } => {
-                let pass = {
-                    let l = self.x.eval_access(&self.regs, left)?;
-                    let r = self.x.eval_access(&self.regs, right)?;
-                    l.as_ref() == r.as_ref()
-                };
-                if pass {
-                    self.x.stats.per_op[op_idx].output += 1;
-                    self.run(op_idx + 1)?;
-                }
-            }
+            Operator::Filter { left, right } => self.sift(op_idx, batch, |x, batch, row| {
+                let regs = BatchRow { batch, row };
+                Ok(x.eval_access(&regs, left)? == x.eval_access(&regs, right)?)
+            }),
             Operator::HashJoin {
                 slot,
                 probe_key,
@@ -1228,31 +1213,22 @@ impl<'a> RowMachine<'a, '_> {
                 // is empty the interpreter's inner loop never evaluates
                 // the join condition, so the probe key must not be
                 // evaluated against an empty table either.
-                self.x.ensure_table(op_idx)?;
-                // Move the table out while descending so the registers
-                // stay mutable; each join owns a distinct table index,
-                // so no downstream operator can observe the gap.
-                let t = self.x.tables[*table].take().expect("table built");
-                let mut result = Ok(());
-                if !t.is_empty() {
-                    match self.x.eval_detached(&self.regs, probe_key) {
-                        Err(e) => result = Err(e),
-                        Ok(key) => {
-                            if let Some(matches) = t.get(key.as_ref()) {
-                                for &row in matches {
-                                    self.regs[*slot] = Cow::Borrowed(row);
-                                    self.x.stats.per_op[op_idx].output += 1;
-                                    result = self.run(op_idx + 1);
-                                    if result.is_err() {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                self.x.tables[*table] = Some(t);
-                result?;
+                self.ensure_table(op_idx)?;
+                // Move the table out while pushing downstream; each join
+                // owns a distinct table index, so no downstream operator
+                // can observe the gap.
+                let t = self.tables[*table].take().expect("table built");
+                let pushed = if t.is_empty() {
+                    Ok(())
+                } else {
+                    self.fan_out(op_idx, batch, *slot, |x, row| {
+                        let key = x.eval_detached(&row, probe_key)?;
+                        let matches = t.get(key.as_ref()).map_or(&[][..], Vec::as_slice);
+                        Ok(matches.iter().map(|&m| Cow::Borrowed(m)))
+                    })
+                };
+                self.tables[*table] = Some(t);
+                pushed
             }
             Operator::MergeJoin {
                 slot,
@@ -1262,314 +1238,110 @@ impl<'a> RowMachine<'a, '_> {
             } => {
                 // Same lazy discipline as the hash join: an empty run
                 // never evaluates the probe key.
-                self.x.ensure_run(op_idx)?;
-                let r = self.x.runs[*run].take().expect("run built");
-                let mut result = Ok(());
-                if !r.is_empty() {
-                    match self.x.eval_detached(&self.regs, probe_key) {
-                        Err(e) => result = Err(e),
-                        Ok(key) => {
-                            let lo = r.partition_point(|(k, _)| k.as_ref() < key.as_ref());
-                            for (k, m) in &r[lo..] {
-                                if k.as_ref() != key.as_ref() {
-                                    break;
-                                }
-                                self.regs[*slot] = Cow::Borrowed(m);
-                                self.x.stats.per_op[op_idx].output += 1;
-                                result = self.run(op_idx + 1);
-                                if result.is_err() {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                self.x.runs[*run] = Some(r);
-                result?;
+                self.ensure_run(op_idx)?;
+                let r = self.runs[*run].take().expect("run built");
+                let pushed = if r.is_empty() {
+                    Ok(())
+                } else {
+                    self.fan_out(op_idx, batch, *slot, |x, row| {
+                        let key = x.eval_detached(&row, probe_key)?;
+                        let lo = r.partition_point(|(k, _)| k.as_ref() < key.as_ref());
+                        let len = r[lo..]
+                            .iter()
+                            .take_while(|(k, _)| k.as_ref() == key.as_ref())
+                            .count();
+                        Ok(r[lo..lo + len].iter().map(|&(_, m)| Cow::Borrowed(m)))
+                    })
+                };
+                self.runs[*run] = Some(r);
+                pushed
             }
         }
-        Ok(())
     }
-}
 
-/// The push-based batch driver: each operator consumes a whole batch
-/// and pushes its output at the next operator, recursing once per
-/// *batch* per operator — never per row. Errors preserve the row
-/// machine's depth-first order by truncation: an error at live row `i`
-/// kills rows ≥ `i`, the surviving prefix is flushed downstream (a
-/// downstream error belongs to an earlier row and wins), and the
-/// pending error surfaces only if the flush returns cleanly.
-struct BatchMachine<'a, 'p> {
-    x: Exec<'a, 'p>,
-    cap: usize,
-}
+    /// The fan-out kernel of `Scan`, `IterDependent`, `HashJoin` and
+    /// `MergeJoin`: `matches` yields the values one live row binds into
+    /// `slot`, each becomes an output row (the row's registers
+    /// replicated), and full batches are pushed downstream as they fill.
+    /// The first row whose `matches` fails ends the loop: the rows before
+    /// it are flushed, and its error surfaces only if the flush returns
+    /// cleanly. The iterator borrows neither the executor nor the batch,
+    /// so the kernel itself allocates nothing per row.
+    fn fan_out<I>(
+        &mut self,
+        op_idx: usize,
+        batch: &Batch<'a>,
+        slot: usize,
+        mut matches: impl FnMut(&Self, BatchRow<'_, 'a>) -> Result<I, EvalError>,
+    ) -> Result<(), EvalError>
+    where
+        I: Iterator<Item = CowValue<'a>>,
+    {
+        let mut out = Batch::expanded_from(batch, slot);
+        let mut pending = Ok(());
+        for row in 0..batch.rows() {
+            if !batch.is_live(row) {
+                continue;
+            }
+            let items = match matches(self, BatchRow { batch, row }) {
+                Ok(items) => items,
+                Err(e) => {
+                    pending = Err(e);
+                    break;
+                }
+            };
+            for item in items {
+                out.push_row(batch, row, slot, item);
+                self.stats.per_op[op_idx].output += 1;
+                if out.rows() == self.cap {
+                    self.push(op_idx + 1, &mut out)?;
+                    out.clear_rows();
+                }
+            }
+        }
+        self.push(op_idx + 1, &mut out)?;
+        pending
+    }
 
-impl<'a> BatchMachine<'a, '_> {
-    fn push(&mut self, op_idx: usize, batch: &mut Batch<'a>) -> Result<(), EvalError> {
-        // An all-dead (or empty) batch carries no rows: no operator may
-        // observe it — exactly like the row machine never invoking an
-        // operator no row reaches.
-        if batch.live() == 0 {
-            return Ok(());
-        }
-        op_failpoint()?;
-        self.x.stats.batches += 1;
-        self.x.stats.sel_rows_live += batch.live() as u64;
-        self.x.stats.sel_rows_total += batch.rows() as u64;
-        let pipeline = self.x.pipeline;
-        if op_idx == pipeline.ops.len() {
-            return self.project(batch);
-        }
-        self.x.stats.per_op[op_idx].input += batch.live() as u64;
-        match &pipeline.ops[op_idx] {
-            Operator::Scan {
-                slot,
-                root,
-                root_id,
-                ..
-            } => {
-                let set = self.x.root(*root_id, root)?;
-                let items = set
-                    .as_set()
-                    .ok_or_else(|| EvalError::NotASet(format!("{root} = {set}")))?;
-                // A filter directly after the scan is applied while
-                // filling: rows it rejects are never materialized at
-                // all — the batch driver's main win over row-at-a-time.
-                if let Some(Operator::Filter { left, right }) = pipeline.ops.get(op_idx + 1) {
-                    return self.scan_filter(op_idx, batch, *slot, items, left, right);
-                }
-                let mut out = Batch::expanded_from(batch, *slot);
-                for row in 0..batch.rows() {
-                    if !batch.is_live(row) {
-                        continue;
-                    }
-                    for item in items {
-                        out.push_row(batch, row, *slot, Cow::Borrowed(item));
-                        self.x.stats.per_op[op_idx].output += 1;
-                        if out.rows() == self.cap {
-                            self.push(op_idx + 1, &mut out)?;
-                            out.clear_rows();
-                        }
-                    }
-                }
-                self.push(op_idx + 1, &mut out)?;
+    /// The in-place kernel of `Bind` and `Filter`: `keep` decides each
+    /// live row (writing its register on the way, for a `Bind`), and a
+    /// rejected row is marked dead instead of compacted, so upstream
+    /// columns never shift. The first row whose `keep` fails dies with
+    /// every later row; the survivors are pushed, and the error surfaces
+    /// only if the push returns cleanly.
+    fn sift(
+        &mut self,
+        op_idx: usize,
+        batch: &mut Batch<'a>,
+        mut keep: impl FnMut(&Self, &mut Batch<'a>, usize) -> Result<bool, EvalError>,
+    ) -> Result<(), EvalError> {
+        let mut pending = Ok(());
+        for row in 0..batch.rows() {
+            if !batch.is_live(row) {
+                continue;
             }
-            Operator::IterDependent { slot, src, .. } => {
-                let mut out = Batch::expanded_from(batch, *slot);
-                let mut pending = None;
-                'rows: for row in 0..batch.rows() {
-                    if !batch.is_live(row) {
-                        continue;
-                    }
-                    let rv = BatchRow { batch, row };
-                    if let Some(items) = self.x.anchored(&rv, src).and_then(|v| v.as_set()) {
-                        for item in items {
-                            out.push_row(batch, row, *slot, Cow::Borrowed(item));
-                            self.x.stats.per_op[op_idx].output += 1;
-                            if out.rows() == self.cap {
-                                self.push(op_idx + 1, &mut out)?;
-                                out.clear_rows();
-                            }
-                        }
-                    } else {
-                        let items: Vec<Value> = match self.x.eval_access(&rv, src) {
-                            Ok(Cow::Borrowed(Value::Set(items))) => items.iter().cloned().collect(),
-                            Ok(Cow::Owned(Value::Set(items))) => items.into_iter().collect(),
-                            Ok(other) => {
-                                pending = Some(EvalError::NotASet(format!(
-                                    "{} = {}",
-                                    src,
-                                    other.as_ref()
-                                )));
-                                break 'rows;
-                            }
-                            Err(e) => {
-                                pending = Some(e);
-                                break 'rows;
-                            }
-                        };
-                        for item in items {
-                            out.push_row(batch, row, *slot, Cow::Owned(item));
-                            self.x.stats.per_op[op_idx].output += 1;
-                            if out.rows() == self.cap {
-                                self.push(op_idx + 1, &mut out)?;
-                                out.clear_rows();
-                            }
-                        }
-                    }
-                }
-                self.push(op_idx + 1, &mut out)?;
-                if let Some(e) = pending {
-                    return Err(e);
-                }
+            if pending.is_err() {
+                batch.kill(row);
+                continue;
             }
-            Operator::Bind { slot, src, .. } => {
-                batch.bind_col(*slot);
-                let mut pending = None;
-                for row in 0..batch.rows() {
-                    if !batch.is_live(row) {
-                        continue;
-                    }
-                    if pending.is_some() {
-                        batch.kill(row);
-                        continue;
-                    }
-                    let bound = self.x.eval_detached(&BatchRow { batch, row }, src);
-                    match bound {
-                        Ok(v) => {
-                            batch.set(*slot, row, v);
-                            self.x.stats.per_op[op_idx].output += 1;
-                        }
-                        Err(e) => {
-                            pending = Some(e);
-                            batch.kill(row);
-                        }
-                    }
-                }
-                self.push(op_idx + 1, batch)?;
-                if let Some(e) = pending {
-                    return Err(e);
-                }
-            }
-            Operator::Filter { left, right } => {
-                let mut pending = None;
-                for row in 0..batch.rows() {
-                    if !batch.is_live(row) {
-                        continue;
-                    }
-                    if pending.is_some() {
-                        batch.kill(row);
-                        continue;
-                    }
-                    let verdict: Result<bool, EvalError> = (|| {
-                        let rv = BatchRow { batch, row };
-                        let l = self.x.eval_access(&rv, left)?;
-                        let r = self.x.eval_access(&rv, right)?;
-                        Ok(l.as_ref() == r.as_ref())
-                    })();
-                    match verdict {
-                        Ok(true) => self.x.stats.per_op[op_idx].output += 1,
-                        Ok(false) => batch.kill(row),
-                        Err(e) => {
-                            pending = Some(e);
-                            batch.kill(row);
-                        }
-                    }
-                }
-                self.push(op_idx + 1, batch)?;
-                if let Some(e) = pending {
-                    return Err(e);
-                }
-            }
-            Operator::HashJoin {
-                slot,
-                probe_key,
-                table,
-                ..
-            } => {
-                // Build (or reuse) the table on the batch's first live
-                // row; an empty root's table stays unbuilt forever.
-                self.x.ensure_table(op_idx)?;
-                let t = self.x.tables[*table].take().expect("table built");
-                let mut pending = None;
-                let mut down = Ok(());
-                if !t.is_empty() {
-                    let mut out = Batch::expanded_from(batch, *slot);
-                    'rows: for row in 0..batch.rows() {
-                        if !batch.is_live(row) {
-                            continue;
-                        }
-                        match self.x.eval_detached(&BatchRow { batch, row }, probe_key) {
-                            Err(e) => {
-                                pending = Some(e);
-                                break 'rows;
-                            }
-                            Ok(key) => {
-                                if let Some(matches) = t.get(key.as_ref()) {
-                                    for &m in matches {
-                                        out.push_row(batch, row, *slot, Cow::Borrowed(m));
-                                        self.x.stats.per_op[op_idx].output += 1;
-                                        if out.rows() == self.cap {
-                                            down = self.push(op_idx + 1, &mut out);
-                                            if down.is_err() {
-                                                break 'rows;
-                                            }
-                                            out.clear_rows();
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if down.is_ok() {
-                        down = self.push(op_idx + 1, &mut out);
-                    }
-                }
-                self.x.tables[*table] = Some(t);
-                down?;
-                if let Some(e) = pending {
-                    return Err(e);
-                }
-            }
-            Operator::MergeJoin {
-                slot,
-                probe_key,
-                run,
-                ..
-            } => {
-                self.x.ensure_run(op_idx)?;
-                let r = self.x.runs[*run].take().expect("run built");
-                let mut pending = None;
-                let mut down = Ok(());
-                if !r.is_empty() {
-                    let mut out = Batch::expanded_from(batch, *slot);
-                    'rows: for row in 0..batch.rows() {
-                        if !batch.is_live(row) {
-                            continue;
-                        }
-                        match self.x.eval_detached(&BatchRow { batch, row }, probe_key) {
-                            Err(e) => {
-                                pending = Some(e);
-                                break 'rows;
-                            }
-                            Ok(key) => {
-                                let lo = r.partition_point(|(k, _)| k.as_ref() < key.as_ref());
-                                for (k, m) in &r[lo..] {
-                                    if k.as_ref() != key.as_ref() {
-                                        break;
-                                    }
-                                    out.push_row(batch, row, *slot, Cow::Borrowed(m));
-                                    self.x.stats.per_op[op_idx].output += 1;
-                                    if out.rows() == self.cap {
-                                        down = self.push(op_idx + 1, &mut out);
-                                        if down.is_err() {
-                                            break 'rows;
-                                        }
-                                        out.clear_rows();
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if down.is_ok() {
-                        down = self.push(op_idx + 1, &mut out);
-                    }
-                }
-                self.x.runs[*run] = Some(r);
-                down?;
-                if let Some(e) = pending {
-                    return Err(e);
+            match keep(self, batch, row) {
+                Ok(true) => self.stats.per_op[op_idx].output += 1,
+                Ok(false) => batch.kill(row),
+                Err(e) => {
+                    pending = Err(e);
+                    batch.kill(row);
                 }
             }
         }
-        Ok(())
+        self.push(op_idx + 1, batch)?;
+        pending
     }
 
     /// The fused scan+filter kernel: scans `items` into register `slot`
     /// with the following filter applied in place, so rejected rows
     /// never touch a batch. Filter sides that do not read the scanned
     /// register are row-constants, evaluated once per input row (at the
-    /// first item, in the row machine's left-then-right order, so the
+    /// first item, in the interpreter's left-then-right order, so the
     /// first error is the same error); a side that is a single field off
     /// the scanned item skips the generic evaluator entirely. The
     /// filter's rows are accounted as if they rode full batches, which
@@ -1604,7 +1376,7 @@ impl<'a> BatchMachine<'a, '_> {
                 scanned += 1;
                 let verdict: Result<bool, EvalError> = (|| {
                     if !left_varies && inv_left.is_none() {
-                        inv_left = Some(self.x.eval_detached(&BatchRow { batch, row }, left)?);
+                        inv_left = Some(self.eval_detached(&BatchRow { batch, row }, left)?);
                     }
                     let l: Cow<'_, Value> = match &inv_left {
                         Some(v) => Cow::Borrowed(v.as_ref()),
@@ -1622,12 +1394,12 @@ impl<'a> BatchMachine<'a, '_> {
                                     slot,
                                     val: Cow::Borrowed(item),
                                 };
-                                Cow::Owned(self.x.eval_access(&rv, left)?.into_owned())
+                                Cow::Owned(self.eval_access(&rv, left)?.into_owned())
                             }
                         },
                     };
                     if !right_varies && inv_right.is_none() {
-                        inv_right = Some(self.x.eval_detached(&BatchRow { batch, row }, right)?);
+                        inv_right = Some(self.eval_detached(&BatchRow { batch, row }, right)?);
                     }
                     let r: Cow<'_, Value> = match &inv_right {
                         Some(v) => Cow::Borrowed(v.as_ref()),
@@ -1645,7 +1417,7 @@ impl<'a> BatchMachine<'a, '_> {
                                     slot,
                                     val: Cow::Borrowed(item),
                                 };
-                                Cow::Owned(self.x.eval_access(&rv, right)?.into_owned())
+                                Cow::Owned(self.eval_access(&rv, right)?.into_owned())
                             }
                         },
                     };
@@ -1671,12 +1443,12 @@ impl<'a> BatchMachine<'a, '_> {
                 }
             }
         }
-        self.x.stats.per_op[op_idx].output += scanned;
-        self.x.stats.per_op[op_idx + 1].input += scanned;
-        self.x.stats.per_op[op_idx + 1].output += passed;
-        self.x.stats.batches += scanned.div_ceil(self.cap as u64);
-        self.x.stats.sel_rows_live += scanned;
-        self.x.stats.sel_rows_total += scanned;
+        self.stats.per_op[op_idx].output += scanned;
+        self.stats.per_op[op_idx + 1].input += scanned;
+        self.stats.per_op[op_idx + 1].output += passed;
+        self.stats.batches += scanned.div_ceil(self.cap as u64);
+        self.stats.sel_rows_live += scanned;
+        self.stats.sel_rows_total += scanned;
         if down.is_ok() {
             down = self.push(op_idx + 2, &mut out);
         }
@@ -1689,19 +1461,39 @@ impl<'a> BatchMachine<'a, '_> {
 
     /// Drains a batch's surviving rows through the final projection.
     fn project(&mut self, batch: &Batch<'a>) -> Result<(), EvalError> {
-        for row in 0..batch.rows() {
-            if !batch.is_live(row) {
-                continue;
-            }
-            self.x.emit(&BatchRow { batch, row })?;
+        let pipeline = self.pipeline;
+        for row in (0..batch.rows()).filter(|&row| batch.is_live(row)) {
+            let regs = BatchRow { batch, row };
+            let value = match &pipeline.output {
+                CompiledOutput::Struct(fields) => {
+                    let mut m = BTreeMap::new();
+                    for (name, a) in fields {
+                        m.insert(name.clone(), self.eval_access(&regs, a)?.into_owned());
+                    }
+                    Value::Struct(m)
+                }
+                CompiledOutput::Path(a) => self.eval_access(&regs, a)?.into_owned(),
+            };
+            self.stats.rows_emitted += 1;
+            self.out.insert(value);
         }
         Ok(())
     }
 }
 
-fn new_exec<'a, 'p>(ev: &'p Evaluator<'a>, pipeline: &'p Pipeline) -> Exec<'a, 'p> {
+/// Executes a pipeline against the evaluator's instance.
+pub fn execute(ev: &Evaluator<'_>, pipeline: &Pipeline) -> Result<BTreeSet<Value>, EvalError> {
+    execute_with_stats(ev, pipeline).map(|(rows, _)| rows)
+}
+
+/// Executes a pipeline and reports per-operator row and batch counters
+/// alongside the result.
+pub fn execute_with_stats(
+    ev: &Evaluator<'_>,
+    pipeline: &Pipeline,
+) -> Result<(BTreeSet<Value>, PipelineStats), EvalError> {
     let instance = ev.instance();
-    Exec {
+    let mut x = Exec {
         ev,
         pipeline,
         root_vals: pipeline.roots.iter().map(|r| instance.get(r)).collect(),
@@ -1709,57 +1501,15 @@ fn new_exec<'a, 'p>(ev: &'p Evaluator<'a>, pipeline: &'p Pipeline) -> Exec<'a, '
         runs: (0..pipeline.n_runs).map(|_| None).collect(),
         stats: PipelineStats::for_pipeline(pipeline),
         out: BTreeSet::new(),
-    }
-}
-
-/// Executes a pipeline against the evaluator's instance with the
-/// batched, push-based driver.
-pub fn execute(ev: &Evaluator<'_>, pipeline: &Pipeline) -> Result<BTreeSet<Value>, EvalError> {
-    execute_with_stats(ev, pipeline).map(|(rows, _)| rows)
-}
-
-/// Executes a pipeline with the batched driver and reports per-operator
-/// row and batch counters alongside the result.
-pub fn execute_with_stats(
-    ev: &Evaluator<'_>,
-    pipeline: &Pipeline,
-) -> Result<(BTreeSet<Value>, PipelineStats), EvalError> {
-    let mut m = BatchMachine {
-        x: new_exec(ev, pipeline),
         cap: pipeline.batch_size.max(1),
     };
-    // Hoisted ground filters: once, before any row is touched.
-    if m.x.ground_short_circuits()? {
-        return Ok(m.x.finish());
-    }
-    // The seed batch: one live row, every register unbound — the batched
-    // counterpart of invoking the row machine once at operator 0.
+    // The seed batch: one live row, every register unbound. The hoisted
+    // ground filters read it once, before any row is touched.
     let mut seed = Batch::seed(pipeline.n_slots);
-    m.push(0, &mut seed)?;
-    Ok(m.x.finish())
-}
-
-/// Executes a pipeline with the recursive row-at-a-time driver — the
-/// differential baseline the batched driver is proven identical to
-/// (results and errors).
-pub fn execute_rows(ev: &Evaluator<'_>, pipeline: &Pipeline) -> Result<BTreeSet<Value>, EvalError> {
-    execute_rows_with_stats(ev, pipeline).map(|(rows, _)| rows)
-}
-
-/// Row-at-a-time execution with per-operator row counters.
-pub fn execute_rows_with_stats(
-    ev: &Evaluator<'_>,
-    pipeline: &Pipeline,
-) -> Result<(BTreeSet<Value>, PipelineStats), EvalError> {
-    let mut m = RowMachine {
-        x: new_exec(ev, pipeline),
-        regs: vec![Cow::Owned(Value::Bool(false)); pipeline.n_slots],
-    };
-    if m.x.ground_short_circuits()? {
-        return Ok(m.x.finish());
+    if !x.ground_short_circuits(&seed)? {
+        x.push(0, &mut seed)?;
     }
-    m.run(0)?;
-    Ok(m.x.finish())
+    Ok(x.finish())
 }
 
 #[cfg(test)]
@@ -1821,23 +1571,34 @@ mod tests {
         let ev = Evaluator::new(&inst);
         let q = parse_query("select struct(A = r.A) from R r where r.B = 2").unwrap();
         let pipeline = compile(&q, CompileOptions::default());
+        let single = compile(
+            &q,
+            CompileOptions {
+                batch_size: 1,
+                ..Default::default()
+            },
+        );
         {
             let _guard = faults::ScopedFaults::install("exec::op=err").unwrap();
             let err = execute(&ev, &pipeline).unwrap_err();
             assert_eq!(err, EvalError::Injected("exec::op".to_string()));
             assert!(err.to_string().contains("injected fault at exec::op"));
-            let err = execute_rows(&ev, &pipeline).unwrap_err();
+            let err = execute(&ev, &single).unwrap_err();
             assert_eq!(err, EvalError::Injected("exec::op".to_string()));
             let fs = faults::stats();
             assert_eq!(fs.injected, 2);
             assert_eq!(fs.reported, 2, "surfaced errors are reported, {fs:?}");
         }
-        // Disarmed again: both drivers run clean.
-        assert_eq!(execute(&ev, &pipeline).unwrap(), ev.eval_query(&q).unwrap());
+        // Disarmed again: both batch sizes run clean.
+        let reference = ev.eval_query(&q).unwrap();
+        assert_eq!(execute(&ev, &pipeline).unwrap(), reference);
+        assert_eq!(execute(&ev, &single).unwrap(), reference);
     }
 
     #[test]
     fn hash_join_operator_is_used() {
+        let inst = rs_instance(20);
+        let ev = Evaluator::new(&inst);
         let q =
             parse_query("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B").unwrap();
         let nl = compile(
@@ -1866,6 +1627,10 @@ mod tests {
         );
         // The first binding can't be hash-joined (nothing bound yet).
         assert!(matches!(hj.ops[0], Operator::Scan { .. }));
+        // Both pipelines return the interpreter's rows.
+        let reference = ev.eval_query(&q).unwrap();
+        assert_eq!(execute(&ev, &nl).unwrap(), reference, "pipeline: {nl}");
+        assert_eq!(execute(&ev, &hj).unwrap(), reference, "pipeline: {hj}");
     }
 
     #[test]
@@ -2238,7 +2003,15 @@ mod tests {
         let reference = ev.eval_query(&q).unwrap();
         assert_eq!(execute(&ev, &mj).unwrap(), reference);
         assert_eq!(execute(&ev, &hj).unwrap(), reference);
-        assert_eq!(execute_rows(&ev, &mj).unwrap(), reference);
+        let single = compile(
+            &q,
+            CompileOptions {
+                hash_joins: true,
+                merge_joins: true,
+                batch_size: 1,
+            },
+        );
+        assert_eq!(execute(&ev, &single).unwrap(), reference);
     }
 
     #[test]
@@ -2317,7 +2090,9 @@ mod tests {
         ] {
             let q = parse_query(src).unwrap();
             let reference = ev.eval_query(&q).unwrap();
-            for (hash_joins, merge_joins) in [(false, false), (true, false), (true, true)] {
+            for (hash_joins, merge_joins) in
+                [(false, false), (true, false), (false, true), (true, true)]
+            {
                 for batch_size in [1, 2, 1024] {
                     let p = compile(
                         &q,
@@ -2338,10 +2113,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_errors_match_the_row_machine() {
-        // A filter whose path fails on some rows: the batched driver's
-        // truncate-on-error discipline must surface exactly the error the
-        // row-at-a-time machine reports, for every batch size.
+    fn batched_errors_match_across_batch_sizes() {
+        // A filter whose path fails on some rows: the truncate-on-error
+        // discipline must surface exactly the error batch size 1 (a
+        // strict depth-first walk) and the interpreter report, for every
+        // batch size.
         let mut inst = Instance::new();
         inst.set(
             "M",
@@ -2353,19 +2129,20 @@ mod tests {
         );
         let ev = Evaluator::new(&inst);
         let q = parse_query("select struct(A = m.A) from M m where m.B = 1").unwrap();
-        for batch_size in [1, 2, 1024] {
-            let p = compile(
+        let at = |batch_size| {
+            compile(
                 &q,
                 CompileOptions {
                     batch_size,
                     ..Default::default()
                 },
-            );
-            assert_eq!(
-                execute(&ev, &p),
-                execute_rows(&ev, &p),
-                "batch {batch_size}: {p}"
-            );
+            )
+        };
+        let single = execute(&ev, &at(1));
+        assert!(single.is_err(), "row 2 has no B");
+        for batch_size in [1, 2, 1024] {
+            let p = at(batch_size);
+            assert_eq!(execute(&ev, &p), single, "batch {batch_size}: {p}");
             assert_eq!(execute(&ev, &p), ev.eval_query(&q), "batch {batch_size}");
         }
     }
@@ -2404,9 +2181,17 @@ mod tests {
                 // Arena accounting: every table/run is built or skipped.
                 assert_eq!(stats.tables_built + stats.tables_skipped, p.n_tables as u64);
                 assert_eq!(stats.runs_built + stats.runs_skipped, p.n_runs as u64);
-                // The batched per-op counts equal the row machine's.
-                let (_, row_stats) = execute_rows_with_stats(&ev, &p).unwrap();
-                assert_eq!(stats.per_op, row_stats.per_op, "batch {batch_size}: {p}");
+                // The per-op counts equal batch size 1's.
+                let single = compile(
+                    &q,
+                    CompileOptions {
+                        hash_joins,
+                        merge_joins,
+                        batch_size: 1,
+                    },
+                );
+                let (_, single_stats) = execute_with_stats(&ev, &single).unwrap();
+                assert_eq!(stats.per_op, single_stats.per_op, "batch {batch_size}: {p}");
             }
         }
     }
@@ -2432,5 +2217,155 @@ mod tests {
         assert!(rendered.contains("batches:"), "{rendered}");
         assert!(rendered.contains("merge runs:"), "{rendered}");
         assert!(rendered.contains("selection fill"), "{rendered}");
+    }
+
+    /// Runs `q` under `options` at batch sizes 1, 2 and 1024 and asserts
+    /// every run fails with `want`: the earliest row's error, as a strict
+    /// depth-first walk of the rows would report it.
+    fn assert_error_order(inst: &Instance, q: &Query, options: CompileOptions, want: &EvalError) {
+        let ev = Evaluator::new(inst);
+        for batch_size in [1, 2, 1024] {
+            let p = compile(
+                q,
+                CompileOptions {
+                    batch_size,
+                    ..options
+                },
+            );
+            assert_eq!(
+                execute(&ev, &p),
+                Err(want.clone()),
+                "batch {batch_size}: {p}"
+            );
+        }
+    }
+
+    fn no_such_field(value: &str, field: &str) -> EvalError {
+        EvalError::NoSuchField {
+            value: value.to_string(),
+            field: field.to_string(),
+        }
+    }
+
+    #[test]
+    fn iter_dependent_errors_surface_in_row_order() {
+        // Row 1 iterates cleanly; rows 2 and 3 fail at the iteration
+        // with different errors. Without a downstream filter row 2's
+        // error wins over row 3's; with one, row 1's downstream error
+        // wins over row 2's upstream one.
+        let mut inst = Instance::new();
+        inst.set(
+            "M",
+            Value::set([
+                Value::record([
+                    ("A", Value::Int(1)),
+                    ("S", Value::set([Value::record([("B", Value::Int(1))])])),
+                ]),
+                Value::record([("A", Value::Int(2)), ("S", Value::Int(5))]),
+                Value::record([("A", Value::Int(3))]),
+            ]),
+        );
+        let ev = Evaluator::new(&inst);
+        for (src, want) in [
+            (
+                "select struct(B = x.B) from M m, m.S x",
+                EvalError::NotASet("m.S = 5".to_string()),
+            ),
+            (
+                "select struct(B = x.B) from M m, m.S x where x.C = 1",
+                no_such_field("x", "C"),
+            ),
+        ] {
+            let q = parse_query(src).unwrap();
+            let p = compile(&q, CompileOptions::default());
+            assert!(matches!(p.ops[1], Operator::IterDependent { .. }), "{p}");
+            // No join: the interpreter reports the same error.
+            assert_eq!(ev.eval_query(&q), Err(want.clone()), "{src}");
+            assert_error_order(&inst, &q, CompileOptions::default(), &want);
+        }
+    }
+
+    #[test]
+    fn hash_join_probe_errors_surface_in_row_order() {
+        // The two-field probe `r.K.L` fails on row 2 (no K) and row 3
+        // (K without L) with different errors; row 1 joins cleanly.
+        let mut inst = Instance::new();
+        inst.set(
+            "R",
+            Value::set([
+                Value::record([
+                    ("A", Value::Int(1)),
+                    ("K", Value::record([("L", Value::Int(1))])),
+                ]),
+                Value::record([("A", Value::Int(2))]),
+                Value::record([
+                    ("A", Value::Int(3)),
+                    ("K", Value::record([("M", Value::Int(1))])),
+                ]),
+            ]),
+        );
+        inst.set(
+            "S",
+            Value::set([Value::record([("B", Value::Int(1)), ("C", Value::Int(10))])]),
+        );
+        let options = CompileOptions {
+            hash_joins: true,
+            ..Default::default()
+        };
+        for (src, want) in [
+            (
+                "select struct(C = s.C) from R r, S s where r.K.L = s.B",
+                no_such_field("r", "K"),
+            ),
+            (
+                "select struct(C = s.C) from R r, S s where r.K.L = s.B and s.Z = 1",
+                no_such_field("s", "Z"),
+            ),
+        ] {
+            let q = parse_query(src).unwrap();
+            let p = compile(&q, options);
+            assert!(matches!(p.ops[1], Operator::HashJoin { .. }), "{p}");
+            assert_error_order(&inst, &q, options, &want);
+        }
+    }
+
+    #[test]
+    fn merge_join_probe_errors_surface_in_row_order() {
+        // The one-field probe `r.K` fails on row 2 (a record without K)
+        // and row 3 (a set, which has no fields) with different errors;
+        // row 1 joins cleanly.
+        let mut inst = Instance::new();
+        inst.set(
+            "R",
+            Value::set([
+                Value::record([("A", Value::Int(1)), ("K", Value::Int(1))]),
+                Value::record([("A", Value::Int(2))]),
+                Value::set([Value::Int(0)]),
+            ]),
+        );
+        inst.set(
+            "S",
+            Value::set([Value::record([("B", Value::Int(1)), ("C", Value::Int(10))])]),
+        );
+        let options = CompileOptions {
+            hash_joins: true,
+            merge_joins: true,
+            ..Default::default()
+        };
+        for (src, want) in [
+            (
+                "select struct(C = s.C) from R r, S s where r.K = s.B",
+                no_such_field("r", "K"),
+            ),
+            (
+                "select struct(C = s.C) from R r, S s where r.K = s.B and s.Z = 1",
+                no_such_field("s", "Z"),
+            ),
+        ] {
+            let q = parse_query(src).unwrap();
+            let p = compile(&q, options);
+            assert!(matches!(p.ops[1], Operator::MergeJoin { .. }), "{p}");
+            assert_error_order(&inst, &q, options, &want);
+        }
     }
 }

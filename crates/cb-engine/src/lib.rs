@@ -28,9 +28,8 @@ pub mod value;
 pub use check::{satisfies, violations};
 pub use eval::{EvalError, Evaluator};
 pub use exec::{
-    compile, execute, execute_rows, execute_rows_with_stats, execute_with_stats, Access,
-    AccessKind, CompileOptions, CompiledOutput, GroundFilter, OpStats, Operator, Pipeline,
-    PipelineLayout, PipelineStats,
+    compile, execute, execute_with_stats, Access, AccessKind, CompileOptions, CompiledOutput,
+    GroundFilter, OpStats, Operator, Pipeline, PipelineLayout, PipelineStats,
 };
 pub use generator::{
     join_instance, projdept_instance, rabc_instance, JoinParams, ProjDeptParams, RabcParams,

@@ -101,8 +101,7 @@ impl Value {
 }
 
 /// The placeholder occupying never-written registers and dead batch
-/// cells — the same seed value the row-at-a-time register file uses, so
-/// reading an unbound slot behaves identically in both executors.
+/// cells: reading an unbound slot yields `false`, never a panic.
 static UNBOUND: CowValue<'static> = Cow::Owned(Value::Bool(false));
 
 /// A selection vector: one liveness bit per batch row, with the live
@@ -156,8 +155,7 @@ impl SelVec {
 /// A batch of rows over the pipeline executor's slot layout: one column
 /// of maybe-borrowed values per register plus a [`SelVec`]. Columns for
 /// slots no operator has written yet stay unbound — reading one yields
-/// the same `false` placeholder the row-at-a-time register file is
-/// seeded with.
+/// a `false` placeholder.
 #[derive(Debug, Clone)]
 pub struct Batch<'a> {
     cols: Vec<Vec<CowValue<'a>>>,
@@ -167,7 +165,7 @@ pub struct Batch<'a> {
 
 impl<'a> Batch<'a> {
     /// The pipeline's seed batch: one live row, every slot unbound —
-    /// the batched counterpart of invoking the row machine once.
+    /// what the first operator is invoked on.
     pub fn seed(n_slots: usize) -> Batch<'a> {
         let mut sel = SelVec::default();
         sel.push_live();
@@ -349,7 +347,7 @@ mod tests {
         let row = Value::record([("A", Value::Int(1))]);
         let seed: Batch<'_> = Batch::seed(2);
         assert_eq!((seed.rows(), seed.live()), (1, 1));
-        // Unbound slots read the row machine's seed placeholder.
+        // Unbound slots read the seed placeholder.
         assert_eq!(seed.reg(0, 0).as_ref(), &Value::Bool(false));
 
         let mut out = Batch::expanded_from(&seed, 0);

@@ -31,9 +31,9 @@ use std::time::{Duration, Instant};
 use cb_analyze::{Analyzer, Report};
 use cb_catalog::Catalog;
 use cb_chase::{
-    backchase_greedy_in, BackchaseConfig, CacheStats, ChaseConfig, ChaseContext, ChaseStepTrace,
-    ExploreAll, MustRemainAnalysis, PlanSearch, SearchBudget, SearchOutcome, SearchVisitor,
-    TerminationVerdict, Visit,
+    backchase_greedy_in, CacheStats, ChaseConfig, ChaseContext, ChaseStepTrace, ExploreAll,
+    MustRemainAnalysis, PlanSearch, SearchBudget, SearchOutcome, SearchVisitor, TerminationVerdict,
+    Visit,
 };
 use pcql::query::Query;
 use pcql::typecheck::{check_query, TypeError};
@@ -108,14 +108,13 @@ pub enum PreflightMode {
 /// Optimizer configuration.
 ///
 /// One [`ChaseContext`] built from `chase` runs the whole optimization
-/// (universal plan, backchase, condition pruning), so `backchase.chase`
-/// is not consulted by [`Optimizer::optimize`] — only
-/// `backchase.max_visited` is. The nested config remains for callers
-/// that drive `cb_chase::backchase` directly.
+/// (universal plan, backchase, condition pruning).
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
     pub chase: ChaseConfig,
-    pub backchase: BackchaseConfig,
+    /// Maximum number of distinct subqueries the backchase explores
+    /// (0 = unlimited).
+    pub max_visited: usize,
     /// Cost also the non-minimal physical subqueries encountered during
     /// backchase (they are sound plans; the paper's P1 is one). Only
     /// under it does the `Exhaustive` walk collect its visited nodes
@@ -190,7 +189,7 @@ impl OptimizerConfig {
     /// Deliberately *not* clamped: a zero [`SearchBudget`] (zero nodes
     /// or a zero wall clock) is legal and still visits the root, so
     /// the universal plan is always available as the anytime answer;
-    /// `backchase.max_visited == 0` means unlimited by contract; and
+    /// `max_visited == 0` means unlimited by contract; and
     /// `memo_byte_limit == Some(0)` is the strictest legal cache
     /// pressure — every shard sheds on every insert.
     #[must_use]
@@ -208,7 +207,7 @@ impl Default for OptimizerConfig {
     fn default() -> OptimizerConfig {
         OptimizerConfig {
             chase: ChaseConfig::default(),
-            backchase: BackchaseConfig::default(),
+            max_visited: 0,
             cost_visited: false,
             strategy: SearchStrategy::default(),
             bound: CostBound::default(),
@@ -376,10 +375,7 @@ impl<'a> Optimizer<'a> {
         Optimizer {
             catalog,
             config: OptimizerConfig {
-                backchase: BackchaseConfig {
-                    max_visited: 4096,
-                    ..Default::default()
-                },
+                max_visited: 4096,
                 cost_visited: true,
                 threads,
                 memo_byte_limit,
@@ -762,7 +758,7 @@ impl<'a> Optimizer<'a> {
         let walk = |threads: usize, budget: SearchBudget, visitor: &V| {
             PlanSearch::new(universal)
                 .with_threads(threads)
-                .with_max_visited(self.config.backchase.max_visited)
+                .with_max_visited(self.config.max_visited)
                 .with_budget(budget)
                 .with_collect_visited(collect)
                 .run(ctx, visitor)
@@ -1233,10 +1229,7 @@ mod tests {
 
     fn exhaustive_config(threads: usize) -> OptimizerConfig {
         OptimizerConfig {
-            backchase: BackchaseConfig {
-                max_visited: 4096,
-                ..Default::default()
-            },
+            max_visited: 4096,
             cost_visited: true,
             threads,
             ..Default::default()

@@ -22,10 +22,7 @@ fn check_all_plans(catalog: &Catalog, q: &Query, instance: &Instance, ctx: &mut 
     // A bounded enumeration keeps the suite fast; an incomplete backchase
     // is still sound, which is exactly what this test checks.
     let config = cb_optimizer::OptimizerConfig {
-        backchase: universal_plans::chase::BackchaseConfig {
-            max_visited: 400,
-            ..Default::default()
-        },
+        max_visited: 400,
         cost_visited: true,
         ..Default::default()
     };

@@ -1,22 +1,17 @@
 //! The physical-operator pipeline must agree with the reference
 //! interpreter on every optimizer-produced plan, in every compile mode
-//! (nested loop, hash joins, hash+merge joins), under both drivers
-//! (batched and row-at-a-time) — and the batch counters must reconcile
-//! with the per-operator row counts.
+//! (nested loop, hash joins, hash+merge joins), at batch sizes 1 and
+//! 1024 — and the batch counters must reconcile with the per-operator
+//! row counts.
 
-use universal_plans::engine::exec::{
-    compile, execute_rows_with_stats, execute_with_stats, CompileOptions,
-};
+use universal_plans::engine::exec::{compile, execute_with_stats, CompileOptions};
 use universal_plans::prelude::*;
 
 fn check_pipelines(catalog: &Catalog, q: &Query, instance: &Instance) {
     let ev = Evaluator::for_catalog(catalog, instance);
     let reference = ev.eval_query(q).unwrap();
     let config = cb_optimizer::OptimizerConfig {
-        backchase: universal_plans::chase::BackchaseConfig {
-            max_visited: 200,
-            ..Default::default()
-        },
+        max_visited: 200,
         cost_visited: true,
         ..Default::default()
     };
@@ -67,16 +62,26 @@ fn check_pipelines(catalog: &Catalog, q: &Query, instance: &Instance) {
                 stats.sel_rows_live <= stats.sel_rows_total,
                 "live rows exceed total via {pipeline}"
             );
-            // The row-at-a-time driver must agree row for row: same
-            // result, same per-operator counts, no batch counters.
-            let (row_rows, row_stats) = execute_rows_with_stats(&ev, &pipeline)
-                .unwrap_or_else(|e| panic!("row driver failed: {e}\npipeline: {pipeline}"));
-            assert_eq!(row_rows, rows, "drivers disagree via {pipeline}");
-            assert_eq!(
-                row_stats.per_op, stats.per_op,
-                "per-op counts drift between drivers via {pipeline}"
+            // Batch size 1 walks the rows strictly depth-first: same
+            // result, same per-operator counts, one row per batch.
+            let single = compile(
+                &c.query,
+                CompileOptions {
+                    batch_size: 1,
+                    ..options
+                },
             );
-            assert_eq!(row_stats.batches, 0, "row driver counted batches");
+            let (single_rows, single_stats) = execute_with_stats(&ev, &single)
+                .unwrap_or_else(|e| panic!("batch size 1 failed: {e}\npipeline: {single}"));
+            assert_eq!(single_rows, rows, "batch sizes disagree via {pipeline}");
+            assert_eq!(
+                single_stats.per_op, stats.per_op,
+                "per-op counts drift between batch sizes via {pipeline}"
+            );
+            assert_eq!(
+                single_stats.sel_rows_live, single_stats.sel_rows_total,
+                "a one-row batch has no dead rows via {single}"
+            );
             // The rendered report carries the batch and join-algorithm
             // columns.
             let rendered = stats.render(&pipeline);

@@ -318,9 +318,11 @@ proptest! {
     /// interpreter on random queries and instances (shadowed variable
     /// names, hoisted ground filters, lazy table builds, and error
     /// paths — absent roots, non-set roots, missing fields — included).
-    /// The three-way differential: interpreter ≡ row-at-a-time ≡ batched.
-    /// The batched driver must return *exactly* the row machine's
-    /// `Result` — rows and errors, at every batch size and join mode.
+    /// The differential is interpreter ≡ batched. In every join mode the
+    /// whole `Result` — rows and errors — must be identical at batch
+    /// sizes 1, 2 and 1024 (batch size 1 walks the rows strictly
+    /// depth-first, so this pins the truncate-on-error discipline), and
+    /// so must the per-operator counters of every Ok run.
     /// Without joins the whole `Result` must also be identical to the
     /// interpreter's, errors and all; with hash or merge joins on, the
     /// join applies its equality ahead of the other same-level conjuncts,
@@ -331,23 +333,30 @@ proptest! {
         q in arb_pipeline_query(),
         inst in arb_rs_instance(),
     ) {
-        use universal_plans::engine::exec::{
-            compile, execute_with_stats, execute_rows_with_stats, CompileOptions,
-        };
+        use universal_plans::engine::exec::{compile, execute_with_stats, CompileOptions};
         let ev = Evaluator::new(&inst);
         let reference = ev.eval_query(&q);
 
         for (hash_joins, merge_joins) in
             [(false, false), (true, false), (false, true), (true, true)]
         {
+            let mut first = None;
             for batch_size in [1usize, 2, 1024] {
                 let options = CompileOptions { hash_joins, merge_joins, batch_size };
                 let p = compile(&q, options);
-                let rowwise = execute_rows_with_stats(&ev, &p).map(|(rows, _)| rows);
-                let batched = execute_with_stats(&ev, &p).map(|(rows, _)| rows);
+                let run = execute_with_stats(&ev, &p);
+                let batched = run.clone().map(|(rows, _)| rows);
+                let per_op = run.as_ref().ok().map(|(_, stats)| stats.per_op.clone());
+                let (first_batched, first_per_op) =
+                    first.get_or_insert_with(|| (batched.clone(), per_op.clone()));
                 prop_assert_eq!(
-                    &rowwise, &batched,
-                    "drivers disagree: q = {} batch = {} pipeline = {}",
+                    &*first_batched, &batched,
+                    "batch sizes disagree: q = {} batch = {} pipeline = {}",
+                    q, batch_size, p
+                );
+                prop_assert_eq!(
+                    &*first_per_op, &per_op,
+                    "per-op counts drift: q = {} batch = {} pipeline = {}",
                     q, batch_size, p
                 );
                 if !hash_joins && !merge_joins {
@@ -356,7 +365,7 @@ proptest! {
                         "q = {} batch = {} pipeline = {}", q, batch_size, p
                     );
                 } else {
-                    match (&reference, execute_with_stats(&ev, &p)) {
+                    match (&reference, run) {
                         (Ok(want), Ok((got, stats))) => {
                             prop_assert_eq!(
                                 want, &got,

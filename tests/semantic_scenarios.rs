@@ -213,10 +213,7 @@ fn bounded_search_remains_sound() {
     let mut catalog = cb_catalog::scenarios::projdept::catalog();
     cb_catalog::scenarios::projdept::stats_for(&mut catalog, 20, 5, 5);
     let config = cb_optimizer::OptimizerConfig {
-        backchase: universal_plans::chase::BackchaseConfig {
-            max_visited: 3,
-            ..Default::default()
-        },
+        max_visited: 3,
         cost_visited: true,
         ..Default::default()
     };
