@@ -25,8 +25,9 @@
 //! * **liveness** — registers written but never read (warning: the
 //!   binding only contributes existence), mirroring the query-level
 //!   dead-variable lint;
-//! * **groundedness** — hoisted [`GroundFilter`]s must be genuinely
-//!   environment-independent: no register reads, no unknown variables.
+//! * **groundedness** — hoisted [`GroundFilter`](cb_engine::GroundFilter)s
+//!   must be genuinely environment-independent: no register reads, no
+//!   unknown variables.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -1,13 +1,13 @@
 //! Pass 3: dependency-set analysis.
 //!
-//! Wraps [`cb_chase::analyze_termination_with_witness`] into diagnostics:
+//! Wraps [`cb_chase::analyze_termination`] into diagnostics:
 //! a verdict of [`TerminationVerdict::Unknown`] becomes a warning whose
 //! message carries the position-graph cycle and the dependencies drawing
 //! its edges — evidence, not a bare verdict. Each blamed dependency is
 //! additionally anchored individually so a report consumer can jump to
 //! the constraint at fault.
 
-use cb_chase::{analyze_termination_with_witness, TerminationVerdict};
+use cb_chase::{analyze_termination, TerminationVerdict};
 use pcql::Dependency;
 
 use crate::diag::{codes, Anchor, Diagnostic, Report, Severity};
@@ -16,7 +16,7 @@ use crate::diag::{codes, Anchor, Diagnostic, Report, Severity};
 /// diagnostics. Terminating sets (full or weakly acyclic) produce no
 /// diagnostics at all.
 pub fn check_termination(deps: &[Dependency]) -> (TerminationVerdict, Report) {
-    let (verdict, witness) = analyze_termination_with_witness(deps);
+    let (verdict, witness) = analyze_termination(deps);
     let mut report = Report::new();
     if let Some(w) = witness {
         report.push(Diagnostic::new(

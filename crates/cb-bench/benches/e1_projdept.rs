@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use cb_bench::prepared_projdept;
-use cb_chase::{backchase, chase, BackchaseConfig, ChaseConfig};
+use cb_chase::{backchase, chase, ChaseConfig, ChaseContext};
 
 fn optimizer_phases(c: &mut Criterion) {
     let p = prepared_projdept(50, 10, 25);
@@ -21,14 +21,9 @@ fn optimizer_phases(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("enumerate_minimal_plans", |b| {
         b.iter(|| {
-            backchase(
-                black_box(&u),
-                &deps,
-                &BackchaseConfig {
-                    max_visited: 4096,
-                    ..Default::default()
-                },
-            )
+            // A cold question: the context is built inside the timing.
+            let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+            backchase(&ctx, black_box(&u), 4096)
         });
     });
     group.finish();

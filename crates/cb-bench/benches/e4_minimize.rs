@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use cb_chase::{minimize, BackchaseConfig};
+use cb_chase::{minimize, ChaseConfig, ChaseContext};
 use pcql::parser::parse_query;
 
 /// The paper's §3 pattern generalized: a chain of n R-bindings where only
@@ -35,7 +35,9 @@ fn minimization(c: &mut Criterion) {
         let q = chain_query(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &q, |b, q| {
             b.iter(|| {
-                let m = minimize(black_box(q), &BackchaseConfig::default());
+                // A cold question: the context is built inside the timing.
+                let ctx = ChaseContext::new(vec![], ChaseConfig::default());
+                let m = minimize(&ctx, black_box(q));
                 assert_eq!(m.from.len(), 2);
                 m
             });

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use cb_chase::{backchase, chase, BackchaseConfig, ChaseConfig};
+use cb_chase::{backchase, chase, ChaseConfig, ChaseContext};
 use pcql::parser::parse_query;
 use pcql::Type;
 
@@ -38,14 +38,9 @@ fn backchase_scaling(c: &mut Criterion) {
         let (deps, u) = setup(k);
         group.bench_with_input(BenchmarkId::from_parameter(k), &(), |b, _| {
             b.iter(|| {
-                let out = backchase(
-                    black_box(&u),
-                    &deps,
-                    &BackchaseConfig {
-                        max_visited: 0,
-                        ..Default::default()
-                    },
-                );
+                // A cold question: the context is built inside the timing.
+                let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+                let out = backchase(&ctx, black_box(&u), 0);
                 assert_eq!(out.normal_forms.len(), k + 1);
                 out
             });

@@ -17,8 +17,8 @@ use std::time::Instant;
 
 use cb_bench::{prepared_indexes, prepared_projdept, prepared_views, render_table, Prepared};
 use cb_chase::{
-    backchase_in, chase_step, examine_removal_in, minimize, BackchaseConfig, CacheStats,
-    ChaseConfig, ChaseContext, ExploreAll, PlanSearch, QueryGraph, RemovalJudgement,
+    backchase, chase_step, examine_removal, minimize, CacheStats, ChaseConfig, ChaseContext,
+    ExploreAll, PlanSearch, QueryGraph, RemovalJudgement,
 };
 use cb_engine::{Evaluator, Materializer};
 use cb_optimizer::{explain, Optimizer};
@@ -164,8 +164,10 @@ fn run_json(path: &str, selection: &[String]) {
         )
         .unwrap();
         records.push(measure("e4_tableau_minimization", ITERS, || {
-            minimize(&q, &BackchaseConfig::default());
-            None // generalized minimization runs through the free-function API
+            // A cold question: a fresh context with no dependencies,
+            // which has no memo hit to report.
+            minimize(&ChaseContext::new(vec![], ChaseConfig::default()), &q);
+            None
         }));
     }
     if want("e5") {
@@ -195,7 +197,7 @@ fn run_json(path: &str, selection: &[String]) {
         records.push(measure("e8_backchase_4_views", ITERS, || {
             let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
             let u = ctx.chase(&q).query;
-            backchase_in(&ctx, &u, 0);
+            backchase(&ctx, &u, 0);
             Some(ctx.stats())
         }));
     }
@@ -301,51 +303,6 @@ fn run_json(path: &str, selection: &[String]) {
         records.push(rec);
     }
 
-    if want("e15") {
-        use cb_engine::exec::{compile, execute, execute_with_stats, CompileOptions};
-        let p = prepared_views(1_000, 1_000, 0.05);
-        let ev = p.evaluator();
-        let nested = compile(
-            &p.query,
-            CompileOptions {
-                hash_joins: false,
-                ..Default::default()
-            },
-        );
-        let hashed = compile(
-            &p.query,
-            CompileOptions {
-                hash_joins: true,
-                ..Default::default()
-            },
-        );
-        let r_eval = measure("e15_evaluator", ITERS, || {
-            ev.eval_query(&p.query).unwrap();
-            None
-        });
-        let r_nested = measure("e15_nested_pipeline", ITERS, || {
-            execute(&ev, &nested).unwrap();
-            None
-        });
-        let mut rec = measure("e15_pipeline_execution", ITERS, || {
-            execute(&ev, &hashed).unwrap();
-            None
-        });
-        let (rows, stats) = execute_with_stats(&ev, &hashed).unwrap();
-        assert_eq!(rows, ev.eval_query(&p.query).unwrap());
-        let rows_per_s = stats.rows_processed() as f64 / (rec.median_ns as f64 / 1e9);
-        rec.extra = vec![
-            ("evaluator_median_ns", r_eval.median_ns as u64),
-            ("nested_pipeline_median_ns", r_nested.median_ns as u64),
-            ("result_rows", rows.len() as u64),
-            ("rows_processed", stats.rows_processed()),
-            ("rows_per_s", rows_per_s as u64),
-            ("tables_built", stats.tables_built),
-            ("tables_skipped", stats.tables_skipped),
-        ];
-        records.push(rec);
-    }
-
     if want("e19") {
         use cb_engine::exec::{compile, execute_with_stats, CompileOptions};
         let p = prepared_views(1_000, 1_000, 0.05);
@@ -426,7 +383,9 @@ fn run_json(path: &str, selection: &[String]) {
             );
         }
         let (_, stats) = execute_with_stats(&ev, &nested).unwrap();
+        let (hrows, hstats) = execute_with_stats(&ev, &hashed).unwrap();
         let (_, mstats) = execute_with_stats(&ev, &merged).unwrap();
+        let rows_per_s = hstats.rows_processed() as f64 / (r_hash.median_ns as f64 / 1e9);
         rec.extra = vec![
             ("interpreter_median_ns", r_interp.median_ns as u64),
             ("speedup_x1000", (1000.0 * speedup) as u64),
@@ -443,6 +402,11 @@ fn run_json(path: &str, selection: &[String]) {
             ),
             ("merge_runs_built", mstats.runs_built),
             ("merge_runs_sorted", mstats.runs_sorted),
+            ("result_rows", hrows.len() as u64),
+            ("rows_processed", hstats.rows_processed()),
+            ("rows_per_s", rows_per_s as u64),
+            ("tables_built", hstats.tables_built),
+            ("tables_skipped", hstats.tables_skipped),
             ("cores", cores as u64),
         ];
         records.push(rec);
@@ -1856,7 +1820,7 @@ fn e1_projdept_plan_space() {
     ] {
         let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
         let u = ctx.chase(q).query;
-        let out = backchase_in(&ctx, &u, 4096);
+        let out = backchase(&ctx, &u, 4096);
         println!("\nregime: {regime}");
         println!("  universal plan: {} bindings", u.from.len());
         println!("  equivalent subqueries visited: {}", out.visited.len());
@@ -1912,7 +1876,7 @@ fn e4_tableau_minimization() {
          where p.B = q.A and q.B = r.B",
     )
     .unwrap();
-    let m = minimize(&q, &BackchaseConfig::default());
+    let m = minimize(&ChaseContext::new(vec![], ChaseConfig::default()), &q);
     println!("query:     {q}");
     println!("minimized: {m}");
 }
@@ -2031,7 +1995,7 @@ fn e8_backchase_scaling() {
         let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
         let u = ctx.chase(&q).query;
         let t = Instant::now();
-        let out = backchase_in(&ctx, &u, 0);
+        let out = backchase(&ctx, &u, 0);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         let s = ctx.stats();
         rows.push(vec![
@@ -2092,7 +2056,7 @@ fn e9_completeness() {
     .unwrap();
     let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
     let u = ctx.chase(&q).query;
-    let out = backchase_in(&ctx, &u, 0);
+    let out = backchase(&ctx, &u, 0);
 
     // Brute force over all removal subsets — one shared context and one
     // canonical database across all 2^n judgements.
@@ -2104,7 +2068,7 @@ fn e9_completeness() {
             .filter(|i| mask & (1 << i) != 0)
             .map(|i| vars[i].clone())
             .collect();
-        if let RemovalJudgement::Valid(qq) = examine_removal_in(&ctx, &u, &mut graph, &removed) {
+        if let RemovalJudgement::Valid(qq) = examine_removal(&ctx, &u, &mut graph, &removed) {
             equivalents.push((removed, qq));
         }
     }

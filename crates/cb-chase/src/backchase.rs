@@ -13,14 +13,14 @@
 //!
 //! Condition 3 comes in two flavours, both implemented here:
 //!
-//! * [`backchase_step_in`] — the paper's §3 *rewrite rule*: discharge the
+//! * [`backchase_step`] — the paper's §3 *rewrite rule*: discharge the
 //!   reconstruction constraint `forall(remaining) C' -> exists(removed) C`
 //!   with the chase-based implication prover. Sound, and what a
 //!   rule-based optimizer would run; but a single-binding rule can miss
 //!   jointly-removable binding groups (remove `r` alone from
 //!   `R ⋈ S ⊑ V`-chases and the witness for `s` is lost even though
 //!   `{r, s}` together are redundant).
-//! * [`backchase`] — the paper's §5 *enumeration*: descend the subquery
+//! * [`backchase()`] — the paper's §5 *enumeration*: descend the subquery
 //!   lattice of the universal plan one binding at a time, keeping a
 //!   subquery only if it is **equivalent to the universal plan** (chase
 //!   containment both ways), and pruning entire sublattices under
@@ -36,14 +36,15 @@
 //! optimizer's plan-cleanup pass introduces separately).
 //!
 //! With an empty dependency set the backchase is exactly generalized
-//! tableau minimization.
+//! tableau minimization ([`minimize`] over a context with no
+//! dependencies).
 //!
 //! The enumeration itself is factored into [`PlanSearch`], a streaming
 //! driver that hands each equivalence-verified subquery to a visitor
 //! which steers the walk ([`Visit::Explore`] / [`Visit::Prune`] /
-//! [`Visit::Accept`]); [`backchase`] and [`backchase_in`] are its
-//! collect-everything instantiations, and the optimizer's cost-guided
-//! branch-and-bound strategy is another.
+//! [`Visit::Accept`]); [`backchase()`] is its collect-everything
+//! instantiation, and the optimizer's cost-guided branch-and-bound
+//! strategy is another.
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -54,33 +55,11 @@ use pcql::query::{Binding, Equality, Output, Query};
 use pcql::Dependency;
 
 use crate::canon::QueryGraph;
-use crate::chase::ChaseConfig;
-use crate::containment::{contained_in_pre_chased, output_matching_hom};
+use crate::containment::output_matching_hom;
 use crate::context::ChaseContext;
 use crate::egraph::EGraph;
 use crate::hom::Assignment;
 use crate::parallel::PlanSearch;
-
-/// Budgets for backchase enumeration.
-#[derive(Debug, Clone, Default)]
-pub struct BackchaseConfig {
-    pub chase: ChaseConfig,
-    /// Maximum number of distinct subqueries to explore (0 = unlimited).
-    pub max_visited: usize,
-}
-
-/// The set of plans produced by backchasing.
-#[derive(Debug, Clone)]
-pub struct BackchaseOutcome {
-    /// Normal forms: equivalent subqueries from which no further binding
-    /// can be removed — the minimal plans.
-    pub normal_forms: Vec<Query>,
-    /// Every equivalent subquery encountered (including the input); each
-    /// is a sound plan, so the optimizer may cost them all.
-    pub visited: Vec<Query>,
-    /// False if `max_visited` was hit.
-    pub complete: bool,
-}
 
 /// Extends a removal set with the bindings that (transitively) depend on
 /// it and cannot be re-expressed without it (footnote 7 of the paper).
@@ -171,7 +150,7 @@ pub(crate) fn subquery_for(
 /// `seed` (with its dependent closure) when the reconstruction constraint
 /// is implied by the context's dependencies. Sound; see the module docs
 /// for why the full enumeration uses equivalence pruning instead.
-pub fn backchase_step_in(ctx: &ChaseContext, q: &Query, seed: &str) -> Option<Query> {
+pub fn backchase_step(ctx: &ChaseContext, q: &Query, seed: &str) -> Option<Query> {
     if !q.from.iter().any(|b| b.var == seed) {
         return None;
     }
@@ -576,25 +555,13 @@ impl SearchOutcome {
 /// with equivalence pruning ("whenever a subquery of chase(Q) is not
 /// equivalent to the latter, neither are its subqueries"). `u` should
 /// already be chased (Algorithm 1 passes the universal plan), so
-/// equivalence to `u` is equivalence to the original query.
-pub fn backchase(u: &Query, deps: &[Dependency], cfg: &BackchaseConfig) -> BackchaseOutcome {
-    let ctx = ChaseContext::new(deps.to_vec(), cfg.chase.clone());
-    backchase_in(&ctx, u, cfg.max_visited)
-}
-
-/// [`backchase`] against a shared [`ChaseContext`]: the collect-everything
-/// instantiation of [`PlanSearch`] — a visitor that
-/// always explores, with the streamed nodes and normal forms gathered
-/// into a [`BackchaseOutcome`].
-pub fn backchase_in(ctx: &ChaseContext, u: &Query, max_visited: usize) -> BackchaseOutcome {
-    let out = PlanSearch::new(u)
+/// equivalence to `u` is equivalence to the original query. The
+/// collect-everything instantiation of [`PlanSearch`]: a visitor that
+/// always explores, stopping after `max_visited` nodes (0 = unlimited).
+pub fn backchase(ctx: &ChaseContext, u: &Query, max_visited: usize) -> SearchOutcome {
+    PlanSearch::new(u)
         .with_max_visited(max_visited)
-        .run(ctx, &ExploreAll);
-    BackchaseOutcome {
-        normal_forms: out.normal_forms,
-        visited: out.visited,
-        complete: out.complete,
-    }
+        .run(ctx, &ExploreAll)
 }
 
 /// The paper's §3 heuristic strategy: "the obvious strategy for the
@@ -606,7 +573,7 @@ pub fn backchase_in(ctx: &ChaseContext, u: &Query, max_visited: usize) -> Backch
 /// equivalence checks once per candidate), against the exhaustive
 /// enumeration's exponential lattice — the E13 ablation measures the
 /// plan-quality price.
-pub fn backchase_greedy_in(
+pub fn backchase_greedy(
     ctx: &ChaseContext,
     u: &Query,
     prefer_removing: &BTreeSet<String>,
@@ -698,23 +665,11 @@ pub enum RemovalJudgement {
     NotEquivalent(Query),
 }
 
-/// Judges one removal set against `u` (which should be chased).
+/// Judges one removal set against `u` (which should be chased), over a
+/// caller-held `graph` (the canonical database of `u`), so judging many
+/// removal sets — the E9 brute-force sweep judges all `2^n` — does not
+/// rebuild the graph per call.
 pub fn examine_removal(
-    u: &Query,
-    deps: &[Dependency],
-    removed: &BTreeSet<String>,
-    cfg: &ChaseConfig,
-) -> RemovalJudgement {
-    let ctx = ChaseContext::new(deps.to_vec(), cfg.clone());
-    let mut graph = QueryGraph::of_query(u);
-    examine_removal_in(&ctx, u, &mut graph, removed)
-}
-
-/// [`examine_removal`] against a shared [`ChaseContext`] and a caller-held
-/// `graph` (the canonical database of `u`), so judging many removal sets
-/// — the E9 brute-force sweep judges all `2^n` — does not rebuild the
-/// graph per call.
-pub fn examine_removal_in(
     ctx: &ChaseContext,
     u: &Query,
     graph: &mut QueryGraph,
@@ -727,7 +682,11 @@ pub fn examine_removal_in(
     let Some(q2) = prune_unsafe_conditions(ctx, &q2) else {
         return RemovalJudgement::UnsafeLookup(q2);
     };
-    if !contained_in_pre_chased(graph, &u.output, &q2, ctx.cfg()) || !ctx.contained_in(&q2, u) {
+    // u ⊑ q2 against u's own canonical database — a copy, so the paths
+    // the hom search interns stay out of the graph later removal sets
+    // are extracted from — then q2 ⊑ u through the context.
+    let u_in_q2 = output_matching_hom(&mut graph.clone(), &u.output, &q2, ctx.cfg(), None);
+    if u_in_q2.is_none() || !ctx.contained_in(&q2, u) {
         return RemovalJudgement::NotEquivalent(q2);
     }
     RemovalJudgement::Valid(q2)
@@ -737,7 +696,7 @@ pub fn examine_removal_in(
 /// canonical database of `q` is built once, not once per binding, and the
 /// equivalence checks share the context's chase memo (`q` itself is
 /// chased at most once across all bindings).
-pub fn is_minimal_in(ctx: &ChaseContext, q: &Query) -> bool {
+pub fn is_minimal(ctx: &ChaseContext, q: &Query) -> bool {
     let mut graph = QueryGraph::of_query(q);
     q.from.iter().all(|b| {
         let removed = dependent_closure(q, &mut graph, [b.var.clone()].into());
@@ -749,12 +708,13 @@ pub fn is_minimal_in(ctx: &ChaseContext, q: &Query) -> bool {
     })
 }
 
-/// Generalized tableau minimization: backchase with no constraints
-/// ("chasing with trivial, always true, constraints"). Returns the
-/// smallest normal form.
-pub fn minimize(q: &Query, cfg: &BackchaseConfig) -> Query {
-    let out = backchase(q, &[], cfg);
-    out.normal_forms
+/// Generalized tableau minimization, under the context's dependencies:
+/// the smallest normal form of [`backchase()`]. Over a context with no
+/// dependencies this is the paper's "chasing with trivial, always true,
+/// constraints".
+pub fn minimize(ctx: &ChaseContext, q: &Query) -> Query {
+    backchase(ctx, q, 0)
+        .normal_forms
         .into_iter()
         .min_by(|a, b| {
             (a.from.len(), a.size(), a.alpha_normalized()).cmp(&(
@@ -769,130 +729,16 @@ pub fn minimize(q: &Query, cfg: &BackchaseConfig) -> Query {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chase::chase;
+    use crate::chase::ChaseConfig;
     use pcql::parser::{parse_dependency, parse_query};
 
-    fn bcfg() -> BackchaseConfig {
-        BackchaseConfig::default()
-    }
-
-    fn ccfg() -> ChaseConfig {
-        ChaseConfig::default()
-    }
-
     fn ctx(deps: &[Dependency]) -> ChaseContext {
-        ChaseContext::new(deps.to_vec(), ccfg())
+        ChaseContext::new(deps.to_vec(), ChaseConfig::default())
     }
 
-    #[test]
-    fn paper_tableau_minimization_example() {
-        // §3: R(A,B) with a redundant third binding.
-        let q = parse_query(
-            "select struct(A = p.A, B = r.B) from R p, R q, R r \
-             where p.B = q.A and q.B = r.B",
-        )
-        .unwrap();
-        let m = minimize(&q, &bcfg());
-        assert_eq!(m.from.len(), 2);
-        let expect =
-            parse_query("select struct(A = p.A, B = q.B) from R p, R q where p.B = q.A").unwrap();
-        assert_eq!(m.alpha_normalized(), expect.alpha_normalized());
-    }
-
-    #[test]
-    fn minimization_is_idempotent() {
-        let q = parse_query(
-            "select struct(A = p.A, B = r.B) from R p, R q, R r \
-             where p.B = q.A and q.B = r.B",
-        )
-        .unwrap();
-        let m1 = minimize(&q, &bcfg());
-        let m2 = minimize(&m1, &bcfg());
-        assert_eq!(m1.alpha_normalized(), m2.alpha_normalized());
-    }
-
-    #[test]
-    fn no_step_without_justification() {
-        // A plain join has no removable binding.
-        let q =
-            parse_query("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B").unwrap();
-        assert!(is_minimal_in(&ctx(&[]), &q));
-        for b in &q.from {
-            assert!(backchase_step_in(&ctx(&[]), &q, &b.var).is_none());
-        }
-    }
-
-    #[test]
-    fn ric_justifies_join_elimination() {
-        // With the RIC every r has an s partner; the join with s whose
-        // columns aren't used can be dropped (semantic optimization).
-        let q = parse_query("select struct(A = r.A) from R r, S s where r.B = s.B").unwrap();
-        let ric =
-            parse_dependency("ric", "forall (r in R) -> exists (s in S) where r.B = s.B").unwrap();
-        let q2 = backchase_step_in(&ctx(std::slice::from_ref(&ric)), &q, "s").expect("s removable");
-        assert_eq!(q2.from.len(), 1);
-        assert_eq!(q2.to_string(), "select struct(A = r.A) from R r");
-        // Without the constraint the step is rejected.
-        assert!(backchase_step_in(&ctx(&[]), &q, "s").is_none());
-        // The enumeration agrees.
-        let out = backchase(&q, &[ric], &bcfg());
-        assert_eq!(out.normal_forms.len(), 1);
-        assert_eq!(out.normal_forms[0].from.len(), 1);
-    }
-
-    #[test]
-    fn dependent_bindings_removed_together() {
-        // Removing d must drag s (bound to d.DProjs) along when s can't be
-        // re-expressed.
-        let q = parse_query("select struct(A = p.A) from depts d, d.DProjs s, Proj p").unwrap();
-        // Unconstrained, the removal is not equivalence-preserving
-        // (depts or DProjs may be empty).
-        assert!(backchase_step_in(&ctx(&[]), &q, "d").is_none());
-        // With a constraint making every Proj row belong to some dept,
-        // the removal of {d, s} is justified.
-        let cov = parse_dependency(
-            "cov",
-            "forall (p in Proj) -> exists (d in depts) (s in d.DProjs) where s = s",
-        )
-        .unwrap();
-        let q2 = backchase_step_in(&ctx(&[cov]), &q, "d").expect("d,s removable");
-        assert_eq!(q2.from.len(), 1);
-        assert_eq!(q2.from[0].src, Path::root("Proj"));
-    }
-
-    #[test]
-    fn dependent_binding_reexpressed_instead_of_removed() {
-        // d = d2, s ranges over d.DProjs; removing d re-expresses s's
-        // source over d2.
-        let q = parse_query("select struct(S = s) from depts d, depts d2, d.DProjs s where d = d2")
-            .unwrap();
-        let q2 = backchase_step_in(&ctx(&[]), &q, "d").expect("d removable");
-        assert_eq!(q2.from.len(), 2);
-        assert!(q2
-            .from
-            .iter()
-            .any(|b| b.src == Path::var("d2").field("DProjs")));
-    }
-
-    #[test]
-    fn output_blocks_removal() {
-        // q's only output comes from s; s can't be removed even though the
-        // RIC would justify the existence part.
-        let q = parse_query("select struct(C = s.C) from R r, S s where r.B = s.B").unwrap();
-        let ric =
-            parse_dependency("ric", "forall (r in R) -> exists (s in S) where r.B = s.B").unwrap();
-        assert!(backchase_step_in(&ctx(std::slice::from_ref(&ric)), &q, "s").is_none());
-        let out = backchase(&q, &[ric], &bcfg());
-        assert_eq!(out.normal_forms.len(), 1);
-        assert_eq!(out.normal_forms[0].from.len(), 2);
-    }
-
-    #[test]
-    fn view_rewrite_via_backchase_enumeration() {
-        // The chased query contains the base join and the view; the
-        // complete enumeration finds both minimal plans, including the
-        // view-only plan that requires removing {r, s} jointly (which the
-        // single-binding rewrite rule alone cannot justify).
+    /// `u` joins R, S and a view V of their join, under V's two
+    /// inclusion constraints.
+    fn view_scenario() -> (Query, Vec<Dependency>) {
         let u = parse_query(
             "select struct(A = r.A) from R r, S s, V v \
              where r.B = s.B and v.A = r.A",
@@ -910,14 +756,148 @@ mod tests {
             )
             .unwrap(),
         ];
+        (u, deps)
+    }
+
+    #[test]
+    fn paper_tableau_minimization_example() {
+        // §3: R(A,B) with a redundant third binding.
+        let q = parse_query(
+            "select struct(A = p.A, B = r.B) from R p, R q, R r \
+             where p.B = q.A and q.B = r.B",
+        )
+        .unwrap();
+        let m = minimize(&ctx(&[]), &q);
+        assert_eq!(m.from.len(), 2);
+        let expect =
+            parse_query("select struct(A = p.A, B = q.B) from R p, R q where p.B = q.A").unwrap();
+        assert_eq!(m.alpha_normalized(), expect.alpha_normalized());
+    }
+
+    #[test]
+    fn minimization_is_idempotent() {
+        let q = parse_query(
+            "select struct(A = p.A, B = r.B) from R p, R q, R r \
+             where p.B = q.A and q.B = r.B",
+        )
+        .unwrap();
+        let ctx = ctx(&[]);
+        let m1 = minimize(&ctx, &q);
+        let m2 = minimize(&ctx, &m1);
+        assert_eq!(m1.alpha_normalized(), m2.alpha_normalized());
+    }
+
+    #[test]
+    fn minimize_under_a_ric_drops_the_dependent_join() {
+        // Held over a context with a RIC, minimization is semantic: every
+        // r has an s partner, so the join with s goes. It is exactly the
+        // smallest normal form of the backchase over the same context.
+        let q = parse_query("select struct(A = r.A) from R r, S s where r.B = s.B").unwrap();
+        let ric =
+            parse_dependency("ric", "forall (r in R) -> exists (s in S) where r.B = s.B").unwrap();
+        let with_ric = ctx(&[ric]);
+        let m = minimize(&with_ric, &q);
+        assert_eq!(m.to_string(), "select struct(A = r.A) from R r");
+        assert_eq!(backchase(&with_ric, &q, 0).normal_forms, vec![m]);
+        // Without the RIC the join stays.
+        assert_eq!(minimize(&ctx(&[]), &q).from.len(), 2);
+    }
+
+    #[test]
+    fn no_step_without_justification() {
+        // A plain join has no removable binding.
+        let q =
+            parse_query("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B").unwrap();
+        let ctx = ctx(&[]);
+        assert!(is_minimal(&ctx, &q));
+        for b in &q.from {
+            assert!(backchase_step(&ctx, &q, &b.var).is_none());
+        }
+    }
+
+    #[test]
+    fn ric_justifies_join_elimination() {
+        // With the RIC every r has an s partner; the join with s whose
+        // columns aren't used can be dropped (semantic optimization).
+        let q = parse_query("select struct(A = r.A) from R r, S s where r.B = s.B").unwrap();
+        let ric =
+            parse_dependency("ric", "forall (r in R) -> exists (s in S) where r.B = s.B").unwrap();
+        let with_ric = ctx(&[ric]);
+        let q2 = backchase_step(&with_ric, &q, "s").expect("s removable");
+        assert_eq!(q2.from.len(), 1);
+        assert_eq!(q2.to_string(), "select struct(A = r.A) from R r");
+        // Without the constraint the step is rejected.
+        assert!(backchase_step(&ctx(&[]), &q, "s").is_none());
+        // The enumeration agrees.
+        let out = backchase(&with_ric, &q, 0);
+        assert_eq!(out.normal_forms.len(), 1);
+        assert_eq!(out.normal_forms[0].from.len(), 1);
+    }
+
+    #[test]
+    fn dependent_bindings_removed_together() {
+        // Removing d must drag s (bound to d.DProjs) along when s can't be
+        // re-expressed.
+        let q = parse_query("select struct(A = p.A) from depts d, d.DProjs s, Proj p").unwrap();
+        // Unconstrained, the removal is not equivalence-preserving
+        // (depts or DProjs may be empty).
+        assert!(backchase_step(&ctx(&[]), &q, "d").is_none());
+        // With a constraint making every Proj row belong to some dept,
+        // the removal of {d, s} is justified.
+        let cov = parse_dependency(
+            "cov",
+            "forall (p in Proj) -> exists (d in depts) (s in d.DProjs) where s = s",
+        )
+        .unwrap();
+        let q2 = backchase_step(&ctx(&[cov]), &q, "d").expect("d,s removable");
+        assert_eq!(q2.from.len(), 1);
+        assert_eq!(q2.from[0].src, Path::root("Proj"));
+    }
+
+    #[test]
+    fn dependent_binding_reexpressed_instead_of_removed() {
+        // d = d2, s ranges over d.DProjs; removing d re-expresses s's
+        // source over d2.
+        let q = parse_query("select struct(S = s) from depts d, depts d2, d.DProjs s where d = d2")
+            .unwrap();
+        let q2 = backchase_step(&ctx(&[]), &q, "d").expect("d removable");
+        assert_eq!(q2.from.len(), 2);
+        assert!(q2
+            .from
+            .iter()
+            .any(|b| b.src == Path::var("d2").field("DProjs")));
+    }
+
+    #[test]
+    fn output_blocks_removal() {
+        // q's only output comes from s; s can't be removed even though the
+        // RIC would justify the existence part.
+        let q = parse_query("select struct(C = s.C) from R r, S s where r.B = s.B").unwrap();
+        let ric =
+            parse_dependency("ric", "forall (r in R) -> exists (s in S) where r.B = s.B").unwrap();
+        let ctx = ctx(&[ric]);
+        assert!(backchase_step(&ctx, &q, "s").is_none());
+        let out = backchase(&ctx, &q, 0);
+        assert_eq!(out.normal_forms.len(), 1);
+        assert_eq!(out.normal_forms[0].from.len(), 2);
+    }
+
+    #[test]
+    fn view_rewrite_via_backchase_enumeration() {
+        // The chased query contains the base join and the view; the
+        // complete enumeration finds both minimal plans, including the
+        // view-only plan that requires removing {r, s} jointly (which the
+        // single-binding rewrite rule alone cannot justify).
+        let (u, deps) = view_scenario();
         // The single-binding rule: v is removable, r alone is not (the
         // witness for the remaining s is lost).
-        let base = backchase_step_in(&ctx(&deps), &u, "v").expect("v removable");
+        let ctx = ctx(&deps);
+        let base = backchase_step(&ctx, &u, "v").expect("v removable");
         assert_eq!(base.from.len(), 2);
-        assert!(backchase_step_in(&ctx(&deps), &u, "r").is_none());
+        assert!(backchase_step(&ctx, &u, "r").is_none());
 
         // The complete enumeration still reaches the view-only plan.
-        let out = backchase(&u, &deps, &bcfg());
+        let out = backchase(&ctx, &u, 0);
         assert!(out.complete);
         let shapes: BTreeSet<Vec<String>> = out
             .normal_forms
@@ -942,8 +922,9 @@ mod tests {
             r#"select struct(PN = t.PName) from dom(SI) k, SI[k] t where k = "CitiBank""#,
         )
         .unwrap();
-        assert!(backchase_step_in(&ctx(&[]), &q, "k").is_none());
-        let out = backchase(&q, &[], &bcfg());
+        let ctx = ctx(&[]);
+        assert!(backchase_step(&ctx, &q, "k").is_none());
+        let out = backchase(&ctx, &q, 0);
         assert_eq!(out.normal_forms.len(), 1);
         assert_eq!(out.normal_forms[0].from.len(), 2);
     }
@@ -959,14 +940,14 @@ mod tests {
             "forall (j in JI) -> exists (i in dom(I)) where i = j.PN",
         )
         .unwrap();
-        let q2 =
-            backchase_step_in(&ctx(std::slice::from_ref(&safety)), &q, "i").expect("i removable");
+        let with_safety = ctx(&[safety]);
+        let q2 = backchase_step(&with_safety, &q, "i").expect("i removable");
         assert_eq!(q2.from.len(), 1);
         assert_eq!(q2.output.paths()[0].1.to_string(), "I[j.PN].Budg");
         // Without the safety constraint the step is rejected.
-        assert!(backchase_step_in(&ctx(&[]), &q, "i").is_none());
+        assert!(backchase_step(&ctx(&[]), &q, "i").is_none());
         // Enumeration reaches P4's shape as the unique normal form.
-        let out = backchase(&q, &[safety], &bcfg());
+        let out = backchase(&with_safety, &q, 0);
         assert_eq!(out.normal_forms.len(), 1);
         assert_eq!(out.normal_forms[0].from.len(), 1);
     }
@@ -979,43 +960,29 @@ mod tests {
             parse_query("select struct(A = p.A, B = q.B) from R p, R q where p.K = q.K").unwrap();
         let key =
             parse_dependency("key", "forall (p in R) (q in R) where p.K = q.K -> p = q").unwrap();
-        let u = chase(&q, std::slice::from_ref(&key), &ccfg()).query;
-        let out = backchase(&u, &[key], &bcfg());
+        let ctx = ctx(&[key]);
+        let u = ctx.chase(&q).query;
+        let out = backchase(&ctx, &u, 0);
         assert!(out.normal_forms.iter().any(|nf| nf.from.len() == 1));
     }
 
     #[test]
     fn greedy_descent_reaches_a_minimal_plan() {
-        let u = parse_query(
-            "select struct(A = r.A) from R r, S s, V v \
-             where r.B = s.B and v.A = r.A",
-        )
-        .unwrap();
-        let deps = vec![
-            parse_dependency(
-                "c_V",
-                "forall (r in R) (s in S) where r.B = s.B -> exists (v in V) where v.A = r.A",
-            )
-            .unwrap(),
-            parse_dependency(
-                "c'_V",
-                "forall (v in V) -> exists (r in R) (s in S) where r.B = s.B and v.A = r.A",
-            )
-            .unwrap(),
-        ];
+        let (u, deps) = view_scenario();
         // Preferring to remove R and S (as if they were logical-only)
         // drives the descent into the view-only plan.
         let prefer: BTreeSet<String> = ["R".to_string(), "S".to_string()].into();
-        let plan = backchase_greedy_in(&ctx(&deps), &u, &prefer);
+        let ctx = ctx(&deps);
+        let plan = backchase_greedy(&ctx, &u, &prefer);
         assert_eq!(plan.from.len(), 1);
         assert_eq!(plan.from[0].src, Path::root("V"));
-        assert!(is_minimal_in(&ctx(&deps), &plan));
+        assert!(is_minimal(&ctx, &plan));
 
         // With no preference the descent still reaches a minimal plan
         // (removing r alone is equivalence-preserving here: an empty S
         // forces an empty V, so the dangling S binding filters nothing).
-        let plan2 = backchase_greedy_in(&ctx(&deps), &u, &BTreeSet::new());
-        assert!(is_minimal_in(&ctx(&deps), &plan2));
+        let plan2 = backchase_greedy(&ctx, &u, &BTreeSet::new());
+        assert!(is_minimal(&ctx, &plan2));
         assert_eq!(plan2.from.len(), 1);
     }
 
@@ -1023,29 +990,8 @@ mod tests {
     fn greedy_on_already_minimal_query_is_identity_shaped() {
         let q =
             parse_query("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B").unwrap();
-        let plan = backchase_greedy_in(&ctx(&[]), &q, &BTreeSet::new());
+        let plan = backchase_greedy(&ctx(&[]), &q, &BTreeSet::new());
         assert_eq!(plan.from.len(), 2);
-    }
-
-    fn view_scenario() -> (Query, Vec<Dependency>) {
-        let u = parse_query(
-            "select struct(A = r.A) from R r, S s, V v \
-             where r.B = s.B and v.A = r.A",
-        )
-        .unwrap();
-        let deps = vec![
-            parse_dependency(
-                "c_V",
-                "forall (r in R) (s in S) where r.B = s.B -> exists (v in V) where v.A = r.A",
-            )
-            .unwrap(),
-            parse_dependency(
-                "c'_V",
-                "forall (v in V) -> exists (r in R) (s in S) where r.B = s.B and v.A = r.A",
-            )
-            .unwrap(),
-        ];
-        (u, deps)
     }
 
     #[test]
@@ -1125,28 +1071,8 @@ mod tests {
 
     #[test]
     fn visited_budget_respected() {
-        let u = parse_query(
-            "select struct(A = r.A) from R r, S s, V v \
-             where r.B = s.B and v.A = r.A",
-        )
-        .unwrap();
-        let deps = vec![
-            parse_dependency(
-                "c_V",
-                "forall (r in R) (s in S) where r.B = s.B -> exists (v in V) where v.A = r.A",
-            )
-            .unwrap(),
-            parse_dependency(
-                "c'_V",
-                "forall (v in V) -> exists (r in R) (s in S) where r.B = s.B and v.A = r.A",
-            )
-            .unwrap(),
-        ];
-        let tight = BackchaseConfig {
-            max_visited: 1,
-            ..BackchaseConfig::default()
-        };
-        let out = backchase(&u, &deps, &tight);
+        let (u, deps) = view_scenario();
+        let out = backchase(&ctx(&deps), &u, 1);
         assert!(!out.complete);
     }
 

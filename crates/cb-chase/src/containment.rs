@@ -4,39 +4,16 @@
 //! `chase_D(Q1)`: a homomorphism of `Q2`'s body with `h(O2) ≡ O1` modulo
 //! the chased query's congruence. This generalizes the classical
 //! Chandra–Merlin test and is the PC containment of [Popa–Tannen
-//! ICDT'99], which the paper builds on.
+//! ICDT'99], which the paper builds on. The questions are asked of a
+//! held [`ChaseContext`](crate::ChaseContext).
 
 use std::collections::BTreeMap;
 
 use pcql::query::{Output, Query};
-use pcql::Dependency;
 
 use crate::canon::QueryGraph;
 use crate::chase::ChaseConfig;
-use crate::context::ChaseContext;
 use crate::hom::{find_matching_hom, hom_is_valid, Assignment};
-
-/// Is `q1 ⊑ q2` under `deps` (set semantics)?
-///
-/// Thin wrapper allocating a throwaway [`ChaseContext`]; callers asking
-/// several containment questions of the same dependency set should hold
-/// a context instead.
-pub fn contained_in(q1: &Query, q2: &Query, deps: &[Dependency], cfg: &ChaseConfig) -> bool {
-    ChaseContext::new(deps.to_vec(), cfg.clone()).contained_in(q1, q2)
-}
-
-/// `q1 ⊑ q2` where `graph` is the canonical database of the *already
-/// chased* `q1` (with output `q1_output`). Lets callers that test many
-/// candidates against one chased query (the backchase) skip re-chasing.
-pub fn contained_in_pre_chased(
-    graph: &QueryGraph,
-    q1_output: &Output,
-    q2: &Query,
-    cfg: &ChaseConfig,
-) -> bool {
-    let mut graph = graph.clone();
-    output_matching_hom(&mut graph, q1_output, q2, cfg, None).is_some()
-}
 
 /// Finds a containment mapping from `q2` into `graph` (the canonical
 /// database of an already-chased query with output `q1_output`): a body
@@ -70,12 +47,6 @@ pub(crate) fn output_matching_hom(
     )
 }
 
-/// Are the queries equivalent under `deps`? (Throwaway-context wrapper;
-/// the two directions at least share one context's chase memo.)
-pub fn equivalent(q1: &Query, q2: &Query, deps: &[Dependency], cfg: &ChaseConfig) -> bool {
-    ChaseContext::new(deps.to_vec(), cfg.clone()).equivalent(q1, q2)
-}
-
 fn outputs_match(graph: &mut QueryGraph, o1: &Output, o2: &Output, h: &Assignment) -> bool {
     match (o1, o2) {
         (Output::Struct(f1), Output::Struct(f2)) => {
@@ -93,10 +64,13 @@ fn outputs_match(graph: &mut QueryGraph, o1: &Output, o2: &Output, h: &Assignmen
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::ChaseContext;
     use pcql::parser::{parse_dependency, parse_query};
+    use pcql::Dependency;
 
-    fn cfg() -> ChaseConfig {
-        ChaseConfig::default()
+    /// The prover under test, with no memo to stand in for a proof.
+    fn prover(deps: &[Dependency]) -> ChaseContext {
+        ChaseContext::without_memo(deps.to_vec(), ChaseConfig::default())
     }
 
     #[test]
@@ -110,9 +84,10 @@ mod tests {
         .unwrap();
         let small =
             parse_query("select struct(A = p.A, B = q.B) from R p, R q where p.B = q.A").unwrap();
-        assert!(contained_in(&big, &small, &[], &cfg()));
-        assert!(contained_in(&small, &big, &[], &cfg()));
-        assert!(equivalent(&big, &small, &[], &cfg()));
+        let ctx = prover(&[]);
+        assert!(ctx.contained_in(&big, &small));
+        assert!(ctx.contained_in(&small, &big));
+        assert!(ctx.equivalent(&big, &small));
     }
 
     #[test]
@@ -120,9 +95,10 @@ mod tests {
         let narrower = parse_query("select struct(A = r.A) from R r, S s where r.A = s.A").unwrap();
         let wider = parse_query("select struct(A = r.A) from R r").unwrap();
         // narrower ⊑ wider but not conversely.
-        assert!(contained_in(&narrower, &wider, &[], &cfg()));
-        assert!(!contained_in(&wider, &narrower, &[], &cfg()));
-        assert!(!equivalent(&narrower, &wider, &[], &cfg()));
+        let ctx = prover(&[]);
+        assert!(ctx.contained_in(&narrower, &wider));
+        assert!(!ctx.contained_in(&wider, &narrower));
+        assert!(!ctx.equivalent(&narrower, &wider));
     }
 
     #[test]
@@ -133,7 +109,7 @@ mod tests {
         let wider = parse_query("select struct(A = r.A) from R r").unwrap();
         let ric =
             parse_dependency("ric", "forall (r in R) -> exists (s in S) where r.A = s.A").unwrap();
-        assert!(equivalent(&narrower, &wider, &[ric], &cfg()));
+        assert!(prover(&[ric]).equivalent(&narrower, &wider));
     }
 
     #[test]
@@ -141,21 +117,23 @@ mod tests {
         let q1 = parse_query("select struct(A = r.A) from R r").unwrap();
         let q2 = parse_query("select struct(B = r.A) from R r").unwrap();
         let q3 = parse_query("select r.A from R r").unwrap();
-        assert!(!contained_in(&q1, &q2, &[], &cfg()));
-        assert!(!contained_in(&q1, &q3, &[], &cfg()));
-        assert!(contained_in(&q3, &q3, &[], &cfg()));
+        let ctx = prover(&[]);
+        assert!(!ctx.contained_in(&q1, &q2));
+        assert!(!ctx.contained_in(&q1, &q3));
+        assert!(ctx.contained_in(&q3, &q3));
     }
 
     #[test]
     fn constants_matter() {
         let five = parse_query("select struct(C = r.C) from R r where r.A = 5").unwrap();
         let six = parse_query("select struct(C = r.C) from R r where r.A = 6").unwrap();
-        assert!(contained_in(&five, &five, &[], &cfg()));
-        assert!(!contained_in(&five, &six, &[], &cfg()));
+        let ctx = prover(&[]);
+        assert!(ctx.contained_in(&five, &five));
+        assert!(!ctx.contained_in(&five, &six));
         // A constant-filtered query is contained in the unfiltered one.
         let all = parse_query("select struct(C = r.C) from R r").unwrap();
-        assert!(contained_in(&five, &all, &[], &cfg()));
-        assert!(!contained_in(&all, &five, &[], &cfg()));
+        assert!(ctx.contained_in(&five, &all));
+        assert!(!ctx.contained_in(&all, &five));
     }
 
     #[test]
@@ -165,10 +143,11 @@ mod tests {
                 .unwrap();
         let b = parse_query("select struct(A = r.A) from R r, S s where r.A = s.A").unwrap();
         let c = parse_query("select struct(A = r.A) from R r").unwrap();
-        assert!(contained_in(&a, &a, &[], &cfg()));
-        assert!(contained_in(&a, &b, &[], &cfg()));
-        assert!(contained_in(&b, &c, &[], &cfg()));
-        assert!(contained_in(&a, &c, &[], &cfg()));
+        let ctx = prover(&[]);
+        assert!(ctx.contained_in(&a, &a));
+        assert!(ctx.contained_in(&a, &b));
+        assert!(ctx.contained_in(&b, &c));
+        assert!(ctx.contained_in(&a, &c));
     }
 
     #[test]
@@ -177,13 +156,14 @@ mod tests {
             parse_query("select struct(S = s) from depts d, d.DProjs s, Proj p where s = p.PName")
                 .unwrap();
         let q2 = parse_query("select struct(S = s) from depts d, d.DProjs s").unwrap();
-        assert!(contained_in(&q1, &q2, &[], &cfg()));
-        assert!(!contained_in(&q2, &q1, &[], &cfg()));
+        let ctx = prover(&[]);
+        assert!(ctx.contained_in(&q1, &q2));
+        assert!(!ctx.contained_in(&q2, &q1));
         let ric1 = parse_dependency(
             "RIC1",
             "forall (d in depts) (s in d.DProjs) -> exists (p in Proj) where s = p.PName",
         )
         .unwrap();
-        assert!(contained_in(&q2, &q1, &[ric1], &cfg()));
+        assert!(prover(&[ric1]).contained_in(&q2, &q1));
     }
 }

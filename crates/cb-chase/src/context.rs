@@ -8,7 +8,7 @@
 //! built from their answers:
 //!
 //! * **chase outcomes**, keyed by the alpha-normalized query. Entries
-//!   hold a *resumable* [`ChaseState`](crate::chase::ChaseState) rather
+//!   hold a *resumable* `ChaseState` rather
 //!   than a finished result: a containment check stops chasing the
 //!   moment a witness homomorphism appears (sound, because every chase
 //!   prefix is equivalent to the input), and the next check against the
@@ -119,12 +119,6 @@
 //! footprint, a parked lattice's entries included: a shard over its share
 //! of the limit sheds every entry ([`CacheStats::pressure_sheds`]). Both
 //! are counted in [`CacheStats`].
-//!
-//! The free functions [`chase`](crate::chase()), [`contained_in`],
-//! [`equivalent`], [`implies`], [`backchase`](crate::backchase()) …
-//! remain available as thin wrappers that allocate a throwaway context;
-//! use the context API whenever more than one question will be asked of
-//! the same dependency set.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -529,7 +523,7 @@ impl ChaseContext {
     /// Fingerprint of a dependency set + chase budget: a cheap first
     /// check on the identity of the theory a context's memos are sound
     /// under. **Order-insensitive**: the hash runs over the sorted
-    /// canonical forms of the dependencies ([`canonical_dep_set`]), so
+    /// canonical forms of the dependencies (`canonical_dep_set`), so
     /// two orderings of the same set — a catalog rebuilt with its
     /// constraints in a different order, the routine plan-cache churn of
     /// a long-lived service — fingerprint identically and keep their
@@ -1017,7 +1011,7 @@ impl ChaseContext {
     /// abstracts constants but keeps the conditions in place, and the
     /// entry records which positions survive, so a hit applies to the
     /// caller's own conditions. Admitted from its second computation on
-    /// — the admission rule of [`ChaseContext::checkout_lattice`] — and
+    /// — the admission rule of the lattice memo's checkout — and
     /// counted as lattice hits and misses, so a replayed lattice costs
     /// its nodes without a single implication lookup.
     pub fn prune_implied_conditions(&self, q: &Query) -> Query {

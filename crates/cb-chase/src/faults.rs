@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the chase/search/optimizer stack.
 //!
-//! A [`FailPoint`] is a named site threaded through a hot seam of the
+//! A *failpoint* is a named site threaded through a hot seam of the
 //! system — a shard lock acquisition, a frontier pop, a chase step, a
 //! pipeline operator — at which a configured fault fires: a panic, an
 //! artificial delay, a spurious [`Err`], or a memory-pressure signal.

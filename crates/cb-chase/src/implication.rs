@@ -10,6 +10,10 @@
 //! particular for full dependencies). An incomplete chase makes the test
 //! conservative (may answer `false` for an implied constraint), which
 //! preserves the soundness of every backchase step built on it.
+//!
+//! The question is asked of a held context,
+//! [`ChaseContext::implies`](crate::ChaseContext::implies), which
+//! memoizes verdicts on a canonicalized σ.
 
 use std::collections::BTreeMap;
 
@@ -18,18 +22,7 @@ use pcql::query::{Output, Query};
 use pcql::Dependency;
 
 use crate::chase::{ChaseConfig, ChaseState};
-use crate::context::ChaseContext;
 use crate::hom::extension_exists;
-
-/// Does `deps ⊨ sigma` (as far as the bounded chase can tell)?
-///
-/// Thin wrapper allocating a throwaway [`ChaseContext`]; the backchase
-/// and the optimizer route their (heavily repetitive) proof obligations
-/// through a shared context, which memoizes verdicts on a canonicalized
-/// `sigma`.
-pub fn implies(deps: &[Dependency], sigma: &Dependency, cfg: &ChaseConfig) -> bool {
-    ChaseContext::new(deps.to_vec(), cfg.clone()).implies(sigma)
-}
 
 /// The uncached prover: freeze σ's universal side as a canonical query,
 /// chase it with `deps`, and look for a homomorphic witness of the
@@ -65,17 +58,19 @@ pub(crate) fn implies_uncached(deps: &[Dependency], sigma: &Dependency, cfg: &Ch
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::ChaseContext;
     use pcql::parser::parse_dependency;
 
-    fn cfg() -> ChaseConfig {
-        ChaseConfig::default()
+    /// The prover under test, with no memo to stand in for a proof.
+    fn prover(deps: &[Dependency]) -> ChaseContext {
+        ChaseContext::without_memo(deps.to_vec(), ChaseConfig::default())
     }
 
     #[test]
     fn self_implication() {
         let d =
             parse_dependency("d", "forall (r in R) -> exists (s in S) where r.A = s.A").unwrap();
-        assert!(implies(std::slice::from_ref(&d), &d, &cfg()));
+        assert!(prover(std::slice::from_ref(&d)).implies(&d));
     }
 
     #[test]
@@ -90,14 +85,15 @@ mod tests {
              -> exists (r in R) where p.B = q.A and q.B = r.B",
         )
         .unwrap();
-        assert!(implies(&[], &triv, &cfg()));
+        let ctx = prover(&[]);
+        assert!(ctx.implies(&triv));
 
         let nontriv = parse_dependency(
             "nontriv",
             "forall (p in R) -> exists (r in R) where p.B = r.A",
         )
         .unwrap();
-        assert!(!implies(&[], &nontriv, &cfg()));
+        assert!(!ctx.implies(&nontriv));
     }
 
     #[test]
@@ -110,8 +106,8 @@ mod tests {
             parse_dependency("d2", "forall (s in S) -> exists (t in T) where s.K = t.K").unwrap();
         let goal =
             parse_dependency("goal", "forall (r in R) -> exists (t in T) where r.K = t.K").unwrap();
-        assert!(implies(&[d1.clone(), d2.clone()], &goal, &cfg()));
-        assert!(!implies(&[d1], &goal, &cfg()));
+        assert!(prover(&[d1.clone(), d2.clone()]).implies(&goal));
+        assert!(!prover(&[d1]).implies(&goal));
     }
 
     #[test]
@@ -124,8 +120,8 @@ mod tests {
             "forall (p in R) (q in R) where p.K = q.K -> p.B = q.B",
         )
         .unwrap();
-        assert!(implies(&[key], &goal, &cfg()));
-        assert!(!implies(&[], &goal, &cfg()));
+        assert!(prover(&[key]).implies(&goal));
+        assert!(!prover(&[]).implies(&goal));
     }
 
     #[test]
@@ -140,7 +136,7 @@ mod tests {
         .unwrap();
         let goal =
             parse_dependency("goal", "forall (v in V) -> exists (r in R) where v.A = r.A").unwrap();
-        assert!(implies(&[c_v_prime], &goal, &cfg()));
+        assert!(prover(&[c_v_prime]).implies(&goal));
     }
 
     #[test]
@@ -165,9 +161,9 @@ mod tests {
              where s = p.PName and d.DName = p.PDept",
         )
         .unwrap();
-        assert!(implies(&[ric2.clone(), inv2.clone()], &goal, &cfg()));
+        assert!(prover(&[ric2.clone(), inv2.clone()]).implies(&goal));
         // Neither constraint alone suffices.
-        assert!(!implies(&[ric2], &goal, &cfg()));
-        assert!(!implies(&[inv2], &goal, &cfg()));
+        assert!(!prover(&[ric2]).implies(&goal));
+        assert!(!prover(&[inv2]).implies(&goal));
     }
 }

@@ -181,7 +181,7 @@ struct InFlight {
 /// the search (anytime planning — every visited subquery is a sound plan,
 /// "we can stop this rewriting anytime").
 ///
-/// The walk is the one [`backchase_in`](crate::backchase_in) performs:
+/// The walk is the one [`backchase`](fn@crate::backchase) performs:
 /// one lattice-wide `QueryGraph` per worker, dependent-closure removal
 /// sets, equivalence pruning of sublattices under non-equivalent
 /// subqueries, child containment checks seeded from the parent's witness

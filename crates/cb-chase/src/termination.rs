@@ -21,7 +21,7 @@
 //! Both checks are sufficient conditions only: the restricted chase often
 //! terminates on sets that fail them (the full ProjDept constraint set
 //! does — RIC1/INV2 form a special-edge cycle whose firings are always
-//! satisfied in practice). [`ChaseConfig`]'s budgets remain the safety
+//! satisfied in practice). [`ChaseConfig`](crate::ChaseConfig)'s budgets remain the safety
 //! net, and an incomplete chase is still sound.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -51,18 +51,11 @@ impl std::fmt::Display for TerminationVerdict {
     }
 }
 
-/// Statically classifies a dependency set.
-pub fn analyze_termination(deps: &[Dependency]) -> TerminationVerdict {
-    analyze_termination_with_witness(deps).0
-}
-
-/// [`analyze_termination`] plus, when the verdict is
-/// [`TerminationVerdict::Unknown`], the position-graph cycle that defeated
-/// weak acyclicity — the evidence a diagnostic can point at instead of a
-/// bare verdict.
-pub fn analyze_termination_with_witness(
-    deps: &[Dependency],
-) -> (TerminationVerdict, Option<CycleWitness>) {
+/// Statically classifies a dependency set. When the verdict is
+/// [`TerminationVerdict::Unknown`], the position-graph cycle that
+/// defeated weak acyclicity comes with it — the evidence a diagnostic can
+/// point at instead of a bare verdict.
+pub fn analyze_termination(deps: &[Dependency]) -> (TerminationVerdict, Option<CycleWitness>) {
     if deps.iter().all(Dependency::is_full) {
         return (TerminationVerdict::Full, None);
     }
@@ -162,17 +155,13 @@ fn position_edges(deps: &[Dependency]) -> Vec<PositionEdge> {
     edges
 }
 
-/// Sufficient termination condition: the position graph has no cycle
-/// through a special (value-inventing) edge.
-pub fn is_weakly_acyclic(deps: &[Dependency]) -> bool {
-    weak_acyclicity_witness(deps).is_none()
-}
-
-/// The witness when weak acyclicity fails: a cycle through a special edge
+/// Weak acyclicity, the sufficient termination condition: the position
+/// graph has no cycle through a special (value-inventing) edge. The
+/// witness when it fails: a cycle through a special edge
 /// exists iff some special edge (u, v) has a path v ->* u, and this
 /// returns that cycle (shortest return path, first offending special edge
 /// in dependency order) with the dependencies drawing its edges.
-pub fn weak_acyclicity_witness(deps: &[Dependency]) -> Option<CycleWitness> {
+fn weak_acyclicity_witness(deps: &[Dependency]) -> Option<CycleWitness> {
     let edges = position_edges(deps);
     let mut adj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for e in &edges {
@@ -244,7 +233,7 @@ mod tests {
             "forall (r in R) (s in S) where r.B = s.B -> exists (v in V) where v = r.A",
         )
         .unwrap()];
-        assert_eq!(analyze_termination(&deps), TerminationVerdict::Full);
+        assert_eq!(analyze_termination(&deps).0, TerminationVerdict::Full);
     }
 
     #[test]
@@ -255,7 +244,7 @@ mod tests {
                     .unwrap(),
             ];
         assert_eq!(
-            analyze_termination(&deps),
+            analyze_termination(&deps).0,
             TerminationVerdict::WeaklyAcyclic
         );
     }
@@ -269,7 +258,7 @@ mod tests {
             parse_dependency("rs", "forall (r in R) -> exists (s in S) where r.A = s.A").unwrap(),
             parse_dependency("sr", "forall (s in S) -> exists (r in R) where s.B = r.B").unwrap(),
         ];
-        assert_eq!(analyze_termination(&deps), TerminationVerdict::Unknown);
+        assert_eq!(analyze_termination(&deps).0, TerminationVerdict::Unknown);
     }
 
     #[test]
@@ -279,8 +268,8 @@ mod tests {
             "forall (s in S) -> exists (t in S) where t.Pred = s.A",
         )
         .unwrap()];
-        assert!(!is_weakly_acyclic(&deps));
-        assert_eq!(analyze_termination(&deps), TerminationVerdict::Unknown);
+        assert!(weak_acyclicity_witness(&deps).is_some());
+        assert_eq!(analyze_termination(&deps).0, TerminationVerdict::Unknown);
     }
 
     #[test]
@@ -294,7 +283,7 @@ mod tests {
             c
         };
         assert_eq!(
-            analyze_termination(cat.mapping_constraints()),
+            analyze_termination(cat.mapping_constraints()).0,
             TerminationVerdict::Full
         );
     }
@@ -314,7 +303,7 @@ mod tests {
             c
         };
         assert_eq!(
-            analyze_termination(cat.mapping_constraints()),
+            analyze_termination(cat.mapping_constraints()).0,
             TerminationVerdict::Unknown
         );
         // Empirically the restricted chase reaches a fixpoint anyway.
@@ -334,7 +323,7 @@ mod tests {
         // the verdict is honest about being only a sufficient condition.
         let cat = cb_catalog::scenarios::projdept::catalog();
         assert_eq!(
-            analyze_termination(&cat.all_constraints()),
+            analyze_termination(&cat.all_constraints()).0,
             TerminationVerdict::Unknown
         );
     }
@@ -345,7 +334,7 @@ mod tests {
             parse_dependency("rs", "forall (r in R) -> exists (s in S) where r.A = s.A").unwrap(),
             parse_dependency("sr", "forall (s in S) -> exists (r in R) where s.B = r.B").unwrap(),
         ];
-        let (verdict, witness) = analyze_termination_with_witness(&deps);
+        let (verdict, witness) = analyze_termination(&deps);
         assert_eq!(verdict, TerminationVerdict::Unknown);
         let w = witness.unwrap();
         assert_eq!(w.positions, vec!["R".to_string(), "S".to_string()]);
@@ -374,7 +363,7 @@ mod tests {
                     .unwrap(),
             ];
         assert!(weak_acyclicity_witness(&deps).is_none());
-        let (verdict, witness) = analyze_termination_with_witness(&deps);
+        let (verdict, witness) = analyze_termination(&deps);
         assert_eq!(verdict, TerminationVerdict::WeaklyAcyclic);
         assert!(witness.is_none());
     }
@@ -402,6 +391,6 @@ mod tests {
                 parse_dependency("key", "forall (p in R) (q in R) where p.A = q.A -> p = q")
                     .unwrap(),
             ];
-        assert_eq!(analyze_termination(&deps), TerminationVerdict::Full);
+        assert_eq!(analyze_termination(&deps).0, TerminationVerdict::Full);
     }
 }

@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 
 use cb_catalog::scenarios::projdept;
-use cb_chase::{backchase, chase, BackchaseConfig, ChaseConfig};
+use cb_chase::{backchase, chase, ChaseConfig, ChaseContext};
 
 fn roots_of(q: &pcql::Query) -> Vec<String> {
     q.from
@@ -48,13 +48,9 @@ fn universal_plan_contains_all_access_paths() {
 fn backchase_finds_the_paper_plans() {
     let cat = projdept::catalog();
     let q = projdept::query();
-    let deps = cat.all_constraints();
-    let u = chase(&q, &deps, &ChaseConfig::default()).query;
-    let cfg = BackchaseConfig {
-        max_visited: 4096,
-        ..BackchaseConfig::default()
-    };
-    let out = backchase(&u, &deps, &cfg);
+    let ctx = ChaseContext::new(cat.all_constraints(), ChaseConfig::default());
+    let u = ctx.chase(&q).query;
+    let out = backchase(&ctx, &u, 4096);
     assert!(out.complete, "backchase enumeration must finish");
 
     // Summarize plans by the multiset of their binding sources' roots.
@@ -120,16 +116,9 @@ fn mapping_only_regime() {
     //   §1 walkthrough does not backchase against the index constraints.)
     let cat = projdept::catalog().without_semantic_constraints();
     let q = projdept::query();
-    let deps = cat.all_constraints();
-    let u = chase(&q, &deps, &ChaseConfig::default()).query;
-    let out = backchase(
-        &u,
-        &deps,
-        &BackchaseConfig {
-            max_visited: 4096,
-            ..Default::default()
-        },
-    );
+    let ctx = ChaseContext::new(cat.all_constraints(), ChaseConfig::default());
+    let u = ctx.chase(&q).query;
+    let out = backchase(&ctx, &u, 4096);
     assert!(out.complete);
     let nf_shapes: BTreeSet<Vec<String>> = out
         .normal_forms

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use cb_catalog::scenarios::{relational_indexes, relational_views};
-use cb_chase::{backchase, chase, BackchaseConfig, ChaseConfig};
+use cb_chase::{backchase, ChaseConfig, ChaseContext};
 
 fn shapes(plans: &[pcql::Query]) -> BTreeSet<Vec<String>> {
     plans
@@ -25,21 +25,14 @@ fn index_only_access_path_is_found() {
     // §4 scenario 1: R(A,B,C), SA on A, SB on B, query
     // select r.C from R r where r.A = 5 and r.B = 7.
     let cat = relational_indexes::catalog();
-    let deps = cat.all_constraints();
-    let u = chase(&relational_indexes::query(), &deps, &ChaseConfig::default()).query;
+    let ctx = ChaseContext::new(cat.all_constraints(), ChaseConfig::default());
+    let u = ctx.chase(&relational_indexes::query()).query;
     // U brings in both indexes.
     let srcs: Vec<String> = u.from.iter().map(|b| b.src.to_string()).collect();
     assert!(srcs.contains(&"dom(SA)".to_string()), "{srcs:?}");
     assert!(srcs.contains(&"dom(SB)".to_string()), "{srcs:?}");
 
-    let out = backchase(
-        &u,
-        &deps,
-        &BackchaseConfig {
-            max_visited: 4096,
-            ..Default::default()
-        },
-    );
+    let out = backchase(&ctx, &u, 4096);
     assert!(out.complete);
     let nf = shapes(&out.normal_forms);
     // Index-only plans: no scan of R at all. Our secondary indexes store
@@ -77,18 +70,11 @@ fn view_navigation_plan_is_found() {
     // plans include the navigation join over the view and both indexes
     // (the paper's final plan), the index-joins, and the base join.
     let cat = relational_views::catalog();
-    let deps = cat.all_constraints();
-    let u = chase(&relational_views::query(), &deps, &ChaseConfig::default()).query;
+    let ctx = ChaseContext::new(cat.all_constraints(), ChaseConfig::default());
+    let u = ctx.chase(&relational_views::query()).query;
     assert_eq!(u.from.len(), 7, "U = {u}");
 
-    let out = backchase(
-        &u,
-        &deps,
-        &BackchaseConfig {
-            max_visited: 4096,
-            ..Default::default()
-        },
-    );
+    let out = backchase(&ctx, &u, 4096);
     assert!(out.complete);
     let nf = shapes(&out.normal_forms);
     assert!(

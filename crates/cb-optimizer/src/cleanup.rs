@@ -26,28 +26,15 @@ use pcql::path::Path;
 use pcql::query::{BindKind, Binding, Query};
 use pcql::types::Type;
 
-/// Applies the guard-elimination rewrite to fixpoint.
+/// Applies the guard-elimination rewrite to fixpoint. Runs *after*
+/// [`cb_chase::ChaseContext::prune_implied_conditions`]: the prover
+/// reasons over plain PC lookups, not the non-failing plan forms.
 pub fn cleanup_plan(catalog: &Catalog, q: &Query) -> Query {
     let mut out = q.clone();
     while let Some(next) = cleanup_once(catalog, &out) {
         out = next;
     }
     out
-}
-
-/// Drops `where` conditions that are implied by the rest of the plan
-/// under `D ∪ D'` — the maximal `C'` of a backchase subquery routinely
-/// carries conditions like `t = I[t.PName]` that are true on every
-/// constraint-satisfying instance and would only cost lookups at run
-/// time. Must run *before* [`cleanup_plan`] (the prover reasons over
-/// plain PC lookups, not the non-failing plan forms). A throwaway-context
-/// wrapper of [`cb_chase::ChaseContext::prune_implied_conditions`].
-pub fn prune_implied_conditions(
-    catalog: &Catalog,
-    q: &Query,
-    cfg: &cb_chase::ChaseConfig,
-) -> Query {
-    cb_chase::ChaseContext::new(catalog.all_constraints(), cfg.clone()).prune_implied_conditions(q)
 }
 
 fn entry_is_set(catalog: &Catalog, dict: &Path) -> bool {

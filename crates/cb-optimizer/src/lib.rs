@@ -9,7 +9,7 @@
 //!    (the §4 non-failing lookup rewrite), greedy binding reordering, and
 //!    System-R-style costing;
 //! 4. return the cheapest plan, with the whole derivation retained for
-//!    [`explain`].
+//!    [`explain`](fn@explain).
 
 pub mod cleanup;
 pub mod cost;
@@ -20,7 +20,7 @@ pub mod plan_repr;
 pub mod reorder;
 pub mod service;
 
-pub use cleanup::{cleanup_plan, prune_implied_conditions};
+pub use cleanup::cleanup_plan;
 pub use cost::{CostError, CostModel};
 pub use explain::{explain, explain_prepared};
 pub use governor::{Degradation, ResourceGovernor};

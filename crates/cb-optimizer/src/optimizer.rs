@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use cb_analyze::{Analyzer, Report};
 use cb_catalog::Catalog;
 use cb_chase::{
-    backchase_greedy_in, CacheStats, ChaseConfig, ChaseContext, ChaseStepTrace, ExploreAll,
+    backchase_greedy, CacheStats, ChaseConfig, ChaseContext, ChaseStepTrace, ExploreAll,
     MustRemainAnalysis, PlanSearch, SearchBudget, SearchOutcome, SearchVisitor, TerminationVerdict,
     Visit,
 };
@@ -429,7 +429,7 @@ impl<'a> Optimizer<'a> {
         let analyzer = Analyzer::new(self.catalog);
         let mut diagnostics = Report::new();
         let termination = if self.config.preflight == PreflightMode::Off {
-            cb_chase::analyze_termination(&self.catalog.all_constraints())
+            cb_chase::analyze_termination(&self.catalog.all_constraints()).0
         } else {
             let (verdict, catalog_report) = analyzer.check_catalog();
             diagnostics.merge(catalog_report);
@@ -538,7 +538,7 @@ impl<'a> Optimizer<'a> {
                         .filter(|r| !self.catalog.is_physical_root(r))
                         .cloned()
                         .collect();
-                    let plan = backchase_greedy_in(ctx, &universal, &prefer);
+                    let plan = backchase_greedy(ctx, &universal, &prefer);
                     // The greedy descent visits the universal plan alone.
                     nodes_visited = 1;
                     let visited = if self.config.cost_visited {
@@ -1248,7 +1248,7 @@ mod tests {
         let q = projdept::query();
         let ctx = ChaseContext::new(cat.all_constraints(), ChaseConfig::default());
         let universal = ctx.chase(&q).query;
-        let bc = cb_chase::backchase_in(&ctx, &universal, 4096);
+        let bc = cb_chase::backchase(&ctx, &universal, 4096);
         let physical = |qs: &[Query]| -> BTreeSet<Query> {
             qs.iter()
                 .filter(|q| cat.is_physical_query(q))

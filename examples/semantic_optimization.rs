@@ -22,7 +22,8 @@ fn tableau_minimization() {
          where p.B = q.A and q.B = r.B",
     )
     .unwrap();
-    let m = minimize(&q, &Default::default());
+    // No dependencies: the context's theory holds only trivial constraints.
+    let m = minimize(&ChaseContext::new(vec![], ChaseConfig::default()), &q);
     println!("query:     {q}");
     println!("minimized: {m}\n");
     assert_eq!(m.from.len(), 2);

@@ -12,16 +12,16 @@
 //! * [`pcql`] — the path-conjunctive query language: complex-object data
 //!   model (records, sets, dictionaries, classes/OIDs), queries, EPCD
 //!   constraints, parser and type checker;
-//! * [`catalog`](cb_catalog) — logical/physical schemas and the encoding
+//! * [`catalog`] — logical/physical schemas and the encoding
 //!   of physical access structures (indexes, materialized views, join
 //!   indexes, access support relations, gmaps, …) as constraints;
-//! * [`chase`](cb_chase) — the chase and backchase engines, containment,
+//! * [`chase`] — the chase and backchase engines, containment,
 //!   and generalized tableau minimization;
-//! * [`engine`](cb_engine) — an in-memory set-semantics evaluator, access
+//! * [`engine`] — an in-memory set-semantics evaluator, access
 //!   structure materializer, constraint checker and data generators;
-//! * [`optimizer`](cb_optimizer) — Algorithm 1 of the paper: chase to a
+//! * [`optimizer`] — Algorithm 1 of the paper: chase to a
 //!   universal plan, enumerate minimal plans by backchase, choose by cost;
-//! * [`analyze`](cb_analyze) — the static verifier and lint layer:
+//! * [`analyze`] — the static verifier and lint layer:
 //!   well-formedness, lookup safety, chase termination, and dataflow
 //!   verification of compiled pipelines, reported as stable `CB0xx`
 //!   diagnostics.
@@ -58,9 +58,7 @@ pub use pcql;
 pub mod prelude {
     pub use cb_analyze::{Analyzer, Report};
     pub use cb_catalog::{AccessStructure, Catalog};
-    pub use cb_chase::{
-        backchase, chase, contained_in, equivalent, implies, minimize, ChaseConfig,
-    };
+    pub use cb_chase::{backchase, chase, minimize, ChaseConfig, ChaseContext};
     pub use cb_engine::{Evaluator, Instance, Materializer, Value};
     pub use cb_optimizer::{CostModel, Optimizer};
     pub use pcql::prelude::*;

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use universal_plans::chase::{
-    backchase, chase, contained_in, examine_removal, BackchaseConfig, ChaseConfig, RemovalJudgement,
+    backchase, chase, examine_removal, ChaseConfig, ChaseContext, QueryGraph, RemovalJudgement,
 };
 use universal_plans::prelude::*;
 
@@ -29,17 +29,11 @@ fn views_catalog() -> Catalog {
 fn minimal_plans_are_subqueries_of_the_universal_plan() {
     let catalog = views_catalog();
     let q = parse_query("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B").unwrap();
-    let deps = catalog.all_constraints();
-    let u = chase(&q, &deps, &ChaseConfig::default()).query;
+    let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
+    let u = ctx.chase(&q).query;
     let u_vars: BTreeSet<String> = u.from.iter().map(|b| b.var.clone()).collect();
-    let out = backchase(
-        &u,
-        &deps,
-        &BackchaseConfig {
-            max_visited: 0,
-            ..Default::default()
-        },
-    );
+    let out = backchase(&ctx, &u, 0);
+    let mut graph = QueryGraph::of_query(&u);
     assert!(out.complete);
     for nf in &out.normal_forms {
         let nf_vars: BTreeSet<String> = nf.from.iter().map(|b| b.var.clone()).collect();
@@ -50,7 +44,7 @@ fn minimal_plans_are_subqueries_of_the_universal_plan() {
         let removed: BTreeSet<String> = u_vars.difference(&nf_vars).cloned().collect();
         // The removal set reproduces the plan (up to the canonical
         // condition formatting).
-        match examine_removal(&u, &deps, &removed, &ChaseConfig::default()) {
+        match examine_removal(&ctx, &u, &mut graph, &removed) {
             RemovalJudgement::Valid(qq) => {
                 assert_eq!(qq.alpha_normalized(), nf.alpha_normalized());
             }
@@ -85,10 +79,10 @@ fn chase_is_order_insensitive_for_full_dependencies() {
 fn universal_plan_is_equivalent_to_query() {
     let catalog = cb_catalog::scenarios::projdept::catalog();
     let q = cb_catalog::scenarios::projdept::query();
-    let deps = catalog.all_constraints();
-    let u = chase(&q, &deps, &ChaseConfig::default()).query;
-    assert!(contained_in(&q, &u, &deps, &ChaseConfig::default()));
-    assert!(contained_in(&u, &q, &deps, &ChaseConfig::default()));
+    let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
+    let u = ctx.chase(&q).query;
+    assert!(ctx.contained_in(&q, &u));
+    assert!(ctx.contained_in(&u, &q));
 }
 
 /// Monotone pruning (paper §5): if a subquery of U is not equivalent,
@@ -98,11 +92,11 @@ fn universal_plan_is_equivalent_to_query() {
 fn pruning_is_monotone_on_views_scenario() {
     let catalog = views_catalog();
     let q = parse_query("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B").unwrap();
-    let deps = catalog.all_constraints();
-    let u = chase(&q, &deps, &ChaseConfig::default()).query;
+    let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
+    let u = ctx.chase(&q).query;
     let vars: Vec<String> = u.from.iter().map(|b| b.var.clone()).collect();
     let n = vars.len();
-    let cfg = ChaseConfig::default();
+    let mut graph = QueryGraph::of_query(&u);
     let mut verdicts: Vec<(BTreeSet<String>, bool)> = Vec::new();
     for mask in 0..(1u32 << n) {
         let removed: BTreeSet<String> = (0..n)
@@ -110,7 +104,7 @@ fn pruning_is_monotone_on_views_scenario() {
             .map(|i| vars[i].clone())
             .collect();
         let ok = matches!(
-            examine_removal(&u, &deps, &removed, &cfg),
+            examine_removal(&ctx, &u, &mut graph, &removed),
             RemovalJudgement::Valid(_)
         );
         verdicts.push((removed, ok));

@@ -6,7 +6,7 @@
 //! subquery the backchase visits.
 
 use cb_optimizer::{CostBound, CostModel, Optimizer, OptimizerConfig, SearchStrategy};
-use universal_plans::chase::{backchase_in, ChaseContext, MustRemainAnalysis};
+use universal_plans::chase::{backchase, ChaseContext, MustRemainAnalysis};
 use universal_plans::prelude::*;
 
 /// Scenario catalogs with statistics, plus their logical query — every
@@ -193,7 +193,7 @@ fn lower_bound_is_admissible_for_every_visited_subquery() {
         let model = CostModel::for_catalog(&catalog);
         let ctx = ChaseContext::new(catalog.all_constraints(), Default::default());
         let u = ctx.chase(&q).query;
-        let out = backchase_in(&ctx, &u, 0);
+        let out = backchase(&ctx, &u, 0);
         assert!(out.complete, "{name}");
         for v in &out.visited {
             let lb = model.lower_bound(v);

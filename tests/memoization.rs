@@ -10,7 +10,7 @@
 //! honest.
 
 use cb_catalog::Catalog;
-use cb_chase::{backchase_in, first_unsafe, CacheStats, ChaseConfig, ChaseContext};
+use cb_chase::{backchase, first_unsafe, CacheStats, ChaseConfig, ChaseContext};
 use pcql::Query;
 
 fn norm(plans: &[Query]) -> Vec<Query> {
@@ -33,8 +33,8 @@ fn check_scenario(name: &str, catalog: &Catalog, q: &Query, max_visited: usize) 
     let u2 = disabled.chase(q).query;
     assert_eq!(u1, u2, "{name}: universal plans differ");
 
-    let a = backchase_in(&memoized, &u1, max_visited);
-    let b = backchase_in(&disabled, &u2, max_visited);
+    let a = backchase(&memoized, &u1, max_visited);
+    let b = backchase(&disabled, &u2, max_visited);
     assert_eq!(a.complete, b.complete, "{name}: completeness differs");
     assert_eq!(
         norm(&a.normal_forms),
@@ -217,8 +217,8 @@ fn check_constant_family_verdicts(scenario: &str, seed: u64) {
             "{desc}: universal plans differ"
         );
         let before = warm.stats();
-        let a = backchase_in(&warm, &u, 400);
-        let b = backchase_in(&oracle, &u, 400);
+        let a = backchase(&warm, &u, 400);
+        let b = backchase(&oracle, &u, 400);
         assert_eq!(a.complete, b.complete, "{desc}: completeness differs");
         assert_eq!(norm(&a.normal_forms), norm(&b.normal_forms), "{desc}");
         assert_eq!(norm(&a.visited), norm(&b.visited), "{desc}");

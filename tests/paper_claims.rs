@@ -107,30 +107,17 @@ fn both_index_directions_are_needed() {
         .cloned()
         .collect();
     let q = cb_catalog::scenarios::projdept::query();
-    let cfg = ChaseConfig::default();
-    let u_full = chase(&q, &deps_full, &cfg).query;
-    let u_oneway = chase(&q, &deps_oneway, &cfg).query;
+    let ctx_full = ChaseContext::new(deps_full, ChaseConfig::default());
+    let ctx_oneway = ChaseContext::new(deps_oneway, ChaseConfig::default());
+    let u_full = ctx_full.chase(&q).query;
+    let u_oneway = ctx_oneway.chase(&q).query;
     // The chase still *introduces* SI either way (SI1 is present)…
     assert!(u_full.from.iter().any(|b| b.src.to_string() == "dom(SI)"));
     assert!(u_oneway.from.iter().any(|b| b.src.to_string() == "dom(SI)"));
     // …but without the inverse direction the SI-only plan can no longer
     // be *justified*: removing the Proj binding requires SI2.
-    let out_full = backchase(
-        &u_full,
-        &deps_full,
-        &universal_plans::chase::BackchaseConfig {
-            max_visited: 4096,
-            ..Default::default()
-        },
-    );
-    let out_oneway = backchase(
-        &u_oneway,
-        &deps_oneway,
-        &universal_plans::chase::BackchaseConfig {
-            max_visited: 4096,
-            ..Default::default()
-        },
-    );
+    let out_full = backchase(&ctx_full, &u_full, 4096);
+    let out_oneway = backchase(&ctx_oneway, &u_oneway, 4096);
     let si_only = |nfs: &[Query]| {
         nfs.iter()
             .any(|p| p.from.len() == 2 && p.from.iter().all(|b| b.src.mentions_root("SI")))
