@@ -50,7 +50,6 @@ pub use wellformed::{check_catalog_wellformed, check_dependencies, check_query_w
 
 use cb_catalog::Catalog;
 use cb_chase::TerminationVerdict;
-use cb_engine::Pipeline;
 use pcql::query::Query;
 
 /// The catalog-aware analysis entry point: one value bundling every pass
@@ -88,12 +87,6 @@ impl<'a> Analyzer<'a> {
         check_lookups(q).1
     }
 
-    /// Pass 4 over one compiled pipeline. Catalog-independent; provided
-    /// here so one `Analyzer` covers the whole stack.
-    pub fn check_pipeline(&self, p: &Pipeline) -> Report {
-        check_pipeline(p)
-    }
-
     /// Pass 5 over the process environment: validates the `CB_FAULTS`
     /// fault schedule (a malformed one is an error — it would arm
     /// nothing and a chaos sweep would pass vacuously) and surfaces any
@@ -112,28 +105,34 @@ impl<'a> Analyzer<'a> {
         report
     }
 
+    /// Pass 4 over `q` compiled in both modes — plain, and with the
+    /// physical join operators (hash + merge) on — so every operator the
+    /// executor could run is verified. Findings are labeled `label` and
+    /// `"{label}, hash/merge joins"`. Catalog-independent.
+    pub fn check_pipelines(&self, q: &Query, label: &str) -> Report {
+        let mut report = Report::new();
+        for (joins, mode) in [(false, ""), (true, ", hash/merge joins")] {
+            let options = cb_engine::CompileOptions {
+                hash_joins: joins,
+                merge_joins: joins,
+                ..Default::default()
+            };
+            let pipeline = cb_engine::compile(q, options);
+            report.merge_labeled(&format!("{label}{mode}"), check_pipeline(&pipeline));
+        }
+        report
+    }
+
     /// The load-time gate for deserialized plans: a plan coming off disk
     /// (or a wire) was optimized against *some* catalog at *some* time —
     /// possibly not this catalog, possibly hand-edited since. Before it
     /// may execute, its query must pass the well-formedness and
     /// lookup-safety passes against the *current* catalog, and its
-    /// compiled pipeline the dataflow pass — in both compile modes, so
-    /// every operator the executor could run is verified, mirroring the
-    /// optimizer's own candidate pre-flight.
+    /// compiled pipelines [the dataflow pass](Analyzer::check_pipelines),
+    /// mirroring the optimizer's own candidate pre-flight.
     pub fn verify_loaded_plan(&self, q: &Query) -> Report {
         let mut report = self.check_query(q);
-        for joins in [false, true] {
-            let pipeline = cb_engine::compile(
-                q,
-                cb_engine::CompileOptions {
-                    hash_joins: joins,
-                    merge_joins: joins,
-                    ..Default::default()
-                },
-            );
-            let label = if joins { "loaded+joins" } else { "loaded" };
-            report.merge_labeled(label, self.check_pipeline(&pipeline));
-        }
+        report.merge(self.check_pipelines(q, "loaded"));
         report
     }
 }

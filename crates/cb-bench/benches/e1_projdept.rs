@@ -23,7 +23,7 @@ fn optimizer_phases(c: &mut Criterion) {
         b.iter(|| {
             // A cold question: the context is built inside the timing.
             let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
-            backchase(&ctx, black_box(&u), 4096)
+            backchase(&ctx, black_box(&u))
         });
     });
     group.finish();

@@ -40,7 +40,7 @@ fn backchase_scaling(c: &mut Criterion) {
             b.iter(|| {
                 // A cold question: the context is built inside the timing.
                 let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
-                let out = backchase(&ctx, black_box(&u), 0);
+                let out = backchase(&ctx, black_box(&u));
                 assert_eq!(out.normal_forms.len(), k + 1);
                 out
             });

@@ -87,8 +87,8 @@ fn parallel_walk(c: &mut Criterion) {
                     .with_threads(w)
                     .with_collect_visited(false)
                     .run(&ctx, &ExploreAll);
-                assert!(out.complete);
-                out.visited_count
+                assert!(out.counters.complete);
+                out.counters.visited_count
             });
         });
     }

@@ -197,7 +197,7 @@ fn run_json(path: &str, selection: &[String]) {
         records.push(measure("e8_backchase_4_views", ITERS, || {
             let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
             let u = ctx.chase(&q).query;
-            backchase(&ctx, &u, 0);
+            backchase(&ctx, &u);
             Some(ctx.stats())
         }));
     }
@@ -230,8 +230,8 @@ fn run_json(path: &str, selection: &[String]) {
                 .optimize(&p.query)
                 .ok()?;
             guided = (
-                out.nodes_visited as u64,
-                out.nodes_pruned_by_cost as u64,
+                out.search.visited_count as u64,
+                out.search.pruned() as u64,
                 out.best.cost,
             );
             Some(out.cache)
@@ -241,7 +241,7 @@ fn run_json(path: &str, selection: &[String]) {
         rec.extra = vec![
             ("nodes_visited", guided.0),
             ("nodes_pruned_by_cost", guided.1),
-            ("exhaustive_nodes_visited", full.nodes_visited as u64),
+            ("exhaustive_nodes_visited", full.search.visited_count as u64),
         ];
         records.push(rec);
     }
@@ -263,10 +263,10 @@ fn run_json(path: &str, selection: &[String]) {
                 .optimize(&p.query)
                 .ok()?;
             counters = (
-                out.nodes_visited as u64,
-                out.nodes_pruned_by_cost as u64,
-                out.nodes_pruned_at_gate as u64,
-                out.nodes_pruned_at_visit as u64,
+                out.search.visited_count as u64,
+                out.search.pruned() as u64,
+                out.search.pruned_at_gate as u64,
+                out.search.pruned_at_visit as u64,
                 out.best.cost,
             );
             Some(out.cache)
@@ -281,18 +281,18 @@ fn run_json(path: &str, selection: &[String]) {
         // the record is produced (CI runs this on every push): at least
         // 3x the single-access-floor pruning on ProjDept.
         assert!(
-            counters.1 >= 3 * (floor.nodes_pruned_by_cost as u64).max(1),
+            counters.1 >= 3 * (floor.search.pruned() as u64).max(1),
             "must-remain pruned {} < 3x access-floor pruned {}",
             counters.1,
-            floor.nodes_pruned_by_cost
+            floor.search.pruned()
         );
         rec.extra = vec![
             ("nodes_visited", counters.0),
             ("nodes_pruned_by_cost", counters.1),
             ("nodes_pruned_at_gate", counters.2),
             ("nodes_pruned_at_visit", counters.3),
-            ("access_floor_pruned", floor.nodes_pruned_by_cost as u64),
-            ("exhaustive_nodes_visited", full.nodes_visited as u64),
+            ("access_floor_pruned", floor.search.pruned() as u64),
+            ("exhaustive_nodes_visited", full.search.visited_count as u64),
             (
                 // The CI regression guard reads this: pruned / visited,
                 // in thousandths (the pre-must-remain baseline was ~21).
@@ -830,13 +830,13 @@ fn e14_cost_guided_pruning() {
         );
         rows.push(vec![
             name.to_string(),
-            full.nodes_visited.to_string(),
+            full.search.visited_count.to_string(),
             format!("{full_ms:.0}"),
-            guided.nodes_visited.to_string(),
-            guided.nodes_pruned_by_cost.to_string(),
+            guided.search.visited_count.to_string(),
+            guided.search.pruned().to_string(),
             format!(
                 "{:.0}%",
-                100.0 * guided.nodes_pruned_by_cost as f64 / full.nodes_visited.max(1) as f64
+                100.0 * guided.search.pruned() as f64 / full.search.visited_count.max(1) as f64
             ),
             format!("{guided_ms:.0}"),
             format!("{:.1}", guided.best.cost),
@@ -1103,23 +1103,23 @@ fn e16_must_remain_bound() {
             );
         }
         if mk == 0 {
-            projdept_pruned = (floor.nodes_pruned_by_cost, must.nodes_pruned_by_cost);
+            projdept_pruned = (floor.search.pruned(), must.search.pruned());
         }
         let ratio = |o: &cb_optimizer::OptimizeOutcome| {
-            100.0 * o.nodes_pruned_by_cost as f64 / full.nodes_visited.max(1) as f64
+            100.0 * o.search.pruned() as f64 / full.search.visited_count.max(1) as f64
         };
         rows.push(vec![
             name.to_string(),
-            full.nodes_visited.to_string(),
-            format!("{} ({:.0}%)", floor.nodes_pruned_by_cost, ratio(&floor)),
-            format!("{} ({:.0}%)", must.nodes_pruned_by_cost, ratio(&must)),
+            full.search.visited_count.to_string(),
+            format!("{} ({:.0}%)", floor.search.pruned(), ratio(&floor)),
+            format!("{} ({:.0}%)", must.search.pruned(), ratio(&must)),
             format!(
                 "{}g+{}v",
-                must.nodes_pruned_at_gate, must.nodes_pruned_at_visit
+                must.search.pruned_at_gate, must.search.pruned_at_visit
             ),
             format!(
                 "{:.1}x",
-                must.nodes_pruned_by_cost as f64 / floor.nodes_pruned_by_cost.max(1) as f64
+                must.search.pruned() as f64 / floor.search.pruned().max(1) as f64
             ),
             if must.must_remain.is_empty() {
                 "-".to_string()
@@ -1245,7 +1245,7 @@ fn e18_replay_one_worker(p: &Prepared) -> JsonRecord {
     let before = ctx.stats();
     let mut visited = 0;
     let mut rec = measure("e18_replay_one_worker", 400, || {
-        visited = walk().visited_count;
+        visited = walk().counters.visited_count;
         None
     });
     let after = ctx.stats();
@@ -1264,7 +1264,6 @@ fn e18_replay_one_worker(p: &Prepared) -> JsonRecord {
 fn e18_exhaustive(catalog: &cb_catalog::Catalog, q: &pcql::Query) -> cb_optimizer::OptimizeOutcome {
     use cb_optimizer::OptimizerConfig;
     let config = OptimizerConfig {
-        max_visited: 4096,
         cost_visited: true,
         ..Default::default()
     };
@@ -1301,7 +1300,7 @@ fn e18_parallel_search() {
                 format!("{:.2}", ns as f64 / 1e6),
                 format!("{:.2}x", t1 as f64 / ns.max(1) as f64),
                 format!("{:.1}", out.best.cost),
-                out.nodes_visited.to_string(),
+                out.search.visited_count.to_string(),
                 format!("{:.0}%", 100.0 * out.cache.hit_rate()),
             ]);
         }
@@ -1399,7 +1398,7 @@ fn e20_resilience() {
             label.to_string(),
             spec.to_string(),
             fs.injected.to_string(),
-            out.workers_died.to_string(),
+            out.search.workers_died.to_string(),
             out.degradations.len().to_string(),
             if fell_back {
                 "universal plan".to_string()
@@ -1469,7 +1468,7 @@ fn e20_disarmed_hit_ns() -> Option<f64> {
 /// E21 — the prepared-plan service: cold vs cached preparation over a
 /// replayed workload, with the "a hit skips phase 2" property asserted.
 fn e21_plan_service() {
-    use cb_optimizer::{explain_prepared, OptimizerConfig, PlanService};
+    use cb_optimizer::{explain_prepared, OptimizerConfig, PlanRepr, PlanService};
     banner("E21", "plan service: cold vs cached preparation");
     let scenarios = [
         ("projdept", prepared_projdept(50, 10, 25)),
@@ -1492,9 +1491,9 @@ fn e21_plan_service() {
         let warm_ms = t.elapsed().as_secs_f64() * 1e3 / REPLAYS as f64;
         // The serialized plan round-trips and re-verifies against the
         // service's own catalog.
-        let repr = &cold.plan.repr;
-        let reparsed = cb_optimizer::PlanRepr::parse(&repr.render()).expect("round trip");
-        assert_eq!(&reparsed, repr);
+        let repr = PlanRepr::from_outcome(&cold.plan.outcome);
+        let reparsed = PlanRepr::parse(&repr.render()).expect("round trip");
+        assert_eq!(reparsed, repr);
         reparsed.load_verified(svc.catalog()).expect("load-verify");
         rows.push(vec![
             (*name).to_string(),
@@ -1590,7 +1589,8 @@ fn e21_plan_service() {
     let p = prepared_projdept(20, 5, 5);
     let mut svc = PlanService::new(p.catalog.clone(), OptimizerConfig::default());
     let prepared = svc.prepare(&p.query).expect("prepare");
-    println!("{}", explain_prepared(&prepared.plan.repr));
+    let repr = PlanRepr::from_outcome(&prepared.plan.outcome);
+    println!("{}", explain_prepared(&repr));
 }
 
 /// Each builtin scenario at two data scales: the same constraints under
@@ -1820,7 +1820,7 @@ fn e1_projdept_plan_space() {
     ] {
         let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
         let u = ctx.chase(q).query;
-        let out = backchase(&ctx, &u, 4096);
+        let out = backchase(&ctx, &u);
         println!("\nregime: {regime}");
         println!("  universal plan: {} bindings", u.from.len());
         println!("  equivalent subqueries visited: {}", out.visited.len());
@@ -1995,7 +1995,7 @@ fn e8_backchase_scaling() {
         let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
         let u = ctx.chase(&q).query;
         let t = Instant::now();
-        let out = backchase(&ctx, &u, 0);
+        let out = backchase(&ctx, &u);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         let s = ctx.stats();
         rows.push(vec![
@@ -2056,7 +2056,7 @@ fn e9_completeness() {
     .unwrap();
     let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
     let u = ctx.chase(&q).query;
-    let out = backchase(&ctx, &u, 0);
+    let out = backchase(&ctx, &u);
 
     // Brute force over all removal subsets — one shared context and one
     // canonical database across all 2^n judgements.

@@ -141,22 +141,7 @@ pub fn lint_builtin_scenarios() -> Vec<ScenarioLint> {
                 .optimize(&p.query)
                 .expect("scenario optimizes");
             for (rank, c) in out.candidates.iter().enumerate() {
-                for joins in [false, true] {
-                    let pipeline = cb_engine::compile(
-                        &c.query,
-                        cb_engine::CompileOptions {
-                            hash_joins: joins,
-                            merge_joins: joins,
-                            ..Default::default()
-                        },
-                    );
-                    let label = format!(
-                        "plan #{}{}",
-                        rank + 1,
-                        if joins { ", hash/merge joins" } else { "" }
-                    );
-                    report.merge_labeled(&label, analyzer.check_pipeline(&pipeline));
-                }
+                report.merge(analyzer.check_pipelines(&c.query, &format!("plan #{}", rank + 1)));
                 lookups.absorb(analyzer.lookup_summary(&c.query));
             }
             ScenarioLint {

@@ -400,27 +400,18 @@ pub fn first_unsafe(ctx: &ChaseContext, q: &Query) -> Option<(Path, bool)> {
 /// plan, so expiry only trims how much of the plan space was explored —
 /// a latency SLO, never a correctness change. The root of the lattice
 /// (the universal plan itself) is always visited before a budget is
-/// consulted, so even `nodes: Some(0)` yields one sound plan.
+/// consulted, so even `nodes: Some(0)` yields one sound plan. The
+/// default sets neither limit: it never expires.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchBudget {
     /// Stop after this much wall-clock time in the search loop.
     pub wall_clock: Option<Duration>,
-    /// Stop after this many visited (equivalence-verified) nodes beyond
-    /// the root.
+    /// Stop once this many (equivalence-verified) nodes are visited, the
+    /// root included: `Some(n)` visits `max(n, 1)` nodes.
     pub nodes: Option<usize>,
 }
 
 impl SearchBudget {
-    /// A budget with neither limit set (the default): never expires.
-    pub fn unlimited() -> SearchBudget {
-        SearchBudget::default()
-    }
-
-    /// True if neither limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.wall_clock.is_none() && self.nodes.is_none()
-    }
-
     /// Has the budget run out, `visited` nodes after `start`? The caller
     /// guarantees `visited >= 1` (the root is exempt).
     pub(crate) fn expired(&self, start: Instant, visited: usize) -> bool {
@@ -516,20 +507,28 @@ pub struct SearchOutcome {
     /// Every equivalence-verified node streamed to the visitor, in visit
     /// order (the input `u` first), in `u`'s names and constants. Each is
     /// a sound plan. Empty when the run opted out via
-    /// [`PlanSearch::with_collect_visited`]
-    /// — use `visited_count` then. Collecting costs a copy of every
-    /// visited node, so ask for it only when something reads it.
+    /// [`PlanSearch::with_collect_visited`]: collecting costs a copy of
+    /// every visited node, so ask for it only when something reads it.
     pub visited: Vec<Query>,
-    /// Number of nodes streamed to the visitor (equals `visited.len()`
-    /// unless collection was disabled).
+    /// How far the walk got and why it stopped.
+    pub counters: SearchCounters,
+}
+
+/// How far one [`PlanSearch`] run got and why it stopped — the record
+/// the optimizer reports as `OptimizeOutcome::search`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchCounters {
+    /// Nodes streamed to the visitor (`visited.len()` when collected).
     pub visited_count: usize,
-    /// False if `max_visited` was hit.
-    pub complete: bool,
-    /// Verified nodes the visitor pruned at [`SearchVisitor::visit`].
-    pub pruned_at_visit: usize,
     /// Candidate subqueries skipped by [`SearchVisitor::admit`] before
     /// any verification work was spent on them.
     pub pruned_at_gate: usize,
+    /// Verified nodes the visitor pruned at [`SearchVisitor::visit`].
+    pub pruned_at_visit: usize,
+    /// False if the walk stopped with work left because its
+    /// [`SearchBudget`] expired or every worker died (an accepting
+    /// visitor leaves it true).
+    pub complete: bool,
     /// True if the visitor ended the search with [`Visit::Accept`].
     pub accepted: bool,
     /// True if a [`SearchBudget`] limit expired mid-search (the outcome
@@ -543,7 +542,7 @@ pub struct SearchOutcome {
     pub workers_died: usize,
 }
 
-impl SearchOutcome {
+impl SearchCounters {
     /// Total sublattices cut by the visitor (gate + visit).
     pub fn pruned(&self) -> usize {
         self.pruned_at_visit + self.pruned_at_gate
@@ -557,11 +556,10 @@ impl SearchOutcome {
 /// already be chased (Algorithm 1 passes the universal plan), so
 /// equivalence to `u` is equivalence to the original query. The
 /// collect-everything instantiation of [`PlanSearch`]: a visitor that
-/// always explores, stopping after `max_visited` nodes (0 = unlimited).
-pub fn backchase(ctx: &ChaseContext, u: &Query, max_visited: usize) -> SearchOutcome {
-    PlanSearch::new(u)
-        .with_max_visited(max_visited)
-        .run(ctx, &ExploreAll)
+/// always explores, with no budget. A caller that needs to stop the walk
+/// early runs `PlanSearch::new(u).with_budget(..)` instead.
+pub fn backchase(ctx: &ChaseContext, u: &Query) -> SearchOutcome {
+    PlanSearch::new(u).run(ctx, &ExploreAll)
 }
 
 /// The paper's §3 heuristic strategy: "the obvious strategy for the
@@ -713,7 +711,7 @@ pub fn is_minimal(ctx: &ChaseContext, q: &Query) -> bool {
 /// dependencies this is the paper's "chasing with trivial, always true,
 /// constraints".
 pub fn minimize(ctx: &ChaseContext, q: &Query) -> Query {
-    backchase(ctx, q, 0)
+    backchase(ctx, q)
         .normal_forms
         .into_iter()
         .min_by(|a, b| {
@@ -798,7 +796,7 @@ mod tests {
         let with_ric = ctx(&[ric]);
         let m = minimize(&with_ric, &q);
         assert_eq!(m.to_string(), "select struct(A = r.A) from R r");
-        assert_eq!(backchase(&with_ric, &q, 0).normal_forms, vec![m]);
+        assert_eq!(backchase(&with_ric, &q).normal_forms, vec![m]);
         // Without the RIC the join stays.
         assert_eq!(minimize(&ctx(&[]), &q).from.len(), 2);
     }
@@ -829,7 +827,7 @@ mod tests {
         // Without the constraint the step is rejected.
         assert!(backchase_step(&ctx(&[]), &q, "s").is_none());
         // The enumeration agrees.
-        let out = backchase(&with_ric, &q, 0);
+        let out = backchase(&with_ric, &q);
         assert_eq!(out.normal_forms.len(), 1);
         assert_eq!(out.normal_forms[0].from.len(), 1);
     }
@@ -877,7 +875,7 @@ mod tests {
             parse_dependency("ric", "forall (r in R) -> exists (s in S) where r.B = s.B").unwrap();
         let ctx = ctx(&[ric]);
         assert!(backchase_step(&ctx, &q, "s").is_none());
-        let out = backchase(&ctx, &q, 0);
+        let out = backchase(&ctx, &q);
         assert_eq!(out.normal_forms.len(), 1);
         assert_eq!(out.normal_forms[0].from.len(), 2);
     }
@@ -897,8 +895,8 @@ mod tests {
         assert!(backchase_step(&ctx, &u, "r").is_none());
 
         // The complete enumeration still reaches the view-only plan.
-        let out = backchase(&ctx, &u, 0);
-        assert!(out.complete);
+        let out = backchase(&ctx, &u);
+        assert!(out.counters.complete);
         let shapes: BTreeSet<Vec<String>> = out
             .normal_forms
             .iter()
@@ -924,7 +922,7 @@ mod tests {
         .unwrap();
         let ctx = ctx(&[]);
         assert!(backchase_step(&ctx, &q, "k").is_none());
-        let out = backchase(&ctx, &q, 0);
+        let out = backchase(&ctx, &q);
         assert_eq!(out.normal_forms.len(), 1);
         assert_eq!(out.normal_forms[0].from.len(), 2);
     }
@@ -947,7 +945,7 @@ mod tests {
         // Without the safety constraint the step is rejected.
         assert!(backchase_step(&ctx(&[]), &q, "i").is_none());
         // Enumeration reaches P4's shape as the unique normal form.
-        let out = backchase(&with_safety, &q, 0);
+        let out = backchase(&with_safety, &q);
         assert_eq!(out.normal_forms.len(), 1);
         assert_eq!(out.normal_forms[0].from.len(), 1);
     }
@@ -962,7 +960,7 @@ mod tests {
             parse_dependency("key", "forall (p in R) (q in R) where p.K = q.K -> p = q").unwrap();
         let ctx = ctx(&[key]);
         let u = ctx.chase(&q).query;
-        let out = backchase(&ctx, &u, 0);
+        let out = backchase(&ctx, &u);
         assert!(out.normal_forms.iter().any(|nf| nf.from.len() == 1));
     }
 
@@ -1009,13 +1007,13 @@ mod tests {
         let (u, deps) = view_scenario();
         let ctx = ChaseContext::new(deps, ChaseConfig::default());
         let out = PlanSearch::new(&u).run(&ctx, &AcceptSmall);
-        assert!(out.accepted);
+        assert!(out.counters.accepted);
         // The accepted plan is the last node visited, and the walk
         // stopped there (an exhaustive run visits more).
         assert_eq!(out.visited.last().unwrap().from.len(), 2);
         let ctx = ChaseContext::new(ctx.deps().to_vec(), ChaseConfig::default());
         let full = PlanSearch::new(&u).run(&ctx, &ExploreAll);
-        assert!(!full.accepted);
+        assert!(!full.counters.accepted);
         assert!(out.visited.len() < full.visited.len());
     }
 
@@ -1035,10 +1033,10 @@ mod tests {
         let ctx = ChaseContext::new(deps, ChaseConfig::default());
         let out = PlanSearch::new(&u).run(&ctx, &RootOnly);
         assert_eq!(out.visited.len(), 1);
-        assert!(out.pruned_at_gate > 0);
-        assert_eq!(out.pruned(), out.pruned_at_gate);
+        assert!(out.counters.pruned_at_gate > 0);
+        assert_eq!(out.counters.pruned(), out.counters.pruned_at_gate);
         assert!(out.normal_forms.is_empty());
-        assert!(out.complete);
+        assert!(out.counters.complete);
     }
 
     #[test]
@@ -1072,8 +1070,15 @@ mod tests {
     #[test]
     fn visited_budget_respected() {
         let (u, deps) = view_scenario();
-        let out = backchase(&ctx(&deps), &u, 1);
-        assert!(!out.complete);
+        let out = PlanSearch::new(&u)
+            .with_budget(SearchBudget {
+                nodes: Some(1),
+                ..SearchBudget::default()
+            })
+            .run(&ctx(&deps), &ExploreAll);
+        assert!(!out.counters.complete);
+        assert!(out.counters.budget_expired);
+        assert_eq!(out.counters.visited_count, 1);
     }
 
     #[test]
@@ -1088,8 +1093,8 @@ mod tests {
                 ..SearchBudget::default()
             })
             .run(&ctx, &ExploreAll);
-        assert!(out.budget_expired);
-        assert!(!out.complete);
+        assert!(out.counters.budget_expired);
+        assert!(!out.counters.complete);
         assert_eq!(out.visited.len(), 1);
         assert_eq!(out.visited[0].alpha_normalized(), u.alpha_normalized());
         // A zero wall-clock budget behaves the same way.
@@ -1100,13 +1105,13 @@ mod tests {
                 ..SearchBudget::default()
             })
             .run(&ctx, &ExploreAll);
-        assert!(out.budget_expired);
+        assert!(out.counters.budget_expired);
         assert_eq!(out.visited.len(), 1);
         // An unlimited budget changes nothing and reports no expiry.
         let ctx = ChaseContext::new(deps, ChaseConfig::default());
         let out = PlanSearch::new(&u).run(&ctx, &ExploreAll);
-        assert!(!out.budget_expired);
-        assert!(out.complete);
+        assert!(!out.counters.budget_expired);
+        assert!(out.counters.complete);
     }
 
     #[test]
@@ -1122,7 +1127,7 @@ mod tests {
                 ..SearchBudget::default()
             })
             .run(&ctx, &ExploreAll);
-        assert!(out.budget_expired);
+        assert!(out.counters.budget_expired);
         assert_eq!(out.visited.len(), 2);
         // Everything kept is a verified plan from the full walk's set.
         let norm =

@@ -601,7 +601,7 @@ pub(crate) mod tests {
     fn assert_same_walk(a: &SearchOutcome, b: &SearchOutcome) {
         assert_eq!(a.visited, b.visited);
         assert_eq!(a.normal_forms, b.normal_forms);
-        assert_eq!(a.pruned_at_gate, b.pruned_at_gate);
+        assert_eq!(a.counters.pruned_at_gate, b.counters.pruned_at_gate);
     }
 
     #[test]
@@ -796,14 +796,14 @@ pub(crate) mod tests {
         let (lean, stats) = walk_with(&ctx, &u, false, &ExploreAll);
         replayed(&stats);
         assert!(lean.visited.is_empty());
-        assert_eq!(lean.visited_count, oracle.visited_count);
+        assert_eq!(lean.counters.visited_count, oracle.counters.visited_count);
         assert_eq!(lean.normal_forms, oracle.normal_forms);
-        assert_eq!(lean.pruned_at_gate, oracle.pruned_at_gate);
+        assert_eq!(lean.counters.pruned_at_gate, oracle.counters.pruned_at_gate);
         // Collecting: so is every visited node.
         let (full, stats) = walk_with(&ctx, &u, true, &ExploreAll);
         replayed(&stats);
         assert_same_walk(&full, &oracle);
-        assert_eq!(full.visited_count, oracle.visited_count);
+        assert_eq!(full.counters.visited_count, oracle.counters.visited_count);
         // A reading visitor is handed exactly what it is handed on a
         // memo-free walk, never a recorded name or constant.
         let reader = Reader::default();

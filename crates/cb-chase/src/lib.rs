@@ -58,7 +58,7 @@
 //! let scan = parse_query("select struct(A = r.A) from R r").unwrap();
 //! let u = ctx.chase(&q).query; // phase 1: the universal plan
 //! assert!(ctx.contained_in(&scan, &u));
-//! let out = backchase(&ctx, &u, 0); // phase 2, over the same memos
+//! let out = backchase(&ctx, &u); // phase 2, over the same memos
 //! assert_eq!(out.normal_forms, vec![scan]);
 //! ```
 //!
@@ -70,9 +70,12 @@
 //! that orders the frontier. It is the one phase-2 driver: one worker
 //! (the default) walks on the caller's thread, and
 //! [`PlanSearch::with_threads`] shares the same walk among N workers
-//! over one frontier. The optimizer's cost-guided branch-and-bound
-//! strategy is one visitor; [`backchase`](fn@backchase) is the
-//! collect-everything one. [`MustRemainAnalysis`] reads the same
+//! over one frontier. A [`SearchBudget`] is the walk's only cap (the
+//! anytime stop: "we can stop this rewriting anytime"), and every run
+//! reports how far it got in one [`SearchCounters`] record. The
+//! optimizer's cost-guided branch-and-bound strategy is one visitor;
+//! [`backchase`](fn@backchase) is the collect-everything one, with no
+//! budget. [`MustRemainAnalysis`] reads the same
 //! lattice structure statically: which bindings every
 //! equivalence-preserving removal set keeps (and which source paths a
 //! binding can be re-expressed to) — the ingredient of the optimizer's
@@ -95,7 +98,8 @@ mod lattice;
 
 pub use backchase::{
     backchase, backchase_greedy, backchase_step, examine_removal, first_unsafe, is_minimal,
-    minimize, ExploreAll, RemovalJudgement, SearchBudget, SearchOutcome, SearchVisitor, Visit,
+    minimize, ExploreAll, RemovalJudgement, SearchBudget, SearchCounters, SearchOutcome,
+    SearchVisitor, Visit,
 };
 pub use canon::QueryGraph;
 pub use chase::{

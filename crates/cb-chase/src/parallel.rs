@@ -33,9 +33,10 @@
 //!   back to a fresh search when another worker holds the parent's memo
 //!   — out-of-order parent/child arrival can cost duplicate work, never
 //!   a wrong verdict.
-//! * **Budgets** ([`SearchBudget`] and `max_visited`) count *committed*
-//!   nodes — visited plus reserved-by-a-worker — so a node budget is
-//!   exact at any worker count, not just approached from below.
+//! * **The budget** ([`SearchBudget`], the walk's only cap) counts
+//!   *committed* nodes — visited plus reserved-by-a-worker — so a node
+//!   budget is exact at any worker count, not just approached from
+//!   below.
 //!
 //! Children are expanded by `LatticeWalk::expand`: the walk checks the
 //! universal plan's verified lattice out of the context once, and its
@@ -52,13 +53,13 @@
 //! rolls that back: the worker's claims return to unclaimed so survivors
 //! re-claim them, the popped node goes back on the frontier (its visit
 //! count reverted if already recorded), and the worker dies, counted in
-//! [`SearchOutcome::workers_died`]. The remaining workers finish the
-//! identical search; if *every* worker dies, `run` returns
-//! `complete = false` with work still on the frontier, and the
-//! optimizer's degradation ladder reruns the walk at one worker. One
-//! worker has no survivor to hand its claims to, so it neither isolates
-//! its expansions nor hits the `parallel::*` failpoints: a panic there
-//! reaches the caller.
+//! [`SearchCounters::workers_died`](crate::SearchCounters::workers_died).
+//! The remaining workers finish the identical search; if *every* worker
+//! dies, `run` returns `complete = false` with work still on the
+//! frontier, and the optimizer's degradation ladder reruns the walk at
+//! one worker. One worker has no survivor to hand its claims to, so it
+//! neither isolates its expansions nor hits the `parallel::*`
+//! failpoints: a panic there reaches the caller.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
@@ -195,7 +196,6 @@ struct InFlight {
 pub struct PlanSearch<'a> {
     u: &'a Query,
     threads: usize,
-    max_visited: usize,
     budget: SearchBudget,
     collect_visited: bool,
 }
@@ -208,7 +208,6 @@ impl<'a> PlanSearch<'a> {
         PlanSearch {
             u,
             threads: 1,
-            max_visited: 0,
             budget: SearchBudget::default(),
             collect_visited: true,
         }
@@ -218,12 +217,6 @@ impl<'a> PlanSearch<'a> {
     /// runs on the caller's thread.
     pub fn with_threads(mut self, threads: usize) -> PlanSearch<'a> {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Bounds the number of visited nodes (0 = unlimited).
-    pub fn with_max_visited(mut self, max_visited: usize) -> PlanSearch<'a> {
-        self.max_visited = max_visited;
         self
     }
 
@@ -240,8 +233,9 @@ impl<'a> PlanSearch<'a> {
     /// as it is reached, so a caller that accumulates its own results
     /// (like the cost-guided strategy), or reads only the normal forms
     /// (like the exhaustive strategy without `cost_visited`), only needs
-    /// `visited_count`. Off, a replayed walk neither copies nor
-    /// translates the nodes its visitor does not read.
+    /// [`visited_count`](crate::SearchCounters::visited_count). Off, a
+    /// replayed walk neither copies nor translates the nodes its visitor
+    /// does not read.
     pub fn with_collect_visited(mut self, collect: bool) -> PlanSearch<'a> {
         self.collect_visited = collect;
         self
@@ -281,10 +275,7 @@ impl<'a> PlanSearch<'a> {
                 waiting: 0,
                 deferred: Vec::new(),
                 stop: false,
-                out: SearchOutcome {
-                    complete: true,
-                    ..SearchOutcome::default()
-                },
+                out: SearchOutcome::default(),
             }),
             idle: Condvar::new(),
             start,
@@ -310,11 +301,9 @@ impl<'a> PlanSearch<'a> {
             .progress
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        // Every worker died with work still on the frontier: the search
-        // is incomplete (the ladder reruns it at one worker).
-        if !p.stop && !p.queue.is_empty() {
-            p.out.complete = false;
-        }
+        // Incomplete: the budget expired, or every worker died with work
+        // still on the frontier (the ladder reruns it at one worker).
+        p.out.counters.complete = !p.out.counters.budget_expired && (p.stop || p.queue.is_empty());
         // A deferred node is minimal iff every child it waited on
         // resolved Invalid; one still unclaimed or `Pending` (only after
         // an early stop or a worker death) leaves it undetermined.
@@ -356,7 +345,7 @@ impl<V: SearchVisitor + ?Sized> Walk<'_, V> {
     fn work(&self, worker: usize) {
         if self.isolated && died_at_spawn() {
             let mut p = self.lock();
-            p.out.workers_died += 1;
+            p.out.counters.workers_died += 1;
             p.wake(&self.idle);
             return;
         }
@@ -381,20 +370,12 @@ impl<V: SearchVisitor + ?Sized> Walk<'_, V> {
                     p.waiting -= 1;
                     continue;
                 }
-                // Budgets count committed nodes (visited + popped by a
-                // worker) so they are exact at any worker count; the
-                // root (committed == 0) is always exempt.
-                let committed = p.out.visited_count + p.reserved;
-                let search = self.search;
-                if search.max_visited > 0 && committed >= search.max_visited {
-                    p.out.complete = false;
-                    p.stop = true;
-                    p.wake(&self.idle);
-                    return;
-                }
-                if committed > 0 && search.budget.expired(self.start, committed) {
-                    p.out.complete = false;
-                    p.out.budget_expired = true;
+                // The budget counts committed nodes (visited + popped by
+                // a worker) so it is exact at any worker count; the root
+                // (committed == 0) is always exempt.
+                let committed = p.out.counters.visited_count + p.reserved;
+                if committed > 0 && self.search.budget.expired(self.start, committed) {
+                    p.out.counters.budget_expired = true;
                     p.stop = true;
                     p.wake(&self.idle);
                     return;
@@ -470,19 +451,19 @@ impl<V: SearchVisitor + ?Sized> Walk<'_, V> {
         p.reserved -= 1;
         let explore = match verdict {
             Visit::Prune => {
-                p.out.pruned_at_visit += 1;
+                p.out.counters.pruned_at_visit += 1;
                 false
             }
             Visit::Explore => {
-                p.out.visited_count += 1;
+                p.out.counters.visited_count += 1;
                 flight.counted = true;
                 p.out.visited.extend(collected);
                 !p.stop
             }
             Visit::Accept => {
-                p.out.visited_count += 1;
+                p.out.counters.visited_count += 1;
                 p.out.visited.extend(collected);
-                p.out.accepted = true;
+                p.out.counters.accepted = true;
                 p.stop = true;
                 false
             }
@@ -535,12 +516,12 @@ impl<V: SearchVisitor + ?Sized> Walk<'_, V> {
         let mut p = self.lock();
         p.seen
             .retain(|_, state| *state != NodeState::Pending(worker));
-        p.out.workers_died += 1;
+        p.out.counters.workers_died += 1;
         let Some(entry) = flight.node else {
             return;
         };
         if flight.counted {
-            p.out.visited_count -= 1;
+            p.out.counters.visited_count -= 1;
             // The node was shown before its copy was pushed, so both are
             // in the same form.
             if let Some(i) = p.out.visited.iter().rposition(|q| *q == *entry.node.query) {
@@ -677,7 +658,7 @@ impl<'c, V: SearchVisitor + ?Sized> Claims<'c, V> {
             }
             Child::Invalid => NodeState::Invalid,
             Child::Gated => {
-                p.out.pruned_at_gate += 1;
+                p.out.counters.pruned_at_gate += 1;
                 NodeState::Gated
             }
         };
@@ -688,7 +669,7 @@ impl<'c, V: SearchVisitor + ?Sized> Claims<'c, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backchase::ExploreAll;
+    use crate::backchase::{ExploreAll, SearchCounters};
     use crate::chase::ChaseConfig;
     use crate::context::ChaseContext;
     use crate::lattice::tests::view_scenario;
@@ -710,8 +691,7 @@ mod tests {
             let out = PlanSearch::new(&u)
                 .with_threads(threads)
                 .run(&ctx, &ExploreAll);
-            assert!(out.complete, "incomplete @ {threads} threads");
-            assert!(!out.budget_expired);
+            assert_eq!(out.counters, sequential.counters, "@ {threads} threads");
             assert_eq!(
                 norm(&out.visited),
                 norm(&sequential.visited),
@@ -722,7 +702,6 @@ mod tests {
                 norm(&sequential.normal_forms),
                 "normal forms @ {threads} threads"
             );
-            assert_eq!(out.visited_count, sequential.visited_count);
         }
     }
 
@@ -738,8 +717,11 @@ mod tests {
                     ..SearchBudget::default()
                 })
                 .run(&ctx, &ExploreAll);
-            assert!(out.budget_expired);
-            assert_eq!(out.visited_count, 1, "root only @ {threads} threads");
+            assert!(out.counters.budget_expired);
+            assert_eq!(
+                out.counters.visited_count, 1,
+                "root only @ {threads} threads"
+            );
             assert_eq!(out.visited[0].alpha_normalized(), u.alpha_normalized());
         }
         // A mid-search budget is exact, not approximate, at any width.
@@ -752,8 +734,11 @@ mod tests {
                     ..SearchBudget::default()
                 })
                 .run(&ctx, &ExploreAll);
-            assert!(out.budget_expired);
-            assert_eq!(out.visited_count, 2, "exact budget @ {threads} threads");
+            assert!(out.counters.budget_expired);
+            assert_eq!(
+                out.counters.visited_count, 2,
+                "exact budget @ {threads} threads"
+            );
         }
     }
 
@@ -768,22 +753,16 @@ mod tests {
                 ..SearchBudget::default()
             })
             .run(&ctx, &ExploreAll);
-        assert!(out.budget_expired);
-        assert_eq!(out.visited_count, 1);
+        assert!(out.counters.budget_expired);
+        assert_eq!(out.counters.visited_count, 1);
     }
 
-    #[test]
-    fn parallel_max_visited_matches_sequential_truncation() {
-        let (u, deps) = view_scenario();
-        for threads in [1, 2, 4] {
-            let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
-            let out = PlanSearch::new(&u)
-                .with_threads(threads)
-                .with_max_visited(1)
-                .run(&ctx, &ExploreAll);
-            assert!(!out.complete);
-            assert!(!out.budget_expired);
-            assert_eq!(out.visited_count, 1);
+    /// The counters of a walk that lost one worker and finished the
+    /// `sequential` walk's search.
+    fn died_once(sequential: &SearchOutcome) -> SearchCounters {
+        SearchCounters {
+            workers_died: 1,
+            ..sequential.counters
         }
     }
 
@@ -801,11 +780,9 @@ mod tests {
             let out = PlanSearch::new(&u)
                 .with_threads(threads)
                 .run(&ctx, &ExploreAll);
-            assert!(out.complete, "complete @ {threads} threads");
-            assert_eq!(out.workers_died, 1, "@ {threads} threads");
+            assert_eq!(out.counters, died_once(&sequential), "@ {threads} threads");
             assert_eq!(norm(&out.visited), norm(&sequential.visited));
             assert_eq!(norm(&out.normal_forms), norm(&sequential.normal_forms));
-            assert_eq!(out.visited_count, sequential.visited_count);
             let fs = faults::stats();
             assert_eq!(fs.injected, 1);
             assert_eq!(fs.injected, fs.acknowledged(), "{fs:?}");
@@ -823,11 +800,9 @@ mod tests {
         let _guard = faults::ScopedFaults::install("chase::step=panic@3").unwrap();
         let ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
         let out = PlanSearch::new(&u).with_threads(2).run(&ctx, &ExploreAll);
-        assert!(out.complete);
-        assert_eq!(out.workers_died, 1);
+        assert_eq!(out.counters, died_once(&sequential));
         assert_eq!(norm(&out.visited), norm(&sequential.visited));
         assert_eq!(norm(&out.normal_forms), norm(&sequential.normal_forms));
-        assert_eq!(out.visited_count, sequential.visited_count);
         let fs = faults::stats();
         assert_eq!(fs.injected, fs.acknowledged(), "{fs:?}");
     }
@@ -838,9 +813,9 @@ mod tests {
         let _guard = faults::ScopedFaults::install("parallel::spawn=panic").unwrap();
         let ctx = ChaseContext::new(deps, ChaseConfig::default());
         let out = PlanSearch::new(&u).with_threads(4).run(&ctx, &ExploreAll);
-        assert!(!out.complete, "work left on the frontier");
-        assert_eq!(out.workers_died, 4);
-        assert_eq!(out.visited_count, 0);
+        assert!(!out.counters.complete, "work left on the frontier");
+        assert_eq!(out.counters.workers_died, 4);
+        assert_eq!(out.counters.visited_count, 0);
         let fs = faults::stats();
         assert_eq!(fs.injected, 4);
         assert_eq!(fs.injected, fs.acknowledged(), "{fs:?}");
@@ -857,12 +832,10 @@ mod tests {
         .unwrap();
         let ctx = ChaseContext::new(deps, ChaseConfig::default());
         let out = PlanSearch::new(&u).with_threads(4).run(&ctx, &ExploreAll);
-        assert!(out.complete);
         // The spawn error killed one worker before it started; the
         // transient errors elsewhere were absorbed in place.
-        assert_eq!(out.workers_died, 1);
+        assert_eq!(out.counters, died_once(&sequential));
         assert_eq!(norm(&out.visited), norm(&sequential.visited));
-        assert_eq!(out.visited_count, sequential.visited_count);
         let fs = faults::stats();
         assert!(fs.injected >= 1);
         assert_eq!(fs.injected, fs.acknowledged(), "{fs:?}");
@@ -942,14 +915,20 @@ mod tests {
             let desc = format!("@ {threads} threads");
             let lean = replay(false, &|search| search.run(&ctx, &ExploreAll));
             assert!(lean.visited.is_empty(), "{desc}");
-            assert_eq!(lean.visited_count, oracle.visited_count, "{desc}");
+            assert_eq!(
+                lean.counters.visited_count, oracle.counters.visited_count,
+                "{desc}"
+            );
             assert_eq!(
                 sorted(&lean.normal_forms),
                 sorted(&oracle.normal_forms),
                 "{desc}"
             );
             let full = replay(true, &|search| search.run(&ctx, &ExploreAll));
-            assert_eq!(full.visited_count, oracle.visited_count, "{desc}");
+            assert_eq!(
+                full.counters.visited_count, oracle.counters.visited_count,
+                "{desc}"
+            );
             assert_eq!(sorted(&full.visited), sorted(&oracle.visited), "{desc}");
             assert_eq!(
                 sorted(&full.normal_forms),
@@ -1000,7 +979,7 @@ mod tests {
             let out = PlanSearch::new(&u)
                 .with_threads(threads)
                 .run(&ctx, &AcceptSmall);
-            assert!(out.accepted, "accepted @ {threads} threads");
+            assert!(out.counters.accepted, "accepted @ {threads} threads");
             // Whatever worker accepted, its plan is in the visited set.
             assert!(out.visited.iter().any(|q| q.from.len() <= 2));
         }

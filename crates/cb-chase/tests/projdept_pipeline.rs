@@ -50,8 +50,8 @@ fn backchase_finds_the_paper_plans() {
     let q = projdept::query();
     let ctx = ChaseContext::new(cat.all_constraints(), ChaseConfig::default());
     let u = ctx.chase(&q).query;
-    let out = backchase(&ctx, &u, 4096);
-    assert!(out.complete, "backchase enumeration must finish");
+    let out = backchase(&ctx, &u);
+    assert!(out.counters.complete, "backchase enumeration must finish");
 
     // Summarize plans by the multiset of their binding sources' roots.
     let shapes: BTreeSet<Vec<String>> = out
@@ -118,8 +118,8 @@ fn mapping_only_regime() {
     let q = projdept::query();
     let ctx = ChaseContext::new(cat.all_constraints(), ChaseConfig::default());
     let u = ctx.chase(&q).query;
-    let out = backchase(&ctx, &u, 4096);
-    assert!(out.complete);
+    let out = backchase(&ctx, &u);
+    assert!(out.counters.complete);
     let nf_shapes: BTreeSet<Vec<String>> = out
         .normal_forms
         .iter()

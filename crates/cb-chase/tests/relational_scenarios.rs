@@ -32,8 +32,8 @@ fn index_only_access_path_is_found() {
     assert!(srcs.contains(&"dom(SA)".to_string()), "{srcs:?}");
     assert!(srcs.contains(&"dom(SB)".to_string()), "{srcs:?}");
 
-    let out = backchase(&ctx, &u, 4096);
-    assert!(out.complete);
+    let out = backchase(&ctx, &u);
+    assert!(out.counters.complete);
     let nf = shapes(&out.normal_forms);
     // Index-only plans: no scan of R at all. Our secondary indexes store
     // whole rows (not RIDs), so a *single* index suffices and is minimal;
@@ -74,8 +74,8 @@ fn view_navigation_plan_is_found() {
     let u = ctx.chase(&relational_views::query()).query;
     assert_eq!(u.from.len(), 7, "U = {u}");
 
-    let out = backchase(&ctx, &u, 4096);
-    assert!(out.complete);
+    let out = backchase(&ctx, &u);
+    assert!(out.counters.complete);
     let nf = shapes(&out.normal_forms);
     assert!(
         nf.contains(&vec![

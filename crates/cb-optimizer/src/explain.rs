@@ -46,16 +46,16 @@ pub fn explain(outcome: &OptimizeOutcome) -> String {
     let _ = writeln!(
         s,
         "  (search: {} lattice node(s) visited, {} sublattice(s) cost-pruned: {} at the gate, {} at visit)",
-        outcome.nodes_visited,
-        outcome.nodes_pruned_by_cost,
-        outcome.nodes_pruned_at_gate,
-        outcome.nodes_pruned_at_visit
+        outcome.search.visited_count,
+        outcome.search.pruned(),
+        outcome.search.pruned_at_gate,
+        outcome.search.pruned_at_visit
     );
     let _ = writeln!(
         s,
         "  (retained: top-{} plan(s){})",
         outcome.top_k.len(),
-        if outcome.budget_expired {
+        if outcome.search.budget_expired {
             "; anytime budget expired — best is the verified incumbent"
         } else {
             ""
@@ -135,7 +135,7 @@ pub fn explain(outcome: &OptimizeOutcome) -> String {
     // — and a clean run says so explicitly.
     let _ = writeln!(s, "\n== resilience ==");
     if outcome.degradations.is_empty()
-        && outcome.workers_died == 0
+        && outcome.search.workers_died == 0
         && outcome.cache.poison_recoveries == 0
     {
         let _ = writeln!(s, "clean run: no degradations, no faults recovered");
@@ -143,11 +143,11 @@ pub fn explain(outcome: &OptimizeOutcome) -> String {
         for d in &outcome.degradations {
             let _ = writeln!(s, "  degraded: {d}");
         }
-        if outcome.workers_died > 0 {
+        if outcome.search.workers_died > 0 {
             let _ = writeln!(
                 s,
                 "  {} search worker(s) died and had their claims recovered",
-                outcome.workers_died
+                outcome.search.workers_died
             );
         }
         if outcome.cache.poison_recoveries > 0 {
@@ -321,12 +321,12 @@ mod tests {
         let out = Optimizer::with_config(&cat, config)
             .optimize(&projdept::query())
             .unwrap();
-        assert!(out.nodes_pruned_by_cost > 0, "no pruning on ProjDept");
+        assert!(out.search.pruned() > 0, "no pruning on ProjDept");
         let text = explain(&out);
         assert!(
             text.contains(&format!(
                 "{} sublattice(s) cost-pruned",
-                out.nodes_pruned_by_cost
+                out.search.pruned()
             )),
             "{text}"
         );

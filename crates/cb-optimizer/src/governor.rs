@@ -19,7 +19,9 @@
 //!    worker to panics and cannot finish, the same walk is rerun at one
 //!    worker, on the calling thread, against the same [`ChaseContext`]
 //!    (one worker never touches the `parallel::*` failpoint sites), under
-//!    whatever wall clock the failed attempt left unspent.
+//!    whatever wall clock the failed attempt left unspent. A walk that
+//!    its [`SearchBudget`] stopped is not rerun, even if it lost
+//!    workers: it holds the anytime answer the budget asked for.
 //! 3. **Return the universal plan.** If phase 2 itself dies — a panic
 //!    escaping a one-worker walk — the optimizer keeps any verified
 //!    candidates it already streamed and, when there are none, answers
@@ -41,7 +43,7 @@
 use std::fmt;
 use std::time::Instant;
 
-use cb_chase::{SearchBudget, SearchOutcome};
+use cb_chase::{SearchBudget, SearchCounters};
 
 /// One rung of the degradation ladder taken during an optimization, in
 /// the order taken (see the [module docs](self) for the ladder).
@@ -133,12 +135,13 @@ impl ResourceGovernor {
     }
 
     /// Should a finished parallel attempt be rerun sequentially? Yes
-    /// exactly when worker deaths (not the budget, not the visit cap)
-    /// left the walk incomplete: every worker died with frontier work
-    /// still queued. Survivor-completed searches — even ones that lost
-    /// workers along the way — already hold the full result.
-    pub fn should_fall_back(&self, out: &SearchOutcome) -> bool {
-        out.workers_died > 0 && !out.complete && !out.budget_expired
+    /// exactly when worker deaths (not the budget) left the walk
+    /// incomplete: every worker died with frontier work still queued.
+    /// Survivor-completed searches — even ones that lost workers along
+    /// the way — already hold the full result, and so does a walk its
+    /// budget stopped: it is the anytime answer the budget asked for.
+    pub fn should_fall_back(&self, search: &SearchCounters) -> bool {
+        search.workers_died > 0 && !search.complete && !search.budget_expired
     }
 
     /// Record the phase-1 memo-free chase.
@@ -180,30 +183,25 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn outcome(complete: bool, budget_expired: bool, workers_died: usize) -> SearchOutcome {
-        SearchOutcome {
-            normal_forms: vec![],
-            visited: vec![],
-            visited_count: 0,
+    fn search(complete: bool, budget_expired: bool, workers_died: usize) -> SearchCounters {
+        SearchCounters {
             complete,
             budget_expired,
-            pruned_at_gate: 0,
-            pruned_at_visit: 0,
-            accepted: false,
             workers_died,
+            ..SearchCounters::default()
         }
     }
 
     #[test]
     fn fallback_fires_only_on_death_caused_incompleteness() {
-        let g = ResourceGovernor::new(SearchBudget::unlimited(), Instant::now());
-        assert!(g.should_fall_back(&outcome(false, false, 4)));
+        let g = ResourceGovernor::new(SearchBudget::default(), Instant::now());
+        assert!(g.should_fall_back(&search(false, false, 4)));
         // Survivors finished: no rerun.
-        assert!(!g.should_fall_back(&outcome(true, false, 1)));
+        assert!(!g.should_fall_back(&search(true, false, 1)));
         // Budget expiry is an SLO, not a fault: no rerun.
-        assert!(!g.should_fall_back(&outcome(false, true, 2)));
+        assert!(!g.should_fall_back(&search(false, true, 2)));
         // Incomplete for capacity reasons with no deaths: no rerun.
-        assert!(!g.should_fall_back(&outcome(false, false, 0)));
+        assert!(!g.should_fall_back(&search(false, false, 0)));
     }
 
     #[test]
@@ -231,7 +229,7 @@ mod tests {
 
     #[test]
     fn rungs_are_recorded_in_order() {
-        let mut g = ResourceGovernor::new(SearchBudget::unlimited(), Instant::now());
+        let mut g = ResourceGovernor::new(SearchBudget::default(), Instant::now());
         g.note_memo_free_chase("injected panic");
         g.note_sheds(0); // no-op
         g.note_sheds(3);

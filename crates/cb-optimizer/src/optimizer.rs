@@ -32,8 +32,8 @@ use cb_analyze::{Analyzer, Report};
 use cb_catalog::Catalog;
 use cb_chase::{
     backchase_greedy, CacheStats, ChaseConfig, ChaseContext, ChaseStepTrace, ExploreAll,
-    MustRemainAnalysis, PlanSearch, SearchBudget, SearchOutcome, SearchVisitor, TerminationVerdict,
-    Visit,
+    MustRemainAnalysis, PlanSearch, SearchBudget, SearchCounters, SearchOutcome, SearchVisitor,
+    TerminationVerdict, Visit,
 };
 use pcql::query::Query;
 use pcql::typecheck::{check_query, TypeError};
@@ -61,7 +61,7 @@ pub enum SearchStrategy {
     /// ([`CostModel::lower_bound`]) exceeds the incumbent best. Finds a
     /// plan with the same best cost as `Exhaustive` while costing
     /// strictly fewer subqueries whenever the bound bites; the pruning is
-    /// reported in [`OptimizeOutcome::nodes_pruned_by_cost`]. Every
+    /// reported in [`OptimizeOutcome::search`]. Every
     /// visited physical subquery is costed (this strategy implies
     /// `cost_visited`); normal forms under pruned branches are not
     /// enumerated, so `candidates` may mark fewer plans `minimal`.
@@ -112,9 +112,6 @@ pub enum PreflightMode {
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
     pub chase: ChaseConfig,
-    /// Maximum number of distinct subqueries the backchase explores
-    /// (0 = unlimited).
-    pub max_visited: usize,
     /// Cost also the non-minimal physical subqueries encountered during
     /// backchase (they are sound plans; the paper's P1 is one). Only
     /// under it does the `Exhaustive` walk collect its visited nodes
@@ -142,16 +139,18 @@ pub struct OptimizerConfig {
     /// [`ChaseContext`] (its memos are sharded behind per-shard locks)
     /// and the incumbent best cost published atomically across workers.
     /// The best plan and its cost are thread-count-independent; per-run
-    /// counters (`nodes_visited`, pruning splits, cache traffic) and the
+    /// counters (visited nodes, pruning splits, cache traffic) and the
     /// `minimal` flags on non-best candidates may differ, since workers
     /// race the incumbent down in different orders. [`Optimizer::new`] seeds this from the
     /// `CB_SEARCH_THREADS` environment variable.
     pub threads: usize,
-    /// Anytime budget for the phase-2 search. On expiry the search stops
-    /// and the incumbent — always a fully equivalence-verified plan — is
-    /// accepted: a latency SLO, not a correctness change. A budget of
-    /// zero nodes (or zero wall clock) still visits the root, so the
-    /// universal plan itself is always available as the fallback.
+    /// Anytime budget for the phase-2 search, and its only cap: unlimited
+    /// by default, `nodes: Some(4096)` under [`Optimizer::new`]. On expiry
+    /// the search stops and the incumbent — always a fully
+    /// equivalence-verified plan — is accepted: a latency SLO, not a
+    /// correctness change. A budget of zero nodes (or zero wall clock)
+    /// still visits the root, so the universal plan itself is always
+    /// available as the fallback.
     pub search_budget: SearchBudget,
     /// How many verified plans [`OptimizeOutcome::top_k`] retains
     /// (mutually distinct, cheapest first) for serving-tier fallback.
@@ -188,8 +187,7 @@ impl OptimizerConfig {
     ///
     /// Deliberately *not* clamped: a zero [`SearchBudget`] (zero nodes
     /// or a zero wall clock) is legal and still visits the root, so
-    /// the universal plan is always available as the anytime answer;
-    /// `max_visited == 0` means unlimited by contract; and
+    /// the universal plan is always available as the anytime answer; and
     /// `memo_byte_limit == Some(0)` is the strictest legal cache
     /// pressure — every shard sheds on every insert.
     #[must_use]
@@ -207,7 +205,6 @@ impl Default for OptimizerConfig {
     fn default() -> OptimizerConfig {
         OptimizerConfig {
             chase: ChaseConfig::default(),
-            max_visited: 0,
             cost_visited: false,
             strategy: SearchStrategy::default(),
             bound: CostBound::default(),
@@ -253,10 +250,17 @@ pub struct OptimizeOutcome {
     pub top_k: Vec<PlanChoice>,
     /// Whether both phases ran to completion within budgets.
     pub complete: bool,
-    /// Whether the phase-2 [`SearchBudget`] expired: `best` is then the
-    /// anytime incumbent (still fully equivalence-verified), not
-    /// necessarily the global optimum.
-    pub budget_expired: bool,
+    /// The phase-2 walk's counters: visited nodes (for `CostGuided`,
+    /// strictly fewer than `Exhaustive` whenever pruning bites), cost
+    /// cuts at the gate and at visit (`CostGuided` only), and how the walk
+    /// ended. An expired [`SearchBudget`] leaves `best` the anytime
+    /// incumbent (still fully equivalence-verified), not necessarily the
+    /// global optimum. `workers_died` counts phase-2 workers that died to
+    /// a panic and were recovered — their claims re-claimed by
+    /// survivors, or, when all of them died, the walk rerun at one
+    /// worker ([`Degradation::SequentialFallback`]); it is always 0 when
+    /// `threads == 1`. `Greedy` reports one visited node.
+    pub search: SearchCounters,
     /// The incumbent's descent over time under `CostGuided`: one
     /// `(elapsed, cost)` point per improvement, measured from the start
     /// of phase 2. Empty for the phased strategies.
@@ -264,24 +268,6 @@ pub struct OptimizeOutcome {
     /// Cache counters of the [`ChaseContext`] that ran this optimization
     /// (chase/containment/implication memo hits and misses).
     pub cache: CacheStats,
-    /// Equivalence-verified lattice nodes the phase-2 search examined
-    /// (each one passed the two-way containment check; for `CostGuided`,
-    /// strictly fewer than `Exhaustive` whenever pruning bites).
-    pub nodes_visited: usize,
-    /// Sublattices cut because their admissible cost lower bound already
-    /// exceeded the incumbent best (`CostGuided` only; 0 for the other
-    /// strategies). Counts both kinds of cut: candidates rejected at the
-    /// admission gate (skipped before any equivalence verification) and
-    /// already-verified nodes pruned at visit (skipped before costing
-    /// and descent) — split in [`OptimizeOutcome::nodes_pruned_at_gate`]
-    /// / [`OptimizeOutcome::nodes_pruned_at_visit`].
-    pub nodes_pruned_by_cost: usize,
-    /// Of [`OptimizeOutcome::nodes_pruned_by_cost`], the candidates cut
-    /// at the admission gate, before any chase or containment work.
-    pub nodes_pruned_at_gate: usize,
-    /// Of [`OptimizeOutcome::nodes_pruned_by_cost`], the verified nodes
-    /// cut at visit, before costing and descent.
-    pub nodes_pruned_at_visit: usize,
     /// The bindings of the universal plan that the must-remain analysis
     /// proves present in every equivalence-preserving plan — the
     /// structural core no removal set can touch (sorted; computed for
@@ -303,12 +289,6 @@ pub struct OptimizeOutcome {
     /// universal-plan fallback. See [`crate::governor`]. EXPLAIN prints them in its resilience
     /// section.
     pub degradations: Vec<Degradation>,
-    /// Phase-2 search workers that died to a panic and were recovered —
-    /// their claims abandoned and re-claimed by survivors, or, when all
-    /// of them died, the walk rerun at one worker
-    /// ([`Degradation::SequentialFallback`]). Always 0 when
-    /// `threads == 1`.
-    pub workers_died: usize,
 }
 
 /// Optimization errors.
@@ -375,8 +355,11 @@ impl<'a> Optimizer<'a> {
         Optimizer {
             catalog,
             config: OptimizerConfig {
-                max_visited: 4096,
                 cost_visited: true,
+                search_budget: SearchBudget {
+                    nodes: Some(4096),
+                    ..SearchBudget::default()
+                },
                 threads,
                 memo_byte_limit,
                 ..Default::default()
@@ -483,18 +466,13 @@ impl<'a> Optimizer<'a> {
         // universal plan, noise next to the chase that produced it.
         let mut analysis = MustRemainAnalysis::new(&universal);
         let mut candidates: Vec<PlanChoice> = Vec::new();
-        let mut nodes_visited = 0usize;
-        let mut nodes_pruned_at_gate = 0usize;
-        let mut nodes_pruned_at_visit = 0usize;
-        let mut budget_expired = false;
+        let mut search = SearchCounters::default();
         let mut incumbent_trace: Vec<(Duration, f64)> = Vec::new();
-        let mut workers_died = 0usize;
         let search_start = Instant::now();
         let mut governor = ResourceGovernor::new(self.config.search_budget, search_start);
         if let Some(reason) = phase1_panic {
             governor.note_memo_free_chase(reason);
         }
-        let mut search_complete = false;
         // Phase 2 runs inside a panic boundary: a panic escaping the
         // search machinery (the failpoint sites inject exactly that) is
         // rung 3 of the governor's ladder, not a crashed tenant thread.
@@ -503,7 +481,7 @@ impl<'a> Optimizer<'a> {
         // only completed verdicts, so partial state is merely *less*,
         // never wrong.
         let search_panic = catch_unwind(AssertUnwindSafe(|| {
-            search_complete = match self.config.strategy {
+            match self.config.strategy {
                 SearchStrategy::Exhaustive => {
                     // Only `cost_visited` costs the visited nodes;
                     // without it they are not even collected.
@@ -514,10 +492,8 @@ impl<'a> Optimizer<'a> {
                         &universal,
                         collect,
                         (&mut ExploreAll, |_| {}),
-                        &mut workers_died,
+                        &mut search,
                     );
-                    nodes_visited = out.visited_count;
-                    budget_expired = out.budget_expired;
                     self.cost_phased(
                         ctx,
                         &model,
@@ -525,7 +501,6 @@ impl<'a> Optimizer<'a> {
                         &out.visited,
                         &mut candidates,
                     );
-                    out.complete
                 }
                 SearchStrategy::Greedy => {
                     // Prefer removing what is logical-only, per the paper's
@@ -540,14 +515,17 @@ impl<'a> Optimizer<'a> {
                         .collect();
                     let plan = backchase_greedy(ctx, &universal, &prefer);
                     // The greedy descent visits the universal plan alone.
-                    nodes_visited = 1;
+                    search = SearchCounters {
+                        visited_count: 1,
+                        complete: true,
+                        ..SearchCounters::default()
+                    };
                     let visited = if self.config.cost_visited {
                         std::slice::from_ref(&universal)
                     } else {
                         &[]
                     };
                     self.cost_phased(ctx, &model, &[plan], visited, &mut candidates);
-                    true
                 }
                 SearchStrategy::CostGuided => {
                     // Branch-and-bound: cost each equivalence-verified node
@@ -577,7 +555,7 @@ impl<'a> Optimizer<'a> {
                         &universal,
                         false,
                         (&mut guide, CostGuide::reset),
-                        &mut workers_died,
+                        &mut search,
                     );
                     // A worker that panicked while appending has poisoned
                     // these locks; the data under them is append-only and
@@ -598,10 +576,6 @@ impl<'a> Optimizer<'a> {
                     // worker's curve already is one).
                     incumbent_trace.sort_by_key(|&(elapsed, _)| elapsed);
                     incumbent_trace.dedup_by(|next, prev| next.1 >= prev.1);
-                    nodes_visited = out.visited_count;
-                    nodes_pruned_at_gate = out.pruned_at_gate;
-                    nodes_pruned_at_visit = out.pruned_at_visit;
-                    budget_expired = out.budget_expired;
                     // Flag the minimality the search did determine (anything
                     // touched by pruning leaves it undetermined).
                     let nf_set: BTreeSet<Query> = out
@@ -614,9 +588,8 @@ impl<'a> Optimizer<'a> {
                             c.minimal = true;
                         }
                     }
-                    out.complete
                 }
-            };
+            }
         }))
         .err();
         governor.note_sheds(ctx.stats().pressure_sheds - sheds_before);
@@ -629,7 +602,7 @@ impl<'a> Optimizer<'a> {
                 cb_chase::faults::note_recovered();
             }
             governor.note_universal_fallback(panic_message(payload.as_ref()));
-            search_complete = false;
+            search.complete = false;
         }
         let degradations = governor.into_degradations();
 
@@ -660,7 +633,7 @@ impl<'a> Optimizer<'a> {
         let aborted = degradations
             .iter()
             .any(|d| matches!(d, Degradation::UniversalFallback { .. }));
-        if candidates.is_empty() && (budget_expired || aborted) {
+        if candidates.is_empty() && (search.budget_expired || aborted) {
             candidates.push(PlanChoice {
                 query: universal.clone(),
                 raw: universal.clone(),
@@ -690,25 +663,8 @@ impl<'a> Optimizer<'a> {
         // here is a compiler bug surfacing before execution.
         if self.config.preflight != PreflightMode::Off {
             for (rank, c) in candidates.iter().enumerate() {
-                // Both compile modes: plain, and with the physical join
-                // operators (hash + merge) enabled, so every operator
-                // the executor could run is verified.
-                for joins in [false, true] {
-                    let pipeline = cb_engine::compile(
-                        &c.query,
-                        cb_engine::CompileOptions {
-                            hash_joins: joins,
-                            merge_joins: joins,
-                            ..Default::default()
-                        },
-                    );
-                    let label = format!(
-                        "plan #{}{}",
-                        rank + 1,
-                        if joins { ", hash/merge joins" } else { "" }
-                    );
-                    diagnostics.merge_labeled(&label, analyzer.check_pipeline(&pipeline));
-                }
+                diagnostics
+                    .merge(analyzer.check_pipelines(&c.query, &format!("plan #{}", rank + 1)));
             }
             if self.config.preflight == PreflightMode::Deny && diagnostics.has_errors() {
                 return Err(OptimizeError::Rejected {
@@ -724,28 +680,24 @@ impl<'a> Optimizer<'a> {
             candidates,
             best,
             top_k,
-            complete: chased.complete && search_complete,
-            budget_expired,
+            complete: chased.complete && search.complete,
+            search,
             incumbent_trace,
             cache: ctx.stats(),
-            nodes_visited,
-            nodes_pruned_by_cost: nodes_pruned_at_gate + nodes_pruned_at_visit,
-            nodes_pruned_at_gate,
-            nodes_pruned_at_visit,
             must_remain,
             termination,
             diagnostics,
             degradations,
-            workers_died,
         })
     }
 
     /// Phase 2's walk over `universal` with the configured workers, its
-    /// worker deaths recorded in `workers_died` before any rerun. Rung
-    /// 2: when every worker died with work left, `reset` discards what
+    /// counters recorded in `counters` as soon as it returns. Rung 2:
+    /// when every worker died with work left, `reset` discards what
     /// `visitor` gathered and the same walk reruns at one worker, which
     /// hits no `parallel::*` failpoint, under the wall clock the attempt
-    /// left unspent.
+    /// left unspent; `counters` then holds the rerun's, with the first
+    /// attempt's worker deaths.
     fn search<V: SearchVisitor>(
         &self,
         ctx: &ChaseContext,
@@ -753,24 +705,35 @@ impl<'a> Optimizer<'a> {
         universal: &Query,
         collect: bool,
         (visitor, reset): (&mut V, impl FnOnce(&mut V)),
-        workers_died: &mut usize,
+        counters: &mut SearchCounters,
     ) -> SearchOutcome {
         let walk = |threads: usize, budget: SearchBudget, visitor: &V| {
             PlanSearch::new(universal)
                 .with_threads(threads)
-                .with_max_visited(self.config.max_visited)
                 .with_budget(budget)
                 .with_collect_visited(collect)
                 .run(ctx, visitor)
         };
         let out = walk(self.config.threads, self.config.search_budget, visitor);
-        *workers_died = out.workers_died;
-        if !governor.should_fall_back(&out) {
+        *counters = out.counters;
+        if !governor.should_fall_back(counters) {
             return out;
         }
-        governor.note_sequential_fallback(out.workers_died);
+        let workers_died = counters.workers_died;
+        governor.note_sequential_fallback(workers_died);
         reset(visitor);
-        walk(1, governor.remaining_budget(), visitor)
+        // The abandoned attempt's visits go with what it gathered; its
+        // worker deaths stay, even if the rerun panics.
+        *counters = SearchCounters {
+            workers_died,
+            ..SearchCounters::default()
+        };
+        let rerun = walk(1, governor.remaining_budget(), visitor);
+        *counters = SearchCounters {
+            workers_died,
+            ..rerun.counters
+        };
+        rerun
     }
 
     /// The phased "enumerate, then cost" step 3 shared by `Exhaustive`
@@ -1117,13 +1080,13 @@ mod tests {
         assert!(guided.complete);
         // Strictly fewer subqueries costed, and the savings are reported.
         assert!(
-            guided.nodes_visited < full.nodes_visited,
+            guided.search.visited_count < full.search.visited_count,
             "guided visited {} vs exhaustive {}",
-            guided.nodes_visited,
-            full.nodes_visited
+            guided.search.visited_count,
+            full.search.visited_count
         );
-        assert!(guided.nodes_pruned_by_cost > 0);
-        assert_eq!(full.nodes_pruned_by_cost, 0);
+        assert!(guided.search.pruned() > 0);
+        assert_eq!(full.search.pruned(), 0);
     }
 
     #[test]
@@ -1229,7 +1192,6 @@ mod tests {
 
     fn exhaustive_config(threads: usize) -> OptimizerConfig {
         OptimizerConfig {
-            max_visited: 4096,
             cost_visited: true,
             threads,
             ..Default::default()
@@ -1248,7 +1210,7 @@ mod tests {
         let q = projdept::query();
         let ctx = ChaseContext::new(cat.all_constraints(), ChaseConfig::default());
         let universal = ctx.chase(&q).query;
-        let bc = cb_chase::backchase(&ctx, &universal, 4096);
+        let bc = cb_chase::backchase(&ctx, &universal);
         let physical = |qs: &[Query]| -> BTreeSet<Query> {
             qs.iter()
                 .filter(|q| cat.is_physical_query(q))
@@ -1310,7 +1272,7 @@ mod tests {
             assert!(fs.injected >= 4, "{fs:?}");
             out
         };
-        assert_eq!(faulty.workers_died, 4);
+        assert_eq!(faulty.search.workers_died, 4);
         assert!(
             faulty
                 .degradations
@@ -1391,7 +1353,7 @@ mod tests {
             .unwrap();
         let fs = cb_chase::faults::stats();
         assert_eq!(fs.injected, fs.acknowledged(), "{fs:?}");
-        assert_eq!(out.workers_died, 4);
+        assert_eq!(out.search.workers_died, 4);
         assert!(
             matches!(
                 out.degradations.as_slice(),

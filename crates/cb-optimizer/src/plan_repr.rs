@@ -82,7 +82,10 @@ pub struct PipelineV1 {
     pub ops: Vec<String>,
 }
 
-/// Search/resilience counters worth diffing across optimizer versions.
+/// Search/resilience counters worth diffing across optimizer versions:
+/// the search fields render [`OptimizeOutcome::search`] under their
+/// format-1 names (`complete` is the outcome's, which also folds in the
+/// chase's), the cache fields [`OptimizeOutcome::cache`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountersV1 {
     pub nodes_visited: u64,
@@ -138,12 +141,12 @@ impl PlanRepr {
             top_k: outcome.top_k.iter().map(PlanEntryV1::of).collect(),
             pipeline: PipelineV1::of(&layout),
             counters: CountersV1 {
-                nodes_visited: outcome.nodes_visited as u64,
-                nodes_pruned_at_gate: outcome.nodes_pruned_at_gate as u64,
-                nodes_pruned_at_visit: outcome.nodes_pruned_at_visit as u64,
-                workers_died: outcome.workers_died as u64,
+                nodes_visited: outcome.search.visited_count as u64,
+                nodes_pruned_at_gate: outcome.search.pruned_at_gate as u64,
+                nodes_pruned_at_visit: outcome.search.pruned_at_visit as u64,
+                workers_died: outcome.search.workers_died as u64,
                 complete: outcome.complete,
-                budget_expired: outcome.budget_expired,
+                budget_expired: outcome.search.budget_expired,
                 cache_hits: outcome.cache.hits(),
                 cache_misses: outcome.cache.misses(),
                 deps_resets: outcome.cache.deps_resets,

@@ -34,11 +34,14 @@
 //!   still gates, orders, costs and prunes live, but no containment or
 //!   implication question is asked, and the outcome is byte-identical to
 //!   a fresh service's. A shape walked only once holds no lattice.
-//! * **Prepared plans** — the full [`OptimizeOutcome`] plus its
-//!   serialized [`PlanRepr`], keyed by *alpha-normalized query* ×
-//!   *canonical catalog fingerprint* × *cost-model fingerprint*. A hit
-//!   returns the plan without any phase-2 search at all
-//!   ([`Prepared::nodes_visited`] is 0 — the property E21 measures).
+//! * **Prepared plans** — the full [`OptimizeOutcome`], keyed by
+//!   *alpha-normalized query* × *canonical catalog fingerprint* ×
+//!   *cost-model fingerprint*. A hit returns the plan without any
+//!   phase-2 search at all ([`Prepared::nodes_visited`] is 0 — the
+//!   property E21 measures). Nothing on the serving path reads a plan
+//!   document, so none is built here: a caller that snapshots or diffs
+//!   plans renders one with
+//!   [`PlanRepr::from_outcome`](crate::PlanRepr::from_outcome).
 //!
 //! The key is exactly as strong as the things a plan depends on:
 //!
@@ -67,7 +70,6 @@ use pcql::query::Query;
 
 use crate::cost::CostModel;
 use crate::optimizer::{OptimizeError, OptimizeOutcome, Optimizer, OptimizerConfig};
-use crate::plan_repr::PlanRepr;
 
 /// Cache key for one prepared plan. Everything plan choice depends on,
 /// nothing it doesn't.
@@ -82,14 +84,11 @@ struct PlanKey {
     cost_fp: u64,
 }
 
-/// A cached preparation: the outcome and its serialized form.
+/// A cached preparation.
 #[derive(Debug, Clone)]
 pub struct PreparedPlan {
     /// The full optimization outcome (EXPLAIN, top-k ladder, counters).
     pub outcome: OptimizeOutcome,
-    /// The versioned serialization of the outcome, built once at
-    /// preparation time — serving it is free.
-    pub repr: PlanRepr,
 }
 
 /// What one [`PlanService::prepare`] call returns.
@@ -214,9 +213,8 @@ impl PlanService {
         self.stats.misses += 1;
         let optimizer = Optimizer::with_config(&self.catalog, self.config.clone());
         let outcome = optimizer.optimize_in(&mut self.ctx, q)?;
-        let repr = PlanRepr::from_outcome(&outcome);
-        let nodes_visited = outcome.nodes_visited;
-        let plan = Arc::new(PreparedPlan { outcome, repr });
+        let nodes_visited = outcome.search.visited_count;
+        let plan = Arc::new(PreparedPlan { outcome });
         if self.cache_cap > 0 {
             while self.cache.len() >= self.cache_cap {
                 match self.order.pop_front() {

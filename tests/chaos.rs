@@ -389,7 +389,7 @@ fn a_single_worker_death_is_absorbed_without_degradation() {
 
     assert_eq!(fs.injected, 1, "{fs:?}");
     assert_eq!(fs.injected, fs.acknowledged(), "{fs:?}");
-    assert_eq!(out.workers_died, 1);
+    assert_eq!(out.search.workers_died, 1);
     assert!(out.complete, "one death must not abort the search");
     assert!(
         !out.degradations
@@ -542,7 +542,7 @@ fn wall_clock_expiry_racing_incumbent_publication_is_benign() {
                 "{micros}µs @ {threads} threads: unvouched incumbent: {}",
                 out.best.query
             );
-            if out.budget_expired {
+            if out.search.budget_expired {
                 assert!(!out.complete, "{micros}µs @ {threads} threads");
             }
         }
@@ -586,7 +586,7 @@ fn k_best_beyond_the_candidate_set_returns_every_distinct_plan() {
         ..config(SearchStrategy::Exhaustive, 2)
     };
     let out = Optimizer::with_config(&catalog, cfg).optimize(&q).unwrap();
-    assert!(out.budget_expired);
+    assert!(out.search.budget_expired);
     assert_eq!(out.top_k.len(), 1, "zero budget admits exactly the root");
     assert_eq!(
         out.best.raw.alpha_normalized(),
@@ -648,7 +648,7 @@ fn a_replay_under_shard_faults_and_cache_pressure_keeps_the_plans() {
                         format!("{:?}", f.candidates),
                         "{desc}"
                     );
-                    assert_eq!(r.nodes_visited, f.nodes_visited, "{desc}");
+                    assert_eq!(r.search.visited_count, f.search.visited_count, "{desc}");
                 }
             }
         }
@@ -701,15 +701,21 @@ fn a_renamed_parallel_replay_collects_each_visited_node_once_under_worker_deaths
 
     assert_eq!(fs.injected, 3, "{spec}: {fs:?}");
     assert_eq!(fs.injected, fs.acknowledged(), "{spec}: {fs:?}");
-    assert_eq!(out.workers_died, 3, "{spec}");
-    assert!(out.complete, "{spec}: one survivor finishes the walk");
+    assert_eq!(out.counters.workers_died, 3, "{spec}");
+    assert!(
+        out.counters.complete,
+        "{spec}: one survivor finishes the walk"
+    );
     assert_eq!(after.lattice_misses, before.lattice_misses, "{after:?}");
     let sorted = |qs: &[Query]| {
         let mut v = qs.to_vec();
         v.sort();
         v
     };
-    assert_eq!(out.visited_count, oracle.visited_count, "{spec}");
+    assert_eq!(
+        out.counters.visited_count, oracle.counters.visited_count,
+        "{spec}"
+    );
     assert_eq!(sorted(&out.visited), sorted(&oracle.visited), "{spec}");
     assert_eq!(
         sorted(&out.normal_forms),

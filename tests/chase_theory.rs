@@ -32,9 +32,9 @@ fn minimal_plans_are_subqueries_of_the_universal_plan() {
     let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
     let u = ctx.chase(&q).query;
     let u_vars: BTreeSet<String> = u.from.iter().map(|b| b.var.clone()).collect();
-    let out = backchase(&ctx, &u, 0);
+    let out = backchase(&ctx, &u);
     let mut graph = QueryGraph::of_query(&u);
-    assert!(out.complete);
+    assert!(out.counters.complete);
     for nf in &out.normal_forms {
         let nf_vars: BTreeSet<String> = nf.from.iter().map(|b| b.var.clone()).collect();
         assert!(

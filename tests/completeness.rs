@@ -137,7 +137,7 @@ fn assert_walk_matches_brute_force(desc: &str, u: &Query, deps: &[Dependency]) -
         let out = PlanSearch::new(u)
             .with_threads(threads)
             .run(&ctx, &ExploreAll);
-        assert!(out.complete, "{desc} @ {threads} workers");
+        assert!(out.counters.complete, "{desc} @ {threads} workers");
         assert_eq!(
             shapes(&out.normal_forms),
             brute,
@@ -161,8 +161,8 @@ fn backchase_matches_brute_force_on_view_scenarios() {
         );
         let u = chased.query;
 
-        let out = backchase(&ctx, &u, 0);
-        assert!(out.complete);
+        let out = backchase(&ctx, &u);
+        assert!(out.counters.complete);
         let normal_forms = assert_walk_matches_brute_force(&format!("scenario {seed}"), &u, &deps);
         assert_eq!(shapes(&out.normal_forms), shapes(&normal_forms));
         // Every normal form is equivalent to the original query.

@@ -59,10 +59,10 @@ fn cost_guided_best_cost_equals_exhaustive_on_every_scenario() {
         );
         assert!(guided.complete, "{name}: guided search incomplete");
         assert!(
-            guided.nodes_visited <= full.nodes_visited,
+            guided.search.visited_count <= full.search.visited_count,
             "{name}: guided visited {} > exhaustive {}",
-            guided.nodes_visited,
-            full.nodes_visited
+            guided.search.visited_count,
+            full.search.visited_count
         );
     }
 }
@@ -85,17 +85,17 @@ fn cost_guided_prunes_on_projdept_and_views() {
             .optimize(&q)
             .unwrap();
         assert!(
-            guided.nodes_pruned_by_cost > 0,
+            guided.search.pruned() > 0,
             "{name}: no cost pruning (visited {})",
-            guided.nodes_visited
+            guided.search.visited_count
         );
         assert!(
-            guided.nodes_visited < full.nodes_visited,
+            guided.search.visited_count < full.search.visited_count,
             "{name}: guided visited {} not < exhaustive {}",
-            guided.nodes_visited,
-            full.nodes_visited
+            guided.search.visited_count,
+            full.search.visited_count
         );
-        assert_eq!(full.nodes_pruned_by_cost, 0, "{name}");
+        assert_eq!(full.search.pruned(), 0, "{name}");
     }
 }
 
@@ -139,9 +139,9 @@ fn cost_guided_one_worker_counters_are_pinned() {
         let costs: Vec<f64> = out.incumbent_trace.iter().map(|&(_, c)| c).collect();
         assert_eq!(
             (
-                out.nodes_visited,
-                out.nodes_pruned_at_gate,
-                out.nodes_pruned_at_visit,
+                out.search.visited_count,
+                out.search.pruned_at_gate,
+                out.search.pruned_at_visit,
                 costs.as_slice(),
             ),
             (visited, gate, visit, trace),
@@ -193,8 +193,8 @@ fn lower_bound_is_admissible_for_every_visited_subquery() {
         let model = CostModel::for_catalog(&catalog);
         let ctx = ChaseContext::new(catalog.all_constraints(), Default::default());
         let u = ctx.chase(&q).query;
-        let out = backchase(&ctx, &u, 0);
-        assert!(out.complete, "{name}");
+        let out = backchase(&ctx, &u);
+        assert!(out.counters.complete, "{name}");
         for v in &out.visited {
             let lb = model.lower_bound(v);
             let cost = model.plan_cost(v);
@@ -238,13 +238,13 @@ fn must_remain_bound_multiplies_pruning_over_the_access_floor() {
             );
         }
         assert!(
-            must.nodes_pruned_by_cost >= floor.nodes_pruned_by_cost,
+            must.search.pruned() >= floor.search.pruned(),
             "{name}: must-remain pruned {} < access-floor {}",
-            must.nodes_pruned_by_cost,
-            floor.nodes_pruned_by_cost
+            must.search.pruned(),
+            floor.search.pruned()
         );
         if name == "projdept" {
-            projdept_pruned = (floor.nodes_pruned_by_cost, must.nodes_pruned_by_cost);
+            projdept_pruned = (floor.search.pruned(), must.search.pruned());
         }
     }
     assert!(

@@ -6,7 +6,7 @@
 //! pipeline (constraint generation, chase, backchase, cleanup, reorder,
 //! evaluation) against ground truth.
 
-use universal_plans::chase::ChaseContext;
+use universal_plans::chase::{ChaseContext, SearchBudget};
 use universal_plans::prelude::*;
 
 /// A context shared across the seeds/scales of one scenario: the chase
@@ -22,7 +22,10 @@ fn check_all_plans(catalog: &Catalog, q: &Query, instance: &Instance, ctx: &mut 
     // A bounded enumeration keeps the suite fast; an incomplete backchase
     // is still sound, which is exactly what this test checks.
     let config = cb_optimizer::OptimizerConfig {
-        max_visited: 400,
+        search_budget: SearchBudget {
+            nodes: Some(400),
+            ..Default::default()
+        },
         cost_visited: true,
         ..Default::default()
     };

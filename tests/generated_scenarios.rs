@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 use cb_optimizer::{CostModel, Optimizer, OptimizerConfig, SearchStrategy};
-use universal_plans::analyze::codes;
+use universal_plans::analyze::{check_pipeline, codes};
 use universal_plans::catalog::RootStats;
 use universal_plans::chase::{
     first_unsafe, ChaseConfig, ChaseContext, MustRemainAnalysis, PlanSearch, SearchVisitor, Visit,
@@ -219,20 +219,20 @@ proptest! {
         );
         prop_assert!(guided.complete, "guided search incomplete on {}", s.desc);
         prop_assert!(
-            guided.nodes_visited <= full.nodes_visited,
+            guided.search.visited_count <= full.search.visited_count,
             "guided visited {} > exhaustive {} on {}",
-            guided.nodes_visited, full.nodes_visited, s.desc
+            guided.search.visited_count, full.search.visited_count, s.desc
         );
         prop_assert!(
-            guided.nodes_visited + guided.nodes_pruned_by_cost >= 1,
+            guided.search.visited_count + guided.search.pruned() >= 1,
             "accounting lost the root on {}", s.desc
         );
         prop_assert_eq!(
-            guided.nodes_pruned_by_cost,
-            guided.nodes_pruned_at_gate + guided.nodes_pruned_at_visit,
+            guided.search.pruned(),
+            guided.search.pruned_at_gate + guided.search.pruned_at_visit,
             "pruning split inconsistent on {}", s.desc
         );
-        prop_assert_eq!(full.nodes_pruned_by_cost, 0);
+        prop_assert_eq!(full.search.pruned(), 0);
         // The must-remain core of the universal plan survives into every
         // candidate the exhaustive search costed.
         for c in &full.candidates {
@@ -297,7 +297,7 @@ proptest! {
         let rec = Recorder { nodes: Mutex::default() };
         let out = PlanSearch::new(&u).run(&ctx, &rec);
         let nodes = rec.nodes.into_inner().unwrap();
-        prop_assert!(out.complete, "{}", s.desc);
+        prop_assert!(out.counters.complete, "{}", s.desc);
         let mut analysis = MustRemainAnalysis::new(&u);
 
         // Final (cleaned, reordered) costs per raw subquery, as the
@@ -429,9 +429,9 @@ proptest! {
                     if !exact {
                         continue;
                     }
-                    prop_assert_eq!(got.nodes_visited, want.nodes_visited, "{}", desc);
-                    prop_assert_eq!(got.nodes_pruned_at_gate, want.nodes_pruned_at_gate, "{}", desc);
-                    prop_assert_eq!(got.nodes_pruned_at_visit, want.nodes_pruned_at_visit, "{}", desc);
+                    prop_assert_eq!(got.search.visited_count, want.search.visited_count, "{}", desc);
+                    prop_assert_eq!(got.search.pruned_at_gate, want.search.pruned_at_gate, "{}", desc);
+                    prop_assert_eq!(got.search.pruned_at_visit, want.search.pruned_at_visit, "{}", desc);
                     if *same_shape {
                         let added = [
                             after.containment_misses - before.containment_misses,
@@ -470,7 +470,7 @@ fn inadmissible_bound_is_caught_by_the_differential_check() {
     .optimize(&q)
     .unwrap();
     assert!(
-        broken.nodes_pruned_by_cost > 0,
+        broken.search.pruned() > 0,
         "the inflated bound pruned nothing"
     );
     assert!(
@@ -546,7 +546,7 @@ proptest! {
                     &c.query,
                     CompileOptions { hash_joins, merge_joins, ..Default::default() },
                 );
-                let rep = analyzer.check_pipeline(&p);
+                let rep = check_pipeline(&p);
                 prop_assert!(
                     !rep.has_errors(),
                     "pipeline errors (hash_joins={}, merge_joins={}) for `{}` on {}:\n{}",
@@ -607,7 +607,7 @@ fn canary_swapped_slot_write_is_caught() {
             ..Default::default()
         },
     );
-    let clean = Analyzer::new(&s.catalog).check_pipeline(&p);
+    let clean = check_pipeline(&p);
     assert!(!clean.has_errors(), "canary baseline dirty: {clean}");
     // Redirect the second writing operator onto the first one's register.
     let mut writes = p.ops.iter_mut().filter_map(|op| match op {
@@ -621,7 +621,7 @@ fn canary_swapped_slot_write_is_caught() {
     let first = *writes.next().expect("a writing operator");
     let second = writes.next().expect("a second writing operator");
     *second = first;
-    let report = Analyzer::new(&s.catalog).check_pipeline(&p);
+    let report = check_pipeline(&p);
     assert!(
         report.errors().any(|d| d.code == codes::SLOT_LAYOUT),
         "no CB031 for the double write: {report}"
@@ -652,7 +652,7 @@ fn canary_dropped_binding_is_caught() {
             ..Default::default()
         },
     );
-    let report = Analyzer::new(&s.catalog).check_pipeline(&p);
+    let report = check_pipeline(&p);
     assert!(
         report.errors().any(|d| d.code == codes::UNRESOLVED_VAR),
         "no CB032 for the unresolved variable: {report}"

@@ -22,7 +22,7 @@ fn norm(plans: &[Query]) -> Vec<Query> {
 /// Chases `q` and backchases the universal plan twice — once with the
 /// caches on, once with them disabled — and asserts the outcomes are
 /// identical (alpha-normalized, order-insensitive).
-fn check_scenario(name: &str, catalog: &Catalog, q: &Query, max_visited: usize) {
+fn check_scenario(name: &str, catalog: &Catalog, q: &Query) {
     let deps = catalog.all_constraints();
     let cfg = ChaseConfig::default();
 
@@ -33,9 +33,12 @@ fn check_scenario(name: &str, catalog: &Catalog, q: &Query, max_visited: usize) 
     let u2 = disabled.chase(q).query;
     assert_eq!(u1, u2, "{name}: universal plans differ");
 
-    let a = backchase(&memoized, &u1, max_visited);
-    let b = backchase(&disabled, &u2, max_visited);
-    assert_eq!(a.complete, b.complete, "{name}: completeness differs");
+    let a = backchase(&memoized, &u1);
+    let b = backchase(&disabled, &u2);
+    assert_eq!(
+        a.counters.complete, b.counters.complete,
+        "{name}: completeness differs"
+    );
     assert_eq!(
         norm(&a.normal_forms),
         norm(&b.normal_forms),
@@ -59,7 +62,6 @@ fn projdept_memoized_backchase_matches_cache_disabled() {
         "projdept",
         &catalog,
         &cb_catalog::scenarios::projdept::query(),
-        400,
     );
 }
 
@@ -70,7 +72,6 @@ fn projdept_mapping_only_memoized_backchase_matches_cache_disabled() {
         "projdept (mapping-only)",
         &catalog,
         &cb_catalog::scenarios::projdept::query(),
-        400,
     );
 }
 
@@ -81,7 +82,6 @@ fn relational_indexes_memoized_backchase_matches_cache_disabled() {
         "relational_indexes",
         &catalog,
         &cb_catalog::scenarios::relational_indexes::query(),
-        400,
     );
 }
 
@@ -92,7 +92,6 @@ fn relational_views_memoized_backchase_matches_cache_disabled() {
         "relational_views",
         &catalog,
         &cb_catalog::scenarios::relational_views::query(),
-        400,
     );
 }
 
@@ -217,9 +216,12 @@ fn check_constant_family_verdicts(scenario: &str, seed: u64) {
             "{desc}: universal plans differ"
         );
         let before = warm.stats();
-        let a = backchase(&warm, &u, 400);
-        let b = backchase(&oracle, &u, 400);
-        assert_eq!(a.complete, b.complete, "{desc}: completeness differs");
+        let a = backchase(&warm, &u);
+        let b = backchase(&oracle, &u);
+        assert_eq!(
+            a.counters.complete, b.counters.complete,
+            "{desc}: completeness differs"
+        );
         assert_eq!(norm(&a.normal_forms), norm(&b.normal_forms), "{desc}");
         assert_eq!(norm(&a.visited), norm(&b.visited), "{desc}");
         for p in &b.visited {
@@ -337,7 +339,7 @@ fn children_a_replay_admits_past_the_old_gate_are_verified_lazily() {
             .optimize_in(&mut ctx, &q)
             .unwrap();
         assert!(
-            cold.nodes_pruned_at_gate > 0,
+            cold.search.pruned_at_gate > 0,
             "{name}: the first walk gates"
         );
         // The second walk under the gating statistics records the lattice.
@@ -345,7 +347,7 @@ fn children_a_replay_admits_past_the_old_gate_are_verified_lazily() {
             .optimize_in(&mut ctx, &q)
             .unwrap();
         assert_eq!(
-            recorded.nodes_pruned_at_gate, cold.nodes_pruned_at_gate,
+            recorded.search.pruned_at_gate, cold.search.pruned_at_gate,
             "{name}"
         );
         let warm = ctx.stats();
@@ -380,13 +382,16 @@ fn children_a_replay_admits_past_the_old_gate_are_verified_lazily() {
             format!("{:?}", fresh.candidates),
             "{name}"
         );
-        assert_eq!(replay.nodes_visited, fresh.nodes_visited, "{name}");
         assert_eq!(
-            replay.nodes_pruned_at_gate, fresh.nodes_pruned_at_gate,
+            replay.search.visited_count, fresh.search.visited_count,
             "{name}"
         );
         assert_eq!(
-            replay.nodes_pruned_at_visit, fresh.nodes_pruned_at_visit,
+            replay.search.pruned_at_gate, fresh.search.pruned_at_gate,
+            "{name}"
+        );
+        assert_eq!(
+            replay.search.pruned_at_visit, fresh.search.pruned_at_visit,
             "{name}"
         );
     }
@@ -437,13 +442,16 @@ fn prepare_variant(
         "{desc}"
     );
     if exact {
-        assert_eq!(got.nodes_visited, want.nodes_visited, "{desc}");
         assert_eq!(
-            got.nodes_pruned_at_gate, want.nodes_pruned_at_gate,
+            got.search.visited_count, want.search.visited_count,
             "{desc}"
         );
         assert_eq!(
-            got.nodes_pruned_at_visit, want.nodes_pruned_at_visit,
+            got.search.pruned_at_gate, want.search.pruned_at_gate,
+            "{desc}"
+        );
+        assert_eq!(
+            got.search.pruned_at_visit, want.search.pruned_at_visit,
             "{desc}"
         );
     }
@@ -531,7 +539,10 @@ fn a_dependency_constant_keeps_its_lattice_apart() {
             format!("{:?}", want.best),
             "A = {a}"
         );
-        assert_eq!(got.nodes_visited, want.nodes_visited, "A = {a}");
+        assert_eq!(
+            got.search.visited_count, want.search.visited_count,
+            "A = {a}"
+        );
         replay_counters(&before, &warm.stats()).0[2]
     };
     // `A = 5` is recorded and replayed; `A = 6` is a shape of its own.

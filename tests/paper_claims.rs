@@ -116,8 +116,8 @@ fn both_index_directions_are_needed() {
     assert!(u_oneway.from.iter().any(|b| b.src.to_string() == "dom(SI)"));
     // …but without the inverse direction the SI-only plan can no longer
     // be *justified*: removing the Proj binding requires SI2.
-    let out_full = backchase(&ctx_full, &u_full, 4096);
-    let out_oneway = backchase(&ctx_oneway, &u_oneway, 4096);
+    let out_full = backchase(&ctx_full, &u_full);
+    let out_oneway = backchase(&ctx_oneway, &u_oneway);
     let si_only = |nfs: &[Query]| {
         nfs.iter()
             .any(|p| p.from.len() == 2 && p.from.iter().all(|b| b.src.mentions_root("SI")))

@@ -9,7 +9,10 @@
 use std::time::Duration;
 
 use cb_chase::CacheStats;
-use cb_optimizer::{OptimizeOutcome, Optimizer, OptimizerConfig, PlanService, SearchStrategy};
+use cb_optimizer::{
+    Degradation, OptimizeOutcome, Optimizer, OptimizerConfig, PlanService, SearchStrategy,
+};
+use universal_plans::chase::faults::ScopedFaults;
 use universal_plans::chase::SearchBudget;
 use universal_plans::prelude::*;
 
@@ -81,7 +84,10 @@ fn parallel_exhaustive_candidates_match_sequential_on_every_scenario() {
                     a.query
                 );
             }
-            assert_eq!(par.nodes_visited, base.nodes_visited, "{name} @ {threads}");
+            assert_eq!(
+                par.search.visited_count, base.search.visited_count,
+                "{name} @ {threads}"
+            );
             assert!(par.complete, "{name} @ {threads} threads");
         }
     }
@@ -140,7 +146,7 @@ fn zero_budget_returns_the_universal_plan() {
                 ..config(strategy, threads)
             };
             let out = Optimizer::with_config(&catalog, cfg).optimize(&q).unwrap();
-            assert!(out.budget_expired, "{name} {strategy:?} @ {threads}");
+            assert!(out.search.budget_expired, "{name} {strategy:?} @ {threads}");
             assert!(!out.complete, "{name} {strategy:?} @ {threads}");
             assert_eq!(
                 out.best.raw.alpha_normalized(),
@@ -183,7 +189,7 @@ fn expired_budget_incumbent_is_executable_and_result_correct() {
                 ..config(SearchStrategy::CostGuided, threads)
             };
             let out = Optimizer::with_config(&catalog, cfg).optimize(&q).unwrap();
-            expired_at_least_once |= out.budget_expired;
+            expired_at_least_once |= out.search.budget_expired;
             let rows = ev.eval_query(&out.best.query).unwrap_or_else(|e| {
                 panic!(
                     "budget {nodes} @ {threads} threads: incumbent failed: {e}\nplan: {}",
@@ -207,9 +213,64 @@ fn expired_budget_incumbent_is_executable_and_result_correct() {
         let out = Optimizer::with_config(&catalog, wall_cfg)
             .optimize(&q)
             .unwrap();
-        assert!(out.budget_expired, "@ {threads} threads");
+        assert!(out.search.budget_expired, "@ {threads} threads");
         assert_eq!(ev.eval_query(&out.best.query).unwrap(), reference);
     }
+}
+
+fn node_budget(nodes: usize) -> SearchBudget {
+    SearchBudget {
+        nodes: Some(nodes),
+        ..SearchBudget::default()
+    }
+}
+
+/// A two-worker walk that its node budget stopped after losing a worker
+/// holds the budget's anytime answer: the survivor commits exactly the
+/// budgeted nodes, and the governor does not rerun it sequentially.
+#[test]
+fn a_budget_stopped_walk_that_lost_a_worker_is_not_rerun() {
+    let (_, catalog, q) = scenarios().swap_remove(0);
+    for at in [3, 5, 12] {
+        let cfg = OptimizerConfig {
+            search_budget: node_budget(20),
+            ..config(SearchStrategy::Exhaustive, 2)
+        };
+        let spec = format!("parallel::pop=panic@{at}");
+        let out = {
+            let _guard = ScopedFaults::install(&spec).unwrap();
+            Optimizer::with_config(&catalog, cfg).optimize(&q).unwrap()
+        };
+        assert_eq!(out.search.workers_died, 1, "{spec}");
+        assert_eq!(out.search.visited_count, 20, "{spec}");
+        assert!(out.search.budget_expired, "{spec}");
+        assert!(
+            !out.degradations
+                .iter()
+                .any(|d| matches!(d, Degradation::SequentialFallback { .. })),
+            "{spec}: {:?}",
+            out.degradations
+        );
+    }
+}
+
+/// The node cap is the anytime budget, so a capped walk that reached no
+/// physical plan answers with the verified universal plan instead of
+/// failing.
+#[test]
+fn a_capped_walk_without_a_physical_plan_answers_with_the_universal_plan() {
+    let (_, catalog, q) = scenarios().swap_remove(0);
+    let cfg = OptimizerConfig {
+        search_budget: node_budget(20),
+        ..OptimizerConfig::default()
+    };
+    let out = Optimizer::with_config(&catalog, cfg).optimize(&q).unwrap();
+    assert!(out.search.budget_expired);
+    assert_eq!(out.search.visited_count, 20);
+    assert_eq!(
+        out.best.raw.alpha_normalized(),
+        out.universal.alpha_normalized()
+    );
 }
 
 #[test]
@@ -352,13 +413,16 @@ fn assert_same_outcome(desc: &str, replay: &OptimizeOutcome, fresh: &OptimizeOut
             format!("{:?}", fresh.candidates),
             "{desc}: candidates"
         );
-        assert_eq!(replay.nodes_visited, fresh.nodes_visited, "{desc}");
         assert_eq!(
-            replay.nodes_pruned_at_gate, fresh.nodes_pruned_at_gate,
+            replay.search.visited_count, fresh.search.visited_count,
             "{desc}"
         );
         assert_eq!(
-            replay.nodes_pruned_at_visit, fresh.nodes_pruned_at_visit,
+            replay.search.pruned_at_gate, fresh.search.pruned_at_gate,
+            "{desc}"
+        );
+        assert_eq!(
+            replay.search.pruned_at_visit, fresh.search.pruned_at_visit,
             "{desc}"
         );
     }

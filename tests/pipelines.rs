@@ -4,6 +4,7 @@
 //! 1024 — and the batch counters must reconcile with the per-operator
 //! row counts.
 
+use universal_plans::chase::SearchBudget;
 use universal_plans::engine::exec::{compile, execute_with_stats, CompileOptions};
 use universal_plans::prelude::*;
 
@@ -11,7 +12,10 @@ fn check_pipelines(catalog: &Catalog, q: &Query, instance: &Instance) {
     let ev = Evaluator::for_catalog(catalog, instance);
     let reference = ev.eval_query(q).unwrap();
     let config = cb_optimizer::OptimizerConfig {
-        max_visited: 200,
+        search_budget: SearchBudget {
+            nodes: Some(200),
+            ..Default::default()
+        },
         cost_visited: true,
         ..Default::default()
     };

@@ -516,6 +516,9 @@ fn a_lattice_is_never_replayed_across_a_theory_change() {
             format!("{:?}", f.top_k),
             "{indexes:?}"
         );
-        assert_eq!(r.nodes_visited, f.nodes_visited, "{indexes:?}");
+        assert_eq!(
+            r.search.visited_count, f.search.visited_count,
+            "{indexes:?}"
+        );
     }
 }

@@ -277,7 +277,7 @@ proptest! {
     /// same result (backchase soundness).
     #[test]
     fn backchase_soundness(q in arb_cq(), inst in arb_instance()) {
-        let out = backchase(&ChaseContext::new(vec![], ChaseConfig::default()), &q, 0);
+        let out = backchase(&ChaseContext::new(vec![], ChaseConfig::default()), &q);
         let ev = Evaluator::new(&inst);
         let reference = ev.eval_query(&q).unwrap();
         for nf in &out.normal_forms {
@@ -302,8 +302,8 @@ proptest! {
         r.distinct.insert("A".into(), distinct_a);
         stats.set("R", r);
         let model = CostModel::new(&stats);
-        let out = backchase(&ChaseContext::new(vec![], ChaseConfig::default()), &q, 0);
-        prop_assert!(out.complete);
+        let out = backchase(&ChaseContext::new(vec![], ChaseConfig::default()), &q);
+        prop_assert!(out.counters.complete);
         for v in &out.visited {
             prop_assert!(
                 model.lower_bound(v) <= model.plan_cost(v) + 1e-9,

@@ -2,6 +2,7 @@
 //! example: foreign-key chains, gmap/view interplay, and optimizer
 //! behaviour under constraint ablation.
 
+use universal_plans::chase::SearchBudget;
 use universal_plans::prelude::*;
 
 /// Orders -> Customers -> Regions FK chain: both dangling joins vanish.
@@ -213,7 +214,10 @@ fn bounded_search_remains_sound() {
     let mut catalog = cb_catalog::scenarios::projdept::catalog();
     cb_catalog::scenarios::projdept::stats_for(&mut catalog, 20, 5, 5);
     let config = cb_optimizer::OptimizerConfig {
-        max_visited: 3,
+        search_budget: SearchBudget {
+            nodes: Some(3),
+            ..Default::default()
+        },
         cost_visited: true,
         ..Default::default()
     };
