@@ -1674,9 +1674,9 @@ fn stats_refresh_replay(before: &Prepared, after: &Prepared) -> Replay {
 /// constants in one value order (so all three share one lattice shape),
 /// for E21's variant replays. The §4 views query has no constant of its
 /// own; its variants add `r.A = k`. With `renamed`, the third query also
-/// names its variables otherwise, keeping their rank among all of its
-/// universal plan's variable names (the chase's own `i0`, `k0`, `t1`, …
-/// included), so it still shares the shape.
+/// names its variables otherwise, in the reverse order of the first two
+/// queries' names and ranked otherwise among the chase's own (`i0`,
+/// `k0`, `t1`, …): a shape is one plan up to a positional renaming.
 fn variants(renamed: bool) -> [(&'static str, Prepared, [pcql::Query; 3]); 3] {
     let queries = |texts: [String; 3]| texts.map(|t| parse_query(&t).expect("variant parses"));
     let pick = |plain, other| if renamed { other } else { plain };
@@ -1698,7 +1698,7 @@ fn variants(renamed: bool) -> [(&'static str, Prepared, [pcql::Query; 3]); 3] {
     };
     let (dsp, rs) = (["d", "s", "p"], ["r", "s"]);
     let (dsp3, r3, rs3) = if renamed {
-        (["dp", "q", "pj"], "row", ["ra", "sb"])
+        (["zd", "ap", "ms"], "ar", ["sb", "ra"])
     } else {
         (dsp, "r", rs)
     };

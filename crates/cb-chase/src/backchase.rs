@@ -570,19 +570,27 @@ pub fn backchase(ctx: &ChaseContext, u: &Query) -> SearchOutcome {
 /// normal form. Linear in the number of bindings (each step runs the
 /// equivalence checks once per candidate), against the exhaustive
 /// enumeration's exponential lattice — the E13 ablation measures the
-/// plan-quality price.
+/// plan-quality price. Returns the plan and the descent's counters: it
+/// visits the universal plan and every candidate subquery it verifies,
+/// equivalent or not, and always completes.
 pub fn backchase_greedy(
     ctx: &ChaseContext,
     u: &Query,
     prefer_removing: &BTreeSet<String>,
-) -> Query {
+) -> (Query, SearchCounters) {
     let mut graph = QueryGraph::of_query(u);
     let mut hom_graph = graph.clone();
     let mut removed: BTreeSet<String> = BTreeSet::new();
+    let mut counters = SearchCounters {
+        visited_count: 1,
+        complete: true,
+        ..SearchCounters::default()
+    };
     // The equivalence check for a candidate removal: the identity over
     // the surviving variables always witnesses u ⊑ q2 (see the
     // enumeration), so only validate it, then test q2 ⊑ u memoized.
-    let valid = |ctx: &ChaseContext, hom_graph: &mut QueryGraph, q2: &Query| -> bool {
+    let mut valid = |ctx: &ChaseContext, hom_graph: &mut QueryGraph, q2: &Query| -> bool {
+        counters.visited_count += 1;
         let seed: Assignment = q2
             .from
             .iter()
@@ -641,9 +649,10 @@ pub fn backchase_greedy(
             }
         }
         if !advanced {
-            return subquery_for(u, &mut graph, &removed)
+            let plan = subquery_for(u, &mut graph, &removed)
                 .and_then(|q2| prune_unsafe_conditions(ctx, &q2))
                 .unwrap_or_else(|| u.clone());
+            return (plan, counters);
         }
     }
 }
@@ -971,7 +980,7 @@ mod tests {
         // drives the descent into the view-only plan.
         let prefer: BTreeSet<String> = ["R".to_string(), "S".to_string()].into();
         let ctx = ctx(&deps);
-        let plan = backchase_greedy(&ctx, &u, &prefer);
+        let (plan, _) = backchase_greedy(&ctx, &u, &prefer);
         assert_eq!(plan.from.len(), 1);
         assert_eq!(plan.from[0].src, Path::root("V"));
         assert!(is_minimal(&ctx, &plan));
@@ -979,7 +988,7 @@ mod tests {
         // With no preference the descent still reaches a minimal plan
         // (removing r alone is equivalence-preserving here: an empty S
         // forces an empty V, so the dangling S binding filters nothing).
-        let plan2 = backchase_greedy(&ctx, &u, &BTreeSet::new());
+        let (plan2, _) = backchase_greedy(&ctx, &u, &BTreeSet::new());
         assert!(is_minimal(&ctx, &plan2));
         assert_eq!(plan2.from.len(), 1);
     }
@@ -988,7 +997,7 @@ mod tests {
     fn greedy_on_already_minimal_query_is_identity_shaped() {
         let q =
             parse_query("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B").unwrap();
-        let plan = backchase_greedy(&ctx(&[]), &q, &BTreeSet::new());
+        let (plan, _) = backchase_greedy(&ctx(&[]), &q, &BTreeSet::new());
         assert_eq!(plan.from.len(), 2);
     }
 

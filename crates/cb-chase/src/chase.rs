@@ -62,7 +62,7 @@ impl Default for ChaseConfig {
 pub struct ChaseStepTrace {
     pub dep: String,
     /// The trigger: dependency variable -> query path.
-    pub trigger: Vec<(String, String)>,
+    pub trigger: Vec<(String, Path)>,
     pub added_bindings: Vec<Binding>,
     pub added_eqs: Vec<Equality>,
 }
@@ -150,6 +150,80 @@ impl ChaseState {
             self.fixpoint = true;
         }
         self.fixpoint
+    }
+
+    /// The outcome this state finalized into, for `q`: as it is when
+    /// `q` is the query the state started from, renamed when `q` is that
+    /// query with its variables renamed, and `None` when a chase of `q`
+    /// might derive something else. The chase reads variables by
+    /// position (triggers in binding order, coalescing the later of two
+    /// duplicates), so a renamed input chases to the renamed outcome —
+    /// unless a name of either input is one the fresh-name generator
+    /// tried and skipped, which could steer the names the chase adds.
+    pub(crate) fn outcome_for(&self, outcome: &ChaseOutcome, q: &Query) -> Option<ChaseOutcome> {
+        // The chase only appends bindings and conditions to its input.
+        let added = |f: fn(&ChaseStepTrace) -> usize| self.steps.iter().map(f).sum::<usize>();
+        let from = &self.query.from[..self.query.from.len() - added(|s| s.added_bindings.len())];
+        let where_ = &self.query.where_[..self.query.where_.len() - added(|s| s.added_eqs.len())];
+        if from == q.from && where_ == q.where_ && self.query.output == q.output {
+            return Some(outcome.clone());
+        }
+        if from.len() != q.from.len() || where_.len() != q.where_.len() {
+            return None;
+        }
+        let map: BTreeMap<String, String> = from
+            .iter()
+            .zip(&q.from)
+            .map(|(a, b)| (a.var.clone(), b.var.clone()))
+            .collect();
+        let targets: std::collections::BTreeSet<&String> = map.values().collect();
+        let input = Query {
+            output: self.query.output.clone(),
+            from: from.to_vec(),
+            where_: where_.to_vec(),
+        };
+        if map.len() != from.len() || targets.len() != from.len() || input.rename(&map) != *q {
+            return None;
+        }
+        // The highest counter the generator reached per name stem.
+        let mut reached: BTreeMap<&str, u64> = BTreeMap::new();
+        for b in self.steps.iter().flat_map(|s| &s.added_bindings) {
+            if let Some((stem, n)) = numbered(&b.var) {
+                let top = reached.entry(stem).or_default();
+                *top = (*top).max(n);
+            }
+        }
+        let tried = |v: &String| {
+            numbered(v).is_some_and(|(stem, n)| reached.get(stem).is_some_and(|&top| n <= top))
+        };
+        if map.keys().chain(map.values()).any(tried) {
+            return None;
+        }
+        Some(ChaseOutcome {
+            query: outcome.query.rename(&map),
+            steps: outcome
+                .steps
+                .iter()
+                .map(|s| ChaseStepTrace {
+                    dep: s.dep.clone(),
+                    trigger: s
+                        .trigger
+                        .iter()
+                        .map(|(v, p)| (v.clone(), p.rename(&map)))
+                        .collect(),
+                    added_bindings: s
+                        .added_bindings
+                        .iter()
+                        .map(|b| Binding {
+                            src: b.src.rename(&map),
+                            ..b.clone()
+                        })
+                        .collect(),
+                    added_eqs: s.added_eqs.iter().map(|e| e.rename(&map)).collect(),
+                })
+                .collect(),
+            complete: outcome.complete,
+        })
     }
 
     /// Finalizes into a [`ChaseOutcome`] (coalescing per `cfg`).
@@ -272,6 +346,15 @@ pub fn coalesce_duplicates(q: &Query) -> Query {
     }
 }
 
+/// A name of the form the fresh-name generator makes, split into its
+/// stem and counter (`k12` → `("k", 12)`); `None` for any other name.
+fn numbered(name: &str) -> Option<(&str, u64)> {
+    let stem = name.trim_end_matches(|c: char| c.is_ascii_digit());
+    let digits = &name[stem.len()..];
+    let n: u64 = digits.parse().ok()?;
+    (!stem.is_empty() && n.to_string() == digits).then_some((stem, n))
+}
+
 /// Removes reflexive and duplicate conditions.
 fn cleanup_conditions(mut q: Query) -> Query {
     let mut seen = std::collections::BTreeSet::new();
@@ -288,8 +371,7 @@ pub(crate) fn apply_step_in(
     dep: &Dependency,
     h: &Assignment,
 ) -> ChaseStepTrace {
-    let trigger: Vec<(String, String)> =
-        h.iter().map(|(k, v)| (k.clone(), v.to_string())).collect();
+    let trigger: Vec<(String, Path)> = h.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
     let mut h = h.clone();
     let mut gen = VarGen::avoiding(query.from.iter().map(|b| b.var.clone()));
 

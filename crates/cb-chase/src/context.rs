@@ -12,7 +12,9 @@
 //!   than a finished result: a containment check stops chasing the
 //!   moment a witness homomorphism appears (sound, because every chase
 //!   prefix is equivalent to the input), and the next check against the
-//!   same query resumes from where the last one stopped;
+//!   same query resumes from where the last one stopped. A finished
+//!   outcome is handed back in the caller's own variable names
+//!   ([`ChaseContext::chase`]);
 //! * **containment verdicts**, keyed by the alpha-normalized pair with
 //!   its constants abstracted (see below);
 //! * **implication verdicts** `D ⊨ σ`, keyed by a canonicalized `σ`
@@ -33,16 +35,17 @@
 //!   lattice node survive the pruning of implied ones, keyed by the
 //!   node's shape, so costing a replayed node asks no proof either. A
 //!   replayed fact is handed back as (part of) a plan, so it must be
-//!   byte-identical to the one a walk of the caller's own `u` derives: a
-//!   lattice keeps the facts of the plan it was recorded for, and the
-//!   walk translates each subquery it settles to the caller's variables
-//!   (by binding position) and constants (by rank); a plan form is
-//!   recorded by condition position and applies to the caller's own
-//!   conditions. Subquery construction breaks ties by the structural
-//!   order of paths (a class's representative, the order of implied
-//!   conditions), so the lattice key keeps the *order* of `u`'s variable
-//!   names and of its constants — not their values: see
-//!   `MemoKeys::lattice`. Both memos pay off only when a shape comes
+//!   byte-identical to the one a walk of the caller's own `u` derives.
+//!   Every walk computes on `u`'s positional form (its variables renamed
+//!   by binding position), a lattice keeps the facts of the form it was
+//!   recorded for, and the walk translates each subquery it settles to
+//!   the caller's variables (by binding position) and constants (by
+//!   rank); a plan form is recorded by condition position and applies to
+//!   the caller's own conditions. Subquery construction breaks ties by
+//!   the structural order of paths (a class's representative, the order
+//!   of implied conditions), so the lattice key keeps the *order* of
+//!   `u`'s constants — not their values — and no variable name at all:
+//!   see `MemoKeys::lattice`. Both memos pay off only when a shape comes
 //!   back, so both admit an entry on its *second* request: the first
 //!   leaves only the key's hash behind, and a workload whose shapes
 //!   never repeat holds no lattice. Both count in
@@ -130,7 +133,7 @@ use std::time::Duration;
 use pcql::query::{Binding, Equality, Output, Query};
 use pcql::{Constant, Dependency, Path};
 
-use crate::chase::{ChaseConfig, ChaseOutcome, ChaseState};
+use crate::chase::{chase, ChaseConfig, ChaseOutcome, ChaseState};
 use crate::containment::output_matching_hom;
 use crate::faults::{self, FaultKind};
 use crate::implication::implies_uncached;
@@ -799,13 +802,15 @@ impl ChaseContext {
         marker.armed = false;
     }
 
-    /// Chases `q` to a fixpoint (or budget), memoized.
+    /// Chases `q` to a fixpoint (or budget), memoized by the
+    /// alpha-normalized query.
     ///
-    /// On a cache hit for an *alpha-equivalent but differently named*
-    /// query, the returned outcome carries the variable names of the
-    /// first query chased under this key; all derived judgements
-    /// (containment, equivalence, implication) are invariant under that
-    /// renaming.
+    /// The outcome is always in `q`'s own names. A hit for the same query
+    /// under other variable names hands back the memoized outcome renamed
+    /// — what a chase of `q` derives. Where the renaming could not be
+    /// vouched for (the two differ in the order of their conditions, or a
+    /// name of either is one the chase's fresh-name generator tried), `q`
+    /// is chased afresh and the memo is left as it was.
     pub fn chase(&self, q: &Query) -> ChaseOutcome {
         let key = Keyed::new(q.alpha_normalized());
         let (mut entry, marker) = self.checkout(&key, q);
@@ -813,11 +818,12 @@ impl ChaseContext {
             while entry.state.step(&self.deps, &self.cfg) {}
             entry.outcome = Some(entry.state.finalize(&self.deps, &self.cfg));
         }
-        let out = entry.outcome.clone().expect("outcome just finalized");
+        let out = entry.outcome.as_ref().expect("outcome just finalized");
+        let out = entry.state.outcome_for(out, q);
         if let Some(marker) = marker {
             self.park(marker, entry);
         }
-        out
+        out.unwrap_or_else(|| chase(q, &self.deps, &self.cfg))
     }
 
     /// Is `q1 ⊑ q2` under this context's dependencies (set semantics)?
@@ -909,13 +915,15 @@ impl ChaseContext {
         self.contained_in(q1, q2) && self.contained_in(q2, q1)
     }
 
-    /// Checks the verified lattice of `u`'s shape out for one search
-    /// walk (see the `lattice` module): the parked lattice on a hit, with
-    /// the armed slot to park it in, and `u`'s non-dependency constants
-    /// in rank order, which the walk pairs with the lattice's own to
-    /// translate its facts. A lattice is only worth its memory if its
-    /// shape is walked again — a re-preparation after a statistics
-    /// refresh, or the same query with another constant — so a miss
+    /// Checks the verified lattice of `base`'s shape out for one search
+    /// walk (see the `lattice` module), where `base` is the walked plan
+    /// in [positional form](Query::positional): the parked lattice on a
+    /// hit, with the armed slot to park it in, and `base`'s
+    /// non-dependency constants in rank order, which the walk pairs with
+    /// the lattice's own to translate its facts. A lattice is only worth
+    /// its memory if its shape is walked again — a re-preparation after a
+    /// statistics refresh, or the same query under other names or with
+    /// another constant — so a miss
     /// admits one only on the second walk of a shape: the first merely
     /// records the key's hash and walks on a private lattice that is
     /// never parked, the second records a fresh lattice into a new slot,
@@ -926,13 +934,13 @@ impl ChaseContext {
     /// (a pressure signal sheds the shard first).
     pub(crate) fn checkout_lattice(
         &self,
-        u: &Arc<Query>,
+        base: &Arc<Query>,
     ) -> (Lattice, Option<LatticeSlot<'_>>, Vec<Constant>) {
         if !self.caching {
-            return (Lattice::new(Arc::clone(u), Vec::new()), None, Vec::new());
+            return (Lattice::new(Arc::clone(base), Vec::new()), None, Vec::new());
         }
         let injected = faults::hit("shared::checkout").err();
-        let (shape, constants) = self.keys.lattice(u);
+        let (shape, constants) = self.keys.lattice(base);
         let key = Keyed::new(shape);
         let idx = self.shard_of(&key);
         let mut guard = self.lock(idx);
@@ -943,7 +951,7 @@ impl ChaseContext {
                 shard.shed();
             }
         }
-        let fresh = || Lattice::new(Arc::clone(u), constants.clone());
+        let fresh = || Lattice::new(Arc::clone(base), constants.clone());
         let (lattice, slot) = match shard.lattices.get_mut(&key) {
             Some(state) => match std::mem::replace(state, LatticeState::CheckedOut) {
                 LatticeState::Parked(lattice) => (*lattice, true),
@@ -1185,26 +1193,21 @@ impl MemoKeys {
         key
     }
 
-    /// The shape key of the verified lattice of `u`, and `u`'s
-    /// non-dependency constants in value order. The key is `u` with
-    /// every variable renamed to its rank among `u`'s variable names and
-    /// every non-dependency constant to a placeholder numbered by its
-    /// rank among all of `u`'s constants, conditions normalized. Two
-    /// plans with one key correspond by binding position and by
-    /// constant rank, and that correspondence keeps the order of names
-    /// and of constants: subquery construction breaks ties by the
-    /// structural order of paths, so a correspondence that reordered
-    /// them could pick other representatives or another condition order
-    /// (see the module docs).
-    fn lattice(&self, u: &Query) -> (Query, Vec<Constant>) {
-        let mut names: Vec<&String> = u.from.iter().map(|b| &b.var).collect();
-        names.sort_unstable();
-        let labels: BTreeMap<String, String> = names
-            .into_iter()
-            .enumerate()
-            .map(|(i, v)| (v.clone(), format!("v{i}")))
-            .collect();
-        let mut key = u.rename(&labels);
+    /// The shape key of the verified lattice walked on `base`, a
+    /// universal plan in [positional form](Query::positional), and
+    /// `base`'s non-dependency constants in value order. The key is
+    /// `base` with every non-dependency constant replaced by a
+    /// placeholder numbered by its rank among all of `base`'s constants,
+    /// everything else in place. So two plans with one key have
+    /// positional forms that differ only in their non-dependency
+    /// constants, by a renaming that keeps their order: subquery
+    /// construction breaks ties by the structural order of paths, so a
+    /// renaming that reordered the constants could pick other
+    /// representatives or another condition order (see the module docs).
+    /// Variable names cannot: a walk computes on the positional form,
+    /// which has none of the caller's.
+    fn lattice(&self, base: &Query) -> (Query, Vec<Constant>) {
+        let mut key = base.clone();
         let mut all = BTreeSet::new();
         rewrite_paths(&mut key, &mut |p| {
             visit_constants(p, &mut |c| {
@@ -1230,9 +1233,6 @@ impl MemoKeys {
                 }
             });
         });
-        key.where_ = key.where_.iter().map(Equality::normalized).collect();
-        key.where_.sort();
-        key.where_.dedup();
         (key, constants)
     }
 
@@ -1241,13 +1241,7 @@ impl MemoKeys {
     /// the conditions left in place, since the plan form records the
     /// surviving conditions by position.
     fn plan_form(&self, q: &Query) -> Query {
-        let positional: BTreeMap<String, String> = q
-            .from
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (b.var.clone(), format!("v{i}")))
-            .collect();
-        let mut key = q.rename(&positional);
+        let mut key = q.positional();
         let mut abs = Abstraction::new(&self.dep_constants);
         rewrite_paths(&mut key, &mut |p| abs.path(p));
         key
@@ -1483,6 +1477,21 @@ mod tests {
         assert_eq!(o1.query.alpha_normalized(), o2.query.alpha_normalized());
         assert_eq!(ctx.stats().chase_hits, 1);
         assert_eq!(ctx.stats().chase_misses, 1);
+        // The hit comes back in the caller's names, as a chase of its own
+        // query would — also when its name is one the chase's fresh-name
+        // generator tries (`s0`), which the memoized outcome cannot vouch
+        // for.
+        let q3 = parse_query("select struct(A = s0.A) from R s0").unwrap();
+        for q in [&q2, &q3] {
+            let fresh = chase(q, ctx.deps(), ctx.cfg());
+            let hit = ctx.chase(q);
+            assert_eq!(hit.query, fresh.query);
+            assert_eq!(format!("{:?}", hit.steps), format!("{:?}", fresh.steps));
+        }
+        assert_eq!(
+            o2.query.to_string(),
+            "select struct(A = x.A) from R x, S s0 where x.B = s0.B"
+        );
     }
 
     #[test]
@@ -1672,7 +1681,7 @@ mod tests {
                 .unwrap(),
             )
         };
-        let lattice = |a, b| keys.lattice(&q(a, b)).0;
+        let lattice = |a, b| keys.lattice(&q(a, b).positional()).0;
         // The same equality pattern in either value order: one key.
         assert_eq!(containment(2, 9), containment(9, 2));
         assert_eq!(implication(2, 9), implication(9, 2));
@@ -1686,11 +1695,15 @@ mod tests {
         assert_ne!(implication(5, 5), implication(5, 6));
         assert_ne!(lattice(5, 5), lattice(5, 6));
         assert_ne!(lattice(5, 5), lattice(6, 5));
-        // Variables are matched by binding position; only the order of
-        // their names counts.
-        let renamed =
-            parse_query("select struct(C = x.C) from R x where x.A = 1 and x.B = 5").unwrap();
-        assert_eq!(keys.lattice(&renamed).0, lattice(2, 9));
+        // Variables are matched by binding position, whatever their
+        // names and their order.
+        let two = |[x, y]: [&str; 2]| {
+            let q =
+                format!("select struct(C = {x}.C) from R {x}, R {y} where {x}.A = 1 and {y}.B = 5");
+            keys.lattice(&parse_query(&q).unwrap().positional()).0
+        };
+        assert_eq!(two(["a", "b"]), two(["b", "a"]));
+        assert_eq!(two(["a", "b"]), two(["zz", "k0"]));
     }
 
     /// Entry counts of the shape-keyed tables across all shards:

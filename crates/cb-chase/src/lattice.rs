@@ -15,30 +15,37 @@
 //! The lattice-construction [`QueryGraph`] only ever interns `u`'s own
 //! paths and canonical representatives do not depend on insertion
 //! order, so a child computed by one walk is byte-identical to the child
-//! any other walk would compute. Nor do they depend on the values of
-//! names and constants, only on their order: the chase and the hom
-//! search never look at a constant's value, and subquery construction
-//! compares paths only to break ties. So the facts of one plan carry
-//! over to every plan of the same *shape* — the same plan up to a
-//! renaming of variables by binding position and of the constants the
-//! dependencies never mention, one that keeps the order of both.
+//! any other walk would compute. Subquery construction does compare
+//! paths to break ties (a class's representative, the order of implied
+//! conditions), and the order of paths reads variable names. So no walk
+//! computes on `u` itself: every walk computes on `u`'s *positional
+//! form* ([`Query::positional`]), its variables renamed `v0, v1, …` by
+//! binding position and everything else in place, and no tie is ever
+//! broken by a caller's name. Constants are left: the chase and the hom
+//! search never look at a constant's value, and tie-breaks read only
+//! their order. So the facts of one positional form carry over to every
+//! plan of the same *shape* — the same positional form up to a renaming
+//! of the constants the dependencies never mention that keeps their
+//! order — under any variable names.
 //!
-//! A [`Lattice`] records these facts per shape, for the plan its first
-//! recording walk was asked about. A later walk of the shape — a
-//! re-preparation after a statistics refresh, or a query with another
-//! constant — replays them instead of re-deriving closures, subqueries,
-//! lookup-safety proofs and containment proofs. Every fact is computed
-//! on the recorded plan, so proofs only ever run on concrete queries
-//! and the lattice holds one form; each subquery the walk settles is
-//! translated to the walked plan when read (no renaming at all when the
-//! two coincide), while the visitor still gates, prioritises, costs and
-//! prunes live on it. Visit order, node and prune counters and plans are
-//! therefore those of a fresh walk. A subquery is read when it is handed
-//! to a visitor that reads queries, reported as a normal form, or
-//! collected as a visited node ([`LatticeWalk::show`]); an exhaustive
-//! replay that collects nothing translates only its normal forms. A
-//! child the first walk gated is verified lazily by the first walk that
-//! admits it.
+//! A [`Lattice`] records these facts per shape, for the positional form
+//! of the plan its first recording walk was asked about. A later walk of
+//! the shape — a re-preparation after a statistics refresh, or a query
+//! with other names or another constant — replays them instead of
+//! re-deriving closures, subqueries, lookup-safety proofs and
+//! containment proofs. Every fact is computed on the recorded form, so
+//! proofs only ever run on concrete queries and the lattice holds one
+//! form; each subquery the walk settles is translated to the walked
+//! plan's names and constants when read, while the visitor still gates,
+//! prioritises, costs and prunes live on it. A fresh walk — caching on
+//! or off — computes on the positional form and translates the same
+//! way, so visit order, node and prune counters and plans of a replay
+//! are those of a fresh walk, byte for byte. A subquery is read when it
+//! is handed to a visitor that reads queries, reported as a normal form,
+//! or collected as a visited node ([`LatticeWalk::show`]); an exhaustive
+//! walk that collects nothing translates only its normal forms. A child
+//! the first walk gated is verified lazily by the first walk that admits
+//! it.
 //!
 //! A lattice costs memory in proportion to the walk, so it is recorded
 //! only for a shape that is walked again: the first walk leaves just the
@@ -125,7 +132,7 @@ fn approx_tree_bytes(n: usize, per_entry: usize) -> usize {
 /// What the memo knows about one removal set (a dependent closure).
 #[derive(Clone)]
 struct Entry {
-    /// The removal set by variable name, as visitors see it.
+    /// The removal set by variable name, in the recorded form.
     removed: Arc<BTreeSet<String>>,
     /// The safe syntactic subquery; `None` when the set is dead.
     query: Option<Arc<Query>>,
@@ -136,11 +143,11 @@ struct Entry {
 
 /// The verified lattice of one shape of universal plan: the dependent
 /// closure of every seed a walk expanded and the entry of every closure
-/// it examined, all in the form of the plan the lattice was recorded
-/// for. See the module docs.
+/// it examined, all in the positional form of the plan the lattice was
+/// recorded for. See the module docs.
 pub(crate) struct Lattice {
-    /// The universal plan every fact is recorded for, and its
-    /// non-dependency constants in value order.
+    /// The positional form of the universal plan every fact is recorded
+    /// for, and its non-dependency constants in value order.
     recorded: Arc<Query>,
     constants: Vec<Constant>,
     closures: HashMap<Removal, Removal>,
@@ -152,8 +159,8 @@ pub(crate) struct Lattice {
 }
 
 impl Lattice {
-    /// An empty lattice for `u`, whose non-dependency constants in value
-    /// order are `constants`.
+    /// An empty lattice for the positional form `u`, whose
+    /// non-dependency constants in value order are `constants`.
     pub(crate) fn new(u: Arc<Query>, constants: Vec<Constant>) -> Lattice {
         Lattice {
             bytes: approx_query_bytes(&u) + 32 * constants.len(),
@@ -166,12 +173,12 @@ impl Lattice {
     }
 }
 
-/// The renaming from a lattice's recorded plan to the plan a walk was
+/// The renaming from a lattice's recorded form to the plan a walk was
 /// asked about: variables by binding position, non-dependency constants
-/// by rank. Both keep the order of names and of constants (the shape key
-/// guarantees it), so it maps every fact recorded for one plan onto the
-/// fact a walk of the other would derive. Only the names and constants
-/// that differ are listed.
+/// by rank. The recorded form is positional and the shape key keeps the
+/// order of constants, so every fact recorded for it is the fact a walk
+/// of the plan's own positional form derives, renamed. Only the names
+/// and constants that differ are listed.
 struct Renaming {
     vars: BTreeMap<String, String>,
     constants: HashMap<Constant, Constant>,
@@ -179,7 +186,7 @@ struct Renaming {
 
 impl Renaming {
     /// The renaming from `recorded` to `u`; `None` when it is the
-    /// identity, as for a re-preparation of the same query.
+    /// identity.
     fn between(
         recorded: &Query,
         recorded_constants: &[Constant],
@@ -250,12 +257,12 @@ impl Renaming {
 pub(crate) struct Node {
     pub(crate) key: Removal,
     /// The removal set and the subquery: in the walked plan's names and
-    /// constants once `walked`, still in the recorded plan's before.
+    /// constants once `walked`, still in the recorded form's before.
     /// Readers get them through [`LatticeWalk::show`].
     pub(crate) removed: Arc<BTreeSet<String>>,
     pub(crate) query: Arc<Query>,
     walked: bool,
-    /// The witness of `u ⊑ query` in the recorded plan's form, seeding
+    /// The witness of `u ⊑ query` in the recorded form, seeding
     /// the children's checks.
     pub(crate) hom: Arc<Assignment>,
 }
@@ -297,12 +304,12 @@ impl Graphs {
 /// itself sits under the walk's lock with the rest of its shared state
 /// (`Progress`), so a child's closure, claim and entry are read under one
 /// acquisition. Every fact is computed on, and recorded for, the
-/// lattice's recorded plan `base`; what a reader sees is translated to
+/// lattice's recorded form `base`; what a reader sees is translated to
 /// `u` on the way out.
 pub(crate) struct LatticeWalk<'a> {
     ctx: &'a ChaseContext,
-    /// The plan the lattice's facts are about: the one it was recorded
-    /// for, `u` itself for a fresh lattice.
+    /// The positional form the lattice's facts are about: the one it
+    /// was recorded for, `u`'s own for a fresh lattice.
     base: Arc<Query>,
     /// `u`, the lattice's root as the visitor sees it.
     root: Arc<Query>,
@@ -318,12 +325,12 @@ pub(crate) struct LatticeWalk<'a> {
 }
 
 impl<'a> LatticeWalk<'a> {
-    /// Checks the lattice of `u`'s shape out of `ctx` (a fresh one on a
-    /// miss; recorded only from the second walk of the shape on), and
-    /// hands its memo to the walk's lock.
+    /// Checks the lattice of `u`'s shape out of `ctx` (a fresh one for
+    /// `u`'s positional form on a miss; recorded only from the second
+    /// walk of the shape on), and hands its memo to the walk's lock.
     pub(crate) fn begin(ctx: &'a ChaseContext, u: &Query) -> (LatticeWalk<'a>, Lattice) {
         let root = Arc::new(u.clone());
-        let (memo, slot, constants) = ctx.checkout_lattice(&root);
+        let (memo, slot, constants) = ctx.checkout_lattice(&Arc::new(u.positional()));
         let renaming = Renaming::between(&memo.recorded, &memo.constants, u, &constants);
         let walk = LatticeWalk {
             ctx,
@@ -711,7 +718,7 @@ pub(crate) mod tests {
     }
 
     /// The view scenario's plan with `r.C = a and s.C = b`, its variables
-    /// `r, s, v` named `vars` (in the same order).
+    /// `r, s, v` named `vars`, binding by binding.
     pub(crate) fn renamed_view(vars: [&str; 3], a: i64, b: i64) -> Query {
         let [r, s, v] = vars;
         parse_query(&format!(
@@ -722,9 +729,10 @@ pub(crate) mod tests {
     }
 
     /// The names and constants of the plan [`renamed_view`] records for
-    /// the lazy-translation oracles, none of which its replays use.
+    /// the lazy-translation oracles, none of which its replays use; the
+    /// replayed names come in the reverse order.
     pub(crate) const RECORDED: ([&str; 3], i64, i64) = (["r", "s", "v"], 2, 9);
-    pub(crate) const REPLAYED: ([&str; 3], i64, i64) = (["x", "y", "z"], 3, 8);
+    pub(crate) const REPLAYED: ([&str; 3], i64, i64) = (["z", "y", "x"], 3, 8);
 
     /// Whether `text` mentions a name or constant of the [`RECORDED`]
     /// plan as a whole token.
@@ -815,6 +823,50 @@ pub(crate) mod tests {
             assert!(!mentions_recorded(text), "{text}");
         }
         assert_eq!(lines, oracle_reader);
+    }
+
+    #[test]
+    fn a_cold_walk_is_the_same_under_names_in_either_order() {
+        // The §4 views query, its two variables named in order and in
+        // reverse: cache-disabled walks must visit the same nodes up to
+        // the renaming, so subquery construction may break no tie by a
+        // variable name.
+        let catalog = cb_catalog::scenarios::relational_views::catalog();
+        let off = ChaseContext::without_memo(catalog.all_constraints(), ChaseConfig::default());
+        let walk = |r: &str, s: &str| {
+            let q = parse_query(&format!(
+                "select struct(A = {r}.A, B = {s}.B, C = {s}.C) from R {r}, S {s} \
+                 where {r}.B = {s}.B"
+            ))
+            .unwrap();
+            let u = off.chase(&q).query;
+            let out = PlanSearch::new(&u).run(&off, &ExploreAll);
+            (u, out)
+        };
+        let (u, ordered) = walk("r", "s");
+        let (w, reversed) = walk("s", "r");
+        assert_eq!(u.positional(), w.positional());
+        assert_eq!(
+            ordered.counters.visited_count,
+            reversed.counters.visited_count
+        );
+        let back: BTreeMap<String, String> = w
+            .from
+            .iter()
+            .zip(&u.from)
+            .map(|(b, a)| (b.var.clone(), a.var.clone()))
+            .collect();
+        let sorted = |qs: Vec<Query>| {
+            let mut qs = qs;
+            qs.sort();
+            qs
+        };
+        let renamed = |qs: &[Query]| sorted(qs.iter().map(|q| q.rename(&back)).collect());
+        assert_eq!(sorted(ordered.visited.clone()), renamed(&reversed.visited));
+        assert_eq!(
+            sorted(ordered.normal_forms.clone()),
+            renamed(&reversed.normal_forms)
+        );
     }
 
     #[test]

@@ -259,7 +259,8 @@ pub struct OptimizeOutcome {
     /// a panic and were recovered — their claims re-claimed by
     /// survivors, or, when all of them died, the walk rerun at one
     /// worker ([`Degradation::SequentialFallback`]); it is always 0 when
-    /// `threads == 1`. `Greedy` reports one visited node.
+    /// `threads == 1`. `Greedy` visits the universal plan and every
+    /// candidate subquery its descent verifies, equivalent or not.
     pub search: SearchCounters,
     /// The incumbent's descent over time under `CostGuided`: one
     /// `(elapsed, cost)` point per improvement, measured from the start
@@ -513,13 +514,8 @@ impl<'a> Optimizer<'a> {
                         .filter(|r| !self.catalog.is_physical_root(r))
                         .cloned()
                         .collect();
-                    let plan = backchase_greedy(ctx, &universal, &prefer);
-                    // The greedy descent visits the universal plan alone.
-                    search = SearchCounters {
-                        visited_count: 1,
-                        complete: true,
-                        ..SearchCounters::default()
-                    };
+                    let plan;
+                    (plan, search) = backchase_greedy(ctx, &universal, &prefer);
                     let visited = if self.config.cost_visited {
                         std::slice::from_ref(&universal)
                     } else {
@@ -1058,6 +1054,38 @@ mod tests {
         // The exhaustive strategy can only be equal or better on cost.
         let full = Optimizer::new(&cat).optimize(&projdept::query()).unwrap();
         assert!(full.best.cost <= out.best.cost + 1e-9);
+    }
+
+    #[test]
+    fn greedy_counts_every_candidate_it_verifies() {
+        let mut cat = projdept::catalog();
+        projdept::stats_for(&mut cat, 100, 10, 20);
+        let config = OptimizerConfig {
+            strategy: SearchStrategy::Greedy,
+            cost_visited: false,
+            ..Default::default()
+        };
+        let out = Optimizer::with_config(&cat, config)
+            .optimize(&projdept::query())
+            .unwrap();
+        // The descent's removal attempts, each a containment proof: a
+        // memo-free context counts every proof it is asked as a miss.
+        let off = ChaseContext::without_memo(cat.all_constraints(), ChaseConfig::default());
+        let prefer: BTreeSet<String> = cat
+            .logical()
+            .roots
+            .keys()
+            .filter(|r| !cat.is_physical_root(r))
+            .cloned()
+            .collect();
+        let before = off.stats().containment_misses;
+        let (plan, counters) = backchase_greedy(&off, &out.universal, &prefer);
+        let attempts = (off.stats().containment_misses - before) as usize;
+        assert_eq!(plan, out.best.raw);
+        assert!(attempts > 1, "{attempts}");
+        assert_eq!(counters, out.search);
+        assert!(out.search.visited_count > attempts, "{:?}", out.search);
+        assert!(out.search.complete);
     }
 
     #[test]

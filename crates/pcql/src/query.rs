@@ -250,18 +250,25 @@ impl Query {
         }
     }
 
-    /// Alpha-normal form: bound variables renamed to `v0, v1, …` in binding
-    /// order and the where clause sorted/deduplicated. Two queries that
-    /// differ only in variable names and condition order have identical
-    /// alpha-normal forms, which is how plan sets are deduplicated.
-    pub fn alpha_normalized(&self) -> Query {
+    /// Positional form: bound variables renamed to `v0, v1, …` in binding
+    /// order, everything else in place. Two queries that differ only in
+    /// variable names have identical positional forms.
+    pub fn positional(&self) -> Query {
         let map: BTreeMap<String, String> = self
             .from
             .iter()
             .enumerate()
             .map(|(i, b)| (b.var.clone(), format!("v{i}")))
             .collect();
-        let mut q = self.rename(&map);
+        self.rename(&map)
+    }
+
+    /// Alpha-normal form: the [positional form](Query::positional) with
+    /// the where clause sorted/deduplicated. Two queries that differ only
+    /// in variable names and condition order have identical alpha-normal
+    /// forms, which is how plan sets are deduplicated.
+    pub fn alpha_normalized(&self) -> Query {
+        let mut q = self.positional();
         let mut eqs: Vec<Equality> = q.where_.iter().map(Equality::normalized).collect();
         eqs.sort();
         eqs.dedup();

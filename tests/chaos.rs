@@ -656,7 +656,7 @@ fn a_replay_under_shard_faults_and_cache_pressure_keeps_the_plans() {
 }
 
 /// A renamed replay at four workers: the ProjDept query under other
-/// variable names (in the same order) and another constant replays the
+/// variable names (in the reverse order) and another constant replays the
 /// lattice recorded for the paper's query, collecting every visited node.
 /// `parallel::visit` panics kill workers before their node is counted,
 /// and a `parallel::claim` panic kills one after its node was counted and
@@ -677,9 +677,8 @@ fn a_renamed_parallel_replay_collects_each_visited_node_once_under_worker_deaths
     };
     let ctx = ChaseContext::new(catalog.all_constraints(), ChaseConfig::default());
     let recorded = ctx.chase(&projdept(["d", "s", "p"], "CitiBank")).query;
-    // `dp < i0 < k0 < o0 < pj < q < s1`: the chase's own names keep
-    // their rank among the renamed ones.
-    let u = ctx.chase(&projdept(["dp", "q", "pj"], "cust7")).query;
+    // Named in the reverse order of `d < p < s`: `ap < ms < zd`.
+    let u = ctx.chase(&projdept(["zd", "ap", "ms"], "cust7")).query;
     for _ in 0..2 {
         PlanSearch::new(&recorded)
             .with_threads(4)

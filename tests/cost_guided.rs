@@ -115,7 +115,7 @@ fn cost_guided_one_worker_counters_are_pinned() {
             282,
             0,
             0,
-            &[115701.0, 14242.0, 13240.0, 3240.0],
+            &[115701.0, 14242.0, 14210.0, 13240.0, 3240.0],
         ),
         ("indexes (mapping-only)", 10, 3, 0, &[22430.01, 221.1, 22.0]),
         (

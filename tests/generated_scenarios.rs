@@ -33,7 +33,8 @@ use cb_optimizer::{CostModel, Optimizer, OptimizerConfig, SearchStrategy};
 use universal_plans::analyze::{check_pipeline, codes};
 use universal_plans::catalog::RootStats;
 use universal_plans::chase::{
-    first_unsafe, ChaseConfig, ChaseContext, MustRemainAnalysis, PlanSearch, SearchVisitor, Visit,
+    first_unsafe, ChaseConfig, ChaseContext, ExploreAll, MustRemainAnalysis, PlanSearch,
+    SearchVisitor, Visit,
 };
 use universal_plans::engine::{compile, CompileOptions, Operator};
 use universal_plans::prelude::*;
@@ -444,6 +445,159 @@ proptest! {
             }
         }
     }
+}
+
+/// Injective renamings of `q`'s variables: three that reverse the order
+/// of its names — onto the same names, onto names that sort after, and
+/// onto names that sort before, every name the chase adds — and one onto
+/// a shuffle, drawn from `seed`, of names that include the chase's own
+/// (`i0`, `k0`, `t1`, `v0`, …).
+fn renamings(q: &Query, seed: u64) -> Vec<BTreeMap<String, String>> {
+    let mut names: Vec<&String> = q.from.iter().map(|b| &b.var).collect();
+    names.sort();
+    names.dedup();
+    let reversed = |stem: &str| {
+        names
+            .iter()
+            .rev()
+            .enumerate()
+            .map(|(i, v)| ((*v).clone(), format!("{stem}{i}")))
+            .collect()
+    };
+    let mut pool = [
+        "a", "b0", "dp", "i0", "k0", "k3", "m", "pj", "q", "t1", "v0", "v1", "x", "zz",
+    ];
+    let mut state = seed | 1;
+    for i in (1..pool.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        pool.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    let shuffled = names
+        .iter()
+        .zip(pool)
+        .map(|(v, to)| ((*v).clone(), to.to_string()))
+        .collect();
+    let swapped = names
+        .iter()
+        .zip(names.iter().rev())
+        .map(|(v, to)| ((*v).clone(), (*to).clone()))
+        .collect();
+    vec![swapped, reversed("z"), reversed("a"), shuffled]
+}
+
+/// The memo misses a context has counted: containment, implication,
+/// lattice.
+fn misses(ctx: &ChaseContext) -> [u64; 3] {
+    let s = ctx.stats();
+    [s.containment_misses, s.implication_misses, s.lattice_misses]
+}
+
+/// The rename-invariance oracle for one catalog and query. A warm
+/// context optimizes `q` twice, which records the lattice of its shape;
+/// under every renaming of [`renamings`] the query must then plan
+/// exactly as on a cache-disabled context — the best and every top-k
+/// plan byte for byte, their costs, the walk's counters — while adding
+/// no containment, implication or lattice miss. The bare exhaustive
+/// walk of the renamed universal plan must match too, down to its
+/// visited nodes and normal forms.
+fn assert_rename_invariant(catalog: &Catalog, q: &Query, seed: u64, desc: &str) {
+    let deps = catalog.all_constraints();
+    let renamed: Vec<Query> = renamings(q, seed).iter().map(|m| q.rename(m)).collect();
+    let added = |ctx: &ChaseContext, before: [u64; 3]| {
+        let now = misses(ctx);
+        [0, 1, 2].map(|i| now[i] - before[i])
+    };
+    let plans = |o: &cb_optimizer::OptimizeOutcome| -> Vec<(String, f64)> {
+        o.top_k
+            .iter()
+            .map(|c| (c.query.to_string(), c.cost))
+            .collect()
+    };
+    for strategy in [SearchStrategy::Exhaustive, SearchStrategy::CostGuided] {
+        let config = OptimizerConfig {
+            strategy,
+            threads: 1,
+            ..Default::default()
+        };
+        let optimizer = Optimizer::with_config(catalog, config.clone());
+        let mut warm = ChaseContext::new(deps.clone(), config.chase.clone());
+        for _ in 0..2 {
+            optimizer.optimize_in(&mut warm, q).unwrap();
+        }
+        for r in &renamed {
+            let desc = format!("{strategy:?}, `{r}` on {desc}");
+            let before = misses(&warm);
+            let got = optimizer.optimize_in(&mut warm, r).unwrap();
+            assert_eq!(added(&warm, before), [0; 3], "{desc}");
+            let mut off = ChaseContext::without_memo(deps.clone(), config.chase.clone());
+            let want = optimizer.optimize_in(&mut off, r).unwrap();
+            assert_eq!(
+                got.best.query.to_string(),
+                want.best.query.to_string(),
+                "{desc}"
+            );
+            assert_eq!(got.best.cost, want.best.cost, "{desc}");
+            assert_eq!(plans(&got), plans(&want), "{desc}");
+            assert_eq!(got.search, want.search, "{desc}");
+        }
+    }
+    let warm = ChaseContext::new(deps.clone(), ChaseConfig::default());
+    let u = warm.chase(q).query;
+    for _ in 0..2 {
+        PlanSearch::new(&u).run(&warm, &ExploreAll);
+    }
+    let off = ChaseContext::without_memo(deps, ChaseConfig::default());
+    let sorted = |qs: &[Query]| {
+        let mut v = qs.to_vec();
+        v.sort();
+        v
+    };
+    for r in &renamed {
+        let desc = format!("ExploreAll, `{r}` on {desc}");
+        let before = misses(&warm);
+        let ur = warm.chase(r).query;
+        assert_eq!(ur, off.chase(r).query, "{desc}");
+        let got = PlanSearch::new(&ur).run(&warm, &ExploreAll);
+        assert_eq!(added(&warm, before), [0; 3], "{desc}");
+        let want = PlanSearch::new(&ur).run(&off, &ExploreAll);
+        assert_eq!(got.counters, want.counters, "{desc}");
+        assert_eq!(sorted(&got.visited), sorted(&want.visited), "{desc}");
+        assert_eq!(
+            sorted(&got.normal_forms),
+            sorted(&want.normal_forms),
+            "{desc}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// The rename-invariance oracle on generated catalogs and queries.
+    #[test]
+    fn renamed_queries_plan_like_a_fresh_context_on_random_catalogs(
+        s in arb_scenario(),
+        seed in any::<u64>(),
+    ) {
+        assert_rename_invariant(&s.catalog, &s.query, seed, &s.desc);
+    }
+}
+
+/// The rename-invariance oracle on the paper's three scenarios.
+#[test]
+fn builtin_queries_plan_like_a_fresh_context_under_any_renaming() {
+    use cb_catalog::scenarios::{projdept, relational_indexes, relational_views};
+    let mut c = projdept::catalog();
+    projdept::stats_for(&mut c, 100, 10, 20);
+    assert_rename_invariant(&c, &projdept::query(), 1, "projdept");
+    let mut c = relational_indexes::catalog();
+    relational_indexes::stats_for(&mut c, 10_000, 1000, 1000);
+    assert_rename_invariant(&c, &relational_indexes::query(), 2, "indexes");
+    let mut c = relational_views::catalog();
+    relational_views::stats_for(&mut c, 10_000, 10_000, 10);
+    assert_rename_invariant(&c, &relational_views::query(), 3, "views");
 }
 
 /// The harness must *fail* on a broken bound: inflating the bound makes
