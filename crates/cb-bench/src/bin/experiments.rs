@@ -651,12 +651,14 @@ fn run_json(path: &str, selection: &[String]) {
         // preparation, a second constant (the second walk of the shape,
         // which records the verified lattice) and a third, which replays
         // it and must not ask a containment or implication question or
-        // miss the lattice memo. The renamed-variant rows replay a third
+        // miss the lattice memo or the phase-1 chase memo; plus the
+        // phase-1 time of a chase-memo miss and of a hit. The renamed-variant rows replay a third
         // query under other variable names too, and its best plan must
         // be a fresh service's.
         for (id, p, queries) in variants(false).into_iter().chain(variants(true)) {
             let (mut cold_ns, mut record_ns, mut replay_ns) = (Vec::new(), Vec::new(), Vec::new());
             let (mut lattice_hits, mut lattice_misses) = (0u64, 0u64);
+            let (mut miss_ns, mut hit_ns) = (Vec::new(), Vec::new());
             let mut best = None;
             for _ in 0..ITERS {
                 let (r, replayed) = variant_replay(&p, &queries);
@@ -666,6 +668,9 @@ fn run_json(path: &str, selection: &[String]) {
                 lattice_hits += r.lattice_hits;
                 lattice_misses += r.lattice_misses;
                 best = Some(replayed);
+                let (miss, hit) = phase1_miss_and_hit(&p, &queries);
+                miss_ns.push(miss.as_nanos());
+                hit_ns.push(hit.as_nanos());
             }
             let median = |v: &mut Vec<u128>| {
                 v.sort_unstable();
@@ -677,6 +682,7 @@ fn run_json(path: &str, selection: &[String]) {
                 median(&mut record_ns),
                 median(&mut replay_ns),
             );
+            let (phase1_miss, phase1_hit) = (median(&mut miss_ns), median(&mut hit_ns));
             records.push(JsonRecord {
                 id,
                 median_ns: replay,
@@ -693,6 +699,8 @@ fn run_json(path: &str, selection: &[String]) {
                     ),
                     ("replay_lattice_hits", lattice_hits),
                     ("replay_lattice_misses", lattice_misses),
+                    ("phase1_miss_median_ns", phase1_miss as u64),
+                    ("phase1_hit_median_ns", phase1_hit as u64),
                 ],
             });
         }
@@ -1558,6 +1566,7 @@ fn e21_plan_service() {
     for (id, p, queries) in variants(false).into_iter().chain(variants(true)) {
         let (r, best) = variant_replay(&p, &queries);
         assert_plans_as_fresh(&p, &queries[2], &best);
+        let (miss, hit) = phase1_miss_and_hit(&p, &queries);
         let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
         let (cold_ms, replay_ms) = (ms(r.cold), ms(r.replay));
         rows.push(vec![
@@ -1568,6 +1577,7 @@ fn e21_plan_service() {
             format!("{:.0}x", cold_ms / replay_ms.max(1e-9)),
             r.lattice_hits.to_string(),
             r.nodes_visited.to_string(),
+            format!("{:.3} / {:.3}", ms(miss), ms(hit)),
         ]);
     }
     println!(
@@ -1581,6 +1591,7 @@ fn e21_plan_service() {
                 "speedup",
                 "lattice hits",
                 "nodes visited",
+                "phase 1 ms (miss / hit)",
             ],
             &rows
         )
@@ -1752,7 +1763,7 @@ fn assert_plans_as_fresh(p: &Prepared, q: &pcql::Query, best: &pcql::Query) {
 /// verified lattice; the third replays it, translated to its own
 /// constants and names: it may not ask a single containment or
 /// implication question, not even of the memo, nor miss the lattice
-/// memo. Also returns the replay's best plan.
+/// memo or the phase-1 chase memo. Also returns the replay's best plan.
 fn variant_replay(p: &Prepared, queries: &[pcql::Query; 3]) -> (Replay, pcql::Query) {
     use cb_optimizer::{OptimizerConfig, PlanService};
     let mut svc = PlanService::new(p.catalog.clone(), OptimizerConfig::default());
@@ -1779,6 +1790,10 @@ fn variant_replay(p: &Prepared, queries: &[pcql::Query; 3]) -> (Replay, pcql::Qu
         now.lattice_misses, warm.lattice_misses,
         "the replay missed the lattice: {now:?}"
     );
+    assert_eq!(
+        now.chase_misses, warm.chase_misses,
+        "the replay re-chased its universal plan: {now:?}"
+    );
     assert!(
         now.lattice_hits > warm.lattice_hits,
         "no lattice replay: {now:?}"
@@ -1793,6 +1808,25 @@ fn variant_replay(p: &Prepared, queries: &[pcql::Query; 3]) -> (Replay, pcql::Qu
         lattice_misses: now.lattice_misses - warm.lattice_misses,
     };
     (timed, replay.plan.outcome.best.query.clone())
+}
+
+/// Phase 1 of the first and of the third variant on one chase core: a
+/// chase-memo miss, then a hit of the same shape handed the outcome in
+/// its own names and constants.
+fn phase1_miss_and_hit(
+    p: &Prepared,
+    queries: &[pcql::Query; 3],
+) -> (std::time::Duration, std::time::Duration) {
+    let ctx = ChaseContext::new(p.catalog.all_constraints(), ChaseConfig::default());
+    let t = Instant::now();
+    ctx.chase(&queries[0]);
+    let miss = t.elapsed();
+    let t = Instant::now();
+    ctx.chase(&queries[2]);
+    let hit = t.elapsed();
+    let stats = ctx.stats();
+    assert_eq!((stats.chase_misses, stats.chase_hits), (1, 1), "{stats:?}");
+    (miss, hit)
 }
 
 fn banner(id: &str, title: &str) {

@@ -21,12 +21,14 @@
 use std::collections::BTreeMap;
 
 use pcql::idgen::VarGen;
-use pcql::path::Path;
+use pcql::path::{Constant, Path};
 use pcql::query::{Binding, Equality, Query};
 use pcql::Dependency;
 
 use crate::canon::QueryGraph;
+use crate::context::approx_query_bytes;
 use crate::hom::{extension_exists, find_matching_hom, Assignment};
+use crate::lattice::Renaming;
 
 /// Budgets for the chase (and for the implication checks that reuse it).
 ///
@@ -152,80 +154,6 @@ impl ChaseState {
         self.fixpoint
     }
 
-    /// The outcome this state finalized into, for `q`: as it is when
-    /// `q` is the query the state started from, renamed when `q` is that
-    /// query with its variables renamed, and `None` when a chase of `q`
-    /// might derive something else. The chase reads variables by
-    /// position (triggers in binding order, coalescing the later of two
-    /// duplicates), so a renamed input chases to the renamed outcome —
-    /// unless a name of either input is one the fresh-name generator
-    /// tried and skipped, which could steer the names the chase adds.
-    pub(crate) fn outcome_for(&self, outcome: &ChaseOutcome, q: &Query) -> Option<ChaseOutcome> {
-        // The chase only appends bindings and conditions to its input.
-        let added = |f: fn(&ChaseStepTrace) -> usize| self.steps.iter().map(f).sum::<usize>();
-        let from = &self.query.from[..self.query.from.len() - added(|s| s.added_bindings.len())];
-        let where_ = &self.query.where_[..self.query.where_.len() - added(|s| s.added_eqs.len())];
-        if from == q.from && where_ == q.where_ && self.query.output == q.output {
-            return Some(outcome.clone());
-        }
-        if from.len() != q.from.len() || where_.len() != q.where_.len() {
-            return None;
-        }
-        let map: BTreeMap<String, String> = from
-            .iter()
-            .zip(&q.from)
-            .map(|(a, b)| (a.var.clone(), b.var.clone()))
-            .collect();
-        let targets: std::collections::BTreeSet<&String> = map.values().collect();
-        let input = Query {
-            output: self.query.output.clone(),
-            from: from.to_vec(),
-            where_: where_.to_vec(),
-        };
-        if map.len() != from.len() || targets.len() != from.len() || input.rename(&map) != *q {
-            return None;
-        }
-        // The highest counter the generator reached per name stem.
-        let mut reached: BTreeMap<&str, u64> = BTreeMap::new();
-        for b in self.steps.iter().flat_map(|s| &s.added_bindings) {
-            if let Some((stem, n)) = numbered(&b.var) {
-                let top = reached.entry(stem).or_default();
-                *top = (*top).max(n);
-            }
-        }
-        let tried = |v: &String| {
-            numbered(v).is_some_and(|(stem, n)| reached.get(stem).is_some_and(|&top| n <= top))
-        };
-        if map.keys().chain(map.values()).any(tried) {
-            return None;
-        }
-        Some(ChaseOutcome {
-            query: outcome.query.rename(&map),
-            steps: outcome
-                .steps
-                .iter()
-                .map(|s| ChaseStepTrace {
-                    dep: s.dep.clone(),
-                    trigger: s
-                        .trigger
-                        .iter()
-                        .map(|(v, p)| (v.clone(), p.rename(&map)))
-                        .collect(),
-                    added_bindings: s
-                        .added_bindings
-                        .iter()
-                        .map(|b| Binding {
-                            src: b.src.rename(&map),
-                            ..b.clone()
-                        })
-                        .collect(),
-                    added_eqs: s.added_eqs.iter().map(|e| e.rename(&map)).collect(),
-                })
-                .collect(),
-            complete: outcome.complete,
-        })
-    }
-
     /// Finalizes into a [`ChaseOutcome`] (coalescing per `cfg`).
     pub fn finalize(&mut self, deps: &[Dependency], cfg: &ChaseConfig) -> ChaseOutcome {
         let complete = self.confirm_complete(deps, cfg);
@@ -239,6 +167,90 @@ impl ChaseState {
             steps: self.steps.clone(),
             complete,
         }
+    }
+}
+
+/// A finished chase kept for its input's *shape* (see
+/// [`ChaseContext::chase`](crate::ChaseContext::chase)): the input, its
+/// non-dependency constants in value order, and its outcome.
+pub(crate) struct ChasedShape {
+    input: Query,
+    constants: Vec<Constant>,
+    outcome: ChaseOutcome,
+    /// The highest counter the fresh-name generator reached per name
+    /// stem.
+    reached: BTreeMap<String, u64>,
+}
+
+impl ChasedShape {
+    pub(crate) fn new(
+        input: Query,
+        constants: Vec<Constant>,
+        outcome: ChaseOutcome,
+    ) -> ChasedShape {
+        let mut reached: BTreeMap<String, u64> = BTreeMap::new();
+        for b in outcome.steps.iter().flat_map(|s| &s.added_bindings) {
+            if let Some((stem, n)) = numbered(&b.var) {
+                let top = reached.entry(stem.to_string()).or_default();
+                *top = (*top).max(n);
+            }
+        }
+        ChasedShape {
+            input,
+            constants,
+            outcome,
+            reached,
+        }
+    }
+
+    /// The outcome for `q`, an input of the same shape whose
+    /// non-dependency constants in value order are `constants`: as it is
+    /// when `q` is the recorded input, translated by the [`Renaming`]
+    /// between them otherwise, and `None` when a chase of `q` might
+    /// derive something else. The chase reads variables by position
+    /// (triggers in binding order, coalescing the later of two
+    /// duplicates) and compares constants only for equality, so an input
+    /// renamed that way chases to the renamed outcome — unless a name of
+    /// either input is one the fresh-name generator tried and skipped,
+    /// which could steer the names the chase adds.
+    pub(crate) fn outcome_for(&self, q: &Query, constants: &[Constant]) -> Option<ChaseOutcome> {
+        if *q == self.input {
+            return Some(self.outcome.clone());
+        }
+        let r = Renaming::between(&self.input, &self.constants, q, constants)?;
+        let tried = |v: &String| {
+            numbered(v).is_some_and(|(stem, n)| self.reached.get(stem).is_some_and(|&top| n <= top))
+        };
+        let mut names = self.input.from.iter().chain(&q.from).map(|b| &b.var);
+        if names.any(tried) || r.query(&self.input) != *q {
+            return None;
+        }
+        Some(ChaseOutcome {
+            query: r.query(&self.outcome.query),
+            steps: self
+                .outcome
+                .steps
+                .iter()
+                .map(|s| ChaseStepTrace {
+                    dep: s.dep.clone(),
+                    trigger: s
+                        .trigger
+                        .iter()
+                        .map(|(v, p)| (v.clone(), r.path(p)))
+                        .collect(),
+                    added_bindings: s.added_bindings.iter().map(|b| r.binding(b)).collect(),
+                    added_eqs: s.added_eqs.iter().map(|e| r.equality(e)).collect(),
+                })
+                .collect(),
+            complete: self.outcome.complete,
+        })
+    }
+
+    /// Its approximate footprint: the input and the chased query.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        approx_query_bytes(&self.input)
+            + approx_query_bytes(&self.outcome.query)
+            + 32 * (self.constants.len() + self.outcome.steps.len())
     }
 }
 

@@ -7,14 +7,18 @@
 //! [`ChaseConfig`], memoizes all three, and memoizes the lattice walk
 //! built from their answers:
 //!
-//! * **chase outcomes**, keyed by the alpha-normalized query. Entries
+//! * **chase states**, keyed by the alpha-normalized query. Entries
 //!   hold a *resumable* `ChaseState` rather
 //!   than a finished result: a containment check stops chasing the
 //!   moment a witness homomorphism appears (sound, because every chase
 //!   prefix is equivalent to the input), and the next check against the
-//!   same query resumes from where the last one stopped. A finished
-//!   outcome is handed back in the caller's own variable names
-//!   ([`ChaseContext::chase`]);
+//!   same query resumes from where the last one stopped;
+//! * **phase-1 outcomes** ([`ChaseContext::chase`]), keyed by the
+//!   *shape* of the input — the lattice key below, applied to the input
+//!   — with the first input of the shape and its finished outcome. A
+//!   later input of the shape, under other variable names or with other
+//!   constants in the same order, is handed that outcome translated to
+//!   its own names and constants;
 //! * **containment verdicts**, keyed by the alpha-normalized pair with
 //!   its constants abstracted (see below);
 //! * **implication verdicts** `D ⊨ σ`, keyed by a canonicalized `σ`
@@ -68,9 +72,18 @@
 //! `A = 2 and B = 9` and `A = 9 and B = 2` share keys. An isomorphism
 //! the canonical form still fails to spot (two conditions with the same
 //! erased form keep their value order) costs a memo miss, never a wrong
-//! answer. **Chase states stay constant-exact**: a [`ChaseOutcome`] is
-//! handed back to callers (the universal plan is one), so it always
-//! carries the caller's own constants.
+//! answer. **The resumable chase states stay constant-exact**: a
+//! containment proof checks out the state of its own subquery. A
+//! phase-1 outcome is keyed by shape instead, since the universal plan
+//! depends only on the query's shape and the constraints; what a caller
+//! gets is translated, so it always carries the caller's own names and
+//! constants. The chase compares constants only for equality (a
+//! trigger assigns variables, found in binding order), so an injective
+//! renaming of an input's non-dependency constants renames its outcome;
+//! the phase-1 key is the lattice key all the same, which also keeps
+//! their order. So `CustName = "cust7"` is handed the universal plan of
+//! `CustName = "cust5"`, while `A = 5 and B = 5` and `A = 2 and B = 9`
+//! are chased apart.
 //!
 //! **Shards.** Every question is answered through `&self`, so one
 //! context serves every worker of a search alike. The memos are distributed over 16 shards by the hash of
@@ -133,7 +146,7 @@ use std::time::Duration;
 use pcql::query::{Binding, Equality, Output, Query};
 use pcql::{Constant, Dependency, Path};
 
-use crate::chase::{chase, ChaseConfig, ChaseOutcome, ChaseState};
+use crate::chase::{ChaseConfig, ChaseOutcome, ChaseState, ChasedShape};
 use crate::containment::output_matching_hom;
 use crate::faults::{self, FaultKind};
 use crate::implication::implies_uncached;
@@ -143,9 +156,9 @@ use crate::lattice::Lattice;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Chase states reused (including partial states resumed by a later
-    /// containment check).
+    /// containment check), plus phase-1 outcomes handed out by shape.
     pub chase_hits: u64,
-    /// Chase states built from scratch.
+    /// Chase states built from scratch, plus phase-1 chases run.
     pub chase_misses: u64,
     /// Containment verdicts answered from the memo.
     pub containment_hits: u64,
@@ -251,22 +264,6 @@ fn backoff(attempt: usize) {
     }
 }
 
-/// A chase entry: the resumable state plus, once someone asked for the
-/// full result, the finalized (coalesced) outcome.
-struct ChasedEntry {
-    state: ChaseState,
-    outcome: Option<ChaseOutcome>,
-}
-
-impl ChasedEntry {
-    fn fresh(q: &Query) -> ChasedEntry {
-        ChasedEntry {
-            state: ChaseState::new(q),
-            outcome: None,
-        }
-    }
-}
-
 /// A parked (or absent-while-borrowed) lattice memo entry.
 enum LatticeState {
     Parked(Box<Lattice>),
@@ -305,7 +302,7 @@ impl Drop for LatticeSlot<'_> {
 /// A parked (or absent-while-borrowed) chase memo entry.
 enum ChaseSlot {
     /// The resumable state is home and may be checked out.
-    Parked(Box<ChasedEntry>),
+    Parked(Box<ChaseState>),
     /// Someone is stepping the state outside the shard lock; others
     /// fall back to a fresh chase instead of waiting.
     CheckedOut,
@@ -368,6 +365,8 @@ type Memo<K, V> = HashMap<Keyed<K>, V, BuildHasherDefault<PassThrough>>;
 #[derive(Default)]
 struct MemoShard {
     chased: Memo<Query, ChaseSlot>,
+    /// Finished phase-1 chases, by the shape of their input.
+    outcomes: Memo<Query, Arc<ChasedShape>>,
     containment: Memo<(Query, Arc<Query>), bool>,
     implication: Memo<Dependency, bool>,
     lattices: Memo<Query, LatticeState>,
@@ -391,6 +390,7 @@ impl MemoShard {
     /// Drops every memo entry (a cache — always safe), keeping counters.
     fn clear_memos(&mut self) {
         self.chased.clear();
+        self.outcomes.clear();
         self.containment.clear();
         self.implication.clear();
         self.lattices.clear();
@@ -420,6 +420,19 @@ const SIGHTED_BYTES: usize = 16;
 
 fn approx_dependency_bytes(d: &Dependency) -> usize {
     64 + 48 * (d.forall.len() + d.exists.len() + d.premise.len() + d.conclusion.len())
+}
+
+/// The `shared::park` failpoint (outside any lock — `shared::shard_lock`
+/// covers the poisoning case): whether an injected transient error drops
+/// the park, a lost cache write. Other kinds are recovered by parking.
+fn park_lost() -> bool {
+    match faults::hit("shared::park") {
+        Ok(()) => false,
+        Err(f) => {
+            faults::note_recovered();
+            f.kind == FaultKind::Error
+        }
+    }
 }
 
 /// The `CheckedOut` marker a checkout left in its shard. Parking disarms
@@ -695,7 +708,30 @@ impl ChaseContext {
         }
     }
 
-    /// Checks the chase entry for `key` out of its shard: a parked
+    /// Locks shard `idx` for checkout attempt `attempt`, behind the
+    /// `shared::checkout` failpoint. An injected failure models a
+    /// transient acquisition failure: a pressure signal sheds the shard
+    /// before the lookup, any other kind is retried after a backoff —
+    /// `None`, counted in [`CacheStats::checkout_retries`], like
+    /// contention — except on the last attempt, which proceeds.
+    fn lock_for_checkout(&self, idx: usize, attempt: usize) -> Option<MutexGuard<'_, MemoShard>> {
+        let injected = faults::hit("shared::checkout").err();
+        let mut shard = self.lock(idx);
+        if let Some(f) = injected {
+            faults::note_recovered();
+            if f.kind == FaultKind::MemPressure {
+                shard.shed();
+            } else if attempt < CHECKOUT_RETRIES {
+                shard.stats.checkout_retries += 1;
+                drop(shard);
+                backoff(attempt);
+                return None;
+            }
+        }
+        Some(shard)
+    }
+
+    /// Checks the chase state for `key` out of its shard: a parked
     /// state is taken (hit), a missing one is created fresh after leaving
     /// a `CheckedOut` marker (miss); both come with the armed [`Marker`]
     /// that [`ChaseContext::park`] disarms. A state someone else holds is
@@ -710,29 +746,16 @@ impl ChaseContext {
         &'a self,
         key: &'a Keyed<Query>,
         q: &Query,
-    ) -> (ChasedEntry, Option<Marker<'a>>) {
+    ) -> (ChaseState, Option<Marker<'a>>) {
         let idx = self.shard_of(key);
         for attempt in 0..=CHECKOUT_RETRIES {
             let last = attempt == CHECKOUT_RETRIES;
-            // Failpoint: Err models a transient acquisition failure
-            // (retried, like contention); a pressure signal sheds the
-            // shard before the lookup.
-            let injected = faults::hit("shared::checkout").err();
-            let mut shard = self.lock(idx);
-            if let Some(f) = injected {
-                faults::note_recovered();
-                if f.kind == FaultKind::MemPressure {
-                    shard.shed();
-                } else if !last {
-                    shard.stats.checkout_retries += 1;
-                    drop(shard);
-                    backoff(attempt);
-                    continue;
-                }
-            }
+            let Some(mut shard) = self.lock_for_checkout(idx, attempt) else {
+                continue;
+            };
             if !self.caching {
                 shard.stats.chase_misses += 1;
-                return (ChasedEntry::fresh(q), None);
+                return (ChaseState::new(q), None);
             }
             let marker = || {
                 Some(Marker {
@@ -744,9 +767,9 @@ impl ChaseContext {
             };
             match shard.chased.get_mut(key) {
                 Some(slot) => match std::mem::replace(slot, ChaseSlot::CheckedOut) {
-                    ChaseSlot::Parked(entry) => {
+                    ChaseSlot::Parked(state) => {
                         shard.stats.chase_hits += 1;
-                        return (*entry, marker());
+                        return (*state, marker());
                     }
                     ChaseSlot::CheckedOut => {
                         if !last {
@@ -756,7 +779,7 @@ impl ChaseContext {
                             continue;
                         }
                         shard.stats.chase_misses += 1;
-                        return (ChasedEntry::fresh(q), None);
+                        return (ChaseState::new(q), None);
                     }
                 },
                 None => {
@@ -766,64 +789,109 @@ impl ChaseContext {
                         key: key.key.clone(),
                     };
                     shard.chased.insert(key, ChaseSlot::CheckedOut);
-                    return (ChasedEntry::fresh(q), marker());
+                    return (ChaseState::new(q), marker());
                 }
             }
         }
         unreachable!("checkout loop returns on its last attempt")
     }
 
-    /// Parks a checked-out entry back into its slot and disarms the
-    /// marker. If the slot was shed while checked out, the entry is
+    /// Parks a checked-out state back into its slot and disarms the
+    /// marker. If the slot was shed while checked out, the state is
     /// simply dropped (recomputing later counts as the miss that a shed
-    /// always implies). Accounts the entry's approximate footprint and
+    /// always implies). Accounts the state's approximate footprint and
     /// enforces the byte limit.
-    fn park(&self, mut marker: Marker<'_>, entry: ChasedEntry) {
-        // Failpoint (outside the lock — `shared::shard_lock` covers the
-        // poisoning case): a transient Err drops the park, a lost cache
-        // write; the armed marker then clears the slot.
-        match faults::hit("shared::park") {
-            Ok(()) => {}
-            Err(f) => {
-                faults::note_recovered();
-                if f.kind == FaultKind::Error {
-                    return;
-                }
-            }
+    fn park(&self, mut marker: Marker<'_>, state: ChaseState) {
+        if park_lost() {
+            return;
         }
         let mut guard = self.lock(marker.idx);
         let shard = &mut *guard;
         if let Some(slot) = shard.chased.get_mut(marker.key) {
-            shard.bytes +=
-                approx_query_bytes(&marker.key.key) + approx_query_bytes(&entry.state.query);
-            *slot = ChaseSlot::Parked(Box::new(entry));
+            shard.bytes += approx_query_bytes(&marker.key.key) + approx_query_bytes(&state.query);
+            *slot = ChaseSlot::Parked(Box::new(state));
             self.enforce_byte_limit(shard);
         }
         marker.armed = false;
     }
 
-    /// Chases `q` to a fixpoint (or budget), memoized by the
-    /// alpha-normalized query.
+    /// Chases `q` to a fixpoint (or budget), memoized by `q`'s *shape*:
+    /// the lattice key of its [positional form](Query::positional)
+    /// (`MemoKeys::lattice`), which renames variables by binding position
+    /// and numbers the constants the dependencies never mention by rank.
     ///
-    /// The outcome is always in `q`'s own names. A hit for the same query
-    /// under other variable names hands back the memoized outcome renamed
-    /// — what a chase of `q` derives. Where the renaming could not be
-    /// vouched for (the two differ in the order of their conditions, or a
-    /// name of either is one the chase's fresh-name generator tried), `q`
-    /// is chased afresh and the memo is left as it was.
+    /// The first input of a shape is chased and kept with its outcome;
+    /// a later one is handed that outcome in its own names and constants
+    /// (variables matched by binding position, constants by rank), which
+    /// is what a chase of it derives: the chase treats constants as
+    /// uninterpreted symbols and compares them only for equality. Where
+    /// the renaming could not be vouched for (a name of either input is
+    /// one the chase's fresh-name generator tried), `q` is chased
+    /// afresh, counted as a miss, and the memo is left as it was. A miss
+    /// also parks the input's finished resumable state, for the
+    /// containment proof the first walk of a new shape asks of it. The
+    /// outcome lookup takes the checkout failpoint and retries, the
+    /// inserts the park failpoint, but nothing is checked out: a kept
+    /// outcome is immutable and shared.
     pub fn chase(&self, q: &Query) -> ChaseOutcome {
-        let key = Keyed::new(q.alpha_normalized());
-        let (mut entry, marker) = self.checkout(&key, q);
-        if entry.outcome.is_none() {
-            while entry.state.step(&self.deps, &self.cfg) {}
-            entry.outcome = Some(entry.state.finalize(&self.deps, &self.cfg));
+        let (shape, constants) = self.keys.lattice(&q.positional());
+        let key = Keyed::new(shape);
+        let idx = self.shard_of(&key);
+        let found = {
+            let mut shard = (0..=CHECKOUT_RETRIES)
+                .find_map(|attempt| self.lock_for_checkout(idx, attempt))
+                .expect("the last checkout attempt proceeds");
+            let found = self
+                .caching
+                .then(|| shard.outcomes.get(&key).cloned())
+                .flatten();
+            if found.is_none() {
+                shard.stats.chase_misses += 1;
+            }
+            found
+        };
+        if let Some(shaped) = &found {
+            let out = shaped.outcome_for(q, &constants);
+            let mut shard = self.lock(idx);
+            match out {
+                Some(out) => {
+                    shard.stats.chase_hits += 1;
+                    return out;
+                }
+                None => shard.stats.chase_misses += 1,
+            }
         }
-        let out = entry.outcome.as_ref().expect("outcome just finalized");
-        let out = entry.state.outcome_for(out, q);
-        if let Some(marker) = marker {
-            self.park(marker, entry);
+        let mut state = ChaseState::new(q);
+        while state.step(&self.deps, &self.cfg) {}
+        let out = state.finalize(&self.deps, &self.cfg);
+        if found.is_none() && self.caching && !park_lost() {
+            let shaped = ChasedShape::new(q.clone(), constants, out.clone());
+            let mut guard = self.lock(idx);
+            let shard = &mut *guard;
+            shard.bytes += approx_query_bytes(&key.key) + shaped.approx_bytes();
+            shard
+                .outcomes
+                .entry(key)
+                .or_insert_with(|| Arc::new(shaped));
+            self.enforce_byte_limit(shard);
+            drop(guard);
+            // The input is a lattice subquery of its own universal plan,
+            // so the first walk of a new shape asks a containment proof
+            // of it: park its finished state, constant-exact, for that
+            // proof to resume.
+            let chase_key = Keyed::new(q.alpha_normalized());
+            let mut guard = self.lock(self.shard_of(&chase_key));
+            let shard = &mut *guard;
+            if !shard.chased.contains_key(&chase_key) {
+                shard.bytes +=
+                    approx_query_bytes(&chase_key.key) + approx_query_bytes(&state.query);
+                shard
+                    .chased
+                    .insert(chase_key, ChaseSlot::Parked(Box::new(state)));
+                self.enforce_byte_limit(shard);
+            }
         }
-        out.unwrap_or_else(|| chase(q, &self.deps, &self.cfg))
+        out
     }
 
     /// Is `q1 ⊑ q2` under this context's dependencies (set semantics)?
@@ -873,18 +941,18 @@ impl ChaseContext {
             shard.stats.containment_misses += 1;
         }
         let chase_key = Keyed::new(q1.alpha_normalized());
-        let (mut entry, marker) = self.checkout(&chase_key, q1);
+        let (mut state, marker) = self.checkout(&chase_key, q1);
         let result = loop {
-            let output = entry.state.query.output.clone();
-            if output_matching_hom(&mut entry.state.graph, &output, q2, &self.cfg, None).is_some() {
+            let output = state.query.output.clone();
+            if output_matching_hom(&mut state.graph, &output, q2, &self.cfg, None).is_some() {
                 break true;
             }
-            if !entry.state.step(&self.deps, &self.cfg) {
+            if !state.step(&self.deps, &self.cfg) {
                 break false;
             }
         };
         if let Some(marker) = marker {
-            self.park(marker, entry);
+            self.park(marker, state);
         }
         if !self.caching {
             return result;
@@ -989,14 +1057,8 @@ impl ChaseContext {
     /// failpoint leaves the slot armed, so dropping it clears the
     /// marker — as does a panic anywhere before the lattice is home.
     pub(crate) fn park_lattice(&self, mut slot: LatticeSlot<'_>, mut lattice: Lattice) {
-        match faults::hit("shared::park") {
-            Ok(()) => {}
-            Err(f) => {
-                faults::note_recovered();
-                if f.kind == FaultKind::Error {
-                    return;
-                }
-            }
+        if park_lost() {
+            return;
         }
         let mut guard = self.lock(slot.idx);
         let shard = &mut *guard;
@@ -1193,19 +1255,18 @@ impl MemoKeys {
         key
     }
 
-    /// The shape key of the verified lattice walked on `base`, a
-    /// universal plan in [positional form](Query::positional), and
-    /// `base`'s non-dependency constants in value order. The key is
-    /// `base` with every non-dependency constant replaced by a
-    /// placeholder numbered by its rank among all of `base`'s constants,
-    /// everything else in place. So two plans with one key have
-    /// positional forms that differ only in their non-dependency
-    /// constants, by a renaming that keeps their order: subquery
-    /// construction breaks ties by the structural order of paths, so a
-    /// renaming that reordered the constants could pick other
-    /// representatives or another condition order (see the module docs).
-    /// Variable names cannot: a walk computes on the positional form,
-    /// which has none of the caller's.
+    /// The shape key of `base`, a query in [positional
+    /// form](Query::positional) — the universal plan a lattice is walked
+    /// on, or a phase-1 input — and `base`'s non-dependency constants in
+    /// value order. The key is `base` with every non-dependency constant
+    /// replaced by a placeholder numbered by its rank among all of
+    /// `base`'s constants, everything else in place. So two queries with
+    /// one key have positional forms that differ only in their
+    /// non-dependency constants, by a renaming that keeps their order:
+    /// subquery construction breaks ties by the structural order of
+    /// paths, so a renaming that reordered the constants could pick
+    /// other representatives or another condition order (see the module
+    /// docs). Variable names cannot: the key has none of the caller's.
     fn lattice(&self, base: &Query) -> (Query, Vec<Constant>) {
         let mut key = base.clone();
         let mut all = BTreeSet::new();
@@ -1463,6 +1524,7 @@ fn canonical_dependency(sigma: &Dependency) -> Dependency {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chase::chase;
     use pcql::parser::{parse_dependency, parse_query};
 
     #[test]
@@ -1492,6 +1554,83 @@ mod tests {
             o2.query.to_string(),
             "select struct(A = x.A) from R x, S s0 where x.B = s0.B"
         );
+    }
+
+    /// `q`'s outcome on `ctx` equals a memo-free chase of it, steps
+    /// included.
+    fn assert_chases_as_fresh(ctx: &ChaseContext, q: &Query) -> ChaseOutcome {
+        let got = ctx.chase(q);
+        let want = ChaseContext::without_memo(ctx.deps().to_vec(), ctx.cfg().clone()).chase(q);
+        assert_eq!(got.query, want.query, "{q}");
+        assert_eq!(
+            format!("{:?}", got.steps),
+            format!("{:?}", want.steps),
+            "{q}"
+        );
+        assert_eq!(got.complete, want.complete, "{q}");
+        got
+    }
+
+    #[test]
+    fn a_constant_variant_is_handed_the_outcome_in_its_own_constants() {
+        let ctx = ChaseContext::new(theory(), ChaseConfig::default());
+        let q = |c: &str| {
+            parse_query(&format!(
+                "select struct(A = r.A) from R r, R p where r.K = p.K and r.CustName = \"{c}\""
+            ))
+            .unwrap()
+        };
+        let first = assert_chases_as_fresh(&ctx, &q("cust5"));
+        assert_eq!((ctx.stats().chase_misses, ctx.stats().chase_hits), (1, 0));
+        assert!(!first.steps.is_empty(), "{first:?}");
+        let second = assert_chases_as_fresh(&ctx, &q("cust7"));
+        assert_eq!((ctx.stats().chase_misses, ctx.stats().chase_hits), (1, 1));
+        let text = second.query.to_string();
+        assert!(
+            text.contains("\"cust7\"") && !text.contains("cust5"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn an_equality_of_constants_never_shares_an_outcome() {
+        let ctx = ChaseContext::new(theory(), ChaseConfig::default());
+        let q = |a: i64, b: i64| {
+            parse_query(&format!(
+                "select struct(A = r.A) from R r where r.A = {a} and r.B = {b}"
+            ))
+            .unwrap()
+        };
+        assert_chases_as_fresh(&ctx, &q(5, 5));
+        assert_chases_as_fresh(&ctx, &q(2, 9));
+        assert_eq!((ctx.stats().chase_misses, ctx.stats().chase_hits), (2, 0));
+        // Each is the shape of its own kind of variant.
+        assert_chases_as_fresh(&ctx, &q(1, 7));
+        assert_chases_as_fresh(&ctx, &q(3, 3));
+        assert_eq!((ctx.stats().chase_misses, ctx.stats().chase_hits), (2, 2));
+    }
+
+    #[test]
+    fn a_name_the_chase_tried_is_chased_afresh_on_a_shape_hit() {
+        let tgd =
+            parse_dependency("tgd", "forall (r in R) -> exists (k in S) where r.B = k.B").unwrap();
+        let ctx = ChaseContext::new(vec![tgd], ChaseConfig::default());
+        let q = |v: &str, c: i64| {
+            parse_query(&format!(
+                "select struct(A = {v}.A) from R {v} where {v}.C = {c}"
+            ))
+            .unwrap()
+        };
+        let first = assert_chases_as_fresh(&ctx, &q("r", 1));
+        assert!(first.query.to_string().contains("S k0"), "{first:?}");
+        // `k0` is the name the chase of the first input added: a caller
+        // binding it makes the chase pick another.
+        let tried = assert_chases_as_fresh(&ctx, &q("k0", 2));
+        assert!(tried.query.to_string().contains("S k1"), "{tried:?}");
+        assert_eq!((ctx.stats().chase_misses, ctx.stats().chase_hits), (2, 0));
+        // The memo is left as it was: the next variant hits it.
+        assert_chases_as_fresh(&ctx, &q("x", 3));
+        assert_eq!((ctx.stats().chase_misses, ctx.stats().chase_hits), (2, 1));
     }
 
     #[test]

@@ -173,13 +173,16 @@ impl Lattice {
     }
 }
 
-/// The renaming from a lattice's recorded form to the plan a walk was
-/// asked about: variables by binding position, non-dependency constants
-/// by rank. The recorded form is positional and the shape key keeps the
-/// order of constants, so every fact recorded for it is the fact a walk
-/// of the plan's own positional form derives, renamed. Only the names
-/// and constants that differ are listed.
-struct Renaming {
+/// The renaming from a query recorded for a shape to another query of
+/// that shape: variables by binding position, non-dependency constants
+/// by rank. A lattice translates the facts of its recorded form to the
+/// plan a walk was asked about with it, and a phase-1 chase memo the
+/// outcome of its recorded input to a caller's query
+/// ([`ChaseContext::chase`]): the shape key keeps the order of
+/// constants, so what was derived for the one is what the other
+/// derives, renamed. Only the names and constants that differ are
+/// listed.
+pub(crate) struct Renaming {
     vars: BTreeMap<String, String>,
     constants: HashMap<Constant, Constant>,
 }
@@ -187,7 +190,7 @@ struct Renaming {
 impl Renaming {
     /// The renaming from `recorded` to `u`; `None` when it is the
     /// identity.
-    fn between(
+    pub(crate) fn between(
         recorded: &Query,
         recorded_constants: &[Constant],
         u: &Query,
@@ -209,7 +212,7 @@ impl Renaming {
         (!vars.is_empty() || !constants.is_empty()).then_some(Renaming { vars, constants })
     }
 
-    fn path(&self, p: &Path) -> Path {
+    pub(crate) fn path(&self, p: &Path) -> Path {
         match p {
             Path::Var(v) => Path::Var(self.vars.get(v).unwrap_or(v).clone()),
             Path::Const(c) => Path::Const(self.constants.get(c).unwrap_or(c).clone()),
@@ -223,23 +226,23 @@ impl Renaming {
         }
     }
 
-    fn query(&self, q: &Query) -> Query {
+    pub(crate) fn binding(&self, b: &Binding) -> Binding {
+        Binding {
+            var: self.vars.get(&b.var).unwrap_or(&b.var).clone(),
+            src: self.path(&b.src),
+            kind: b.kind,
+        }
+    }
+
+    pub(crate) fn equality(&self, e: &Equality) -> Equality {
+        Equality(self.path(&e.0), self.path(&e.1))
+    }
+
+    pub(crate) fn query(&self, q: &Query) -> Query {
         Query {
             output: q.output.map_paths(&mut |p| self.path(p)),
-            from: q
-                .from
-                .iter()
-                .map(|b| Binding {
-                    var: self.vars.get(&b.var).unwrap_or(&b.var).clone(),
-                    src: self.path(&b.src),
-                    kind: b.kind,
-                })
-                .collect(),
-            where_: q
-                .where_
-                .iter()
-                .map(|e| Equality(self.path(&e.0), self.path(&e.1)))
-                .collect(),
+            from: q.from.iter().map(|b| self.binding(b)).collect(),
+            where_: q.where_.iter().map(|e| self.equality(e)).collect(),
         }
     }
 

@@ -25,7 +25,7 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use cb_analyze::{Analyzer, Report};
@@ -37,6 +37,7 @@ use cb_chase::{
 };
 use pcql::query::Query;
 use pcql::typecheck::{check_query, TypeError};
+use pcql::Dependency;
 use std::collections::BTreeSet;
 
 use crate::cleanup::cleanup_plan;
@@ -329,11 +330,42 @@ impl From<TypeError> for OptimizeError {
     }
 }
 
+/// What the pre-flight knows from the catalog alone: its constraints
+/// `D ∪ D'`, the termination verdict on them and, unless the pre-flight
+/// is off, the catalog-level lint. None of it depends on the query, so
+/// it is computed once per catalog (per [`Optimizer`], and per catalog
+/// a [`PlanService`](crate::PlanService) serves) and read by every
+/// optimization.
+#[derive(Debug)]
+pub(crate) struct CatalogCheck {
+    constraints: Vec<Dependency>,
+    termination: TerminationVerdict,
+    report: Report,
+}
+
+impl CatalogCheck {
+    pub(crate) fn of(catalog: &Catalog, config: &OptimizerConfig) -> CatalogCheck {
+        let constraints = catalog.all_constraints();
+        let (termination, report) = if config.preflight == PreflightMode::Off {
+            (cb_chase::analyze_termination(&constraints).0, Report::new())
+        } else {
+            Analyzer::new(catalog).check_catalog()
+        };
+        CatalogCheck {
+            constraints,
+            termination,
+            report,
+        }
+    }
+}
+
 /// The chase & backchase optimizer.
 #[derive(Debug, Clone)]
 pub struct Optimizer<'a> {
     catalog: &'a Catalog,
     config: OptimizerConfig,
+    /// The catalog's pre-flight, computed on first use.
+    check: OnceLock<Arc<CatalogCheck>>,
 }
 
 impl<'a> Optimizer<'a> {
@@ -353,9 +385,9 @@ impl<'a> Optimizer<'a> {
         let memo_byte_limit = std::env::var("CB_MEMO_BYTES")
             .ok()
             .and_then(|v| v.parse::<usize>().ok());
-        Optimizer {
+        Optimizer::with_config(
             catalog,
-            config: OptimizerConfig {
+            OptimizerConfig {
                 cost_visited: true,
                 search_budget: SearchBudget {
                     nodes: Some(4096),
@@ -364,9 +396,8 @@ impl<'a> Optimizer<'a> {
                 threads,
                 memo_byte_limit,
                 ..Default::default()
-            }
-            .validated(),
-        }
+            },
+        )
     }
 
     /// Builds an optimizer over an explicit configuration, normalized
@@ -376,7 +407,23 @@ impl<'a> Optimizer<'a> {
         Optimizer {
             catalog,
             config: config.validated(),
+            check: OnceLock::new(),
         }
+    }
+
+    /// This optimizer over the catalog pre-flight `check`, computed
+    /// earlier for the same catalog and configuration.
+    pub(crate) fn with_catalog_check(self, check: Arc<CatalogCheck>) -> Optimizer<'a> {
+        Optimizer {
+            check: OnceLock::from(check),
+            ..self
+        }
+    }
+
+    /// The catalog pre-flight, computed on first use.
+    pub(crate) fn catalog_check(&self) -> &Arc<CatalogCheck> {
+        self.check
+            .get_or_init(|| Arc::new(CatalogCheck::of(self.catalog, &self.config)))
     }
 
     /// Runs Algorithm 1 on `q`. One [`ChaseContext`] is allocated per
@@ -384,7 +431,8 @@ impl<'a> Optimizer<'a> {
     /// plan-cleanup phases all reuse the same memoized chases,
     /// containment verdicts and implication proofs.
     pub fn optimize(&self, q: &Query) -> Result<OptimizeOutcome, OptimizeError> {
-        let mut ctx = ChaseContext::new(self.catalog.all_constraints(), self.config.chase.clone());
+        let constraints = self.catalog_check().constraints.clone();
+        let mut ctx = ChaseContext::new(constraints, self.config.chase.clone());
         self.optimize_in(&mut ctx, q)
     }
 
@@ -409,14 +457,12 @@ impl<'a> Optimizer<'a> {
         // *all* findings as one diagnostic batch instead of stopping at
         // the first type error. The termination verdict is computed
         // regardless (EXPLAIN keys off it); the full lint only when the
-        // pre-flight is on.
+        // pre-flight is on. The catalog's part is computed once.
         let analyzer = Analyzer::new(self.catalog);
-        let mut diagnostics = Report::new();
-        let termination = if self.config.preflight == PreflightMode::Off {
-            cb_chase::analyze_termination(&self.catalog.all_constraints()).0
-        } else {
-            let (verdict, catalog_report) = analyzer.check_catalog();
-            diagnostics.merge(catalog_report);
+        let check = self.catalog_check();
+        let mut diagnostics = check.report.clone();
+        let termination = check.termination;
+        if self.config.preflight != PreflightMode::Off {
             diagnostics.merge(analyzer.check_query(q));
             // A malformed CB_FAULTS schedule is an error finding (deny
             // mode refuses to optimize under it); an armed one is a
@@ -427,15 +473,14 @@ impl<'a> Optimizer<'a> {
                     report: diagnostics,
                 });
             }
-            verdict
-        };
+        }
 
         let schema = self.catalog.combined_schema();
         check_query(&schema, q)?;
 
         // Guard the context-reuse footgun before asking it anything, and
         // bound its memos as this configuration asks (rung 1).
-        ctx.ensure_deps(&self.catalog.all_constraints(), &self.config.chase);
+        ctx.ensure_deps(&check.constraints, &self.config.chase);
         ctx.set_byte_limit(self.config.memo_byte_limit);
         let ctx: &ChaseContext = ctx;
         let sheds_before = ctx.stats().pressure_sheds;

@@ -14,10 +14,19 @@
 //!   placeholders — sound, since the chase treats constants as
 //!   uninterpreted symbols), so a query that differs from an earlier one
 //!   only in a constant misses the plan cache but re-proves nothing.
-//!   Chase states stay constant-exact, so every plan carries the
+//!   Its phase-1 chase is a hit too: a finished chase is kept by the
+//!   shape of its input and handed to a later input of the shape in
+//!   that input's own names and constants, so every plan carries the
 //!   caller's own constants. A parallel phase 2 proves against the same
 //!   context, so its memos persist across preparations at every thread
 //!   count.
+//! * **The catalog pre-flight** — the catalog lint, the termination
+//!   verdict and the constraint set depend on the catalog alone, so the
+//!   first miss after [`PlanService::new`] or
+//!   [`PlanService::swap_catalog`] computes them and every later miss
+//!   under that catalog reads them. A service whose preparations all hit
+//!   the plan cache never lints. The query's own lint and the
+//!   `CB_FAULTS` check still run on every miss.
 //! * **Verified lattices** — phases 1–2 depend only on the query and the
 //!   constraints, so the context also keeps, per shape of universal plan
 //!   walked more than once, the backchase lattice its walks verified. The
@@ -69,7 +78,7 @@ use cb_chase::{CacheStats, ChaseContext};
 use pcql::query::Query;
 
 use crate::cost::CostModel;
-use crate::optimizer::{OptimizeError, OptimizeOutcome, Optimizer, OptimizerConfig};
+use crate::optimizer::{CatalogCheck, OptimizeError, OptimizeOutcome, Optimizer, OptimizerConfig};
 
 /// Cache key for one prepared plan. Everything plan choice depends on,
 /// nothing it doesn't.
@@ -138,6 +147,9 @@ pub struct PlanService {
     config: OptimizerConfig,
     /// The long-lived memoized chase core every preparation runs in.
     ctx: ChaseContext,
+    /// The catalog's pre-flight, computed by the first miss after
+    /// [`PlanService::new`] or [`PlanService::swap_catalog`].
+    catalog_check: Option<Arc<CatalogCheck>>,
     cache: HashMap<PlanKey, Arc<PreparedPlan>>,
     /// FIFO insertion order for eviction.
     order: VecDeque<PlanKey>,
@@ -160,6 +172,7 @@ impl PlanService {
             catalog,
             config,
             ctx,
+            catalog_check: None,
             cache: HashMap::new(),
             order: VecDeque::new(),
             cache_cap: 0,
@@ -211,7 +224,11 @@ impl PlanService {
             });
         }
         self.stats.misses += 1;
-        let optimizer = Optimizer::with_config(&self.catalog, self.config.clone());
+        let check = self
+            .catalog_check
+            .get_or_insert_with(|| Arc::new(CatalogCheck::of(&self.catalog, &self.config)));
+        let optimizer = Optimizer::with_config(&self.catalog, self.config.clone())
+            .with_catalog_check(Arc::clone(check));
         let outcome = optimizer.optimize_in(&mut self.ctx, q)?;
         let nodes_visited = outcome.search.visited_count;
         let plan = Arc::new(PreparedPlan { outcome });
@@ -242,6 +259,7 @@ impl PlanService {
     /// dropped and counted as an invalidation.
     pub fn swap_catalog(&mut self, catalog: Catalog) {
         self.catalog = catalog;
+        self.catalog_check = None;
         self.stats.catalog_swaps += 1;
         self.ctx
             .ensure_deps(&self.catalog.all_constraints(), &self.config.chase);
@@ -353,6 +371,46 @@ mod tests {
         assert_eq!(lookups(&after), lookups(&warm), "{after:?}");
         assert_eq!(after.lattice_misses, warm.lattice_misses, "{after:?}");
         assert!(after.lattice_hits > warm.lattice_hits, "{after:?}");
+    }
+
+    #[test]
+    fn a_swapped_catalog_is_linted_afresh() {
+        let config = OptimizerConfig::default();
+        let fresh = |c: &Catalog, q: &Query| {
+            Optimizer::with_config(c, config.clone())
+                .optimize(q)
+                .unwrap()
+        };
+        let variant = pcql::parser::parse_query(
+            "select struct(PN = s, PB = p.Budg, DN = d.DName) \
+             from depts d, d.DProjs s, Proj p where s = p.PName and p.CustName = \"cust7\"",
+        )
+        .unwrap();
+        let mut svc = PlanService::new(catalog(), config.clone());
+        // Two misses under one catalog: the fresh optimizer's findings.
+        for q in [&projdept::query(), &variant] {
+            let prepared = svc.prepare(q).unwrap();
+            assert!(!prepared.cache_hit);
+            let want = fresh(&catalog(), q);
+            assert_eq!(prepared.plan.outcome.diagnostics, want.diagnostics, "{q}");
+            assert_eq!(prepared.plan.outcome.termination, want.termination, "{q}");
+        }
+        // The next miss after a swap lints the new catalog, whose one
+        // direct mapping carries another termination verdict and no
+        // catalog-level finding at all.
+        let mut direct = Catalog::new();
+        direct.add_logical_relation("R", [("A", pcql::Type::Int)]);
+        direct.add_direct_mapping("R");
+        let q = pcql::parser::parse_query("select struct(A = r.A) from R r").unwrap();
+        let want = fresh(&direct, &q);
+        let stale = svc.prepare(&projdept::query()).unwrap();
+        assert_ne!(want.termination, stale.plan.outcome.termination);
+        assert!(want.diagnostics.is_empty(), "{}", want.diagnostics);
+        svc.swap_catalog(direct);
+        let prepared = svc.prepare(&q).unwrap();
+        assert!(!prepared.cache_hit);
+        assert_eq!(prepared.plan.outcome.diagnostics, want.diagnostics);
+        assert_eq!(prepared.plan.outcome.termination, want.termination);
     }
 
     #[test]

@@ -33,8 +33,8 @@ use cb_optimizer::{CostModel, Optimizer, OptimizerConfig, SearchStrategy};
 use universal_plans::analyze::{check_pipeline, codes};
 use universal_plans::catalog::RootStats;
 use universal_plans::chase::{
-    first_unsafe, ChaseConfig, ChaseContext, ExploreAll, MustRemainAnalysis, PlanSearch,
-    SearchVisitor, Visit,
+    first_unsafe, ChaseConfig, ChaseContext, ChaseStepTrace, ExploreAll, MustRemainAnalysis,
+    PlanSearch, SearchVisitor, Visit,
 };
 use universal_plans::engine::{compile, CompileOptions, Operator};
 use universal_plans::prelude::*;
@@ -355,11 +355,19 @@ proptest! {
 /// `q` with every integer constant `c` replaced by `f(c)`. The generated
 /// dependencies mention no constant, so every one of them is a
 /// non-dependency constant.
-fn map_constants(q: &Query, f: &impl Fn(i64) -> i64) -> Query {
-    fn path(p: &Path, f: &impl Fn(i64) -> i64) -> Path {
+fn map_ints(q: &Query, f: &impl Fn(i64) -> i64) -> Query {
+    map_constants(q, &|c| match c {
+        Constant::Int(i) => Constant::Int(f(*i)),
+        c => c.clone(),
+    })
+}
+
+/// `q` with every constant `c` replaced by `f(c)`.
+fn map_constants(q: &Query, f: &impl Fn(&Constant) -> Constant) -> Query {
+    fn path(p: &Path, f: &impl Fn(&Constant) -> Constant) -> Path {
         match p {
-            Path::Const(Constant::Int(c)) => Path::Const(Constant::Int(f(*c))),
-            Path::Var(_) | Path::Root(_) | Path::Const(_) => p.clone(),
+            Path::Const(c) => Path::Const(f(c)),
+            Path::Var(_) | Path::Root(_) => p.clone(),
             Path::Field(q, a) => Path::Field(Box::new(path(q, f)), a.clone()),
             Path::Dom(q) => Path::Dom(Box::new(path(q, f))),
             Path::Get(m, k) => Path::Get(Box::new(path(m, f)), Box::new(path(k, f))),
@@ -404,8 +412,8 @@ proptest! {
         }
         let deps = s.catalog.all_constraints();
         let variants = [
-            (map_constants(&s.query, &|c| 10 * c + 7), true),
-            (map_constants(&s.query, &|c| 100 - c), constants < 2),
+            (map_ints(&s.query, &|c| 10 * c + 7), true),
+            (map_ints(&s.query, &|c| 100 - c), constants < 2),
         ];
         for strategy in [SearchStrategy::Exhaustive, SearchStrategy::CostGuided] {
             for threads in [1usize, 2] {
@@ -451,8 +459,9 @@ proptest! {
 /// of its names — onto the same names, onto names that sort after, and
 /// onto names that sort before, every name the chase adds — and one onto
 /// a shuffle, drawn from `seed`, of names that include the chase's own
-/// (`i0`, `k0`, `t1`, `v0`, …).
-fn renamings(q: &Query, seed: u64) -> Vec<BTreeMap<String, String>> {
+/// (`i0`, `k0`, `t1`, `v0`, …), with `q`'s first name (by name order)
+/// onto `tried`, the first name the chase of `q` adds when it adds one.
+fn renamings(q: &Query, seed: u64, tried: Option<&str>) -> Vec<BTreeMap<String, String>> {
     let mut names: Vec<&String> = q.from.iter().map(|b| &b.var).collect();
     names.sort();
     names.dedup();
@@ -474,6 +483,12 @@ fn renamings(q: &Query, seed: u64) -> Vec<BTreeMap<String, String>> {
         state ^= state << 17;
         pool.swap(i, (state % (i as u64 + 1)) as usize);
     }
+    if let Some(tried) = tried {
+        match pool.iter().position(|p| *p == tried) {
+            Some(i) => pool.swap(0, i),
+            None => pool[0] = tried,
+        }
+    }
     let shuffled = names
         .iter()
         .zip(pool)
@@ -487,28 +502,88 @@ fn renamings(q: &Query, seed: u64) -> Vec<BTreeMap<String, String>> {
     vec![swapped, reversed("z"), reversed("a"), shuffled]
 }
 
-/// The memo misses a context has counted: containment, implication,
-/// lattice.
-fn misses(ctx: &ChaseContext) -> [u64; 3] {
+/// Three variants of `q` that replace its constants by their rank among
+/// the constants of their type: in the same order, in the reverse order,
+/// and all by one value (two distinct constants become equal). The
+/// types stay, so every variant type-checks as `q` does.
+fn constant_variants(q: &Query) -> [Query; 3] {
+    let all = std::cell::RefCell::new(BTreeSet::new());
+    map_constants(q, &|c| {
+        all.borrow_mut().insert(c.clone());
+        c.clone()
+    });
+    let all = all.into_inner();
+    let rank = |c: &Constant| {
+        all.iter()
+            .filter(|d| std::mem::discriminant(*d) == std::mem::discriminant(c) && *d < c)
+            .count() as i64
+    };
+    let by_rank = |f: &dyn Fn(i64) -> i64| {
+        map_constants(q, &|c| match c {
+            Constant::Int(_) => Constant::Int(f(rank(c))),
+            Constant::Str(_) => Constant::Str(format!("k{:03}", f(rank(c)))),
+            c => c.clone(),
+        })
+    };
+    [
+        by_rank(&|r| 10 * r + 7),
+        by_rank(&|r| 100 - 10 * r),
+        by_rank(&|_| 5),
+    ]
+}
+
+/// The memo misses a context has counted: chase, containment,
+/// implication, lattice.
+fn misses(ctx: &ChaseContext) -> [u64; 4] {
     let s = ctx.stats();
-    [s.containment_misses, s.implication_misses, s.lattice_misses]
+    [
+        s.chase_misses,
+        s.containment_misses,
+        s.implication_misses,
+        s.lattice_misses,
+    ]
 }
 
 /// The rename-invariance oracle for one catalog and query. A warm
 /// context optimizes `q` twice, which records the lattice of its shape;
-/// under every renaming of [`renamings`] the query must then plan
-/// exactly as on a cache-disabled context — the best and every top-k
-/// plan byte for byte, their costs, the walk's counters — while adding
-/// no containment, implication or lattice miss. The bare exhaustive
-/// walk of the renamed universal plan must match too, down to its
-/// visited nodes and normal forms.
+/// under every renaming of [`renamings`] and every constant variant of
+/// [`constant_variants`] the query must then plan exactly as on a
+/// cache-disabled context — the universal plan and its chase steps, the
+/// best and every top-k plan byte for byte, their costs, the walk's
+/// counters. A renaming adds no containment, implication or lattice
+/// miss; the variant that keeps the constants' order adds no chase miss
+/// either. The bare exhaustive walk of each variant's universal plan
+/// must match too, down to its visited nodes and normal forms.
 fn assert_rename_invariant(catalog: &Catalog, q: &Query, seed: u64, desc: &str) {
     let deps = catalog.all_constraints();
-    let renamed: Vec<Query> = renamings(q, seed).iter().map(|m| q.rename(m)).collect();
-    let added = |ctx: &ChaseContext, before: [u64; 3]| {
+    let [same_order, reversed, collapsed] = constant_variants(q);
+    // A name the chase of `q` adds: a variant binding it must be chased
+    // afresh, since it would steer the chase's fresh names.
+    let off = ChaseContext::without_memo(deps.clone(), ChaseConfig::default());
+    let chased = off.chase(q);
+    let tried = chased.steps.iter().flat_map(|s| &s.added_bindings).next();
+    // Each variant with the misses it must not add: none of phase 2's,
+    // and none of phase 1's.
+    let variants: Vec<(Query, bool, bool)> = renamings(q, seed, tried.map(|b| b.var.as_str()))
+        .iter()
+        .map(|m| (q.rename(m), true, false))
+        .chain([
+            (same_order, true, true),
+            (reversed, false, false),
+            (collapsed, false, false),
+        ])
+        .collect();
+    let assert_added = |ctx: &ChaseContext, before: [u64; 4], (phase2, phase1), desc: &str| {
         let now = misses(ctx);
-        [0, 1, 2].map(|i| now[i] - before[i])
+        let added = [0, 1, 2, 3].map(|i| now[i] - before[i]);
+        if phase2 {
+            assert_eq!(added[1..], [0; 3], "{desc}");
+        }
+        if phase1 {
+            assert_eq!(added[0], 0, "{desc}");
+        }
     };
+    let steps = |s: &[ChaseStepTrace]| format!("{s:?}");
     let plans = |o: &cb_optimizer::OptimizeOutcome| -> Vec<(String, f64)> {
         o.top_k
             .iter()
@@ -526,13 +601,15 @@ fn assert_rename_invariant(catalog: &Catalog, q: &Query, seed: u64, desc: &str) 
         for _ in 0..2 {
             optimizer.optimize_in(&mut warm, q).unwrap();
         }
-        for r in &renamed {
+        for (r, phase2, phase1) in &variants {
             let desc = format!("{strategy:?}, `{r}` on {desc}");
             let before = misses(&warm);
             let got = optimizer.optimize_in(&mut warm, r).unwrap();
-            assert_eq!(added(&warm, before), [0; 3], "{desc}");
+            assert_added(&warm, before, (*phase2, *phase1), &desc);
             let mut off = ChaseContext::without_memo(deps.clone(), config.chase.clone());
             let want = optimizer.optimize_in(&mut off, r).unwrap();
+            assert_eq!(got.universal, want.universal, "{desc}");
+            assert_eq!(steps(&got.chase_steps), steps(&want.chase_steps), "{desc}");
             assert_eq!(
                 got.best.query.to_string(),
                 want.best.query.to_string(),
@@ -548,19 +625,21 @@ fn assert_rename_invariant(catalog: &Catalog, q: &Query, seed: u64, desc: &str) 
     for _ in 0..2 {
         PlanSearch::new(&u).run(&warm, &ExploreAll);
     }
-    let off = ChaseContext::without_memo(deps, ChaseConfig::default());
     let sorted = |qs: &[Query]| {
         let mut v = qs.to_vec();
         v.sort();
         v
     };
-    for r in &renamed {
+    for (r, phase2, phase1) in &variants {
         let desc = format!("ExploreAll, `{r}` on {desc}");
         let before = misses(&warm);
-        let ur = warm.chase(r).query;
-        assert_eq!(ur, off.chase(r).query, "{desc}");
+        let chased = warm.chase(r);
+        let fresh = off.chase(r);
+        assert_eq!(chased.query, fresh.query, "{desc}");
+        assert_eq!(steps(&chased.steps), steps(&fresh.steps), "{desc}");
+        let ur = chased.query;
         let got = PlanSearch::new(&ur).run(&warm, &ExploreAll);
-        assert_eq!(added(&warm, before), [0; 3], "{desc}");
+        assert_added(&warm, before, (*phase2, *phase1), &desc);
         let want = PlanSearch::new(&ur).run(&off, &ExploreAll);
         assert_eq!(got.counters, want.counters, "{desc}");
         assert_eq!(sorted(&got.visited), sorted(&want.visited), "{desc}");
