@@ -658,10 +658,11 @@ fn run_json(path: &str, selection: &[String]) {
         for (id, p, queries) in variants(false).into_iter().chain(variants(true)) {
             let (mut cold_ns, mut record_ns, mut replay_ns) = (Vec::new(), Vec::new(), Vec::new());
             let (mut lattice_hits, mut lattice_misses) = (0u64, 0u64);
-            let (mut miss_ns, mut hit_ns) = (Vec::new(), Vec::new());
+            let (mut miss_ns, mut hit_ns, mut shape_hit_ns) = (Vec::new(), Vec::new(), Vec::new());
             let mut best = None;
             for _ in 0..ITERS {
-                let (r, replayed) = variant_replay(&p, &queries);
+                let (r, replayed, shape_hit) = variant_replay(&p, &queries);
+                shape_hit_ns.push(shape_hit.as_nanos());
                 cold_ns.push(r.cold.as_nanos());
                 record_ns.push(r.record.as_nanos());
                 replay_ns.push(r.replay.as_nanos());
@@ -683,6 +684,7 @@ fn run_json(path: &str, selection: &[String]) {
                 median(&mut replay_ns),
             );
             let (phase1_miss, phase1_hit) = (median(&mut miss_ns), median(&mut hit_ns));
+            let shape_hit = median(&mut shape_hit_ns);
             records.push(JsonRecord {
                 id,
                 median_ns: replay,
@@ -701,6 +703,7 @@ fn run_json(path: &str, selection: &[String]) {
                     ("replay_lattice_misses", lattice_misses),
                     ("phase1_miss_median_ns", phase1_miss as u64),
                     ("phase1_hit_median_ns", phase1_hit as u64),
+                    ("shape_hit_median_ns", shape_hit as u64),
                 ],
             });
         }
@@ -1129,10 +1132,9 @@ fn e16_must_remain_bound() {
                 "{:.1}x",
                 must.search.pruned() as f64 / floor.search.pruned().max(1) as f64
             ),
-            if must.must_remain.is_empty() {
-                "-".to_string()
-            } else {
-                must.must_remain.join(",")
+            match must.must_remain() {
+                core if core.is_empty() => "-".to_string(),
+                core => core.join(","),
             },
         ]);
     }
@@ -1564,9 +1566,9 @@ fn e21_plan_service() {
     // — and, in the renamed variants, its own variable names.
     let mut rows = Vec::new();
     for (id, p, queries) in variants(false).into_iter().chain(variants(true)) {
-        let (r, best) = variant_replay(&p, &queries);
+        let (r, best, hit) = variant_replay(&p, &queries);
         assert_plans_as_fresh(&p, &queries[2], &best);
-        let (miss, hit) = phase1_miss_and_hit(&p, &queries);
+        let (miss, phase1_hit) = phase1_miss_and_hit(&p, &queries);
         let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
         let (cold_ms, replay_ms) = (ms(r.cold), ms(r.replay));
         rows.push(vec![
@@ -1577,7 +1579,8 @@ fn e21_plan_service() {
             format!("{:.0}x", cold_ms / replay_ms.max(1e-9)),
             r.lattice_hits.to_string(),
             r.nodes_visited.to_string(),
-            format!("{:.3} / {:.3}", ms(miss), ms(hit)),
+            format!("{:.3} / {:.3}", ms(miss), ms(phase1_hit)),
+            format!("{:.3}", ms(hit)),
         ]);
     }
     println!(
@@ -1592,6 +1595,7 @@ fn e21_plan_service() {
                 "lattice hits",
                 "nodes visited",
                 "phase 1 ms (miss / hit)",
+                "shape hit ms",
             ],
             &rows
         )
@@ -1758,26 +1762,47 @@ fn assert_plans_as_fresh(p: &Prepared, q: &pcql::Query, best: &pcql::Query) {
     );
 }
 
-/// Prepares three variants of one query on one service. The first is
-/// cold; the second walks the shape a second time and records its
-/// verified lattice; the third replays it, translated to its own
-/// constants and names: it may not ask a single containment or
+/// Prepares three variants of one query on one service, each after a
+/// statistics refresh, so that each misses the plan cache of their one
+/// shape. The first is cold; the second walks the shape a second time
+/// and records its verified lattice; the third replays it, translated to
+/// its own constants and names: it may not ask a single containment or
 /// implication question, not even of the memo, nor miss the lattice
-/// memo or the phase-1 chase memo. Also returns the replay's best plan.
-fn variant_replay(p: &Prepared, queries: &[pcql::Query; 3]) -> (Replay, pcql::Query) {
+/// memo or the phase-1 chase memo. Then the second variant again, under
+/// the third's statistics: a plan-cache hit of the shape, translated to
+/// its names and constants with no search at all. Returns the replay's
+/// best plan and the hit's time.
+fn variant_replay(
+    p: &Prepared,
+    queries: &[pcql::Query; 3],
+) -> (Replay, pcql::Query, std::time::Duration) {
     use cb_optimizer::{OptimizerConfig, PlanService};
-    let mut svc = PlanService::new(p.catalog.clone(), OptimizerConfig::default());
+    let mut refreshed = p.catalog.clone();
+    for root in refreshed.stats_mut().roots.values_mut() {
+        root.cardinality += 1;
+    }
+    let mut svc = PlanService::new(refreshed.clone(), OptimizerConfig::default());
     let prepare = |svc: &mut PlanService, q| {
         let t = Instant::now();
         let prepared = svc.prepare(q).expect("variant preparation");
-        assert!(!prepared.cache_hit, "every variant is a new query");
         (prepared, t.elapsed())
     };
     let (cold, cold_time) = prepare(&mut svc, &queries[0]);
-    let (_, record_time) = prepare(&mut svc, &queries[1]);
+    svc.swap_catalog(p.catalog.clone());
+    let (recorded, record_time) = prepare(&mut svc, &queries[1]);
+    svc.swap_catalog(refreshed);
+    svc.swap_catalog(p.catalog.clone());
     let warm = svc.chase_stats();
     let (replay, replay_time) = prepare(&mut svc, &queries[2]);
     let now = svc.chase_stats();
+    for prepared in [&cold, &recorded, &replay] {
+        assert!(!prepared.cache_hit, "a statistics refresh must re-prepare");
+    }
+    let (hit, hit_time) = prepare(&mut svc, &queries[1]);
+    assert!(hit.cache_hit, "a variant of a prepared shape must hit");
+    assert_eq!(hit.nodes_visited, 0, "a hit must skip phase-2 search");
+    assert_eq!(svc.chase_stats(), now, "a hit asks the chase core nothing");
+    assert_eq!(hit.plan.outcome.input, queries[1]);
     let lookups = |s: &CacheStats| {
         s.containment_hits + s.containment_misses + s.implication_hits + s.implication_misses
     };
@@ -1807,7 +1832,7 @@ fn variant_replay(p: &Prepared, queries: &[pcql::Query; 3]) -> (Replay, pcql::Qu
         lattice_hits: now.lattice_hits - warm.lattice_hits,
         lattice_misses: now.lattice_misses - warm.lattice_misses,
     };
-    (timed, replay.plan.outcome.best.query.clone())
+    (timed, replay.plan.outcome.best.query.clone(), hit_time)
 }
 
 /// Phase 1 of the first and of the third variant on one chase core: a

@@ -21,14 +21,14 @@
 use std::collections::BTreeMap;
 
 use pcql::idgen::VarGen;
-use pcql::path::{Constant, Path};
+use pcql::path::Path;
 use pcql::query::{Binding, Equality, Query};
 use pcql::Dependency;
 
 use crate::canon::QueryGraph;
 use crate::context::approx_query_bytes;
 use crate::hom::{extension_exists, find_matching_hom, Assignment};
-use crate::lattice::Renaming;
+use crate::shape::{Shape, ShapeOrigin};
 
 /// Budgets for the chase (and for the implication checks that reuse it).
 ///
@@ -171,86 +171,42 @@ impl ChaseState {
 }
 
 /// A finished chase kept for its input's *shape* (see
-/// [`ChaseContext::chase`](crate::ChaseContext::chase)): the input, its
-/// non-dependency constants in value order, and its outcome.
+/// [`ChaseContext::chase`](crate::ChaseContext::chase)): the input as the
+/// shape's origin, and its outcome.
 pub(crate) struct ChasedShape {
-    input: Query,
-    constants: Vec<Constant>,
+    origin: ShapeOrigin,
     outcome: ChaseOutcome,
-    /// The highest counter the fresh-name generator reached per name
-    /// stem.
-    reached: BTreeMap<String, u64>,
 }
 
 impl ChasedShape {
-    pub(crate) fn new(
-        input: Query,
-        constants: Vec<Constant>,
-        outcome: ChaseOutcome,
-    ) -> ChasedShape {
-        let mut reached: BTreeMap<String, u64> = BTreeMap::new();
-        for b in outcome.steps.iter().flat_map(|s| &s.added_bindings) {
-            if let Some((stem, n)) = numbered(&b.var) {
-                let top = reached.entry(stem.to_string()).or_default();
-                *top = (*top).max(n);
-            }
-        }
+    pub(crate) fn new(input: Query, shape: Shape, outcome: ChaseOutcome) -> ChasedShape {
+        let added = outcome.steps.iter().flat_map(|s| &s.added_bindings);
         ChasedShape {
-            input,
-            constants,
+            origin: ShapeOrigin::new(input, shape, added),
             outcome,
-            reached,
         }
     }
 
-    /// The outcome for `q`, an input of the same shape whose
-    /// non-dependency constants in value order are `constants`: as it is
-    /// when `q` is the recorded input, translated by the [`Renaming`]
-    /// between them otherwise, and `None` when a chase of `q` might
-    /// derive something else. The chase reads variables by position
-    /// (triggers in binding order, coalescing the later of two
-    /// duplicates) and compares constants only for equality, so an input
-    /// renamed that way chases to the renamed outcome — unless a name of
-    /// either input is one the fresh-name generator tried and skipped,
-    /// which could steer the names the chase adds.
-    pub(crate) fn outcome_for(&self, q: &Query, constants: &[Constant]) -> Option<ChaseOutcome> {
-        if *q == self.input {
+    /// The outcome for `q`, an input of the same shape: translated by
+    /// the renaming its origin vouches for ([`ShapeOrigin::renaming_to`]),
+    /// `None` when a chase of `q` might derive something else.
+    pub(crate) fn outcome_for(&self, q: &Query, shape: &Shape) -> Option<ChaseOutcome> {
+        let r = self.origin.renaming_to(q, shape)?;
+        if r.is_identity() {
             return Some(self.outcome.clone());
-        }
-        let r = Renaming::between(&self.input, &self.constants, q, constants)?;
-        let tried = |v: &String| {
-            numbered(v).is_some_and(|(stem, n)| self.reached.get(stem).is_some_and(|&top| n <= top))
-        };
-        let mut names = self.input.from.iter().chain(&q.from).map(|b| &b.var);
-        if names.any(tried) || r.query(&self.input) != *q {
-            return None;
         }
         Some(ChaseOutcome {
             query: r.query(&self.outcome.query),
-            steps: self
-                .outcome
-                .steps
-                .iter()
-                .map(|s| ChaseStepTrace {
-                    dep: s.dep.clone(),
-                    trigger: s
-                        .trigger
-                        .iter()
-                        .map(|(v, p)| (v.clone(), r.path(p)))
-                        .collect(),
-                    added_bindings: s.added_bindings.iter().map(|b| r.binding(b)).collect(),
-                    added_eqs: s.added_eqs.iter().map(|e| r.equality(e)).collect(),
-                })
-                .collect(),
+            steps: self.outcome.steps.iter().map(|s| r.step(s)).collect(),
             complete: self.outcome.complete,
         })
     }
 
     /// Its approximate footprint: the input and the chased query.
     pub(crate) fn approx_bytes(&self) -> usize {
-        approx_query_bytes(&self.input)
+        approx_query_bytes(self.origin.input())
             + approx_query_bytes(&self.outcome.query)
-            + 32 * (self.constants.len() + self.outcome.steps.len())
+            + 32 * self.outcome.steps.len()
     }
 }
 
@@ -356,15 +312,6 @@ pub fn coalesce_duplicates(q: &Query) -> Query {
         };
         graph = QueryGraph::of_query(&out);
     }
-}
-
-/// A name of the form the fresh-name generator makes, split into its
-/// stem and counter (`k12` → `("k", 12)`); `None` for any other name.
-fn numbered(name: &str) -> Option<(&str, u64)> {
-    let stem = name.trim_end_matches(|c: char| c.is_ascii_digit());
-    let digits = &name[stem.len()..];
-    let n: u64 = digits.parse().ok()?;
-    (!stem.is_empty() && n.to_string() == digits).then_some((stem, n))
 }
 
 /// Removes reflexive and duplicate conditions.

@@ -151,6 +151,7 @@ use crate::containment::output_matching_hom;
 use crate::faults::{self, FaultKind};
 use crate::implication::implies_uncached;
 use crate::lattice::Lattice;
+use crate::shape::Shape;
 
 /// Cache hit/miss counters of a [`ChaseContext`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -815,10 +816,21 @@ impl ChaseContext {
         marker.armed = false;
     }
 
-    /// Chases `q` to a fixpoint (or budget), memoized by `q`'s *shape*:
-    /// the lattice key of its [positional form](Query::positional)
+    /// The [`Shape`] of `q` under this context's dependencies: the
+    /// lattice key of its [positional form](Query::positional)
     /// (`MemoKeys::lattice`), which renames variables by binding position
-    /// and numbers the constants the dependencies never mention by rank.
+    /// and numbers the constants the dependencies never mention by rank,
+    /// with those constants in value order. Two queries of one shape
+    /// chase, walk and plan alike up to the [`Renaming`](crate::Renaming)
+    /// between them; [`ShapeOrigin::renaming_to`](crate::ShapeOrigin::renaming_to)
+    /// says when that renaming can be vouched for.
+    pub fn shape(&self, q: &Query) -> Shape {
+        let (key, constants) = self.keys.lattice(&q.positional());
+        Shape { key, constants }
+    }
+
+    /// Chases `q` to a fixpoint (or budget), memoized by `q`'s
+    /// [shape](ChaseContext::shape).
     ///
     /// The first input of a shape is chased and kept with its outcome;
     /// a later one is handed that outcome in its own names and constants
@@ -834,8 +846,8 @@ impl ChaseContext {
     /// inserts the park failpoint, but nothing is checked out: a kept
     /// outcome is immutable and shared.
     pub fn chase(&self, q: &Query) -> ChaseOutcome {
-        let (shape, constants) = self.keys.lattice(&q.positional());
-        let key = Keyed::new(shape);
+        let shape = self.shape(q);
+        let key = Keyed::new(shape.key.clone());
         let idx = self.shard_of(&key);
         let found = {
             let mut shard = (0..=CHECKOUT_RETRIES)
@@ -851,7 +863,7 @@ impl ChaseContext {
             found
         };
         if let Some(shaped) = &found {
-            let out = shaped.outcome_for(q, &constants);
+            let out = shaped.outcome_for(q, &shape);
             let mut shard = self.lock(idx);
             match out {
                 Some(out) => {
@@ -865,7 +877,7 @@ impl ChaseContext {
         while state.step(&self.deps, &self.cfg) {}
         let out = state.finalize(&self.deps, &self.cfg);
         if found.is_none() && self.caching && !park_lost() {
-            let shaped = ChasedShape::new(q.clone(), constants, out.clone());
+            let shaped = ChasedShape::new(q.clone(), shape, out.clone());
             let mut guard = self.lock(idx);
             let shard = &mut *guard;
             shard.bytes += approx_query_bytes(&key.key) + shaped.approx_bytes();
@@ -1260,16 +1272,18 @@ impl MemoKeys {
     /// on, or a phase-1 input — and `base`'s non-dependency constants in
     /// value order. The key is `base` with every non-dependency constant
     /// replaced by a placeholder numbered by its rank among all of
-    /// `base`'s constants, everything else in place. So two queries with
-    /// one key have positional forms that differ only in their
-    /// non-dependency constants, by a renaming that keeps their order:
-    /// subquery construction breaks ties by the structural order of
-    /// paths, so a renaming that reordered the constants could pick
-    /// other representatives or another condition order (see the module
-    /// docs). Variable names cannot: the key has none of the caller's.
+    /// `base`'s constants and the dependencies' own, everything else in
+    /// place. So two queries with one key have positional forms that
+    /// differ only in their non-dependency constants, by a renaming that
+    /// keeps their order, also relative to every constant a chase of
+    /// them may add: subquery construction and the plan ranking break
+    /// ties by the structural order of paths, so a renaming that
+    /// reordered the constants could pick other representatives, another
+    /// condition order or another plan (see the module docs). Variable
+    /// names cannot: the key has none of the caller's.
     fn lattice(&self, base: &Query) -> (Query, Vec<Constant>) {
         let mut key = base.clone();
-        let mut all = BTreeSet::new();
+        let mut all = self.dep_constants.clone();
         rewrite_paths(&mut key, &mut |p| {
             visit_constants(p, &mut |c| {
                 all.insert(c.clone());

@@ -63,11 +63,11 @@
 //! marker, so the next walk of the shape records afresh. That is always safe:
 //! the memo is a cache.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use pcql::path::{Constant, Path};
-use pcql::query::{Binding, Equality, Query};
+use pcql::query::Query;
 
 use crate::backchase::{dependent_closure, prune_unsafe_conditions, subquery_for};
 use crate::canon::QueryGraph;
@@ -75,6 +75,7 @@ use crate::containment::output_matching_hom;
 use crate::context::{approx_query_bytes, ChaseContext, ContainmentTarget, LatticeSlot};
 use crate::hom::Assignment;
 use crate::parallel::Claims;
+use crate::shape::Renaming;
 use crate::SearchVisitor;
 
 /// A removal set over `u.from`, one bit per binding position.
@@ -170,87 +171,6 @@ impl Lattice {
             closures: HashMap::new(),
             entries: HashMap::new(),
         }
-    }
-}
-
-/// The renaming from a query recorded for a shape to another query of
-/// that shape: variables by binding position, non-dependency constants
-/// by rank. A lattice translates the facts of its recorded form to the
-/// plan a walk was asked about with it, and a phase-1 chase memo the
-/// outcome of its recorded input to a caller's query
-/// ([`ChaseContext::chase`]): the shape key keeps the order of
-/// constants, so what was derived for the one is what the other
-/// derives, renamed. Only the names and constants that differ are
-/// listed.
-pub(crate) struct Renaming {
-    vars: BTreeMap<String, String>,
-    constants: HashMap<Constant, Constant>,
-}
-
-impl Renaming {
-    /// The renaming from `recorded` to `u`; `None` when it is the
-    /// identity.
-    pub(crate) fn between(
-        recorded: &Query,
-        recorded_constants: &[Constant],
-        u: &Query,
-        constants: &[Constant],
-    ) -> Option<Renaming> {
-        let vars: BTreeMap<String, String> = recorded
-            .from
-            .iter()
-            .zip(&u.from)
-            .filter(|(r, b)| r.var != b.var)
-            .map(|(r, b)| (r.var.clone(), b.var.clone()))
-            .collect();
-        let constants: HashMap<Constant, Constant> = recorded_constants
-            .iter()
-            .zip(constants)
-            .filter(|(r, c)| r != c)
-            .map(|(r, c)| (r.clone(), c.clone()))
-            .collect();
-        (!vars.is_empty() || !constants.is_empty()).then_some(Renaming { vars, constants })
-    }
-
-    pub(crate) fn path(&self, p: &Path) -> Path {
-        match p {
-            Path::Var(v) => Path::Var(self.vars.get(v).unwrap_or(v).clone()),
-            Path::Const(c) => Path::Const(self.constants.get(c).unwrap_or(c).clone()),
-            Path::Root(r) => Path::Root(r.clone()),
-            Path::Field(q, a) => Path::Field(Box::new(self.path(q)), a.clone()),
-            Path::Dom(q) => Path::Dom(Box::new(self.path(q))),
-            Path::Get(m, k) => Path::Get(Box::new(self.path(m)), Box::new(self.path(k))),
-            Path::GetOrEmpty(m, k) => {
-                Path::GetOrEmpty(Box::new(self.path(m)), Box::new(self.path(k)))
-            }
-        }
-    }
-
-    pub(crate) fn binding(&self, b: &Binding) -> Binding {
-        Binding {
-            var: self.vars.get(&b.var).unwrap_or(&b.var).clone(),
-            src: self.path(&b.src),
-            kind: b.kind,
-        }
-    }
-
-    pub(crate) fn equality(&self, e: &Equality) -> Equality {
-        Equality(self.path(&e.0), self.path(&e.1))
-    }
-
-    pub(crate) fn query(&self, q: &Query) -> Query {
-        Query {
-            output: q.output.map_paths(&mut |p| self.path(p)),
-            from: q.from.iter().map(|b| self.binding(b)).collect(),
-            where_: q.where_.iter().map(|e| self.equality(e)).collect(),
-        }
-    }
-
-    fn names(&self, names: &BTreeSet<String>) -> BTreeSet<String> {
-        names
-            .iter()
-            .map(|v| self.vars.get(v).unwrap_or(v).clone())
-            .collect()
     }
 }
 
@@ -546,12 +466,12 @@ impl<'a> LatticeWalk<'a> {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use super::Renaming;
     use crate::backchase::{ExploreAll, SearchOutcome, SearchVisitor, Visit};
     use crate::chase::ChaseConfig;
     use crate::context::{CacheStats, ChaseContext};
     use crate::faults;
     use crate::parallel::PlanSearch;
+    use crate::shape::Renaming;
     use pcql::parser::{parse_dependency, parse_query};
     use pcql::path::Constant;
     use pcql::query::Query;

@@ -90,6 +90,7 @@ pub mod faults;
 pub mod hom;
 pub mod must_remain;
 pub mod parallel;
+pub mod shape;
 pub mod termination;
 
 mod containment;
@@ -110,4 +111,5 @@ pub use egraph::EGraph;
 pub use faults::{FaultKind, FaultSpec, FaultStats, InjectedFault, ScopedFaults, SpecError};
 pub use must_remain::MustRemainAnalysis;
 pub use parallel::PlanSearch;
+pub use shape::{Renaming, Shape, ShapeOrigin};
 pub use termination::{analyze_termination, CycleWitness, TerminationVerdict};

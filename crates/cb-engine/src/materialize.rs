@@ -15,6 +15,7 @@ use cb_catalog::{AccessStructure, Catalog, GmapDef};
 use pcql::query::{Output, Query};
 
 use crate::eval::{EvalError, Evaluator};
+use crate::exec::{compile, execute, CompileOptions};
 use crate::instance::Instance;
 use crate::value::Value;
 
@@ -179,35 +180,37 @@ impl<'a> Materializer<'a> {
         Ok(())
     }
 
+    /// The query whose rows build `s`: a view's definition, or a gmap's
+    /// key and value fields over its body (`k_…` and `v_…`); `None` for
+    /// the structures built without a query (indexes, class extents).
+    pub fn defining_query(s: &AccessStructure) -> Option<Query> {
+        match s {
+            AccessStructure::MaterializedView { def, .. } => Some(def.clone()),
+            AccessStructure::GmapDict { def, .. } => Some(gmap_rows(def)),
+            _ => None,
+        }
+    }
+
+    /// The rows of `q` over `instance`, run through the compiled
+    /// executor with hash joins: a join index or a view over a join is
+    /// one hash join instead of a nested loop.
     fn eval(
         &self,
         instance: &Instance,
         q: &Query,
     ) -> Result<std::collections::BTreeSet<Value>, MaterializeError> {
         let ev = Evaluator::for_catalog(self.catalog, instance);
-        Ok(ev.eval_query(q)?)
+        let options = CompileOptions {
+            hash_joins: true,
+            ..CompileOptions::default()
+        };
+        Ok(execute(&ev, &compile(q, options))?)
     }
 
     /// Builds `dict z in (select K from body) | (select V from body where
     /// K = z)` by grouping one pass over the body.
     fn build_gmap(&self, instance: &Instance, def: &GmapDef) -> Result<Value, MaterializeError> {
-        let body = Query::new(
-            Output::record([("__key".to_string(), pcql::Path::var("__self"))]),
-            def.from.clone(),
-            def.where_.clone(),
-        );
-        // We need both key and value per row; build a combined output.
-        let combined = Query::new(
-            Output::record(
-                def.key
-                    .iter()
-                    .map(|(f, p)| (format!("k_{f}"), p.clone()))
-                    .chain(def.value.iter().map(|(f, p)| (format!("v_{f}"), p.clone()))),
-            ),
-            body.from,
-            body.where_,
-        );
-        let rows = self.eval(instance, &combined)?;
+        let rows = self.eval(instance, &gmap_rows(def))?;
         let side = |row: &Value, fields: &[(String, pcql::Path)], prefix: &str| -> Value {
             if fields.len() == 1 {
                 row.field(&format!("{prefix}_{}", fields[0].0))
@@ -242,6 +245,21 @@ impl<'a> Materializer<'a> {
         }
         Ok(Value::Dict(dict))
     }
+}
+
+/// A gmap's body with its key and value fields both in the output, as
+/// `k_…` and `v_…`: one row per (key, value) pair.
+fn gmap_rows(def: &GmapDef) -> Query {
+    Query::new(
+        Output::record(
+            def.key
+                .iter()
+                .map(|(f, p)| (format!("k_{f}"), p.clone()))
+                .chain(def.value.iter().map(|(f, p)| (format!("v_{f}"), p.clone()))),
+        ),
+        def.from.clone(),
+        def.where_.clone(),
+    )
 }
 
 #[cfg(test)]

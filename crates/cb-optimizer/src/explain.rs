@@ -64,10 +64,9 @@ pub fn explain(outcome: &OptimizeOutcome) -> String {
     let _ = writeln!(
         s,
         "  (must-remain bindings of the universal plan: {})",
-        if outcome.must_remain.is_empty() {
-            "none".to_string()
-        } else {
-            outcome.must_remain.join(", ")
+        match outcome.must_remain() {
+            core if core.is_empty() => "none".to_string(),
+            core => core.join(", "),
         }
     );
     for (i, c) in outcome.candidates.iter().enumerate() {

@@ -32,8 +32,8 @@ use cb_analyze::{Analyzer, Report};
 use cb_catalog::Catalog;
 use cb_chase::{
     backchase_greedy, CacheStats, ChaseConfig, ChaseContext, ChaseStepTrace, ExploreAll,
-    MustRemainAnalysis, PlanSearch, SearchBudget, SearchCounters, SearchOutcome, SearchVisitor,
-    TerminationVerdict, Visit,
+    MustRemainAnalysis, PlanSearch, Renaming, SearchBudget, SearchCounters, SearchOutcome,
+    SearchVisitor, TerminationVerdict, Visit,
 };
 use pcql::query::Query;
 use pcql::typecheck::{check_query, TypeError};
@@ -270,11 +270,6 @@ pub struct OptimizeOutcome {
     /// Cache counters of the [`ChaseContext`] that ran this optimization
     /// (chase/containment/implication memo hits and misses).
     pub cache: CacheStats,
-    /// The bindings of the universal plan that the must-remain analysis
-    /// proves present in every equivalence-preserving plan — the
-    /// structural core no removal set can touch (sorted; computed for
-    /// every strategy, EXPLAIN reports it).
-    pub must_remain: Vec<String>,
     /// The static chase-termination verdict for this catalog's
     /// constraint set (computed for every optimization, independent of
     /// [`PreflightMode`]) — EXPLAIN gates its "budgets were hit" caveat
@@ -291,6 +286,48 @@ pub struct OptimizeOutcome {
     /// universal-plan fallback. See [`crate::governor`]. EXPLAIN prints them in its resilience
     /// section.
     pub degradations: Vec<Degradation>,
+}
+
+impl OptimizeOutcome {
+    /// The bindings of the universal plan that the must-remain analysis
+    /// proves present in every equivalence-preserving plan — the
+    /// structural core no removal set can touch (sorted; EXPLAIN reports
+    /// it). Computed on demand: only `CostGuided` needs the analysis
+    /// while searching.
+    pub fn must_remain(&self) -> Vec<String> {
+        MustRemainAnalysis::new(&self.universal)
+            .must_remain(&BTreeSet::new())
+            .into_iter()
+            .collect()
+    }
+
+    /// This outcome for `q`, a query of the same shape as
+    /// [`input`](OptimizeOutcome::input) that `r` takes it to: every
+    /// query it holds — the universal plan, the chase steps, every
+    /// candidate — renamed. What depends on the shape alone (costs,
+    /// counters, verdicts, findings) stays.
+    pub(crate) fn renamed(&self, r: &Renaming, q: &Query) -> OptimizeOutcome {
+        let choice = |c: &PlanChoice| PlanChoice {
+            query: r.query(&c.query),
+            raw: r.query(&c.raw),
+            ..*c
+        };
+        OptimizeOutcome {
+            input: q.clone(),
+            universal: r.query(&self.universal),
+            chase_steps: self.chase_steps.iter().map(|s| r.step(s)).collect(),
+            candidates: self.candidates.iter().map(choice).collect(),
+            best: choice(&self.best),
+            top_k: self.top_k.iter().map(choice).collect(),
+            complete: self.complete,
+            search: self.search,
+            incumbent_trace: self.incumbent_trace.clone(),
+            cache: self.cache,
+            termination: self.termination,
+            diagnostics: self.diagnostics.clone(),
+            degradations: self.degradations.clone(),
+        }
+    }
 }
 
 /// Optimization errors.
@@ -340,7 +377,7 @@ impl From<TypeError> for OptimizeError {
 pub(crate) struct CatalogCheck {
     constraints: Vec<Dependency>,
     termination: TerminationVerdict,
-    report: Report,
+    pub(crate) report: Report,
 }
 
 impl CatalogCheck {
@@ -452,17 +489,23 @@ impl<'a> Optimizer<'a> {
         ctx: &mut ChaseContext,
         q: &Query,
     ) -> Result<OptimizeOutcome, OptimizeError> {
-        // Static-analysis pre-flight: lint the catalog and the query
-        // before the type check and any chase work, so deny mode reports
-        // *all* findings as one diagnostic batch instead of stopping at
-        // the first type error. The termination verdict is computed
-        // regardless (EXPLAIN keys off it); the full lint only when the
-        // pre-flight is on. The catalog's part is computed once.
-        let analyzer = Analyzer::new(self.catalog);
-        let check = self.catalog_check();
-        let mut diagnostics = check.report.clone();
-        let termination = check.termination;
+        let diagnostics = self.preflight(self.catalog_check().report.clone(), q)?;
+        self.optimize_checked(ctx, q, diagnostics)
+    }
+
+    /// The query's part of the pre-flight, on top of the catalog's
+    /// findings `diagnostics`: the query lint and the environment check
+    /// (unless the pre-flight is off; deny mode rejects on any error
+    /// finding), then the type check. It runs before any chase work, so
+    /// deny mode reports *all* findings as one diagnostic batch instead
+    /// of stopping at the first type error. Returns the findings so far.
+    pub(crate) fn preflight(
+        &self,
+        mut diagnostics: Report,
+        q: &Query,
+    ) -> Result<Report, OptimizeError> {
         if self.config.preflight != PreflightMode::Off {
+            let analyzer = Analyzer::new(self.catalog);
             diagnostics.merge(analyzer.check_query(q));
             // A malformed CB_FAULTS schedule is an error finding (deny
             // mode refuses to optimize under it); an armed one is a
@@ -474,9 +517,20 @@ impl<'a> Optimizer<'a> {
                 });
             }
         }
+        check_query(&self.catalog.combined_schema(), q)?;
+        Ok(diagnostics)
+    }
 
-        let schema = self.catalog.combined_schema();
-        check_query(&schema, q)?;
+    /// [`Optimizer::optimize_in`] for a query that passed
+    /// [`Optimizer::preflight`] with the findings `diagnostics`.
+    pub(crate) fn optimize_checked(
+        &self,
+        ctx: &mut ChaseContext,
+        q: &Query,
+        mut diagnostics: Report,
+    ) -> Result<OptimizeOutcome, OptimizeError> {
+        let check = self.catalog_check();
+        let termination = check.termination;
 
         // Guard the context-reuse footgun before asking it anything, and
         // bound its memos as this configuration asks (rung 1).
@@ -505,12 +559,6 @@ impl<'a> Optimizer<'a> {
         // the phased strategies, a single interleaved branch-and-bound
         // for `CostGuided`.
         let model = CostModel::for_catalog(self.catalog);
-        // The lattice's structural core: which bindings every
-        // output-preserving removal set keeps. `CostGuided` prunes with
-        // it; every strategy reports it (EXPLAIN shows the set) — a
-        // deliberate choice: the root set costs one e-graph pass over the
-        // universal plan, noise next to the chase that produced it.
-        let mut analysis = MustRemainAnalysis::new(&universal);
         let mut candidates: Vec<PlanChoice> = Vec::new();
         let mut search = SearchCounters::default();
         let mut incumbent_trace: Vec<(Duration, f64)> = Vec::new();
@@ -569,6 +617,10 @@ impl<'a> Optimizer<'a> {
                     self.cost_phased(ctx, &model, &[plan], visited, &mut candidates);
                 }
                 SearchStrategy::CostGuided => {
+                    // The lattice's structural core: which bindings every
+                    // output-preserving removal set keeps, for the
+                    // must-remain bound.
+                    let mut analysis = MustRemainAnalysis::new(&universal);
                     // Branch-and-bound: cost each equivalence-verified node
                     // as it streams in, explore cheap regions first so the
                     // incumbent best drops early, and cut any branch whose
@@ -697,12 +749,11 @@ impl<'a> Optimizer<'a> {
             .cloned()
             .collect();
 
-        let must_remain: Vec<String> = analysis.must_remain(&BTreeSet::new()).into_iter().collect();
-
         // Verify the dataflow of every plan the optimizer produced, as
         // the engine will actually run it (both compile modes). A finding
         // here is a compiler bug surfacing before execution.
         if self.config.preflight != PreflightMode::Off {
+            let analyzer = Analyzer::new(self.catalog);
             for (rank, c) in candidates.iter().enumerate() {
                 diagnostics
                     .merge(analyzer.check_pipelines(&c.query, &format!("plan #{}", rank + 1)));
@@ -725,7 +776,6 @@ impl<'a> Optimizer<'a> {
             search,
             incumbent_trace,
             cache: ctx.stats(),
-            must_remain,
             termination,
             diagnostics,
             degradations,

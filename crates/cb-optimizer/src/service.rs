@@ -2,9 +2,10 @@
 //!
 //! [`PlanService`] is the front end the ROADMAP's "optimizer-as-a-
 //! service" item asks for: one value owning the catalog, a long-lived
-//! memoized chase core, and a bounded cache of prepared plans. Where a
-//! bare [`Optimizer`] treats every `optimize` call as a cold start, the
-//! service amortizes across calls on two levels:
+//! memoized chase core, and a cache of prepared plans, one per query
+//! shape (unbounded unless [`PlanService::with_cache_cap`] bounds it).
+//! Where a bare [`Optimizer`] treats every `optimize` call as a cold
+//! start, the service amortizes across calls on several levels:
 //!
 //! * **Chase memos** — every preparation runs through one shared
 //!   [`ChaseContext`], so phase 1, the backchase's verification traffic
@@ -12,9 +13,9 @@
 //!   implication proofs. The verdict memos key on constant-abstracted
 //!   forms (constants the catalog's dependencies do not mention become
 //!   placeholders — sound, since the chase treats constants as
-//!   uninterpreted symbols), so a query that differs from an earlier one
-//!   only in a constant misses the plan cache but re-proves nothing.
-//!   Its phase-1 chase is a hit too: a finished chase is kept by the
+//!   uninterpreted symbols), so a query re-prepared after a statistics
+//!   refresh re-proves nothing, even with another constant. Its phase-1
+//!   chase is a hit too: a finished chase is kept by the
 //!   shape of its input and handed to a later input of the shape in
 //!   that input's own names and constants, so every plan carries the
 //!   caller's own constants. A parallel phase 2 proves against the same
@@ -25,8 +26,9 @@
 //!   first miss after [`PlanService::new`] or
 //!   [`PlanService::swap_catalog`] computes them and every later miss
 //!   under that catalog reads them. A service whose preparations all hit
-//!   the plan cache never lints. The query's own lint and the
-//!   `CB_FAULTS` check still run on every miss.
+//!   the plan cache never lints its catalog. The query's own lint, the
+//!   `CB_FAULTS` check and the type check run on every preparation, hit
+//!   or miss.
 //! * **Verified lattices** — phases 1–2 depend only on the query and the
 //!   constraints, so the context also keeps, per shape of universal plan
 //!   walked more than once, the backchase lattice its walks verified. The
@@ -44,17 +46,32 @@
 //!   implication question is asked, and the outcome is byte-identical to
 //!   a fresh service's. A shape walked only once holds no lattice.
 //! * **Prepared plans** — the full [`OptimizeOutcome`], keyed by
-//!   *alpha-normalized query* × *canonical catalog fingerprint* ×
-//!   *cost-model fingerprint*. A hit returns the plan without any
-//!   phase-2 search at all ([`Prepared::nodes_visited`] is 0 — the
-//!   property E21 measures). Nothing on the serving path reads a plan
-//!   document, so none is built here: a caller that snapshots or diffs
-//!   plans renders one with
+//!   *query shape* × *canonical catalog fingerprint* × *cost-model
+//!   fingerprint*, with the query it was prepared for as the shape's
+//!   [`ShapeOrigin`]. A hit hands the plan to a query of the shape in
+//!   that query's own names and constants — the universal plan, the
+//!   chase steps and every costed plan translated by the [`Renaming`]
+//!   the origin vouches for, the one phase 1 translates by — without
+//!   any chase or phase-2 search at all ([`Prepared::nodes_visited`] is
+//!   0 — the property E21 measures). The query's own pre-flight findings
+//!   replace the origin's; the catalog's findings and those on the plans
+//!   carry over. Where the renaming cannot be vouched for (the query
+//!   binds a name the chase's fresh-name generator tried), the query is
+//!   optimized afresh and the shape keeps its origin. Nothing on the
+//!   serving path reads a plan document, so none is built here: a
+//!   caller that snapshots or diffs plans renders one with
 //!   [`PlanRepr::from_outcome`](crate::PlanRepr::from_outcome).
 //!
 //! The key is exactly as strong as the things a plan depends on:
 //!
-//! * the query, up to bound-variable renaming ([`Query::alpha_normalized`]);
+//! * the query's shape ([`ChaseContext::shape`]): its positional form
+//!   with the constants the dependencies never mention numbered by
+//!   rank. The chase treats constants as uninterpreted symbols, and the
+//!   cost model, cleanup, reordering and the ranking read no constant's
+//!   value, only their order among one query's constants, so the plan of
+//!   one query of a shape is, renamed, the plan of every other. Not the
+//!   constants' types, though: `r.A = 5` and `r.A = "five"` share a
+//!   shape, which is why the type check runs on every hit;
 //! * the catalog's constraint theory — via the **order-insensitive**
 //!   canonical dependency fingerprint ([`ChaseContext::fingerprint_of`]),
 //!   so a reordered-but-identical catalog neither resets the chase core
@@ -73,8 +90,11 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
+use cb_analyze::Report;
 use cb_catalog::Catalog;
-use cb_chase::{CacheStats, ChaseContext};
+#[cfg(doc)]
+use cb_chase::Renaming;
+use cb_chase::{CacheStats, ChaseContext, ShapeOrigin};
 use pcql::query::Query;
 
 use crate::cost::CostModel;
@@ -84,9 +104,10 @@ use crate::optimizer::{CatalogCheck, OptimizeError, OptimizeOutcome, Optimizer, 
 /// nothing it doesn't.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
-    /// The query, alpha-normalized: `from R r` and `from R x` are the
-    /// same preparation.
-    query: Query,
+    /// The query's shape ([`ChaseContext::shape`]): `from R r` and
+    /// `from R x` are one preparation, and so are `CustName = "cust3"`
+    /// and `CustName = "cust7"`.
+    shape: Query,
     /// [`PlanService::catalog_fingerprint`] at preparation time.
     catalog_fp: u64,
     /// [`CostModel::fingerprint`] at preparation time.
@@ -98,6 +119,19 @@ struct PlanKey {
 pub struct PreparedPlan {
     /// The full optimization outcome (EXPLAIN, top-k ladder, counters).
     pub outcome: OptimizeOutcome,
+}
+
+/// A cached preparation with what a later query of its shape needs to
+/// be served from it.
+struct CachedPlan {
+    plan: Arc<PreparedPlan>,
+    /// The query it was prepared for.
+    origin: ShapeOrigin,
+    /// Its diagnostics are the catalog's findings up to `catalog_len`,
+    /// the query's own up to `preflight_len`, then the findings on the
+    /// plans: only the middle part is the query's.
+    catalog_len: usize,
+    preflight_len: usize,
 }
 
 /// What one [`PlanService::prepare`] call returns.
@@ -116,7 +150,9 @@ pub struct Prepared {
 /// counters-not-logs style as [`CacheStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Preparations served from the plan cache.
+    /// Preparations whose shape the plan cache held a plan for, under a
+    /// renaming it could vouch for (one the query's own pre-flight or
+    /// type check then rejects included).
     pub hits: u64,
     /// Preparations that ran the optimizer.
     pub misses: u64,
@@ -150,7 +186,7 @@ pub struct PlanService {
     /// The catalog's pre-flight, computed by the first miss after
     /// [`PlanService::new`] or [`PlanService::swap_catalog`].
     catalog_check: Option<Arc<CatalogCheck>>,
-    cache: HashMap<PlanKey, Arc<PreparedPlan>>,
+    cache: HashMap<PlanKey, CachedPlan>,
     /// FIFO insertion order for eviction.
     order: VecDeque<PlanKey>,
     /// Max cached plans; 0 means unbounded.
@@ -207,44 +243,91 @@ impl PlanService {
         h.finish()
     }
 
-    /// Prepare `q`: serve the cached plan when the key matches, run the
-    /// full chase & backchase in the shared core when it doesn't.
+    /// Prepare `q`: serve the plan cached for its shape, in `q`'s own
+    /// names and constants, when the key matches and the renaming can be
+    /// vouched for; run the full chase & backchase in the shared core
+    /// otherwise. A hit still runs `q`'s own pre-flight and type check.
     pub fn prepare(&mut self, q: &Query) -> Result<Prepared, OptimizeError> {
+        let shape = self.ctx.shape(q);
         let key = PlanKey {
-            query: q.alpha_normalized(),
+            shape: shape.key.clone(),
             catalog_fp: self.catalog_fp,
             cost_fp: self.cost_fp,
         };
-        if let Some(plan) = self.cache.get(&key) {
-            self.stats.hits += 1;
-            return Ok(Prepared {
-                plan: Arc::clone(plan),
-                cache_hit: true,
-                nodes_visited: 0,
-            });
+        let optimizer = Optimizer::with_config(&self.catalog, self.config.clone());
+        if let Some(cached) = self.cache.get(&key) {
+            if let Some(r) = cached.origin.renaming_to(q, &shape) {
+                let outcome = &cached.plan.outcome;
+                let found = &outcome.diagnostics.diagnostics;
+                let catalog = Report {
+                    diagnostics: found[..cached.catalog_len].to_vec(),
+                };
+                self.stats.hits += 1;
+                let mut diagnostics = optimizer.preflight(catalog, q)?;
+                let plan = if r.is_identity()
+                    && diagnostics.diagnostics[..] == found[..cached.preflight_len]
+                {
+                    Arc::clone(&cached.plan)
+                } else {
+                    diagnostics
+                        .diagnostics
+                        .extend_from_slice(&found[cached.preflight_len..]);
+                    let mut outcome = outcome.renamed(&r, q);
+                    outcome.diagnostics = diagnostics;
+                    outcome.cache = self.ctx.stats();
+                    Arc::new(PreparedPlan { outcome })
+                };
+                return Ok(Prepared {
+                    plan,
+                    cache_hit: true,
+                    nodes_visited: 0,
+                });
+            }
         }
         self.stats.misses += 1;
         let check = self
             .catalog_check
             .get_or_insert_with(|| Arc::new(CatalogCheck::of(&self.catalog, &self.config)));
-        let optimizer = Optimizer::with_config(&self.catalog, self.config.clone())
-            .with_catalog_check(Arc::clone(check));
-        let outcome = optimizer.optimize_in(&mut self.ctx, q)?;
+        let catalog_len = check.report.len();
+        let optimizer = optimizer.with_catalog_check(Arc::clone(check));
+        let diagnostics = optimizer.preflight(check.report.clone(), q)?;
+        let preflight_len = diagnostics.len();
+        let outcome = optimizer.optimize_checked(&mut self.ctx, q, diagnostics)?;
         let nodes_visited = outcome.search.visited_count;
         let plan = Arc::new(PreparedPlan { outcome });
-        if self.cache_cap > 0 {
-            while self.cache.len() >= self.cache_cap {
-                match self.order.pop_front() {
-                    Some(oldest) => {
-                        self.cache.remove(&oldest);
-                        self.stats.evictions += 1;
+        // A query whose renaming could not be vouched for is served
+        // fresh; it becomes the shape's origin only in place of one that
+        // can vouch for no renaming at all.
+        let added = plan
+            .outcome
+            .chase_steps
+            .iter()
+            .flat_map(|s| &s.added_bindings);
+        let cached = CachedPlan {
+            origin: ShapeOrigin::new(q.clone(), shape, added),
+            plan: Arc::clone(&plan),
+            catalog_len,
+            preflight_len,
+        };
+        match self.cache.get_mut(&key) {
+            Some(kept) if kept.origin.can_translate() => {}
+            Some(kept) => *kept = cached,
+            None => {
+                if self.cache_cap > 0 {
+                    while self.cache.len() >= self.cache_cap {
+                        match self.order.pop_front() {
+                            Some(oldest) => {
+                                self.cache.remove(&oldest);
+                                self.stats.evictions += 1;
+                            }
+                            None => break,
+                        }
                     }
-                    None => break,
                 }
+                self.cache.insert(key.clone(), cached);
+                self.order.push_back(key);
             }
         }
-        self.cache.insert(key.clone(), Arc::clone(&plan));
-        self.order.push_back(key);
         Ok(Prepared {
             plan,
             cache_hit: false,
@@ -326,15 +409,57 @@ mod tests {
         assert_eq!(svc.stats().misses, 1);
     }
 
+    /// `projdept::query()` with its variables renamed.
+    fn renamed() -> Query {
+        let map = [("d", "dept"), ("s", "proj"), ("p", "pr")]
+            .map(|(a, b)| (a.to_string(), b.to_string()))
+            .into();
+        projdept::query().rename(&map)
+    }
+
     #[test]
     fn alpha_equivalent_queries_share_one_preparation() {
         let mut svc = service();
-        let q = projdept::query();
-        svc.prepare(&q).unwrap();
-        // Same query, different variable names.
-        let renamed = q.alpha_normalized();
-        let again = svc.prepare(&renamed).unwrap();
+        svc.prepare(&projdept::query()).unwrap();
+        // Same query, different variable names: a hit in its own names,
+        // exactly what a fresh optimization of it plans.
+        let q = renamed();
+        let again = svc.prepare(&q).unwrap();
         assert!(again.cache_hit);
+        let got = &again.plan.outcome;
+        let want = Optimizer::with_config(&catalog(), OptimizerConfig::default())
+            .optimize(&q)
+            .unwrap();
+        assert_eq!(got.input, q);
+        assert_eq!(got.universal, want.universal);
+        assert_eq!(got.best.query, want.best.query);
+        let plans = |o: &OptimizeOutcome| -> Vec<Query> {
+            o.candidates.iter().map(|c| c.query.clone()).collect()
+        };
+        assert_eq!(plans(got), plans(&want));
+        assert!(got
+            .best
+            .query
+            .from
+            .iter()
+            .all(|b| !["d", "s", "p"].contains(&b.var.as_str())));
+    }
+
+    #[test]
+    fn a_swapped_catalog_or_a_stats_refresh_misses_every_shape() {
+        let mut svc = service();
+        svc.prepare(&projdept::query()).unwrap();
+        // The same theory with other statistics: another cost model.
+        let mut refreshed = projdept::catalog();
+        projdept::stats_for(&mut refreshed, 1000, 50, 5);
+        svc.swap_catalog(refreshed);
+        assert!(!svc.prepare(&renamed()).unwrap().cache_hit);
+        assert!(svc.prepare(&projdept::query()).unwrap().cache_hit);
+        // Back to the first statistics: that plan was dropped by the
+        // first swap.
+        svc.swap_catalog(catalog());
+        assert!(!svc.prepare(&renamed()).unwrap().cache_hit);
+        assert_eq!(svc.stats().misses, 3);
     }
 
     #[test]
@@ -387,10 +512,11 @@ mod tests {
         )
         .unwrap();
         let mut svc = PlanService::new(catalog(), config.clone());
-        // Two misses under one catalog: the fresh optimizer's findings.
-        for q in [&projdept::query(), &variant] {
+        // A miss, then a hit of its shape under one catalog: each with
+        // the fresh optimizer's findings.
+        for (q, hit) in [(&projdept::query(), false), (&variant, true)] {
             let prepared = svc.prepare(q).unwrap();
-            assert!(!prepared.cache_hit);
+            assert_eq!(prepared.cache_hit, hit);
             let want = fresh(&catalog(), q);
             assert_eq!(prepared.plan.outcome.diagnostics, want.diagnostics, "{q}");
             assert_eq!(prepared.plan.outcome.termination, want.termination, "{q}");

@@ -265,7 +265,7 @@ fn must_remain_core_survives_into_every_plan() {
         let mut analysis = MustRemainAnalysis::new(&full.universal);
         let pinned = analysis.must_remain(&Default::default());
         assert_eq!(
-            full.must_remain,
+            full.must_remain(),
             pinned.iter().cloned().collect::<Vec<_>>(),
             "{name}: outcome does not report the analysis's set"
         );

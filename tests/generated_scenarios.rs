@@ -29,7 +29,10 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
-use cb_optimizer::{CostModel, Optimizer, OptimizerConfig, SearchStrategy};
+use cb_optimizer::{
+    CostModel, OptimizeError, OptimizeOutcome, Optimizer, OptimizerConfig, PlanRepr, PlanService,
+    PreflightMode, SearchStrategy,
+};
 use universal_plans::analyze::{check_pipeline, codes};
 use universal_plans::catalog::RootStats;
 use universal_plans::chase::{
@@ -237,7 +240,7 @@ proptest! {
         // The must-remain core of the universal plan survives into every
         // candidate the exhaustive search costed.
         for c in &full.candidates {
-            for var in &full.must_remain {
+            for var in &full.must_remain() {
                 prop_assert!(
                     c.raw.from.iter().any(|b| &b.var == var),
                     "must-remain binding {} missing from candidate {} on {}",
@@ -532,6 +535,58 @@ fn constant_variants(q: &Query) -> [Query; 3] {
     ]
 }
 
+/// `q` with every constant's type flipped and the order of its constants
+/// kept: each integer `i` becomes the string of `i` zero-padded, each
+/// string the integer of its rank among the strings. `None` when `q`
+/// mixes the two types (flipping would reorder them) or has neither.
+fn type_flipped(q: &Query) -> Option<Query> {
+    let all = std::cell::RefCell::new(BTreeSet::new());
+    map_constants(q, &|c| {
+        all.borrow_mut().insert(c.clone());
+        c.clone()
+    });
+    let all = all.into_inner();
+    let ints = all.iter().filter(|c| matches!(c, Constant::Int(_))).count();
+    let strs = all.iter().filter(|c| matches!(c, Constant::Str(_))).count();
+    if (ints == 0) == (strs == 0) || all.iter().any(|c| matches!(c, Constant::Int(i) if *i < 0)) {
+        return None;
+    }
+    Some(map_constants(q, &|c| match c {
+        Constant::Int(i) => Constant::Str(format!("{i:020}")),
+        Constant::Str(_) => Constant::Int(all.iter().filter(|d| *d < c).count() as i64),
+        c => c.clone(),
+    }))
+}
+
+/// Is `name` one the chase of `q` tried when adding `added`: a name its
+/// fresh-name generator made (stem plus counter) at or below the highest
+/// counter it reached for that stem?
+fn chase_tried(added: &[String], name: &str) -> bool {
+    let split = |v: &str| {
+        let stem = v.trim_end_matches(|c: char| c.is_ascii_digit()).to_string();
+        let n: Option<u64> = v[stem.len()..].parse().ok();
+        n.filter(|n| n.to_string() == v[stem.len()..] && !stem.is_empty())
+            .map(|n| (stem, n))
+    };
+    split(name).is_some_and(|(stem, n)| {
+        added
+            .iter()
+            .filter_map(|a| split(a))
+            .any(|(s, top)| s == stem && n <= top)
+    })
+}
+
+/// The plan document of `o` with its memo counters zeroed: a plan-cache
+/// hit asks the chase core nothing, so only those may differ from a
+/// fresh optimization's.
+fn repr_sans_memo(o: &OptimizeOutcome) -> PlanRepr {
+    let PlanRepr::V1(mut p) = PlanRepr::from_outcome(o);
+    p.counters.cache_hits = 0;
+    p.counters.cache_misses = 0;
+    p.counters.deps_resets = 0;
+    PlanRepr::V1(p)
+}
+
 /// The memo misses a context has counted: chase, containment,
 /// implication, lattice.
 fn misses(ctx: &ChaseContext) -> [u64; 4] {
@@ -554,6 +609,14 @@ fn misses(ctx: &ChaseContext) -> [u64; 4] {
 /// miss; the variant that keeps the constants' order adds no chase miss
 /// either. The bare exhaustive walk of each variant's universal plan
 /// must match too, down to its visited nodes and normal forms.
+///
+/// A [`PlanService`] that prepared `q` serves every renaming and the
+/// same-order variant from its plan cache, rendering the plan document
+/// of the fresh optimization (memo counters aside), unless the variant
+/// binds a name the chase of `q` tried: that one, like the reversed and
+/// collapsed variants, misses and plans as fresh. A variant whose
+/// constants change type is of `q`'s shape, and gets its own type error,
+/// or under deny its own lint rejection, on the hit.
 fn assert_rename_invariant(catalog: &Catalog, q: &Query, seed: u64, desc: &str) {
     let deps = catalog.all_constraints();
     let [same_order, reversed, collapsed] = constant_variants(q);
@@ -562,6 +625,29 @@ fn assert_rename_invariant(catalog: &Catalog, q: &Query, seed: u64, desc: &str) 
     let off = ChaseContext::without_memo(deps.clone(), ChaseConfig::default());
     let chased = off.chase(q);
     let tried = chased.steps.iter().flat_map(|s| &s.added_bindings).next();
+    let added: Vec<String> = chased
+        .steps
+        .iter()
+        .flat_map(|s| &s.added_bindings)
+        .map(|b| b.var.clone())
+        .collect();
+    let steered = |r: &Query| r.from.iter().any(|b| chase_tried(&added, &b.var));
+    // With at most one constant of each type, reversing or collapsing
+    // them changes no order: those variants keep `q`'s shape too.
+    let lone = {
+        let all = std::cell::RefCell::new(BTreeSet::new());
+        map_constants(q, &|c| {
+            all.borrow_mut().insert(c.clone());
+            c.clone()
+        });
+        let all = all.into_inner();
+        let of = |int: bool| {
+            all.iter()
+                .filter(|c| matches!(c, Constant::Int(_)) == int)
+                .count()
+        };
+        of(true) <= 1 && of(false) <= 1
+    };
     // Each variant with the misses it must not add: none of phase 2's,
     // and none of phase 1's.
     let variants: Vec<(Query, bool, bool)> = renamings(q, seed, tried.map(|b| b.var.as_str()))
@@ -584,7 +670,7 @@ fn assert_rename_invariant(catalog: &Catalog, q: &Query, seed: u64, desc: &str) 
         }
     };
     let steps = |s: &[ChaseStepTrace]| format!("{s:?}");
-    let plans = |o: &cb_optimizer::OptimizeOutcome| -> Vec<(String, f64)> {
+    let plans = |o: &OptimizeOutcome| -> Vec<(String, f64)> {
         o.top_k
             .iter()
             .map(|c| (c.query.to_string(), c.cost))
@@ -601,6 +687,8 @@ fn assert_rename_invariant(catalog: &Catalog, q: &Query, seed: u64, desc: &str) 
         for _ in 0..2 {
             optimizer.optimize_in(&mut warm, q).unwrap();
         }
+        let mut svc = PlanService::new(catalog.clone(), config.clone());
+        assert!(!svc.prepare(q).unwrap().cache_hit, "{desc}");
         for (r, phase2, phase1) in &variants {
             let desc = format!("{strategy:?}, `{r}` on {desc}");
             let before = misses(&warm);
@@ -618,6 +706,38 @@ fn assert_rename_invariant(catalog: &Catalog, q: &Query, seed: u64, desc: &str) 
             assert_eq!(got.best.cost, want.best.cost, "{desc}");
             assert_eq!(plans(&got), plans(&want), "{desc}");
             assert_eq!(got.search, want.search, "{desc}");
+            let served = svc.prepare(r).unwrap();
+            assert_eq!(served.cache_hit, (*phase2 || lone) && !steered(r), "{desc}");
+            assert_eq!(
+                repr_sans_memo(&served.plan.outcome),
+                repr_sans_memo(&want),
+                "{desc}"
+            );
+        }
+    }
+    if let Some(flipped) = type_flipped(q) {
+        let same_shape = off.shape(&flipped).key == off.shape(q).key;
+        for preflight in [PreflightMode::Warn, PreflightMode::Deny] {
+            let desc = format!("{preflight:?}, `{flipped}` on {desc}");
+            let config = OptimizerConfig {
+                preflight,
+                threads: 1,
+                ..Default::default()
+            };
+            let mut svc = PlanService::new(catalog.clone(), config.clone());
+            svc.prepare(q).unwrap();
+            let got = svc.prepare(&flipped).unwrap_err();
+            let want = Optimizer::with_config(catalog, config)
+                .optimize(&flipped)
+                .unwrap_err();
+            assert_eq!(got, want, "{desc}");
+            match preflight {
+                PreflightMode::Deny => {
+                    assert!(matches!(got, OptimizeError::Rejected { .. }), "{desc}");
+                }
+                _ => assert!(matches!(got, OptimizeError::Type(_)), "{desc}"),
+            }
+            assert_eq!(svc.stats().hits, u64::from(same_shape), "{desc}");
         }
     }
     let warm = ChaseContext::new(deps.clone(), ChaseConfig::default());

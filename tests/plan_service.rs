@@ -19,6 +19,7 @@
 
 use proptest::prelude::*;
 
+use cb_engine::CompileOptions;
 use cb_optimizer::{Optimizer, OptimizerConfig, PlanRepr, PlanService};
 use universal_plans::catalog::RootStats;
 use universal_plans::prelude::*;
@@ -73,6 +74,34 @@ fn builtin_scenarios() -> Vec<(&'static str, Catalog, Instance, Query)> {
         out.push(("relational_views", catalog, instance, q));
     }
     out
+}
+
+/// Materialization runs through the compiled executor with hash joins.
+/// The reference interpreter must compute the same rows for every
+/// structure's defining query, and the materialized instance must
+/// satisfy the catalog's constraints `D ∪ D'`.
+fn assert_materialized_as_interpreted(desc: &str, catalog: &Catalog, instance: &Instance) {
+    let ev = Evaluator::for_catalog(catalog, instance);
+    let options = CompileOptions {
+        hash_joins: true,
+        ..CompileOptions::default()
+    };
+    for s in catalog.structures() {
+        let Some(q) = Materializer::defining_query(s) else {
+            continue;
+        };
+        let compiled = cb_engine::execute(&ev, &cb_engine::compile(&q, options)).unwrap();
+        assert_eq!(compiled, ev.eval_query(&q).unwrap(), "{desc}: `{q}`");
+    }
+    let bad = cb_engine::violations(&ev, &catalog.all_constraints()).unwrap();
+    assert!(bad.is_empty(), "{desc}: violations {bad:?}");
+}
+
+#[test]
+fn materialization_builds_what_the_interpreter_builds_on_builtin_scenarios() {
+    for (desc, catalog, instance, _) in builtin_scenarios() {
+        assert_materialized_as_interpreted(desc, &catalog, &instance);
+    }
 }
 
 /// Serialize, reparse, and reload one outcome; assert the fixed point
@@ -280,6 +309,7 @@ proptest! {
         Materializer::new(&s.catalog)
             .materialize(&mut instance)
             .unwrap();
+        assert_materialized_as_interpreted(&s.desc, &s.catalog, &instance);
         assert_round_trip(&s.desc, &s.catalog, &instance, &s.query);
     }
 }
@@ -386,8 +416,11 @@ fn projects_of(cust: &str) -> Query {
     .unwrap()
 }
 
+/// A query that differs from a prepared one only in a constant is of the
+/// same shape: it hits the plan cache, and the plan it gets names its
+/// own constant.
 #[test]
-fn a_new_constant_misses_the_plan_cache_but_reuses_every_proof() {
+fn a_new_constant_hits_the_plan_cache_in_its_own_constants() {
     let (_, catalog, instance, _) = builtin_scenarios().remove(0);
     let mut svc = PlanService::new(catalog.clone(), OptimizerConfig::default());
     let first = svc.prepare(&projects_of("CitiBank")).unwrap();
@@ -396,7 +429,8 @@ fn a_new_constant_misses_the_plan_cache_but_reuses_every_proof() {
 
     let q = projects_of("cust3");
     let second = svc.prepare(&q).unwrap();
-    assert!(!second.cache_hit, "a new constant is a new plan");
+    assert!(second.cache_hit, "a new constant is the same shape");
+    assert_eq!(second.nodes_visited, 0);
     let after = svc.chase_stats();
     assert_eq!(
         after.containment_misses, warm.containment_misses,
@@ -408,6 +442,7 @@ fn a_new_constant_misses_the_plan_cache_but_reuses_every_proof() {
     );
 
     // The plan is the caller's own: it names cust3, not CitiBank.
+    assert_eq!(second.plan.outcome.input, q);
     let best = &second.plan.outcome.best.query;
     let text = best.to_string();
     assert!(text.contains("\"cust3\""), "{text}");
@@ -424,7 +459,7 @@ fn a_new_constant_misses_the_plan_cache_but_reuses_every_proof() {
 
 #[test]
 fn parallel_preparations_keep_their_memos_across_preparations() {
-    let (_, catalog, _, _) = builtin_scenarios().remove(0);
+    let (_, catalog, instance, _) = builtin_scenarios().remove(0);
     for threads in [2, 4] {
         let config = OptimizerConfig {
             threads,
@@ -433,8 +468,19 @@ fn parallel_preparations_keep_their_memos_across_preparations() {
         let mut svc = PlanService::new(catalog.clone(), config);
         svc.prepare(&projects_of("CitiBank")).unwrap();
         let warm = svc.chase_stats();
-        let second = svc.prepare(&projects_of("cust3")).unwrap();
-        assert!(!second.cache_hit, "a new constant is a new plan");
+        let q = projects_of("cust3");
+        let second = svc.prepare(&q).unwrap();
+        assert!(second.cache_hit, "a new constant is the same shape");
+        let best = &second.plan.outcome.best.query;
+        let ev = Evaluator::for_catalog(&catalog, &instance);
+        assert_eq!(ev.eval_query(best).unwrap(), ev.eval_query(&q).unwrap());
+        // A statistics refresh makes the next preparation search again.
+        let mut refreshed = catalog.clone();
+        refreshed
+            .stats_mut()
+            .set("Proj", RootStats::with_cardinality(77));
+        svc.swap_catalog(refreshed);
+        assert!(!svc.prepare(&q).unwrap().cache_hit);
         let after = svc.chase_stats();
         assert_eq!(
             after.containment_misses, warm.containment_misses,
