@@ -51,6 +51,8 @@ pub use wellformed::{check_catalog_wellformed, check_dependencies, check_query_w
 use cb_catalog::Catalog;
 use cb_chase::TerminationVerdict;
 use pcql::query::Query;
+use pcql::schema::Schema;
+use pcql::typecheck::TypeError;
 
 /// The catalog-aware analysis entry point: one value bundling every pass
 /// so callers (the optimizer's pre-flight, the scenario linter) get the
@@ -75,10 +77,17 @@ impl<'a> Analyzer<'a> {
 
     /// Passes 1 + 2 over one query against the catalog.
     pub fn check_query(&self, q: &Query) -> Report {
-        let mut report = check_query_wellformed(self.catalog, q);
+        self.check_query_in(&self.catalog.combined_schema(), q).0
+    }
+
+    /// [`Analyzer::check_query`] against `schema`, the catalog's combined
+    /// schema, built once by a caller that checks many queries; with the
+    /// type check's own verdict ([`check_query_wellformed`]).
+    pub fn check_query_in(&self, schema: &Schema, q: &Query) -> (Report, Result<(), TypeError>) {
+        let (mut report, typed) = check_query_wellformed(schema, q);
         let (lookups, _) = check_lookups(q);
         report.merge(lookups);
-        report
+        (report, typed)
     }
 
     /// The lookup-safety counters for one query (pass 2), for E17-style

@@ -67,16 +67,21 @@ fn type_diag(q: &Query, e: TypeError) -> Diagnostic {
     }
 }
 
-/// Checks one query against a catalog: scoping, types, dead variables.
-pub fn check_query_wellformed(catalog: &Catalog, q: &Query) -> Report {
+/// Checks one query against `schema`, a catalog's combined schema:
+/// scoping, types, dead variables. Returns the findings with the type
+/// check's own verdict (a scope error included), so a caller need not
+/// type-check again.
+pub fn check_query_wellformed(schema: &Schema, q: &Query) -> (Report, Result<(), TypeError>) {
     let mut report = Report::new();
-    if let Err(e) = q.check_scopes() {
-        report.push(scope_diag(q, &e));
-        // Typing would only repeat the scope failure.
-        return report;
-    }
-    if let Err(e) = check_query(&catalog.combined_schema(), q) {
-        report.push(type_diag(q, e));
+    let typed = check_query(schema, q).map(drop);
+    match &typed {
+        Err(TypeError::Scope(e)) => {
+            report.push(scope_diag(q, e));
+            // Typing would only repeat the scope failure.
+            return (report, typed);
+        }
+        Err(e) => report.push(type_diag(q, e.clone())),
+        Ok(()) => {}
     }
     // Dead variables: bound but never read by a later binding source, a
     // condition, or the output. Under set semantics such a binding still
@@ -101,7 +106,7 @@ pub fn check_query_wellformed(catalog: &Catalog, q: &Query) -> Report {
             ));
         }
     }
-    report
+    (report, typed)
 }
 
 /// Checks a dependency set against a schema: scopes first (the
@@ -156,7 +161,7 @@ mod tests {
     fn clean_query_lints_clean() {
         let c = catalog();
         let q = parse_query("select struct(A = r.A) from R r, S s where r.B = s.B").unwrap();
-        let report = check_query_wellformed(&c, &q);
+        let report = check_query_wellformed(&c.combined_schema(), &q).0;
         assert!(!report.has_errors(), "{report}");
         // `s` is read by the join condition: no dead-variable warning.
         assert!(report.is_empty(), "{report}");
@@ -167,7 +172,7 @@ mod tests {
         let c = catalog();
         let mut q = parse_query("select struct(A = r.A) from R r, S s where r.B = s.B").unwrap();
         q.from.remove(1);
-        let report = check_query_wellformed(&c, &q);
+        let report = check_query_wellformed(&c.combined_schema(), &q).0;
         assert!(report
             .errors()
             .any(|d| d.code == codes::QUERY_SCOPE && d.message.contains("`s`")));
@@ -184,7 +189,7 @@ mod tests {
             ],
             vec![],
         );
-        let report = check_query_wellformed(&c, &q);
+        let report = check_query_wellformed(&c.combined_schema(), &q).0;
         assert!(report.errors().any(|d| d.code == codes::DUPLICATE_VAR));
     }
 
@@ -192,7 +197,7 @@ mod tests {
     fn dead_variable_is_a_cb003_warning() {
         let c = catalog();
         let q = parse_query("select struct(A = r.A) from R r, S s").unwrap();
-        let report = check_query_wellformed(&c, &q);
+        let report = check_query_wellformed(&c.combined_schema(), &q).0;
         assert!(!report.has_errors());
         let dead: Vec<_> = report.at(Severity::Warning).collect();
         assert_eq!(dead.len(), 1);
@@ -204,12 +209,13 @@ mod tests {
     fn unknown_root_and_type_errors() {
         let c = catalog();
         let q = parse_query("select struct(X = x.X) from Nowhere x").unwrap();
-        let report = check_query_wellformed(&c, &q);
+        let report = check_query_wellformed(&c.combined_schema(), &q).0;
         assert!(report.errors().any(|d| d.code == codes::UNKNOWN_ROOT));
 
         let q2 = parse_query("select struct(X = r.Nope) from R r").unwrap();
-        let report2 = check_query_wellformed(&c, &q2);
+        let (report2, typed) = check_query_wellformed(&c.combined_schema(), &q2);
         assert!(report2.errors().any(|d| d.code == codes::TYPE_MISMATCH));
+        assert!(typed.is_err(), "the lint's own type check answers the type error");
     }
 
     #[test]

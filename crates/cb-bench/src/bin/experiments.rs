@@ -1675,7 +1675,7 @@ fn stats_refresh_replay(before: &Prepared, after: &Prepared) -> Replay {
         "no lattice replay: {now:?}"
     );
     Replay {
-        universal: shape(&cold.plan.outcome.universal),
+        universal: shape(cold.plan.outcome.universal()),
         cold: cold_time,
         record: record_time,
         replay: replay_time,
@@ -1824,7 +1824,7 @@ fn variant_replay(
         "no lattice replay: {now:?}"
     );
     let timed = Replay {
-        universal: shape(&cold.plan.outcome.universal),
+        universal: shape(cold.plan.outcome.universal()),
         cold: cold_time,
         record: record_time,
         replay: replay_time,
@@ -2217,7 +2217,7 @@ fn e11_structure_encodings() {
     let q = parse_query("select struct(B = r.B) from R r where r.A = 3").unwrap();
     let out = Optimizer::new(&catalog).optimize(&q).unwrap();
     let gmap_plan = out
-        .candidates
+        .candidates()
         .iter()
         .find(|c| c.query.to_string().contains('G'));
     println!(
@@ -2235,7 +2235,7 @@ fn e11_structure_encodings() {
     let q = parse_query("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B").unwrap();
     let out = Optimizer::new(&catalog).optimize(&q).unwrap();
     let hash_plan = out
-        .candidates
+        .candidates()
         .iter()
         .find(|c| c.query.to_string().contains("HS"));
     println!(
@@ -2251,7 +2251,7 @@ fn e11_structure_encodings() {
     let q = parse_query("select struct(DN = d.DName, PN = s) from depts d, d.DProjs s").unwrap();
     let out = Optimizer::new(&catalog).optimize(&q).unwrap();
     let asr_plan = out
-        .candidates
+        .candidates()
         .iter()
         .find(|c| c.query.to_string().contains("ASR"));
     println!(
@@ -2285,14 +2285,14 @@ fn e12_semantic_optimization() {
     // P2's derivation relies on RIC2 + INV2 + INV1.
     let outcome = p.optimizer().optimize(&p.query).unwrap();
     let has_p2 = outcome
-        .candidates
+        .candidates()
         .iter()
         .any(|c| c.raw.from.len() == 1 && c.raw.to_string().contains("from Proj"));
     println!("P2 derivable with semantic constraints: {has_p2}");
     let bare = p.catalog.without_semantic_constraints();
     let outcome2 = Optimizer::new(&bare).optimize(&p.query).unwrap();
     let has_p2_bare = outcome2
-        .candidates
+        .candidates()
         .iter()
         .any(|c| c.raw.from.len() == 1 && c.raw.to_string().contains("from Proj"));
     println!("P2 derivable without them:              {has_p2_bare}");

@@ -140,7 +140,7 @@ pub fn lint_builtin_scenarios() -> Vec<ScenarioLint> {
             let out = Optimizer::with_config(&p.catalog, config)
                 .optimize(&p.query)
                 .expect("scenario optimizes");
-            for (rank, c) in out.candidates.iter().enumerate() {
+            for (rank, c) in out.candidates().iter().enumerate() {
                 report.merge(analyzer.check_pipelines(&c.query, &format!("plan #{}", rank + 1)));
                 lookups.absorb(analyzer.lookup_summary(&c.query));
             }

@@ -180,16 +180,15 @@ pub(crate) struct ChasedShape {
 
 impl ChasedShape {
     pub(crate) fn new(input: Query, shape: Shape, outcome: ChaseOutcome) -> ChasedShape {
-        let added = outcome.steps.iter().flat_map(|s| &s.added_bindings);
         ChasedShape {
-            origin: ShapeOrigin::new(input, shape, added),
+            origin: ShapeOrigin::new(input, shape, &outcome.steps),
             outcome,
         }
     }
 
     /// The outcome for `q`, an input of the same shape: translated by
     /// the renaming its origin vouches for ([`ShapeOrigin::renaming_to`]),
-    /// `None` when a chase of `q` might derive something else.
+    /// `None` when it vouches for none.
     pub(crate) fn outcome_for(&self, q: &Query, shape: &Shape) -> Option<ChaseOutcome> {
         let r = self.origin.renaming_to(q, shape)?;
         if r.is_identity() {

@@ -836,10 +836,11 @@ impl ChaseContext {
     /// a later one is handed that outcome in its own names and constants
     /// (variables matched by binding position, constants by rank), which
     /// is what a chase of it derives: the chase treats constants as
-    /// uninterpreted symbols and compares them only for equality. Where
-    /// the renaming could not be vouched for (a name of either input is
-    /// one the chase's fresh-name generator tried), `q` is chased
-    /// afresh, counted as a miss, and the memo is left as it was. A miss
+    /// uninterpreted symbols and compares them only for equality, and the
+    /// names it adds are those its fresh-name generator picks against
+    /// `q`'s own ([`ShapeOrigin::renaming_to`](crate::ShapeOrigin::renaming_to)).
+    /// Where no renaming can be vouched for, `q` is chased afresh,
+    /// counted as a miss, and the memo is left as it was. A miss
     /// also parks the input's finished resumable state, for the
     /// containment proof the first walk of a new shape asks of it. The
     /// outcome lookup takes the checkout failpoint and retries, the
@@ -1625,7 +1626,36 @@ mod tests {
     }
 
     #[test]
-    fn a_name_the_chase_tried_is_chased_afresh_on_a_shape_hit() {
+    fn a_name_the_chase_tried_is_handed_the_names_its_own_chase_adds() {
+        let tgd = parse_dependency(
+            "tgd",
+            "forall (r in R) -> exists (k in S) (t in T) where r.B = k.B and k.C = t.C",
+        )
+        .unwrap();
+        let ctx = ChaseContext::new(vec![tgd], ChaseConfig::default());
+        let q = |v: &str, c: i64| {
+            parse_query(&format!(
+                "select struct(A = {v}.A) from R {v} where {v}.C = {c}"
+            ))
+            .unwrap()
+        };
+        let first = assert_chases_as_fresh(&ctx, &q("r", 1));
+        assert!(first.query.to_string().contains("S k0, T t1"), "{first:?}");
+        // `k0` and `t1` are names the chase of the first input added: a
+        // caller binding one makes the chase pick others, and the hit
+        // hands over exactly those.
+        let tried = assert_chases_as_fresh(&ctx, &q("k0", 2));
+        assert!(tried.query.to_string().contains("S k1, T t2"), "{tried:?}");
+        let shifted = assert_chases_as_fresh(&ctx, &q("t1", 3));
+        assert!(
+            shifted.query.to_string().contains("S k0, T t2"),
+            "{shifted:?}"
+        );
+        assert_eq!((ctx.stats().chase_misses, ctx.stats().chase_hits), (1, 2));
+    }
+
+    #[test]
+    fn an_origin_that_bound_a_tried_name_still_translates() {
         let tgd =
             parse_dependency("tgd", "forall (r in R) -> exists (k in S) where r.B = k.B").unwrap();
         let ctx = ChaseContext::new(vec![tgd], ChaseConfig::default());
@@ -1635,16 +1665,11 @@ mod tests {
             ))
             .unwrap()
         };
-        let first = assert_chases_as_fresh(&ctx, &q("r", 1));
-        assert!(first.query.to_string().contains("S k0"), "{first:?}");
-        // `k0` is the name the chase of the first input added: a caller
-        // binding it makes the chase pick another.
-        let tried = assert_chases_as_fresh(&ctx, &q("k0", 2));
-        assert!(tried.query.to_string().contains("S k1"), "{tried:?}");
-        assert_eq!((ctx.stats().chase_misses, ctx.stats().chase_hits), (2, 0));
-        // The memo is left as it was: the next variant hits it.
-        assert_chases_as_fresh(&ctx, &q("x", 3));
-        assert_eq!((ctx.stats().chase_misses, ctx.stats().chase_hits), (2, 1));
+        let first = assert_chases_as_fresh(&ctx, &q("k0", 1));
+        assert!(first.query.to_string().contains("S k1"), "{first:?}");
+        let other = assert_chases_as_fresh(&ctx, &q("x", 2));
+        assert!(other.query.to_string().contains("S k0"), "{other:?}");
+        assert_eq!((ctx.stats().chase_misses, ctx.stats().chase_hits), (1, 1));
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! form](Query::positional) up to a renaming of the constants the
 //! dependencies never mention that keeps their order.
 //!
+//! Names do reach one place: the chase names each binding it adds with
+//! the first `{stem}{counter}` not in use, so a query binding such a name
+//! (`k0`) makes it add another (`k1`). A renaming therefore also takes
+//! the names the chase added for the one query to those it adds for the
+//! other, re-running the fresh-name generator against the other query's
+//! names where one of them could have steered it.
+//!
 //! [`ChaseContext::shape`](crate::ChaseContext::shape) computes a query's
 //! [`Shape`]; the phase-1 chase memo keys on it, and so does a plan cache
 //! above the chase core. Whoever keeps a result for a shape keeps the
@@ -19,6 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use pcql::idgen::VarGen;
 use pcql::path::{Constant, Path};
 use pcql::query::{Binding, Equality, Query};
 
@@ -43,28 +51,29 @@ pub struct Shape {
 pub struct ShapeOrigin {
     input: Query,
     constants: Vec<Constant>,
+    /// The names each chase step added, in order.
+    added: Vec<Vec<String>>,
     /// The highest counter the chase's fresh-name generator reached per
     /// name stem.
     reached: BTreeMap<String, u64>,
 }
 
 impl ShapeOrigin {
-    /// `input`, of shape `shape`, whose chase added the bindings `added`.
-    pub fn new<'a>(
-        input: Query,
-        shape: Shape,
-        added: impl IntoIterator<Item = &'a Binding>,
-    ) -> ShapeOrigin {
+    /// `input`, of shape `shape`, whose chase took the steps `steps`.
+    pub fn new(input: Query, shape: Shape, steps: &[ChaseStepTrace]) -> ShapeOrigin {
+        let added: Vec<Vec<String>> = steps
+            .iter()
+            .map(|s| s.added_bindings.iter().map(|b| b.var.clone()).collect())
+            .collect();
         let mut reached: BTreeMap<String, u64> = BTreeMap::new();
-        for b in added {
-            if let Some((stem, n)) = numbered(&b.var) {
-                let top = reached.entry(stem.to_string()).or_default();
-                *top = (*top).max(n);
-            }
+        for (stem, n) in added.iter().flatten().filter_map(|v| numbered(v)) {
+            let top = reached.entry(stem.to_string()).or_default();
+            *top = (*top).max(n);
         }
         ShapeOrigin {
             input,
             constants: shape.constants,
+            added,
             reached,
         }
     }
@@ -74,12 +83,6 @@ impl ShapeOrigin {
         &self.input
     }
 
-    /// Can it vouch for a renaming to any query but itself? Not when a
-    /// name of its own is one the chase's fresh-name generator tried.
-    pub fn can_translate(&self) -> bool {
-        !self.input.from.iter().any(|b| self.tried(&b.var))
-    }
-
     fn tried(&self, v: &str) -> bool {
         numbered(v).is_some_and(|(stem, n)| self.reached.get(stem).is_some_and(|&top| n <= top))
     }
@@ -87,18 +90,45 @@ impl ShapeOrigin {
     /// The renaming that takes what was derived for the origin to what is
     /// derived for `q`, a query of the same shape: the identity when `q`
     /// is the origin, variables by binding position and constants by rank
-    /// otherwise. `None` when it cannot be vouched for: a name of either
-    /// query is one the chase's fresh-name generator tried and skipped,
-    /// which could steer the names the chase adds, or, as a last check,
-    /// the renaming does not take the origin to `q`.
+    /// otherwise. The names the chase added go to the names a chase of
+    /// `q` adds: the same ones unless a name of either query is one the
+    /// chase's fresh-name generator tried, which steers it; then the
+    /// generator is re-run over each step's stems against `q`'s names.
+    /// `None` only when, as a last check, the renaming does not take the
+    /// origin to `q`.
     pub fn renaming_to(&self, q: &Query, shape: &Shape) -> Option<Renaming> {
         if *q == self.input {
             return Some(Renaming::default());
         }
-        let r = Renaming::between(&self.input, &self.constants, q, &shape.constants)
+        let mut r = Renaming::between(&self.input, &self.constants, q, &shape.constants)
             .unwrap_or_default();
-        let clean = self.can_translate() && !q.from.iter().any(|b| self.tried(&b.var));
-        (clean && r.query(&self.input) == *q).then_some(r)
+        if r.query(&self.input) != *q {
+            return None;
+        }
+        let steered = |x: &Query| x.from.iter().any(|b| self.tried(&b.var));
+        if steered(&self.input) || steered(q) {
+            r.vars.extend(self.added_for(q));
+        }
+        Some(r)
+    }
+
+    /// The origin's added names to the ones a chase of `q` adds (those
+    /// that differ): each step's generator, as the chase makes it, avoids
+    /// `q`'s names and every name added before it.
+    fn added_for(&self, q: &Query) -> Vec<(String, String)> {
+        let mut used: Vec<String> = q.from.iter().map(|b| b.var.clone()).collect();
+        let mut renamed = Vec::new();
+        for step in &self.added {
+            let mut gen = VarGen::avoiding(used.iter().cloned());
+            for name in step {
+                let fresh = gen.fresh(name);
+                if fresh != *name {
+                    renamed.push((name.clone(), fresh.clone()));
+                }
+                used.push(fresh);
+            }
+        }
+        renamed
     }
 }
 

@@ -14,9 +14,9 @@ pub fn explain(outcome: &OptimizeOutcome) -> String {
     let _ = writeln!(
         s,
         "\n== chase (phase 1): {} steps ==",
-        outcome.chase_steps.len()
+        outcome.chase_steps().len()
     );
-    for step in &outcome.chase_steps {
+    for step in outcome.chase_steps() {
         let adds: Vec<String> = step
             .added_bindings
             .iter()
@@ -36,12 +36,12 @@ pub fn explain(outcome: &OptimizeOutcome) -> String {
         );
     }
     let _ = writeln!(s, "\n== universal plan ==");
-    let _ = writeln!(s, "{}", outcome.universal);
+    let _ = writeln!(s, "{}", outcome.universal());
     let _ = writeln!(s, "  (constraint-set termination: {})", outcome.termination);
     let _ = writeln!(
         s,
         "\n== backchase (phase 2): {} physical plan(s), cheapest first ==",
-        outcome.candidates.len()
+        outcome.candidates().len()
     );
     let _ = writeln!(
         s,
@@ -54,7 +54,7 @@ pub fn explain(outcome: &OptimizeOutcome) -> String {
     let _ = writeln!(
         s,
         "  (retained: top-{} plan(s){})",
-        outcome.top_k.len(),
+        outcome.top_k().len(),
         if outcome.search.budget_expired {
             "; anytime budget expired — best is the verified incumbent"
         } else {
@@ -69,7 +69,7 @@ pub fn explain(outcome: &OptimizeOutcome) -> String {
             core => core.join(", "),
         }
     );
-    for (i, c) in outcome.candidates.iter().enumerate() {
+    for (i, c) in outcome.candidates().iter().enumerate() {
         let _ = writeln!(
             s,
             "  #{:<2} cost {:>12.1} {} {}",

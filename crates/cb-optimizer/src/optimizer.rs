@@ -36,6 +36,7 @@ use cb_chase::{
     SearchVisitor, TerminationVerdict, Visit,
 };
 use pcql::query::Query;
+use pcql::schema::Schema;
 use pcql::typecheck::{check_query, TypeError};
 use pcql::Dependency;
 use std::collections::BTreeSet;
@@ -219,7 +220,7 @@ impl Default for OptimizerConfig {
     }
 }
 
-/// One costed plan.
+/// One costed plan: an entry of [`OptimizeOutcome::candidates`].
 #[derive(Debug, Clone)]
 pub struct PlanChoice {
     /// The executable plan (cleaned up and reordered).
@@ -232,23 +233,34 @@ pub struct PlanChoice {
     pub minimal: bool,
 }
 
+impl PlanChoice {
+    fn renamed(&self, r: &Renaming) -> PlanChoice {
+        PlanChoice {
+            query: r.query(&self.query),
+            raw: r.query(&self.raw),
+            ..*self
+        }
+    }
+}
+
 /// The full outcome of Algorithm 1 (kept for EXPLAIN and experiments).
+///
+/// What phases 1–2 derived for the input's shape — the universal plan,
+/// the chase steps and the costed plans — is read through
+/// [`universal`](OptimizeOutcome::universal),
+/// [`chase_steps`](OptimizeOutcome::chase_steps),
+/// [`candidates`](OptimizeOutcome::candidates) and
+/// [`top_k`](OptimizeOutcome::top_k), always in the input's own names
+/// and constants. A [`PlanService`](crate::PlanService) hit shares that
+/// derivation with the cached plan and translates it on first read, so
+/// a caller that reads only [`best`](OptimizeOutcome::best) pays for
+/// `best` alone.
 #[derive(Debug, Clone)]
 pub struct OptimizeOutcome {
     /// The input query.
     pub input: Query,
-    /// The universal plan `chase(Q)`.
-    pub universal: Query,
-    /// Chase steps applied to reach it.
-    pub chase_steps: Vec<ChaseStepTrace>,
-    /// All costed physical plans, cheapest first.
-    pub candidates: Vec<PlanChoice>,
-    /// The winner.
+    /// The winner: [`candidates`](OptimizeOutcome::candidates)`()[0]`.
     pub best: PlanChoice,
-    /// The `k_best` cheapest verified plans (mutually distinct,
-    /// cost-ordered; a prefix of `candidates`) — the serving tier's
-    /// fallback ladder when the best plan's physical structures go cold.
-    pub top_k: Vec<PlanChoice>,
     /// Whether both phases ran to completion within budgets.
     pub complete: bool,
     /// The phase-2 walk's counters: visited nodes (for `CostGuided`,
@@ -286,46 +298,141 @@ pub struct OptimizeOutcome {
     /// universal-plan fallback. See [`crate::governor`]. EXPLAIN prints them in its resilience
     /// section.
     pub degradations: Vec<Degradation>,
+    derivation: SharedDerivation,
+    /// How many of the candidates [`top_k`](OptimizeOutcome::top_k)
+    /// keeps.
+    top_len: usize,
+}
+
+/// What phases 1–2 derived for a query.
+#[derive(Debug, Clone)]
+struct Derivation {
+    universal: Query,
+    chase_steps: Vec<ChaseStepTrace>,
+    candidates: Vec<PlanChoice>,
+}
+
+/// A derivation as one outcome reads it: shared with every outcome of
+/// its shape, in the names of the query it was derived for, and
+/// translated by `renaming` into the outcome's own names the first time
+/// it is read.
+#[derive(Clone)]
+struct SharedDerivation {
+    derived: Arc<Derivation>,
+    renaming: Option<Renaming>,
+    translated: OnceLock<Derivation>,
+}
+
+impl SharedDerivation {
+    fn new(derived: Derivation) -> SharedDerivation {
+        SharedDerivation {
+            derived: Arc::new(derived),
+            renaming: None,
+            translated: OnceLock::new(),
+        }
+    }
+
+    /// The same derivation, read through `r`; `self` must be in its
+    /// derivation's own names.
+    fn renamed(&self, r: Renaming) -> SharedDerivation {
+        debug_assert!(self.renaming.is_none(), "renamings do not compose");
+        SharedDerivation {
+            derived: Arc::clone(&self.derived),
+            renaming: Some(r),
+            translated: OnceLock::new(),
+        }
+    }
+
+    fn get(&self) -> &Derivation {
+        let Some(r) = &self.renaming else {
+            return &self.derived;
+        };
+        self.translated.get_or_init(|| Derivation {
+            universal: r.query(&self.derived.universal),
+            chase_steps: self.derived.chase_steps.iter().map(|s| r.step(s)).collect(),
+            candidates: self
+                .derived
+                .candidates
+                .iter()
+                .map(|c| c.renamed(r))
+                .collect(),
+        })
+    }
+}
+
+impl fmt::Debug for SharedDerivation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
+    }
 }
 
 impl OptimizeOutcome {
+    /// The universal plan `chase(Q)`.
+    pub fn universal(&self) -> &Query {
+        &self.derivation.get().universal
+    }
+
+    /// Chase steps applied to reach it.
+    pub fn chase_steps(&self) -> &[ChaseStepTrace] {
+        &self.derivation.get().chase_steps
+    }
+
+    /// All costed physical plans, cheapest first.
+    pub fn candidates(&self) -> &[PlanChoice] {
+        &self.derivation.get().candidates
+    }
+
+    /// The [`OptimizerConfig::k_best`] cheapest verified plans, the
+    /// prefix of [`candidates`](OptimizeOutcome::candidates) that long
+    /// (mutually distinct, cost-ordered) — the serving tier's fallback
+    /// ladder when the best plan's physical structures go cold.
+    pub fn top_k(&self) -> &[PlanChoice] {
+        &self.candidates()[..self.top_len]
+    }
+
     /// The bindings of the universal plan that the must-remain analysis
     /// proves present in every equivalence-preserving plan — the
     /// structural core no removal set can touch (sorted; EXPLAIN reports
     /// it). Computed on demand: only `CostGuided` needs the analysis
     /// while searching.
     pub fn must_remain(&self) -> Vec<String> {
-        MustRemainAnalysis::new(&self.universal)
+        MustRemainAnalysis::new(self.universal())
             .must_remain(&BTreeSet::new())
             .into_iter()
             .collect()
     }
 
+    /// Does it read the very derivation `other` reads?
+    #[cfg(test)]
+    pub(crate) fn shares_derivation_with(&self, other: &OptimizeOutcome) -> bool {
+        Arc::ptr_eq(&self.derivation.derived, &other.derivation.derived)
+    }
+
+    /// Has its derivation been translated into its own names yet?
+    #[cfg(test)]
+    pub(crate) fn derivation_translated(&self) -> bool {
+        self.derivation.translated.get().is_some()
+    }
+
     /// This outcome for `q`, a query of the same shape as
-    /// [`input`](OptimizeOutcome::input) that `r` takes it to: every
-    /// query it holds — the universal plan, the chase steps, every
-    /// candidate — renamed. What depends on the shape alone (costs,
-    /// counters, verdicts, findings) stays.
-    pub(crate) fn renamed(&self, r: &Renaming, q: &Query) -> OptimizeOutcome {
-        let choice = |c: &PlanChoice| PlanChoice {
-            query: r.query(&c.query),
-            raw: r.query(&c.raw),
-            ..*c
-        };
+    /// [`input`](OptimizeOutcome::input) that `r` takes it to, with the
+    /// findings `diagnostics`: `best` translated now, the derivation
+    /// shared and translated when first read. What depends on the shape
+    /// alone (costs, counters, verdicts) stays. `self` must be in its
+    /// derivation's own names, as an optimization leaves it.
+    pub(crate) fn renamed(&self, r: Renaming, q: &Query, diagnostics: Report) -> OptimizeOutcome {
         OptimizeOutcome {
             input: q.clone(),
-            universal: r.query(&self.universal),
-            chase_steps: self.chase_steps.iter().map(|s| r.step(s)).collect(),
-            candidates: self.candidates.iter().map(choice).collect(),
-            best: choice(&self.best),
-            top_k: self.top_k.iter().map(choice).collect(),
+            best: self.best.renamed(&r),
             complete: self.complete,
             search: self.search,
             incumbent_trace: self.incumbent_trace.clone(),
             cache: self.cache,
             termination: self.termination,
-            diagnostics: self.diagnostics.clone(),
+            diagnostics,
             degradations: self.degradations.clone(),
+            derivation: self.derivation.renamed(r),
+            top_len: self.top_len,
         }
     }
 }
@@ -403,6 +510,9 @@ pub struct Optimizer<'a> {
     config: OptimizerConfig,
     /// The catalog's pre-flight, computed on first use.
     check: OnceLock<Arc<CatalogCheck>>,
+    /// The catalog's combined schema, which every query is type-checked
+    /// against, built on first use.
+    schema: OnceLock<Arc<Schema>>,
 }
 
 impl<'a> Optimizer<'a> {
@@ -445,6 +555,7 @@ impl<'a> Optimizer<'a> {
             catalog,
             config: config.validated(),
             check: OnceLock::new(),
+            schema: OnceLock::new(),
         }
     }
 
@@ -453,6 +564,15 @@ impl<'a> Optimizer<'a> {
     pub(crate) fn with_catalog_check(self, check: Arc<CatalogCheck>) -> Optimizer<'a> {
         Optimizer {
             check: OnceLock::from(check),
+            ..self
+        }
+    }
+
+    /// This optimizer over `schema`, the catalog's combined schema, built
+    /// earlier for the same catalog.
+    pub(crate) fn with_schema(self, schema: Arc<Schema>) -> Optimizer<'a> {
+        Optimizer {
+            schema: OnceLock::from(schema),
             ..self
         }
     }
@@ -498,15 +618,23 @@ impl<'a> Optimizer<'a> {
     /// (unless the pre-flight is off; deny mode rejects on any error
     /// finding), then the type check. It runs before any chase work, so
     /// deny mode reports *all* findings as one diagnostic batch instead
-    /// of stopping at the first type error. Returns the findings so far.
+    /// of stopping at the first type error. The lint's own type check is
+    /// the one that answers [`OptimizeError::Type`]. Returns the findings
+    /// so far.
     pub(crate) fn preflight(
         &self,
         mut diagnostics: Report,
         q: &Query,
     ) -> Result<Report, OptimizeError> {
-        if self.config.preflight != PreflightMode::Off {
+        let schema = self
+            .schema
+            .get_or_init(|| Arc::new(self.catalog.combined_schema()));
+        let typed = if self.config.preflight == PreflightMode::Off {
+            check_query(schema, q).map(drop)
+        } else {
             let analyzer = Analyzer::new(self.catalog);
-            diagnostics.merge(analyzer.check_query(q));
+            let (report, typed) = analyzer.check_query_in(schema, q);
+            diagnostics.merge(report);
             // A malformed CB_FAULTS schedule is an error finding (deny
             // mode refuses to optimize under it); an armed one is a
             // warning, so chaos-run outcomes are labeled as such.
@@ -516,8 +644,9 @@ impl<'a> Optimizer<'a> {
                     report: diagnostics,
                 });
             }
-        }
-        check_query(&self.catalog.combined_schema(), q)?;
+            typed
+        };
+        typed?;
         Ok(diagnostics)
     }
 
@@ -743,11 +872,6 @@ impl<'a> Optimizer<'a> {
             .ok_or_else(|| OptimizeError::NoPhysicalPlan {
                 universal: universal.to_string(),
             })?;
-        let top_k = candidates
-            .iter()
-            .take(self.config.k_best.max(1))
-            .cloned()
-            .collect();
 
         // Verify the dataflow of every plan the optimizer produced, as
         // the engine will actually run it (both compile modes). A finding
@@ -767,11 +891,7 @@ impl<'a> Optimizer<'a> {
 
         Ok(OptimizeOutcome {
             input: q.clone(),
-            universal,
-            chase_steps: chased.steps,
-            candidates,
             best,
-            top_k,
             complete: chased.complete && search.complete,
             search,
             incumbent_trace,
@@ -779,6 +899,12 @@ impl<'a> Optimizer<'a> {
             termination,
             diagnostics,
             degradations,
+            top_len: candidates.len().min(self.config.k_best),
+            derivation: SharedDerivation::new(Derivation {
+                universal,
+                chase_steps: chased.steps,
+                candidates,
+            }),
         })
     }
 
@@ -1048,27 +1174,49 @@ mod tests {
     use cb_catalog::scenarios::{projdept, relational_indexes, relational_views};
 
     #[test]
+    fn top_k_is_the_k_best_prefix_of_the_candidates_and_best_leads_them() {
+        let mut cat = projdept::catalog();
+        projdept::stats_for(&mut cat, 100, 10, 20);
+        for k_best in [1, 2, 50] {
+            let config = OptimizerConfig {
+                k_best,
+                ..Default::default()
+            };
+            let out = Optimizer::with_config(&cat, config)
+                .optimize(&projdept::query())
+                .unwrap();
+            let all = out.candidates();
+            assert_eq!(out.top_k().len(), k_best.min(all.len()), "k_best {k_best}");
+            assert_eq!(
+                format!("{:?}", out.top_k()),
+                format!("{:?}", &all[..out.top_k().len()])
+            );
+            assert_eq!(format!("{:?}", out.best), format!("{:?}", all[0]));
+        }
+    }
+
+    #[test]
     fn projdept_end_to_end() {
         let mut cat = projdept::catalog();
         projdept::stats_for(&mut cat, 100, 10, 20);
         let out = Optimizer::new(&cat).optimize(&projdept::query()).unwrap();
         assert!(out.complete);
-        assert!(!out.candidates.is_empty());
+        assert!(!out.candidates().is_empty());
         // With these statistics the secondary-index plan (P3) wins: a
         // single non-failing lookup on SI.
         let best = out.best.query.to_string();
         assert!(best.contains("SI{\"CitiBank\"}"), "best = {best}");
         // P2 and P4 shapes are among the candidates.
         assert!(out
-            .candidates
+            .candidates()
             .iter()
             .any(|c| c.raw.from.len() == 1 && c.raw.to_string().contains("from Proj")));
         assert!(out
-            .candidates
+            .candidates()
             .iter()
             .any(|c| c.raw.from.len() == 1 && c.raw.to_string().contains("from JI")));
         // Costs are sorted.
-        for w in out.candidates.windows(2) {
+        for w in out.candidates().windows(2) {
             assert!(w[0].cost <= w[1].cost);
         }
     }
@@ -1140,7 +1288,7 @@ mod tests {
             .optimize(&projdept::query())
             .unwrap();
         // Exactly one plan, physical, minimal.
-        assert_eq!(out.candidates.len(), 1);
+        assert_eq!(out.candidates().len(), 1);
         assert!(
             cat.is_physical_query(&out.best.raw),
             "plan: {}",
@@ -1174,7 +1322,7 @@ mod tests {
             .cloned()
             .collect();
         let before = off.stats().containment_misses;
-        let (plan, counters) = backchase_greedy(&off, &out.universal, &prefer);
+        let (plan, counters) = backchase_greedy(&off, out.universal(), &prefer);
         let attempts = (off.stats().containment_misses - before) as usize;
         assert_eq!(plan, out.best.raw);
         assert!(attempts > 1, "{attempts}");
@@ -1229,7 +1377,7 @@ mod tests {
         // Identical to a fresh-context optimization under the bare catalog.
         let fresh = Optimizer::new(&bare).optimize(&q).unwrap();
         assert_eq!(reused.best.query, fresh.best.query);
-        assert_eq!(reused.candidates.len(), fresh.candidates.len());
+        assert_eq!(reused.candidates().len(), fresh.candidates().len());
     }
 
     #[test]
@@ -1363,16 +1511,16 @@ mod tests {
                     out.degradations
                 );
                 let raws: BTreeSet<Query> = out
-                    .candidates
+                    .candidates()
                     .iter()
                     .map(|c| c.raw.alpha_normalized())
                     .collect();
-                assert_eq!(raws.len(), out.candidates.len(), "{desc}");
+                assert_eq!(raws.len(), out.candidates().len(), "{desc}");
                 if cost_visited {
                     assert_eq!(raws, visited, "{desc}");
                 } else {
                     assert_eq!(raws, normal_forms, "{desc}");
-                    assert!(out.candidates.iter().all(|c| c.minimal), "{desc}");
+                    assert!(out.candidates().iter().all(|c| c.minimal), "{desc}");
                 }
             }
         }
@@ -1410,7 +1558,7 @@ mod tests {
             .unwrap();
         assert_eq!(faulty.best.query, clean.best.query);
         assert!((faulty.best.cost - clean.best.cost).abs() < 1e-9);
-        assert_eq!(faulty.candidates.len(), clean.candidates.len());
+        assert_eq!(faulty.candidates().len(), clean.candidates().len());
         assert!(faulty.complete);
         // EXPLAIN tells the story.
         let text = crate::explain::explain(&faulty);
@@ -1454,7 +1602,7 @@ mod tests {
             "{:?}",
             out.degradations
         );
-        assert_eq!(out.best.raw, out.universal);
+        assert_eq!(out.best.raw, *out.universal());
         let text = crate::explain::explain(&out);
         assert!(text.contains("phase-2 search aborted"), "{text}");
     }
@@ -1488,7 +1636,7 @@ mod tests {
             "{:?}",
             out.degradations
         );
-        assert_eq!(out.best.raw, out.universal);
+        assert_eq!(out.best.raw, *out.universal());
     }
 
     #[test]
@@ -1521,7 +1669,7 @@ mod tests {
                 squeezed.degradations
             );
             assert_eq!(squeezed.best.query, unlimited.best.query);
-            assert_eq!(squeezed.candidates.len(), unlimited.candidates.len());
+            assert_eq!(squeezed.candidates().len(), unlimited.candidates().len());
         }
     }
 
@@ -1566,8 +1714,8 @@ mod tests {
             .optimize(&q)
             .unwrap();
         assert_eq!(zero.best.query, one.best.query);
-        assert_eq!(zero.candidates.len(), one.candidates.len());
-        assert_eq!(zero.top_k.len(), 1);
+        assert_eq!(zero.candidates().len(), one.candidates().len());
+        assert_eq!(zero.top_k().len(), 1);
     }
 
     #[test]

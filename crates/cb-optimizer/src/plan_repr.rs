@@ -136,9 +136,9 @@ impl PlanRepr {
         let layout = cb_engine::compile(&outcome.best.query, CompileOptions::default()).layout();
         PlanRepr::V1(PlanV1 {
             input: outcome.input.to_string(),
-            universal: outcome.universal.to_string(),
+            universal: outcome.universal().to_string(),
             best: PlanEntryV1::of(&outcome.best),
-            top_k: outcome.top_k.iter().map(PlanEntryV1::of).collect(),
+            top_k: outcome.top_k().iter().map(PlanEntryV1::of).collect(),
             pipeline: PipelineV1::of(&layout),
             counters: CountersV1 {
                 nodes_visited: outcome.search.visited_count as u64,

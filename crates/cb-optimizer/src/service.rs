@@ -28,7 +28,8 @@
 //!   under that catalog reads them. A service whose preparations all hit
 //!   the plan cache never lints its catalog. The query's own lint, the
 //!   `CB_FAULTS` check and the type check run on every preparation, hit
-//!   or miss.
+//!   or miss; the type check is the lint's own, against the catalog's
+//!   combined schema, which the first preparation under a catalog builds.
 //! * **Verified lattices** — phases 1–2 depend only on the query and the
 //!   constraints, so the context also keeps, per shape of universal plan
 //!   walked more than once, the backchase lattice its walks verified. The
@@ -49,17 +50,21 @@
 //!   *query shape* × *canonical catalog fingerprint* × *cost-model
 //!   fingerprint*, with the query it was prepared for as the shape's
 //!   [`ShapeOrigin`]. A hit hands the plan to a query of the shape in
-//!   that query's own names and constants — the universal plan, the
-//!   chase steps and every costed plan translated by the [`Renaming`]
-//!   the origin vouches for, the one phase 1 translates by — without
-//!   any chase or phase-2 search at all ([`Prepared::nodes_visited`] is
-//!   0 — the property E21 measures). The query's own pre-flight findings
-//!   replace the origin's; the catalog's findings and those on the plans
-//!   carry over. Where the renaming cannot be vouched for (the query
-//!   binds a name the chase's fresh-name generator tried), the query is
-//!   optimized afresh and the shape keeps its origin. Nothing on the
-//!   serving path reads a plan document, so none is built here: a
-//!   caller that snapshots or diffs plans renders one with
+//!   that query's own names and constants, by the [`Renaming`] the origin
+//!   vouches for — the one phase 1 translates by — without any chase or
+//!   phase-2 search at all ([`Prepared::nodes_visited`] is 0 — the
+//!   property E21 measures). It pays only for what its caller reads: the
+//!   input and the best plan are translated at once, while the universal
+//!   plan, the chase steps and the costed plans stay shared with the
+//!   cached plan and are translated when first read
+//!   ([`OptimizeOutcome::universal`], [`OptimizeOutcome::candidates`],
+//!   …). The query's own pre-flight findings replace the origin's; the
+//!   catalog's findings and those on the plans carry over. A query
+//!   binding a name the chase's fresh-name generator tried (`k0`) is a
+//!   hit too: the renaming takes the names the chase added for the
+//!   origin to those a chase of the query adds. Nothing on the serving
+//!   path reads a plan document, so none is built here: a caller that
+//!   snapshots or diffs plans renders one with
 //!   [`PlanRepr::from_outcome`](crate::PlanRepr::from_outcome).
 //!
 //! The key is exactly as strong as the things a plan depends on:
@@ -96,6 +101,7 @@ use cb_catalog::Catalog;
 use cb_chase::Renaming;
 use cb_chase::{CacheStats, ChaseContext, ShapeOrigin};
 use pcql::query::Query;
+use pcql::schema::Schema;
 
 use crate::cost::CostModel;
 use crate::optimizer::{CatalogCheck, OptimizeError, OptimizeOutcome, Optimizer, OptimizerConfig};
@@ -186,6 +192,9 @@ pub struct PlanService {
     /// The catalog's pre-flight, computed by the first miss after
     /// [`PlanService::new`] or [`PlanService::swap_catalog`].
     catalog_check: Option<Arc<CatalogCheck>>,
+    /// The catalog's combined schema, built by the first preparation
+    /// after [`PlanService::new`] or [`PlanService::swap_catalog`].
+    schema: Option<Arc<Schema>>,
     cache: HashMap<PlanKey, CachedPlan>,
     /// FIFO insertion order for eviction.
     order: VecDeque<PlanKey>,
@@ -209,6 +218,7 @@ impl PlanService {
             config,
             ctx,
             catalog_check: None,
+            schema: None,
             cache: HashMap::new(),
             order: VecDeque::new(),
             cache_cap: 0,
@@ -244,9 +254,9 @@ impl PlanService {
     }
 
     /// Prepare `q`: serve the plan cached for its shape, in `q`'s own
-    /// names and constants, when the key matches and the renaming can be
-    /// vouched for; run the full chase & backchase in the shared core
-    /// otherwise. A hit still runs `q`'s own pre-flight and type check.
+    /// names and constants, when the key matches; run the full chase &
+    /// backchase in the shared core otherwise. A hit still runs `q`'s
+    /// own pre-flight and type check.
     pub fn prepare(&mut self, q: &Query) -> Result<Prepared, OptimizeError> {
         let shape = self.ctx.shape(q);
         let key = PlanKey {
@@ -254,7 +264,11 @@ impl PlanService {
             catalog_fp: self.catalog_fp,
             cost_fp: self.cost_fp,
         };
-        let optimizer = Optimizer::with_config(&self.catalog, self.config.clone());
+        let schema = self
+            .schema
+            .get_or_insert_with(|| Arc::new(self.catalog.combined_schema()));
+        let optimizer = Optimizer::with_config(&self.catalog, self.config.clone())
+            .with_schema(Arc::clone(schema));
         if let Some(cached) = self.cache.get(&key) {
             if let Some(r) = cached.origin.renaming_to(q, &shape) {
                 let outcome = &cached.plan.outcome;
@@ -272,8 +286,7 @@ impl PlanService {
                     diagnostics
                         .diagnostics
                         .extend_from_slice(&found[cached.preflight_len..]);
-                    let mut outcome = outcome.renamed(&r, q);
-                    outcome.diagnostics = diagnostics;
+                    let mut outcome = outcome.renamed(r, q, diagnostics);
                     outcome.cache = self.ctx.stats();
                     Arc::new(PreparedPlan { outcome })
                 };
@@ -295,38 +308,26 @@ impl PlanService {
         let outcome = optimizer.optimize_checked(&mut self.ctx, q, diagnostics)?;
         let nodes_visited = outcome.search.visited_count;
         let plan = Arc::new(PreparedPlan { outcome });
-        // A query whose renaming could not be vouched for is served
-        // fresh; it becomes the shape's origin only in place of one that
-        // can vouch for no renaming at all.
-        let added = plan
-            .outcome
-            .chase_steps
-            .iter()
-            .flat_map(|s| &s.added_bindings);
-        let cached = CachedPlan {
-            origin: ShapeOrigin::new(q.clone(), shape, added),
-            plan: Arc::clone(&plan),
-            catalog_len,
-            preflight_len,
-        };
-        match self.cache.get_mut(&key) {
-            Some(kept) if kept.origin.can_translate() => {}
-            Some(kept) => *kept = cached,
-            None => {
-                if self.cache_cap > 0 {
-                    while self.cache.len() >= self.cache_cap {
-                        match self.order.pop_front() {
-                            Some(oldest) => {
-                                self.cache.remove(&oldest);
-                                self.stats.evictions += 1;
-                            }
-                            None => break,
+        if !self.cache.contains_key(&key) {
+            if self.cache_cap > 0 {
+                while self.cache.len() >= self.cache_cap {
+                    match self.order.pop_front() {
+                        Some(oldest) => {
+                            self.cache.remove(&oldest);
+                            self.stats.evictions += 1;
                         }
+                        None => break,
                     }
                 }
-                self.cache.insert(key.clone(), cached);
-                self.order.push_back(key);
             }
+            let cached = CachedPlan {
+                origin: ShapeOrigin::new(q.clone(), shape, plan.outcome.chase_steps()),
+                plan: Arc::clone(&plan),
+                catalog_len,
+                preflight_len,
+            };
+            self.cache.insert(key.clone(), cached);
+            self.order.push_back(key);
         }
         Ok(Prepared {
             plan,
@@ -343,6 +344,7 @@ impl PlanService {
     pub fn swap_catalog(&mut self, catalog: Catalog) {
         self.catalog = catalog;
         self.catalog_check = None;
+        self.schema = None;
         self.stats.catalog_swaps += 1;
         self.ctx
             .ensure_deps(&self.catalog.all_constraints(), &self.config.chase);
@@ -431,10 +433,10 @@ mod tests {
             .optimize(&q)
             .unwrap();
         assert_eq!(got.input, q);
-        assert_eq!(got.universal, want.universal);
+        assert_eq!(got.universal(), want.universal());
         assert_eq!(got.best.query, want.best.query);
         let plans = |o: &OptimizeOutcome| -> Vec<Query> {
-            o.candidates.iter().map(|c| c.query.clone()).collect()
+            o.candidates().iter().map(|c| c.query.clone()).collect()
         };
         assert_eq!(plans(got), plans(&want));
         assert!(got
@@ -443,6 +445,60 @@ mod tests {
             .from
             .iter()
             .all(|b| !["d", "s", "p"].contains(&b.var.as_str())));
+    }
+
+    #[test]
+    fn renamed_hits_share_the_cached_derivation_and_read_it_in_their_own_names() {
+        let mut svc = service();
+        let cold = svc.prepare(&projdept::query()).unwrap();
+        // The first name the chase adds: a query binding it steers the
+        // chase's fresh names.
+        let added = cold
+            .plan
+            .outcome
+            .chase_steps()
+            .iter()
+            .flat_map(|s| &s.added_bindings)
+            .next()
+            .expect("the ProjDept chase adds bindings")
+            .var
+            .clone();
+        let tried = projdept::query().rename(&[("d".to_string(), added)].into());
+        let hits: Vec<(Query, Prepared)> = [renamed(), tried]
+            .into_iter()
+            .map(|q| {
+                let p = svc.prepare(&q).unwrap();
+                (q, p)
+            })
+            .collect();
+        for (q, hit) in &hits {
+            assert!(hit.cache_hit, "{q}");
+            let got = &hit.plan.outcome;
+            assert!(got.shares_derivation_with(&cold.plan.outcome), "{q}");
+            assert!(!got.derivation_translated(), "{q}: read nothing yet");
+            let want = Optimizer::with_config(&catalog(), OptimizerConfig::default())
+                .optimize(q)
+                .unwrap();
+            assert_eq!(got.best.query, want.best.query, "{q}");
+            assert_eq!(got.universal(), want.universal(), "{q}");
+            assert!(got.derivation_translated(), "{q}");
+            assert_eq!(
+                format!("{:?}", got.chase_steps()),
+                format!("{:?}", want.chase_steps()),
+                "{q}"
+            );
+            assert_eq!(
+                format!("{:?}", got.candidates()),
+                format!("{:?}", want.candidates()),
+                "{q}"
+            );
+            assert_eq!(
+                format!("{:?}", got.top_k()),
+                format!("{:?}", want.top_k()),
+                "{q}"
+            );
+        }
+        assert_eq!((svc.stats().hits, svc.stats().misses), (2, 1));
     }
 
     #[test]

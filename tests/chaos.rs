@@ -152,7 +152,7 @@ fn fell_back(out: &OptimizeOutcome) -> bool {
 fn is_vouched_plan(best: &PlanChoice, base: &OptimizeOutcome, universal: &Query) -> bool {
     best.raw.alpha_normalized() == universal.alpha_normalized()
         || base
-            .candidates
+            .candidates()
             .iter()
             .any(|c| c.query.alpha_normalized() == best.query.alpha_normalized())
 }
@@ -195,7 +195,7 @@ fn chaos_run(
     // Contract 1: the differential.
     if fell_back(&out) {
         assert!(
-            is_vouched_plan(&out.best, base, &out.universal),
+            is_vouched_plan(&out.best, base, out.universal()),
             "{desc} under `{spec}`: universal fallback returned an unvouched plan:\n{}",
             out.best.query
         );
@@ -225,11 +225,11 @@ fn chaos_run(
         // be the fault-free one, plan for plan.
         if matches!(strategy, SearchStrategy::Exhaustive) {
             assert_eq!(
-                out.candidates.len(),
-                base.candidates.len(),
+                out.candidates().len(),
+                base.candidates().len(),
                 "{desc} under `{spec}`: candidate count changed under faults"
             );
-            for (a, b) in out.candidates.iter().zip(&base.candidates) {
+            for (a, b) in out.candidates().iter().zip(base.candidates()) {
                 assert_eq!(
                     a.query.alpha_normalized(),
                     b.query.alpha_normalized(),
@@ -398,7 +398,7 @@ fn a_single_worker_death_is_absorbed_without_degradation() {
         "one death among four workers is not a degradation: {:?}",
         out.degradations
     );
-    assert_eq!(out.candidates.len(), base.candidates.len());
+    assert_eq!(out.candidates().len(), base.candidates().len());
     assert_eq!(
         out.best.query.alpha_normalized(),
         base.best.query.alpha_normalized()
@@ -430,7 +430,7 @@ fn the_ladder_composes_rung_by_rung() {
     assert!(fell_back(&out), "rung 3 missing: {:?}", out.degradations);
     assert_eq!(
         out.best.raw.alpha_normalized(),
-        out.universal.alpha_normalized(),
+        out.universal().alpha_normalized(),
         "past the full ladder the answer is the universal plan"
     );
     assert!(!out.complete);
@@ -469,9 +469,9 @@ fn a_phase_one_panic_at_a_shard_site_keeps_the_fault_free_plan() {
                 "{desc}: {:?}",
                 out.degradations
             );
-            assert_eq!(out.universal, base.universal, "{desc}");
+            assert_eq!(out.universal(), base.universal(), "{desc}");
             assert_eq!(out.best.query, base.best.query, "{desc}");
-            assert_eq!(out.candidates.len(), base.candidates.len(), "{desc}");
+            assert_eq!(out.candidates().len(), base.candidates().len(), "{desc}");
             let text = cb_optimizer::explain(&out);
             assert!(text.contains("recomputed without memos"), "{desc}: {text}");
         }
@@ -510,7 +510,7 @@ fn wall_clock_expiry_during_parked_checkouts_still_returns_a_plan() {
     assert!(elapsed < HANG_GUARD, "parked expiry took {elapsed:?}");
     assert_eq!(fs.injected, fs.acknowledged(), "{fs:?}");
     assert!(
-        is_vouched_plan(&out.best, &base, &out.universal),
+        is_vouched_plan(&out.best, &base, out.universal()),
         "expired incumbent is unvouched: {}",
         out.best.query
     );
@@ -538,7 +538,7 @@ fn wall_clock_expiry_racing_incumbent_publication_is_benign() {
                 .optimize(&q)
                 .unwrap_or_else(|e| panic!("{micros}µs @ {threads} threads: {e}"));
             assert!(
-                is_vouched_plan(&out.best, &base, &out.universal),
+                is_vouched_plan(&out.best, &base, out.universal()),
                 "{micros}µs @ {threads} threads: unvouched incumbent: {}",
                 out.best.query
             );
@@ -560,20 +560,20 @@ fn k_best_beyond_the_candidate_set_returns_every_distinct_plan() {
         ..config(SearchStrategy::Exhaustive, 2)
     };
     let out = Optimizer::with_config(&catalog, cfg).optimize(&q).unwrap();
-    assert!(!out.top_k.is_empty());
-    assert!(out.top_k.len() <= 50);
+    assert!(!out.top_k().is_empty());
+    assert!(out.top_k().len() <= 50);
     assert_eq!(
-        out.top_k[0].query.alpha_normalized(),
+        out.top_k()[0].query.alpha_normalized(),
         out.best.query.alpha_normalized()
     );
     let mut keys: Vec<_> = out
-        .top_k
+        .top_k()
         .iter()
         .map(|c| c.query.alpha_normalized())
         .collect();
     keys.sort();
     keys.dedup();
-    assert_eq!(keys.len(), out.top_k.len(), "top-k has duplicates");
+    assert_eq!(keys.len(), out.top_k().len(), "top-k has duplicates");
 
     // And with a zero node budget the ladder collapses to exactly one
     // rung: the universal plan itself.
@@ -587,10 +587,10 @@ fn k_best_beyond_the_candidate_set_returns_every_distinct_plan() {
     };
     let out = Optimizer::with_config(&catalog, cfg).optimize(&q).unwrap();
     assert!(out.search.budget_expired);
-    assert_eq!(out.top_k.len(), 1, "zero budget admits exactly the root");
+    assert_eq!(out.top_k().len(), 1, "zero budget admits exactly the root");
     assert_eq!(
         out.best.raw.alpha_normalized(),
-        out.universal.alpha_normalized()
+        out.universal().alpha_normalized()
     );
 }
 
@@ -644,8 +644,8 @@ fn a_replay_under_shard_faults_and_cache_pressure_keeps_the_plans() {
                 assert!((r.best.cost - f.best.cost).abs() < 1e-9, "{desc}");
                 if threads == 1 || strategy == SearchStrategy::Exhaustive {
                     assert_eq!(
-                        format!("{:?}", r.candidates),
-                        format!("{:?}", f.candidates),
+                        format!("{:?}", r.candidates()),
+                        format!("{:?}", f.candidates()),
                         "{desc}"
                     );
                     assert_eq!(r.search.visited_count, f.search.visited_count, "{desc}");

@@ -175,8 +175,8 @@ fn cost_guided_plans_are_sound_on_real_data() {
         .unwrap();
     let ev = Evaluator::for_catalog(&catalog, &instance);
     let reference = ev.eval_query(&q).unwrap();
-    assert!(!outcome.candidates.is_empty());
-    for (i, c) in outcome.candidates.iter().enumerate() {
+    assert!(!outcome.candidates().is_empty());
+    for (i, c) in outcome.candidates().iter().enumerate() {
         let rows = ev
             .eval_query(&c.query)
             .unwrap_or_else(|e| panic!("plan #{i} failed: {e}\nplan: {}", c.query));
@@ -262,14 +262,14 @@ fn must_remain_core_survives_into_every_plan() {
     // enumeration actually produces, on every scenario.
     for (name, catalog, q) in scenarios() {
         let full = Optimizer::new(&catalog).optimize(&q).unwrap();
-        let mut analysis = MustRemainAnalysis::new(&full.universal);
+        let mut analysis = MustRemainAnalysis::new(full.universal());
         let pinned = analysis.must_remain(&Default::default());
         assert_eq!(
             full.must_remain(),
             pinned.iter().cloned().collect::<Vec<_>>(),
             "{name}: outcome does not report the analysis's set"
         );
-        for c in &full.candidates {
+        for c in full.candidates() {
             for var in &pinned {
                 assert!(
                     c.raw.from.iter().any(|b| &b.var == var),
@@ -291,8 +291,8 @@ fn lower_bound_monotone_along_the_visited_lattice() {
     for (name, catalog, q) in scenarios() {
         let full = Optimizer::new(&catalog).optimize(&q).unwrap();
         let model = CostModel::for_catalog(&catalog);
-        let root_bound = model.lower_bound(&full.universal);
-        for c in &full.candidates {
+        let root_bound = model.lower_bound(full.universal());
+        for c in full.candidates() {
             assert!(
                 root_bound <= c.cost + 1e-9,
                 "{name}: universal-plan bound {root_bound} > final cost {} of {}",

@@ -32,8 +32,8 @@ fn check_all_plans(catalog: &Catalog, q: &Query, instance: &Instance, ctx: &mut 
     let outcome = Optimizer::with_config(catalog, config)
         .optimize_in(ctx, q)
         .unwrap();
-    assert!(!outcome.candidates.is_empty());
-    for (i, c) in outcome.candidates.iter().enumerate() {
+    assert!(!outcome.candidates().is_empty());
+    for (i, c) in outcome.candidates().iter().enumerate() {
         let rows = ev
             .eval_query(&c.query)
             .unwrap_or_else(|e| panic!("plan #{i} failed to evaluate: {e}\nplan: {}", c.query));
@@ -179,7 +179,7 @@ fn gmap_backed_plans_agree() {
     let outcome = Optimizer::new(&catalog).optimize_in(&mut ctx, &q).unwrap();
     assert!(
         outcome
-            .candidates
+            .candidates()
             .iter()
             .any(|c| c.query.to_string().contains('G')),
         "no gmap plan among candidates"
@@ -209,7 +209,7 @@ fn asr_backed_plans_agree() {
     let outcome = Optimizer::new(&catalog).optimize_in(&mut ctx, &q).unwrap();
     assert!(
         outcome
-            .candidates
+            .candidates()
             .iter()
             .any(|c| c.query.to_string().contains("ASR")),
         "no ASR plan among candidates"

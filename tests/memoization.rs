@@ -373,13 +373,13 @@ fn children_a_replay_admits_past_the_old_gate_are_verified_lazily() {
             "{name}"
         );
         assert_eq!(
-            format!("{:?}", replay.top_k),
-            format!("{:?}", fresh.top_k),
+            format!("{:?}", replay.top_k()),
+            format!("{:?}", fresh.top_k()),
             "{name}"
         );
         assert_eq!(
-            format!("{:?}", replay.candidates),
-            format!("{:?}", fresh.candidates),
+            format!("{:?}", replay.candidates()),
+            format!("{:?}", fresh.candidates()),
             "{name}"
         );
         assert_eq!(

@@ -67,11 +67,11 @@ fn parallel_exhaustive_candidates_match_sequential_on_every_scenario() {
                 .optimize(&q)
                 .unwrap();
             assert_eq!(
-                par.candidates.len(),
-                base.candidates.len(),
+                par.candidates().len(),
+                base.candidates().len(),
                 "{name} @ {threads} threads"
             );
-            for (a, b) in par.candidates.iter().zip(&base.candidates) {
+            for (a, b) in par.candidates().iter().zip(base.candidates()) {
                 assert_eq!(
                     a.query.alpha_normalized(),
                     b.query.alpha_normalized(),
@@ -150,7 +150,7 @@ fn zero_budget_returns_the_universal_plan() {
             assert!(!out.complete, "{name} {strategy:?} @ {threads}");
             assert_eq!(
                 out.best.raw.alpha_normalized(),
-                out.universal.alpha_normalized(),
+                out.universal().alpha_normalized(),
                 "{name} {strategy:?} @ {threads}: best is not the universal plan"
             );
         }
@@ -269,7 +269,7 @@ fn a_capped_walk_without_a_physical_plan_answers_with_the_universal_plan() {
     assert_eq!(out.search.visited_count, 20);
     assert_eq!(
         out.best.raw.alpha_normalized(),
-        out.universal.alpha_normalized()
+        out.universal().alpha_normalized()
     );
 }
 
@@ -282,14 +282,14 @@ fn top_k_plans_are_distinct_and_cost_ordered() {
                 ..config(SearchStrategy::CostGuided, threads)
             };
             let out = Optimizer::with_config(&catalog, cfg).optimize(&q).unwrap();
-            assert!(!out.top_k.is_empty(), "{name} @ {threads} threads");
-            assert!(out.top_k.len() <= 5, "{name} @ {threads} threads");
+            assert!(!out.top_k().is_empty(), "{name} @ {threads} threads");
+            assert!(out.top_k().len() <= 5, "{name} @ {threads} threads");
             assert_eq!(
-                out.top_k[0].query.alpha_normalized(),
+                out.top_k()[0].query.alpha_normalized(),
                 out.best.query.alpha_normalized(),
                 "{name} @ {threads} threads: top-1 is not the best"
             );
-            for w in out.top_k.windows(2) {
+            for w in out.top_k().windows(2) {
                 assert!(
                     w[0].cost <= w[1].cost,
                     "{name} @ {threads} threads: top-k not cost-ordered"
@@ -302,13 +302,13 @@ fn top_k_plans_are_distinct_and_cost_ordered() {
             }
             // Mutually distinct, not just adjacent-distinct.
             let mut keys: Vec<_> = out
-                .top_k
+                .top_k()
                 .iter()
                 .map(|c| c.query.alpha_normalized())
                 .collect();
             keys.sort();
             keys.dedup();
-            assert_eq!(keys.len(), out.top_k.len(), "{name} @ {threads} threads");
+            assert_eq!(keys.len(), out.top_k().len(), "{name} @ {threads} threads");
         }
     }
 }
@@ -404,13 +404,13 @@ fn assert_same_outcome(desc: &str, replay: &OptimizeOutcome, fresh: &OptimizeOut
     );
     if exact {
         assert_eq!(
-            format!("{:?}", replay.top_k),
-            format!("{:?}", fresh.top_k),
+            format!("{:?}", replay.top_k()),
+            format!("{:?}", fresh.top_k()),
             "{desc}: top_k"
         );
         assert_eq!(
-            format!("{:?}", replay.candidates),
-            format!("{:?}", fresh.candidates),
+            format!("{:?}", replay.candidates()),
+            format!("{:?}", fresh.candidates()),
             "{desc}: candidates"
         );
         assert_eq!(

@@ -20,7 +20,7 @@ fn check_pipelines(catalog: &Catalog, q: &Query, instance: &Instance) {
         ..Default::default()
     };
     let outcome = Optimizer::with_config(catalog, config).optimize(q).unwrap();
-    for c in &outcome.candidates {
+    for c in outcome.candidates() {
         for (hash_joins, merge_joins) in [(false, false), (true, false), (true, true)] {
             let options = CompileOptions {
                 hash_joins,
@@ -160,7 +160,7 @@ fn greedy_strategy_plans_execute_correctly() {
     let outcome = Optimizer::with_config(&catalog, config)
         .optimize(&q)
         .unwrap();
-    assert_eq!(outcome.candidates.len(), 1);
+    assert_eq!(outcome.candidates().len(), 1);
     let rows = ev.eval_query(&outcome.best.query).unwrap();
     assert_eq!(rows, reference, "greedy plan: {}", outcome.best.query);
 }

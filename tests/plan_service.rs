@@ -558,8 +558,8 @@ fn a_lattice_is_never_replayed_across_a_theory_change() {
             "{indexes:?}"
         );
         assert_eq!(
-            format!("{:?}", r.top_k),
-            format!("{:?}", f.top_k),
+            format!("{:?}", r.top_k()),
+            format!("{:?}", f.top_k()),
             "{indexes:?}"
         );
         assert_eq!(

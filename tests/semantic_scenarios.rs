@@ -128,7 +128,7 @@ fn gmap_and_view_compete() {
     let q = parse_query("select struct(B = r.B) from R r where r.A = 3").unwrap();
     let outcome = Optimizer::new(&catalog).optimize(&q).unwrap();
     let shapes: Vec<String> = outcome
-        .candidates
+        .candidates()
         .iter()
         .map(|c| c.query.to_string())
         .collect();
@@ -147,7 +147,7 @@ fn gmap_and_view_compete() {
     // Differential check for every candidate.
     let ev = Evaluator::for_catalog(&catalog, &instance);
     let reference = ev.eval_query(&q).unwrap();
-    for c in &outcome.candidates {
+    for c in outcome.candidates() {
         assert_eq!(
             ev.eval_query(&c.query).unwrap(),
             reference,
@@ -226,7 +226,7 @@ fn bounded_search_remains_sound() {
         .optimize(&q)
         .unwrap();
     assert!(!outcome.complete);
-    assert!(!outcome.candidates.is_empty());
+    assert!(!outcome.candidates().is_empty());
 
     let mut instance = cb_engine::projdept_instance(&cb_engine::ProjDeptParams {
         n_depts: 20,
@@ -239,7 +239,7 @@ fn bounded_search_remains_sound() {
         .unwrap();
     let ev = Evaluator::for_catalog(&catalog, &instance);
     let reference = ev.eval_query(&q).unwrap();
-    for c in &outcome.candidates {
+    for c in outcome.candidates() {
         assert_eq!(
             ev.eval_query(&c.query).unwrap(),
             reference,
