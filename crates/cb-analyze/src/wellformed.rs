@@ -215,7 +215,10 @@ mod tests {
         let q2 = parse_query("select struct(X = r.Nope) from R r").unwrap();
         let (report2, typed) = check_query_wellformed(&c.combined_schema(), &q2);
         assert!(report2.errors().any(|d| d.code == codes::TYPE_MISMATCH));
-        assert!(typed.is_err(), "the lint's own type check answers the type error");
+        assert!(
+            typed.is_err(),
+            "the lint's own type check answers the type error"
+        );
     }
 
     #[test]

@@ -65,12 +65,6 @@ impl Catalog {
         self
     }
 
-    /// Adds an arbitrary logical root.
-    pub fn add_logical_root(&mut self, name: impl Into<String>, ty: Type) -> &mut Self {
-        self.logical.add_root(name, ty);
-        self
-    }
-
     /// Declares a class with its extent root `extent : Set<Oid<C>>` in the
     /// logical schema.
     pub fn declare_class(&mut self, decl: ClassDecl, extent: impl Into<String>) -> &mut Self {

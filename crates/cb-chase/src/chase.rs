@@ -82,18 +82,15 @@ pub struct ChaseOutcome {
     pub complete: bool,
 }
 
-/// A resumable chase: the query chased so far, its incrementally
+/// A chase in progress: the query chased so far, its incrementally
 /// maintained canonical database, and the applied steps.
 ///
 /// Because the chase is sound at every prefix ("we can stop this
 /// rewriting anytime"), callers may interleave their own tests with
 /// [`ChaseState::step`] and stop as soon as the test succeeds — the
 /// containment and implication provers exit the moment a witness
-/// homomorphism appears instead of confirming the full fixpoint. The
-/// [`ChaseContext`](crate::ChaseContext) keeps one `ChaseState` per
-/// alpha-normalized query so later checks resume where earlier ones
-/// stopped.
-#[derive(Debug, Clone)]
+/// homomorphism appears instead of confirming the full fixpoint.
+#[derive(Debug)]
 pub(crate) struct ChaseState {
     pub query: Query,
     pub graph: QueryGraph,

@@ -7,12 +7,6 @@
 //! [`ChaseConfig`], memoizes all three, and memoizes the lattice walk
 //! built from their answers:
 //!
-//! * **chase states**, keyed by the alpha-normalized query. Entries
-//!   hold a *resumable* `ChaseState` rather
-//!   than a finished result: a containment check stops chasing the
-//!   moment a witness homomorphism appears (sound, because every chase
-//!   prefix is equivalent to the input), and the next check against the
-//!   same query resumes from where the last one stopped;
 //! * **phase-1 outcomes** ([`ChaseContext::chase`]), keyed by the
 //!   *shape* of the input — the lattice key below, applied to the input
 //!   — with the first input of the shape and its finished outcome. A
@@ -20,7 +14,10 @@
 //!   constants in the same order, is handed that outcome translated to
 //!   its own names and constants;
 //! * **containment verdicts**, keyed by the alpha-normalized pair with
-//!   its constants abstracted (see below);
+//!   its constants abstracted (see below). Only the verdict is kept: a
+//!   proof chases its subquery on a private state and stops the moment
+//!   a witness homomorphism appears (sound, because every chase prefix
+//!   is equivalent to the input);
 //! * **implication verdicts** `D ⊨ σ`, keyed by a canonicalized `σ`
 //!   (bound variables renamed, constants abstracted, conditions
 //!   normalized and sorted) — lookup-safety and condition-pruning proofs
@@ -72,9 +69,7 @@
 //! `A = 2 and B = 9` and `A = 9 and B = 2` share keys. An isomorphism
 //! the canonical form still fails to spot (two conditions with the same
 //! erased form keep their value order) costs a memo miss, never a wrong
-//! answer. **The resumable chase states stay constant-exact**: a
-//! containment proof checks out the state of its own subquery. A
-//! phase-1 outcome is keyed by shape instead, since the universal plan
+//! answer. A phase-1 outcome is keyed by shape, since the universal plan
 //! depends only on the query's shape and the constraints; what a caller
 //! gets is translated, so it always carries the caller's own names and
 //! constants. The chase compares constants only for equality (a
@@ -92,30 +87,20 @@
 //! shard is recovered by discarding that shard's entries (a cache, always
 //! safe to drop), counted in [`CacheStats::poison_recoveries`].
 //!
-//! **Checkout protocol.** Chase states are stepped under `&mut` access,
-//! which a shard lock must not be held for (a chase step can be the most
-//! expensive operation in the system). An entry is therefore *checked
-//! out* of its shard (a `CheckedOut` marker is left in its place),
-//! stepped outside the lock, and parked again afterwards. A caller that
-//! needs a state another worker holds retries with a bounded backoff
-//! ([`CacheStats::checkout_retries`]), then falls back to a private fresh
-//! chase (counted as a miss) and throws it away, letting the owner park
-//! the canonical one: contention can duplicate work, never corrupt it.
-//! A checkout dropped without being parked — a panic while stepping, a
-//! park lost to a fault — removes its marker on the way out, so the next
-//! ask of that query is a plain miss. Single-threaded, no checkout ever
-//! meets a marker, and the hit/miss counters do not depend on the shard
-//! count.
+//! Every proof is computed outside any lock (a chase can be the most
+//! expensive operation in the system) on state private to its caller,
+//! so two workers asking one question at once merely duplicate work,
+//! and the hit/miss counters do not depend on the shard count.
 //!
-//! A verified lattice goes through the same protocol at walk
-//! granularity: a search checks the lattice of `u`'s shape out when it
-//! starts (its parallel workers share the one checked-out copy behind a
+//! **Lattice checkout.** A verified lattice is the one memo entry a
+//! caller mutates, at walk granularity: a search checks the lattice of
+//! `u`'s shape out when it starts (a `CheckedOut` marker is left in its
+//! place; its parallel workers share the one checked-out copy behind a
 //! lock), fills it as it walks, and parks it when it ends. A concurrent
 //! walk of the same shape works on a private lattice that is never
-//! parked. The
-//! checkout's slot is an armed guard like the chase marker: a walk that
-//! unwinds, or whose park panics or is lost to a fault, drops it armed,
-//! which clears the slot and loses the lattice — its verdicts are merely
+//! parked. The checkout's slot is an armed guard: a walk that unwinds,
+//! or whose park panics or is lost to a fault, drops it armed, which
+//! clears the marker and loses the lattice — its verdicts are merely
 //! recomputed by the next walk. A lattice shed while checked out is
 //! dropped at park time.
 //!
@@ -141,12 +126,11 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 use pcql::query::{Binding, Equality, Output, Query};
 use pcql::{Constant, Dependency, Path};
 
-use crate::chase::{ChaseConfig, ChaseOutcome, ChaseState, ChasedShape};
+use crate::chase::{chase, ChaseConfig, ChaseOutcome, ChaseState, ChasedShape};
 use crate::containment::output_matching_hom;
 use crate::faults::{self, FaultKind};
 use crate::implication::implies_uncached;
@@ -156,10 +140,9 @@ use crate::shape::Shape;
 /// Cache hit/miss counters of a [`ChaseContext`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Chase states reused (including partial states resumed by a later
-    /// containment check), plus phase-1 outcomes handed out by shape.
+    /// Phase-1 outcomes handed out by shape.
     pub chase_hits: u64,
-    /// Chase states built from scratch, plus phase-1 chases run.
+    /// Chases run: phase-1 chases, plus one per containment proof.
     pub chase_misses: u64,
     /// Containment verdicts answered from the memo.
     pub containment_hits: u64,
@@ -188,9 +171,6 @@ pub struct CacheStats {
     /// Poisoned shard mutexes recovered by discarding that shard's memo
     /// entries (a cache, always safe to drop).
     pub poison_recoveries: u64,
-    /// Checkout attempts retried after transient contention or an
-    /// injected transient failure, before falling back to a fresh chase.
-    pub checkout_retries: u64,
     /// Shards shed (all memo entries dropped) under memory pressure —
     /// either the approximate byte limit or an injected pressure signal.
     pub pressure_sheds: u64,
@@ -218,7 +198,6 @@ impl CacheStats {
         self.deps_resets += other.deps_resets;
         self.reorder_resets_avoided += other.reorder_resets_avoided;
         self.poison_recoveries += other.poison_recoveries;
-        self.checkout_retries += other.checkout_retries;
         self.pressure_sheds += other.pressure_sheds;
         self.lattice_hits += other.lattice_hits;
         self.lattice_misses += other.lattice_misses;
@@ -251,20 +230,6 @@ impl CacheStats {
 /// enough that aggregating stats stays trivial.
 const SHARDS: usize = 16;
 
-/// Bounded retries on a contended (or transiently failing) checkout
-/// before falling back to a private fresh chase. The backoff per attempt
-/// is tiny — a parked state usually returns within one chase step.
-const CHECKOUT_RETRIES: usize = 3;
-
-/// Bounded backoff between checkout attempts: yield first (the common
-/// case — the owner is one step from parking), then sleep briefly.
-fn backoff(attempt: usize) {
-    match attempt {
-        0 => std::thread::yield_now(),
-        n => std::thread::sleep(Duration::from_micros(20 << n.min(4))),
-    }
-}
-
 /// A parked (or absent-while-borrowed) lattice memo entry.
 enum LatticeState {
     Parked(Box<Lattice>),
@@ -274,10 +239,9 @@ enum LatticeState {
 }
 
 /// The `CheckedOut` marker a lattice checkout left in its shard, and
-/// where the lattice parks again. Like [`Marker`]: parking disarms it;
-/// dropped armed — a walk that unwound, a park that panicked or was
-/// lost to a fault — it removes the marker, so the slot is never stuck
-/// checked out.
+/// where the lattice parks again. Parking disarms it; dropped armed — a
+/// walk that unwound, a park that panicked or was lost to a fault — it
+/// removes the marker, so the slot is never stuck checked out.
 pub(crate) struct LatticeSlot<'a> {
     ctx: &'a ChaseContext,
     key: Keyed<Query>,
@@ -298,15 +262,6 @@ impl Drop for LatticeSlot<'_> {
             }
         }
     }
-}
-
-/// A parked (or absent-while-borrowed) chase memo entry.
-enum ChaseSlot {
-    /// The resumable state is home and may be checked out.
-    Parked(Box<ChaseState>),
-    /// Someone is stepping the state outside the shard lock; others
-    /// fall back to a fresh chase instead of waiting.
-    CheckedOut,
 }
 
 /// A memo key with its hash computed once: the hash picks the shard and
@@ -365,7 +320,6 @@ type Memo<K, V> = HashMap<Keyed<K>, V, BuildHasherDefault<PassThrough>>;
 /// guarded by a single mutex.
 #[derive(Default)]
 struct MemoShard {
-    chased: Memo<Query, ChaseSlot>,
     /// Finished phase-1 chases, by the shape of their input.
     outcomes: Memo<Query, Arc<ChasedShape>>,
     containment: Memo<(Query, Arc<Query>), bool>,
@@ -390,7 +344,6 @@ struct MemoShard {
 impl MemoShard {
     /// Drops every memo entry (a cache — always safe), keeping counters.
     fn clear_memos(&mut self) {
-        self.chased.clear();
         self.outcomes.clear();
         self.containment.clear();
         self.implication.clear();
@@ -408,9 +361,10 @@ impl MemoShard {
     }
 }
 
-/// Rough per-entry footprint of a memoized query (key or resumable
-/// state): a fixed overhead plus a per-AST-node constant. Only relative
-/// accuracy matters — the limit is compared against sums.
+/// Rough per-entry footprint of a memoized query (a key, or a query a
+/// phase-1 outcome or a lattice holds): a fixed overhead plus a
+/// per-AST-node constant. Only relative accuracy matters — the limit is
+/// compared against sums.
 pub(crate) fn approx_query_bytes(q: &Query) -> usize {
     64 + 48 * q.size()
 }
@@ -432,28 +386,6 @@ fn park_lost() -> bool {
         Err(f) => {
             faults::note_recovered();
             f.kind == FaultKind::Error
-        }
-    }
-}
-
-/// The `CheckedOut` marker a checkout left in its shard. Parking disarms
-/// it; dropped armed — a panic while stepping, a park lost to a fault —
-/// it removes the marker, so the slot is never stuck checked out.
-struct Marker<'a> {
-    ctx: &'a ChaseContext,
-    idx: usize,
-    key: &'a Keyed<Query>,
-    armed: bool,
-}
-
-impl Drop for Marker<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            // `shard`, not `lock`: no failpoint may fire while unwinding.
-            let mut shard = self.ctx.shard(self.idx);
-            if matches!(shard.chased.get(self.key), Some(ChaseSlot::CheckedOut)) {
-                shard.chased.remove(self.key);
-            }
         }
     }
 }
@@ -709,111 +641,21 @@ impl ChaseContext {
         }
     }
 
-    /// Locks shard `idx` for checkout attempt `attempt`, behind the
-    /// `shared::checkout` failpoint. An injected failure models a
-    /// transient acquisition failure: a pressure signal sheds the shard
-    /// before the lookup, any other kind is retried after a backoff —
-    /// `None`, counted in [`CacheStats::checkout_retries`], like
-    /// contention — except on the last attempt, which proceeds.
-    fn lock_for_checkout(&self, idx: usize, attempt: usize) -> Option<MutexGuard<'_, MemoShard>> {
+    /// Locks shard `idx` for a lookup of a shared entry — a phase-1
+    /// outcome or a lattice — behind the `shared::checkout` failpoint
+    /// (fired before the lock, so a panic poisons nothing). An injected
+    /// failure is recovered by proceeding; a pressure signal sheds the
+    /// shard first.
+    fn lock_for_checkout(&self, idx: usize) -> MutexGuard<'_, MemoShard> {
         let injected = faults::hit("shared::checkout").err();
         let mut shard = self.lock(idx);
         if let Some(f) = injected {
             faults::note_recovered();
             if f.kind == FaultKind::MemPressure {
                 shard.shed();
-            } else if attempt < CHECKOUT_RETRIES {
-                shard.stats.checkout_retries += 1;
-                drop(shard);
-                backoff(attempt);
-                return None;
             }
         }
-        Some(shard)
-    }
-
-    /// Checks the chase state for `key` out of its shard: a parked
-    /// state is taken (hit), a missing one is created fresh after leaving
-    /// a `CheckedOut` marker (miss); both come with the armed [`Marker`]
-    /// that [`ChaseContext::park`] disarms. A state someone else holds is
-    /// *retried* with a bounded backoff ([`CacheStats::checkout_retries`];
-    /// the owner usually parks within one chase step) before being
-    /// substituted by a private fresh one (miss, no marker) — the
-    /// out-of-order fallback. An injected transient failure at the
-    /// `shared::checkout` failpoint takes the same retry path, so
-    /// contention and fault recovery share one discipline. With caching
-    /// off every checkout is a private fresh state.
-    fn checkout<'a>(
-        &'a self,
-        key: &'a Keyed<Query>,
-        q: &Query,
-    ) -> (ChaseState, Option<Marker<'a>>) {
-        let idx = self.shard_of(key);
-        for attempt in 0..=CHECKOUT_RETRIES {
-            let last = attempt == CHECKOUT_RETRIES;
-            let Some(mut shard) = self.lock_for_checkout(idx, attempt) else {
-                continue;
-            };
-            if !self.caching {
-                shard.stats.chase_misses += 1;
-                return (ChaseState::new(q), None);
-            }
-            let marker = || {
-                Some(Marker {
-                    ctx: self,
-                    idx,
-                    key,
-                    armed: true,
-                })
-            };
-            match shard.chased.get_mut(key) {
-                Some(slot) => match std::mem::replace(slot, ChaseSlot::CheckedOut) {
-                    ChaseSlot::Parked(state) => {
-                        shard.stats.chase_hits += 1;
-                        return (*state, marker());
-                    }
-                    ChaseSlot::CheckedOut => {
-                        if !last {
-                            shard.stats.checkout_retries += 1;
-                            drop(shard);
-                            backoff(attempt);
-                            continue;
-                        }
-                        shard.stats.chase_misses += 1;
-                        return (ChaseState::new(q), None);
-                    }
-                },
-                None => {
-                    shard.stats.chase_misses += 1;
-                    let key = Keyed {
-                        hash: key.hash,
-                        key: key.key.clone(),
-                    };
-                    shard.chased.insert(key, ChaseSlot::CheckedOut);
-                    return (ChaseState::new(q), marker());
-                }
-            }
-        }
-        unreachable!("checkout loop returns on its last attempt")
-    }
-
-    /// Parks a checked-out state back into its slot and disarms the
-    /// marker. If the slot was shed while checked out, the state is
-    /// simply dropped (recomputing later counts as the miss that a shed
-    /// always implies). Accounts the state's approximate footprint and
-    /// enforces the byte limit.
-    fn park(&self, mut marker: Marker<'_>, state: ChaseState) {
-        if park_lost() {
-            return;
-        }
-        let mut guard = self.lock(marker.idx);
-        let shard = &mut *guard;
-        if let Some(slot) = shard.chased.get_mut(marker.key) {
-            shard.bytes += approx_query_bytes(&marker.key.key) + approx_query_bytes(&state.query);
-            *slot = ChaseSlot::Parked(Box::new(state));
-            self.enforce_byte_limit(shard);
-        }
-        marker.armed = false;
+        shard
     }
 
     /// The [`Shape`] of `q` under this context's dependencies: the
@@ -840,20 +682,16 @@ impl ChaseContext {
     /// names it adds are those its fresh-name generator picks against
     /// `q`'s own ([`ShapeOrigin::renaming_to`](crate::ShapeOrigin::renaming_to)).
     /// Where no renaming can be vouched for, `q` is chased afresh,
-    /// counted as a miss, and the memo is left as it was. A miss
-    /// also parks the input's finished resumable state, for the
-    /// containment proof the first walk of a new shape asks of it. The
-    /// outcome lookup takes the checkout failpoint and retries, the
-    /// inserts the park failpoint, but nothing is checked out: a kept
-    /// outcome is immutable and shared.
+    /// counted as a miss, and the memo is left as it was. The outcome
+    /// lookup takes the checkout failpoint, the insert the park
+    /// failpoint, but nothing is checked out: a kept outcome is immutable
+    /// and shared.
     pub fn chase(&self, q: &Query) -> ChaseOutcome {
         let shape = self.shape(q);
         let key = Keyed::new(shape.key.clone());
         let idx = self.shard_of(&key);
         let found = {
-            let mut shard = (0..=CHECKOUT_RETRIES)
-                .find_map(|attempt| self.lock_for_checkout(idx, attempt))
-                .expect("the last checkout attempt proceeds");
+            let mut shard = self.lock_for_checkout(idx);
             let found = self
                 .caching
                 .then(|| shard.outcomes.get(&key).cloned())
@@ -874,9 +712,7 @@ impl ChaseContext {
                 None => shard.stats.chase_misses += 1,
             }
         }
-        let mut state = ChaseState::new(q);
-        while state.step(&self.deps, &self.cfg) {}
-        let out = state.finalize(&self.deps, &self.cfg);
+        let out = chase(q, &self.deps, &self.cfg);
         if found.is_none() && self.caching && !park_lost() {
             let shaped = ChasedShape::new(q.clone(), shape, out.clone());
             let mut guard = self.lock(idx);
@@ -887,22 +723,6 @@ impl ChaseContext {
                 .entry(key)
                 .or_insert_with(|| Arc::new(shaped));
             self.enforce_byte_limit(shard);
-            drop(guard);
-            // The input is a lattice subquery of its own universal plan,
-            // so the first walk of a new shape asks a containment proof
-            // of it: park its finished state, constant-exact, for that
-            // proof to resume.
-            let chase_key = Keyed::new(q.alpha_normalized());
-            let mut guard = self.lock(self.shard_of(&chase_key));
-            let shard = &mut *guard;
-            if !shard.chased.contains_key(&chase_key) {
-                shard.bytes +=
-                    approx_query_bytes(&chase_key.key) + approx_query_bytes(&state.query);
-                shard
-                    .chased
-                    .insert(chase_key, ChaseSlot::Parked(Box::new(state)));
-                self.enforce_byte_limit(shard);
-            }
         }
         out
     }
@@ -913,8 +733,8 @@ impl ChaseContext {
     /// from `q2` is retried, and the chase stops at the first witness —
     /// a sound early exit, since each chase prefix is equivalent to
     /// `q1`. A verdict of `false` still requires the fixpoint (or the
-    /// budget), exactly like the eager test. The chase state is checked
-    /// out, stepped outside any lock, and parked resumed.
+    /// budget), exactly like the eager test. The chase runs on a private
+    /// state, outside any lock, and only the verdict is memoized.
     pub fn contained_in(&self, q1: &Query, q2: &Query) -> bool {
         self.contained_in_target(q1, q2, &self.containment_target(q2))
     }
@@ -952,21 +772,19 @@ impl ChaseContext {
                 }
             }
             shard.stats.containment_misses += 1;
+            shard.stats.chase_misses += 1;
         }
-        let chase_key = Keyed::new(q1.alpha_normalized());
-        let (mut state, marker) = self.checkout(&chase_key, q1);
+        let mut state = ChaseState::new(q1);
         let result = loop {
-            let output = state.query.output.clone();
-            if output_matching_hom(&mut state.graph, &output, q2, &self.cfg, None).is_some() {
+            let hom =
+                output_matching_hom(&mut state.graph, &state.query.output, q2, &self.cfg, None);
+            if hom.is_some() {
                 break true;
             }
             if !state.step(&self.deps, &self.cfg) {
                 break false;
             }
         };
-        if let Some(marker) = marker {
-            self.park(marker, state);
-        }
         if !self.caching {
             return result;
         }
@@ -1020,18 +838,11 @@ impl ChaseContext {
         if !self.caching {
             return (Lattice::new(Arc::clone(base), Vec::new()), None, Vec::new());
         }
-        let injected = faults::hit("shared::checkout").err();
         let (shape, constants) = self.keys.lattice(base);
         let key = Keyed::new(shape);
         let idx = self.shard_of(&key);
-        let mut guard = self.lock(idx);
+        let mut guard = self.lock_for_checkout(idx);
         let shard = &mut *guard;
-        if let Some(f) = injected {
-            faults::note_recovered();
-            if f.kind == FaultKind::MemPressure {
-                shard.shed();
-            }
-        }
         let fresh = || Lattice::new(Arc::clone(base), constants.clone());
         let (lattice, slot) = match shard.lattices.get_mut(&key) {
             Some(state) => match std::mem::replace(state, LatticeState::CheckedOut) {
@@ -1539,7 +1350,6 @@ fn canonical_dependency(sigma: &Dependency) -> Dependency {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chase::chase;
     use pcql::parser::{parse_dependency, parse_query};
 
     #[test]
@@ -2102,12 +1912,10 @@ mod tests {
     }
 
     #[test]
-    fn injected_checkout_failures_are_retried_and_recovered() {
+    fn injected_checkout_failures_are_recovered() {
         let _guard = faults::ScopedFaults::install("shared::checkout=err@1").unwrap();
         let ctx = ChaseContext::new(theory(), ChaseConfig::default());
         assert_eq!(run_workload(&ctx), oracle_verdicts());
-        let stats = ctx.stats();
-        assert!(stats.checkout_retries >= 1, "{stats:?}");
         let fs = faults::stats();
         assert_eq!(fs.injected, 1);
         assert_eq!(fs.injected, fs.acknowledged(), "{fs:?}");
@@ -2123,14 +1931,32 @@ mod tests {
             let payload = unwound.expect_err("the park panics");
             assert!(faults::is_injected_panic(payload.as_ref()));
         }
-        // The unwound checkout took its marker with it: the next chase is
-        // a plain miss without a single retry, and the one after a hit.
+        // The unwound park left nothing behind: the next chase is a
+        // plain miss, and the one after a hit.
         let before = ctx.stats();
         ctx.chase(&q);
         let after = ctx.stats();
         assert_eq!(after.chase_misses, before.chase_misses + 1, "{after:?}");
-        assert_eq!(after.checkout_retries, 0, "{after:?}");
         ctx.chase(&q);
         assert_eq!(ctx.stats().chase_hits, after.chase_hits + 1);
+    }
+
+    #[test]
+    fn a_containment_proof_chases_afresh_and_keeps_no_state() {
+        let ctx = ChaseContext::new(theory(), ChaseConfig::default());
+        let q = parse_query("select struct(A = r.A) from R r").unwrap();
+        let a = parse_query("select struct(A = r.A) from R r, S s where r.B = s.B").unwrap();
+        let b = parse_query("select struct(B = s.B) from S s").unwrap();
+        assert!(ctx.contained_in(&q, &a));
+        assert!(!ctx.contained_in(&q, &b));
+        // Two questions of one subquery: two chases, nothing resumed.
+        let stats = ctx.stats();
+        assert_eq!((stats.chase_misses, stats.chase_hits), (2, 0), "{stats:?}");
+        assert_eq!(stats.containment_misses, 2, "{stats:?}");
+        // A repeated question is a verdict hit and runs no chase.
+        assert!(ctx.contained_in(&q, &a));
+        let stats = ctx.stats();
+        assert_eq!((stats.chase_misses, stats.chase_hits), (2, 0), "{stats:?}");
+        assert_eq!(stats.containment_hits, 1, "{stats:?}");
     }
 }

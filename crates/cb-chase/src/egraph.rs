@@ -203,14 +203,6 @@ impl EGraph {
         self.find(ca) == self.find(cb)
     }
 
-    /// All node ids of a class.
-    pub fn class_nodes(&self, class: ClassId) -> Vec<NodeId> {
-        let class = self.find(class);
-        (0..self.nodes.len())
-            .filter(|&id| self.find(id) == class)
-            .collect()
-    }
-
     /// All distinct canonical classes.
     pub fn classes(&self) -> BTreeSet<ClassId> {
         (0..self.nodes.len()).map(|id| self.find(id)).collect()

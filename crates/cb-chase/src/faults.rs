@@ -5,8 +5,9 @@
 //! pipeline operator — at which a configured fault fires: a panic, an
 //! artificial delay, a spurious [`Err`], or a memory-pressure signal.
 //! The resilience layer (worker `catch_unwind`, shard poison recovery,
-//! checkout retry, the optimizer's degradation ladder) is exercised by
-//! the chaos harness (`tests/chaos.rs`) through exactly these sites.
+//! the lattice checkout's armed slot, the optimizer's degradation
+//! ladder) is exercised by the chaos harness (`tests/chaos.rs`) through
+//! exactly these sites.
 //!
 //! **Zero cost when disabled.** Every site guards its slow path behind
 //! [`armed`] — a single relaxed atomic load. A process that never sets
@@ -61,7 +62,7 @@ std::thread_local! {
 /// `CB_FAULTS` spec naming anything else; the chaos harness's coverage
 /// test proves each one is reachable from a real workload.
 pub const SITES: &[&str] = &[
-    // One resumable chase step (`ChaseState::step`) is about to run.
+    // One chase step (`ChaseState::step`) is about to run.
     "chase::step",
     // A containment proof's hom-search/step loop iteration.
     "context::contained_in",
@@ -70,10 +71,11 @@ pub const SITES: &[&str] = &[
     // A shard mutex was just acquired (fires *inside* the lock, so a
     // panic here genuinely poisons the shard).
     "shared::shard_lock",
-    // A chase memo entry (or a search walk's verified lattice) is being
-    // checked out of its shard.
+    // A phase-1 outcome is being looked up, or a search walk's verified
+    // lattice checked out of its shard.
     "shared::checkout",
-    // A checked-out entry or lattice is being parked back.
+    // A phase-1 outcome is being inserted, or a checked-out lattice
+    // parked back.
     "shared::park",
     // A memo insert is about to land (the memory-pressure seam).
     "shared::memo",

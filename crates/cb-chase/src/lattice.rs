@@ -455,8 +455,9 @@ impl<'a> LatticeWalk<'a> {
         if h2 == seed {
             self.ctx.note_seeded_hom();
         }
-        // …and q2 ⊑ u: chase q2 (lazily, memoized), map u in — against
-        // u's half of the containment key, built once per walk.
+        // …and q2 ⊑ u: chase q2 (lazily, the verdict memoized), map u
+        // in — against u's half of the containment key, built once per
+        // walk.
         let target = self.target.get_or_init(|| self.ctx.containment_target(u));
         self.ctx
             .contained_in_target(q2, u, target)

@@ -24,9 +24,9 @@
 //! ## One context per theory
 //!
 //! Every question is asked of a held [`ChaseContext`], the one chase
-//! core: it owns a dependency set and a budget and memoizes chase
-//! outcomes (keyed by alpha-normalized query, held as *resumable*
-//! states), containment and implication verdicts (keyed by
+//! core: it owns a dependency set and a budget and memoizes phase-1
+//! chase outcomes (keyed by the input's shape), containment and
+//! implication verdicts (keyed by
 //! constant-abstracted forms, so questions that differ only in a constant
 //! share one proof) and verified backchase lattices across calls, which
 //! is what makes the exponential removal lattice, whose nodes keep asking

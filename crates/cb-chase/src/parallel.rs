@@ -28,11 +28,10 @@
 //!   search). One worker never waits on another, so it judges every node
 //!   on the spot.
 //! * **Witness-hom seeding** carries the parent's witness in the frontier
-//!   entry, but each worker validates it against its own hom graph;
-//!   chase states live in the context, whose checkout protocol falls
-//!   back to a fresh search when another worker holds the parent's memo
-//!   — out-of-order parent/child arrival can cost duplicate work, never
-//!   a wrong verdict.
+//!   entry, but each worker validates it against its own hom graph. The
+//!   other half of a child's proof chases the child on a state private
+//!   to that proof; only its verdict is shared, so two workers asking
+//!   one proof at once can duplicate work, never corrupt a verdict.
 //! * **The budget** ([`SearchBudget`], the walk's only cap) counts
 //!   *committed* nodes — visited plus reserved-by-a-worker — so a node
 //!   budget is exact at any worker count, not just approached from

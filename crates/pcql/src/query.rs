@@ -178,11 +178,6 @@ impl Query {
         }
     }
 
-    /// The variables bound by the `from` clause, in binding order.
-    pub fn bound_vars(&self) -> Vec<&str> {
-        self.from.iter().map(|b| b.var.as_str()).collect()
-    }
-
     /// Checks dependent-binding scoping: each binding path may only use
     /// variables bound strictly earlier; `where` and `select` may use any
     /// bound variable.

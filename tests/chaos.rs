@@ -479,21 +479,21 @@ fn a_phase_one_panic_at_a_shard_site_keeps_the_fault_free_plan() {
 }
 
 // ---------------------------------------------------------------------
-// Budget-expiry edge cases: the anytime SLO interacting with parked
-// checkouts, racing incumbent publication, and over-asked k_best.
+// Budget-expiry edge cases: the anytime SLO interacting with delayed
+// proofs, racing incumbent publication, and over-asked k_best.
 // ---------------------------------------------------------------------
 
-/// Wall-clock expiry while workers are asleep inside a memo checkout (a
-/// delay fault holds them there): the search must still return a
-/// verified incumbent promptly — expiry is checked outside the parked
-/// wait, never wedged by it.
+/// Wall-clock expiry while workers are asleep inside containment proofs
+/// (a delay fault holds every proof there): the search must still return
+/// a verified incumbent promptly — expiry is checked outside the delayed
+/// proof, never wedged by it.
 #[test]
-fn wall_clock_expiry_during_parked_checkouts_still_returns_a_plan() {
+fn wall_clock_expiry_during_delayed_proofs_still_returns_a_plan() {
     let (_, catalog, q) = scenarios().swap_remove(0);
     let base = Optimizer::with_config(&catalog, config(SearchStrategy::Exhaustive, 1))
         .optimize(&q)
         .unwrap();
-    let guard = ScopedFaults::install("shared::checkout=delay:2").unwrap();
+    let guard = ScopedFaults::install("context::contained_in=delay:2").unwrap();
     let cfg = OptimizerConfig {
         search_budget: SearchBudget {
             wall_clock: Some(Duration::from_millis(5)),
@@ -507,7 +507,7 @@ fn wall_clock_expiry_during_parked_checkouts_still_returns_a_plan() {
     let fs = faults::stats();
     drop(guard);
 
-    assert!(elapsed < HANG_GUARD, "parked expiry took {elapsed:?}");
+    assert!(elapsed < HANG_GUARD, "delayed expiry took {elapsed:?}");
     assert_eq!(fs.injected, fs.acknowledged(), "{fs:?}");
     assert!(
         is_vouched_plan(&out.best, &base, out.universal()),
